@@ -4,8 +4,11 @@
 Run:  python benchmarks/bench_kernels.py [--pairs N]
 
 The skip-gram trainer is the python-bound hot loop and is where the JIT
-pays off; the layer-training path is BLAS-bound numpy and is timed here
-for context only (a hand-rolled kernel would not beat BLAS there).
+pays off; the corpus is cut so one SGNS epoch visits about N pairs, and
+the real count is printed. The layer-training path is BLAS-bound numpy
+and is timed here for context only (a hand-rolled kernel would not beat
+BLAS there): one epoch at a desk shape, and eight batch steps at the
+full recipe shape, 784 -> 2000x4 with batch 128.
 """
 
 import argparse
@@ -14,7 +17,7 @@ import time
 import numpy as np
 
 from fflab.backend import HAVE_NUMBA
-from fflab.ffnet import FFNetwork, train_epoch
+from fflab.ffnet import FFNetwork, Sample, train_epoch
 from fflab.kernels import sgns_epoch_with_backend
 from fflab.rng import Rng
 from fflab.synthetic import build_blob_stream, make_blobs
@@ -43,14 +46,20 @@ def synth_corpus(n_docs, doc_len, vocab_size, seed=1):
     return docs
 
 
+DOC_LEN = 60
+WINDOW = 5
+FULL_STEPS = 8
+
+
 def bench_sgns(target_pairs):
-    corpus = synth_corpus(400, 60, 2000)
+    pairs_per_doc = count_pairs(np.array([0, DOC_LEN]), WINDOW)
+    corpus = synth_corpus(max(1, round(target_pairs / pairs_per_doc)), DOC_LEN, 2000)
     vocab = build_vocab(corpus, min_count=1)
     tokens, offsets = encode_corpus(corpus, vocab)
     cdf = noise_cdf(vocab.counts)
-    per_epoch = count_pairs(offsets, 5)
-    print(f"corpus: {tokens.shape[0]} tokens, vocab {len(vocab)}, "
-          f"{per_epoch} pairs/epoch, dim 100, 5 negatives")
+    per_epoch = count_pairs(offsets, WINDOW)
+    print(f"corpus: {len(corpus)} docs, {tokens.shape[0]} tokens, vocab {len(vocab)}, "
+          f"{per_epoch} pairs/epoch (asked for {target_pairs}), dim 100, 5 negatives")
 
     results = {}
     for label, use_numba in (("numba @njit", True), ("numpy twin", False)):
@@ -60,18 +69,15 @@ def bench_sgns(target_pairs):
         win, wout = init_embeddings(len(vocab), 100, Rng(7))
         if use_numba:  # compile outside the timed region
             sgns_epoch_with_backend(
-                True, tokens[:50], offsets[:2].copy(), win, wout, cdf,
-                5, 5, 0.025, 2.5e-6, 0, per_epoch, 3,
+                True, tokens[: offsets[1]], offsets[:2].copy(), win, wout, cdf,
+                WINDOW, 5, 0.025, 2.5e-6, 0, per_epoch, 3,
             )
             win, wout = init_embeddings(len(vocab), 100, Rng(7))
         t0 = time.perf_counter()
-        done = 0
-        state = 3
-        while done < target_pairs:
-            state, done, _ = sgns_epoch_with_backend(
-                use_numba, tokens, offsets, win, wout, cdf,
-                5, 5, 0.025, 2.5e-6, done, max(target_pairs, per_epoch), state,
-            )
+        _, done, _ = sgns_epoch_with_backend(
+            use_numba, tokens, offsets, win, wout, cdf,
+            WINDOW, 5, 0.025, 2.5e-6, 0, per_epoch, 3,
+        )
         dt = time.perf_counter() - t0
         rate = done / dt
         results[label] = rate
@@ -91,11 +97,26 @@ def bench_ff_epoch():
     print(f"\nlayer-training epoch ({len(stream)} samples, arch [500, 500], "
           f"numpy/BLAS): {dt:.2f}s  ({len(stream) / dt:,.0f} samples/s)")
 
+    # full recipe: one warm-up step, then FULL_STEPS timed steps
+    batch = 128
+    rng = Rng(15)
+    samples = [
+        Sample(rng.uniform_array(784), 1 if i % 2 == 0 else -1, 0)
+        for i in range(batch * FULL_STEPS)
+    ]
+    net = FFNetwork(784, [2000] * 4, "relu", 0.01, Rng(16))
+    train_epoch(net, samples[:batch], ConstantK(0.005), 0, batch, Rng(17))
+    t0 = time.perf_counter()
+    train_epoch(net, samples, ConstantK(0.005), 0, batch, Rng(18))
+    dt = time.perf_counter() - t0
+    print(f"full-recipe steps (784 -> 2000x4, batch {batch}, {FULL_STEPS} steps): "
+          f"{dt / FULL_STEPS * 1e3:.0f} ms/step")
+
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser()
     parser.add_argument("--pairs", type=int, default=300_000,
-                        help="pair updates to time per backend")
+                        help="about this many pair updates per backend (one SGNS epoch)")
     args = parser.parse_args()
     bench_sgns(args.pairs)
     bench_ff_epoch()

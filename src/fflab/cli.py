@@ -1,6 +1,12 @@
 """``ff-lab``: train / sweep / analyze / eval.
 
-Exit codes: 0 success, 1 configuration error, 2 data error.
+Exit codes:
+
+- 0 success
+- 1 configuration or usage error (and any other package error)
+- 2 data error: missing or malformed files, or data whose width does
+  not fit the network
+- 3 training diverged: a layer's weights left the finite range
 """
 
 import argparse
@@ -19,7 +25,15 @@ from .analysis import (
 )
 from .checkpoint import load_network
 from .config import parse_config, threshold_strategy
-from .errors import ConfigError, DataError, FormatError, UsageError
+from .errors import (
+    ConfigError,
+    DataError,
+    DimensionError,
+    DivergenceError,
+    FFLabError,
+    FormatError,
+    UsageError,
+)
 from .ffnet import FFNetwork
 from .inference import predict_head_batch, predict_sweep_batch
 from .rng import Rng, derive_seed
@@ -167,9 +181,15 @@ def main(argv=None):
     except (ConfigError, UsageError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except (DataError, FormatError, FileNotFoundError) as e:
+    except (DataError, FormatError, DimensionError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
+    except DivergenceError as e:
+        print(f"training diverged: {e}", file=sys.stderr)
+        return 3
+    except FFLabError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

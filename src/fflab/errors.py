@@ -38,3 +38,24 @@ class ConfigError(FFLabError):
 
 class DataError(FFLabError):
     """Dataset files are missing or unreadable."""
+
+
+class DivergenceError(FFLabError):
+    """Training diverged: a layer's weights left the finite range.
+
+    ``layer`` and ``epoch`` locate the divergence, when known; the
+    training loop fills in ``epoch`` as the error passes through it.
+    """
+
+    def __init__(self, message, layer=None):
+        super().__init__(message)
+        self.layer = layer
+        self.epoch = None
+
+    def __str__(self):
+        where = ", ".join(
+            f"{name} {value}"
+            for name, value in (("epoch", self.epoch), ("layer", self.layer))
+            if value is not None
+        )
+        return f"{where}: {self.args[0]}" if where else self.args[0]

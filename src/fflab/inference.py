@@ -9,6 +9,7 @@ By default both routes read every layer except the first, whose units
 see the label slots directly and would leak.
 """
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,15 @@ def features_batch(net, X_neutral, included_layers):
     stages = net.forward_batch(np.asarray(X_neutral, dtype=np.float64))
     parts = [row_directions(stages[i][2]) for i in included_layers]
     return np.concatenate(parts, axis=1)
+
+
+def _weights_digest(net):
+    """sha256 of every layer's W and b, read from their buffers without a copy."""
+    h = hashlib.sha256()
+    for layer in net.layers:
+        h.update(layer.W)
+        h.update(layer.b)
+    return h.digest()
 
 
 @dataclass
@@ -84,7 +94,7 @@ def train_head(
     if included_layers is None:
         included_layers = default_included_layers(len(net.layers))
     included_layers = tuple(sorted(included_layers))
-    frozen = b"".join(l.W.tobytes() + l.b.tobytes() for l in net.layers)
+    frozen = _weights_digest(net)
 
     F = features_batch(net, X_neutral, included_layers)
     width = F.shape[1]
@@ -111,8 +121,7 @@ def train_head(
             dlogits /= m
             adam_step(head.adam_W, head.W, dlogits.T @ Fb)
             adam_step(head.adam_b, head.b, dlogits.sum(axis=0))
-    after = b"".join(l.W.tobytes() + l.b.tobytes() for l in net.layers)
-    if after != frozen:
+    if _weights_digest(net) != frozen:
         raise UsageError("head training mutated the frozen network")
     return head
 

@@ -5,6 +5,7 @@ float64 ndarrays. Everything downstream builds on the handful of
 operations here.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,12 +86,22 @@ class AdamState:
         )
 
 
+# Rows of a parameter that one Adam block covers hold about this many
+# elements: the six arrays a block touches (512 KiB each) stay in L2.
+_ADAM_BLOCK = 1 << 16
+
+
 def adam_step(state, params, grads):
     """One Adam update, in place. Returns ``params``.
 
     m <- b1*m + (1-b1)*g ; v <- b2*v + (1-b2)*g^2 ;
     params <- params - lr * m_hat / (sqrt(v_hat) + eps) with the usual
     bias-corrected m_hat, v_hat (eps sits outside the square root).
+
+    The update runs over blocks of rows, writing into one scratch and one
+    step array allocated per call, with the operations in the order of the
+    textbook expression; every operation is elementwise, so the result is
+    bit-identical to evaluating it whole with temporaries.
     """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise DimensionError(
@@ -98,11 +109,31 @@ def adam_step(state, params, grads):
             f"grads {grads.shape}, moments {state.m.shape}"
         )
     state.t += 1
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grads
-    state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * (grads * grads)
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    params -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    b1, b2 = state.beta1, state.beta2
+    m_scale = 1.0 - b1 ** state.t
+    v_scale = 1.0 - b2 ** state.t
+    P, G, M, V = params, grads, state.m, state.v
+    if P.ndim == 0:
+        P, G, M, V = P[None], G[None], M[None], V[None]
+    rows = max(1, _ADAM_BLOCK // max(1, math.prod(P.shape[1:])))
+    scratch = np.empty((min(rows, len(P)),) + P.shape[1:])
+    step = np.empty_like(scratch)
+    for i in range(0, len(P), rows):
+        p, g, m, v = P[i : i + rows], G[i : i + rows], M[i : i + rows], V[i : i + rows]
+        s, d = scratch[: len(p)], step[: len(p)]
+        np.multiply(g, 1.0 - b1, out=s)
+        m *= b1
+        m += s
+        np.multiply(g, g, out=s)
+        s *= 1.0 - b2
+        v *= b2
+        v += s
+        # s <- sqrt(v_hat) + eps ; d <- lr * m_hat / s
+        np.divide(v, v_scale, out=s)
+        np.sqrt(s, out=s)
+        s += state.eps
+        np.divide(m, m_scale, out=d)
+        d *= state.lr
+        d /= s
+        p -= d
     return params

@@ -8,7 +8,9 @@ import pytest
 
 from fflab.checkpoint import load_network
 from fflab.cli import main
+from fflab import experiment
 from fflab.config import parse_config
+from fflab.errors import FFLabError
 from fflab.experiment import build_bundle, run_experiment
 
 FAST = {
@@ -153,6 +155,36 @@ class TestCli:
         )
         assert code == 2
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_exit_three(self, tmp_path, capsys):
+        args = ["train"]
+        for k, v in fast_overrides(tmp_path / "run", lr="1e308").items():
+            args += ["--set", f"{k}={v}"]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert "training diverged: epoch 0, layer 0:" in err
+
+    def test_eval_on_data_of_another_width_exit_two(self, tmp_path, capsys):
+        cfg = parse_config(None, fast_overrides(tmp_path / "run"))
+        result = run_experiment(cfg)
+        args = []
+        for k, v in fast_overrides(tmp_path / "run", **{"synthetic.dim": 9}).items():
+            args += ["--set", f"{k}={v}"]
+        for mode in ("head", "sweep"):
+            assert main(["eval", "--checkpoint", result.checkpoint, "--mode", mode] + args) == 2
+            assert "data error" in capsys.readouterr().err
+
+    def test_other_package_error_exit_one(self, tmp_path, monkeypatch, capsys):
+        def fail(cfg):
+            raise FFLabError("no handler of its own")
+
+        monkeypatch.setattr(experiment, "run_experiment", fail)
+        args = ["train"]
+        for k, v in fast_overrides(tmp_path / "run").items():
+            args += ["--set", f"{k}={v}"]
+        assert main(args) == 1
+        assert "error: no handler of its own" in capsys.readouterr().err
 
     def test_sweep_writes_summary_and_subruns(self, tmp_path, capsys):
         args = ["sweep", "--sweep", "k=0.3,0.6"]

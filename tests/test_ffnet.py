@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fflab.activations import ACTIVATIONS
-from fflab.errors import DimensionError, UsageError
+from fflab.errors import DimensionError, DivergenceError, UsageError
 from fflab.ffnet import (
     FFLayer,
     FFNetwork,
@@ -260,16 +260,13 @@ class TestTrainEpoch:
             np.testing.assert_array_equal(W0, layer.W)
             np.testing.assert_array_equal(b0, layer.b)
 
-    def test_matches_plain_loop_reference(self):
-        """One epoch on 20 samples equals the straight-line loop oracle."""
-        samples = self._toy_samples()
-        seed = 90
-        net = FFNetwork(6, [5, 4], "relu", 0.01, Rng(91))
+    def _check_against_loop_oracle(self, samples, widths, k, net_seed, seed):
+        net = FFNetwork(6, widths, "relu", 0.01, Rng(net_seed))
         layer_params = [(l.W.copy(), l.b.copy()) for l in net.layers]
         acts = [(l.act.fn, l.act.deriv) for l in net.layers]
-        thetas = [0.5 * 5, 0.5 * 4]
+        thetas = [k * w for w in widths]
 
-        metrics = train_epoch(net, samples, ConstantK(0.5), 0, 8, Rng(seed))
+        metrics = train_epoch(net, samples, ConstantK(k), 0, 8, Rng(seed))
 
         order = Rng(seed).shuffle(list(range(len(samples))))
         ref_losses, ref_params = loop_epoch(
@@ -286,6 +283,10 @@ class TestTrainEpoch:
         for (W_ref, b_ref), layer in zip(ref_params, net.layers):
             np.testing.assert_allclose(layer.W, W_ref, rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(layer.b, b_ref, rtol=1e-10, atol=1e-12)
+
+    def test_matches_plain_loop_reference(self):
+        """One epoch on 20 samples equals the straight-line loop oracle."""
+        self._check_against_loop_oracle(self._toy_samples(), [5, 4], 0.5, 91, 90)
 
     def test_goodness_separates_on_two_blobs(self):
         """Positive goodness rises and negative falls between epochs 1 and 5.
@@ -305,8 +306,74 @@ class TestTrainEpoch:
         assert np.all(history[4].mean_g_pos > history[0].mean_g_pos)
         assert np.all(history[4].mean_g_neg < history[0].mean_g_neg)
 
+    def test_uneven_four_layer_net_matches_loop_oracle(self):
+        """Four layers of uneven widths equal the loop oracle."""
+        self._check_against_loop_oracle(self._toy_samples(n=30), [7, 5, 9, 3], 0.4, 92, 93)
+
+    def test_bit_identical_to_layer_by_layer_loop(self):
+        """train_epoch equals, bit for bit, grads_batch then apply_grads per layer."""
+        widths = [7, 5, 9, 3]
+        samples = self._toy_samples(n=45)
+        net = FFNetwork(6, widths, "tanh", 0.02, Rng(94))
+        serial = FFNetwork(6, widths, "tanh", 0.02, Rng(94))
+        strategy = ConstantK(0.3)
+        depth = len(widths)
+        for epoch in range(3):
+            metrics = train_epoch(net, samples, strategy, epoch, 8, Rng(95 + epoch))
+
+            order = Rng(95 + epoch).shuffle(list(range(len(samples))))
+            thetas = [0.3 * w for w in serial.widths]
+            loss_sum = np.zeros(depth)
+            for start in range(0, len(order), 8):
+                idx = order[start : start + 8]
+                X = np.stack([samples[i].features for i in idx])
+                signs = np.array([float(samples[i].polarity) for i in idx])
+                stages = serial.forward_batch(X)
+                for li, layer in enumerate(serial.layers):
+                    dW, db, losses, _ = layer.grads_batch(*stages[li], signs, thetas[li])
+                    layer.apply_grads(dW, db)
+                    loss_sum[li] += losses.sum()
+
+            assert np.array_equal(metrics.mean_loss, loss_sum / len(samples))
+            for layer, ref in zip(net.layers, serial.layers):
+                assert np.array_equal(layer.W, ref.W)
+                assert np.array_equal(layer.b, ref.b)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_layer_and_epoch(self):
+        net = FFNetwork(6, [7, 5, 9, 3], "relu", 0.01, Rng(96))
+        net.layers[2].W[0, 0] = np.inf
+        with pytest.raises(DivergenceError) as info:
+            train_epoch(net, self._toy_samples(), ConstantK(0.5), 7, 8, Rng(97))
+        assert (info.value.layer, info.value.epoch) == (2, 7)
+        assert str(info.value).startswith("epoch 7, layer 2: ")
+
     def test_polarity_counts(self):
         samples = self._toy_samples(n=20)
         net = FFNetwork(6, [4], "relu", 0.01, Rng(1))
         m = train_epoch(net, samples, ConstantK(1.0), 0, 7, Rng(2))
         assert m.n_pos == 10 and m.n_neg == 10
+
+
+class TestFiniteCheck:
+    @pytest.mark.parametrize("param", ["W", "b"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_raises_divergence(self, param, bad):
+        layer = make_layer(Rng(110), 4, 3)
+        getattr(layer, param)[-1] = bad
+        with pytest.raises(DivergenceError) as info:
+            layer.apply_grads(np.zeros((3, 4)), np.zeros(3), index=5)
+        assert info.value.layer == 5
+        assert "layer 5" in str(info.value)
+
+    def test_nan_gradient_raises_divergence(self):
+        layer = make_layer(Rng(111), 4, 3)
+        dW = np.zeros((3, 4))
+        dW[1, 2] = np.nan
+        with pytest.raises(DivergenceError):
+            layer.apply_grads(dW, np.zeros(3))
+
+    def test_finite_update_passes(self):
+        layer = make_layer(Rng(112), 4, 3)
+        layer.apply_grads(np.ones((3, 4)), np.ones(3))
+        assert np.all(np.isfinite(layer.W)) and np.all(np.isfinite(layer.b))

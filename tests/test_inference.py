@@ -6,6 +6,7 @@ import pytest
 from fflab.checkpoint import network_bytes
 from fflab.errors import UsageError
 from fflab.ffnet import FFNetwork, train_epoch
+from fflab import inference
 from fflab.inference import (
     ClassifierHead,
     default_included_layers,
@@ -51,6 +52,23 @@ class TestTrainHead:
         before = network_bytes(net)
         train_head(net, neutral_blob_batch(X, 2), y, 2, epochs=3, rng=Rng(5))
         assert network_bytes(net) == before
+
+    @pytest.mark.parametrize("layer, param", [(0, "W"), (1, "W"), (1, "b")])
+    def test_write_into_frozen_net_during_fit_detected(self, toy_task, monkeypatch,
+                                                        layer, param):
+        """A one-ulp write into the net mid-fit breaks the detachment check."""
+        X, y, _ = toy_task
+        net = FFNetwork(2 + X.shape[1], [16, 16], "relu", 0.03, Rng(302))
+        real_step = inference.adam_step
+
+        def step_and_write(state, params, grads):
+            arr = getattr(net.layers[layer], param).reshape(-1)
+            arr[-1] = np.nextafter(arr[-1], np.inf)
+            return real_step(state, params, grads)
+
+        monkeypatch.setattr(inference, "adam_step", step_and_write)
+        with pytest.raises(UsageError, match="mutated the frozen network"):
+            train_head(net, neutral_blob_batch(X, 2), y, 2, epochs=1, rng=Rng(6))
 
     def test_empty_data_rejected(self, toy_task):
         _, _, net = toy_task

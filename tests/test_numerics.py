@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fflab import numerics
 from fflab.errors import DimensionError
 from fflab.numerics import AdamState, adam_step, direction, l2_normalize, matmul, row_directions
 from fflab.rng import Rng
@@ -137,3 +138,58 @@ class TestAdam:
         adam_step(st_, p, np.ones(1))
         assert st_.t == 2
         assert np.all(st_.v >= 0)
+
+
+def _textbook_adam(state, params, grads):
+    """The out-of-place expression adam_step must match bit for bit."""
+    state.t += 1
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * grads
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * (grads * grads)
+    m_hat = state.m / (1.0 - state.beta1 ** state.t)
+    v_hat = state.v / (1.0 - state.beta2 ** state.t)
+    params -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+class TestAdamInPlace:
+    @pytest.mark.parametrize("block", [numerics._ADAM_BLOCK, 40])
+    @pytest.mark.parametrize("shape", [(37, 11), (53,)])
+    def test_bit_identical_to_textbook_expression(self, monkeypatch, block, shape):
+        """Block 40 splits (37, 11) into 3-row blocks with a ragged tail."""
+        monkeypatch.setattr(numerics, "_ADAM_BLOCK", block)
+        r = np.random.default_rng(5)
+        p = r.standard_normal(shape)
+        p_ref = p.copy()
+        st_ = AdamState.for_param(shape, lr=0.003)
+        st_ref = AdamState.for_param(shape, lr=0.003)
+        for _ in range(60):
+            g = r.standard_normal(shape) * r.choice([1e-6, 1.0, 1e3])
+            assert adam_step(st_, p, g) is p
+            _textbook_adam(st_ref, p_ref, g)
+            assert np.array_equal(p, p_ref)
+        assert np.array_equal(st_.m, st_ref.m) and np.array_equal(st_.v, st_ref.v)
+        assert st_.t == st_ref.t == 60
+
+    def test_non_contiguous_params_updated_in_place(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_ADAM_BLOCK", 16)
+        r = np.random.default_rng(6)
+        base = r.standard_normal((9, 7))
+        p = base.T  # a strided view; the update must land in ``base``
+        p_ref = p.copy()
+        st_ = AdamState.for_param(p.shape, lr=0.01)
+        st_ref = AdamState.for_param(p.shape, lr=0.01)
+        for _ in range(5):
+            g = r.standard_normal(p.shape)
+            adam_step(st_, p, g)
+            _textbook_adam(st_ref, p_ref, g)
+        assert np.array_equal(base.T, p_ref)
+
+    def test_zero_dim_param(self):
+        p, p_ref = np.array(0.5), np.array(0.5)
+        st_ = AdamState.for_param((), lr=0.01)
+        st_ref = AdamState.for_param((), lr=0.01)
+        for g in (1.0, -2.0, 0.25):
+            adam_step(st_, p, np.array(g))
+            _textbook_adam(st_ref, p_ref, np.array(g))
+        assert p == p_ref
