@@ -17,10 +17,11 @@ import time
 import numpy as np
 
 from fflab.backend import HAVE_NUMBA
-from fflab.ffnet import FFNetwork, Sample, train_epoch
-from fflab.kernels import sgns_epoch_with_backend
+from fflab.ffnet import FFNetwork, train_epoch
+from fflab.kernels import sgns_epoch
+from fflab.mnist_data import LABEL_SLOTS
 from fflab.rng import Rng
-from fflab.synthetic import build_blob_stream, make_blobs
+from fflab.synthetic import label_slots, make_blobs
 from fflab.text_data import (
     build_vocab,
     count_pairs,
@@ -68,15 +69,15 @@ def bench_sgns(target_pairs):
             continue
         win, wout = init_embeddings(len(vocab), 100, Rng(7))
         if use_numba:  # compile outside the timed region
-            sgns_epoch_with_backend(
-                True, tokens[: offsets[1]], offsets[:2].copy(), win, wout, cdf,
-                WINDOW, 5, 0.025, 2.5e-6, 0, per_epoch, 3,
+            sgns_epoch(
+                tokens[: offsets[1]], offsets[:2].copy(), win, wout, cdf,
+                WINDOW, 5, 0.025, 2.5e-6, 0, per_epoch, 3, use_numba=True,
             )
             win, wout = init_embeddings(len(vocab), 100, Rng(7))
         t0 = time.perf_counter()
-        _, done, _ = sgns_epoch_with_backend(
-            use_numba, tokens, offsets, win, wout, cdf,
-            WINDOW, 5, 0.025, 2.5e-6, 0, per_epoch, 3,
+        _, done, _ = sgns_epoch(
+            tokens, offsets, win, wout, cdf,
+            WINDOW, 5, 0.025, 2.5e-6, 0, per_epoch, 3, use_numba=use_numba,
         )
         dt = time.perf_counter() - t0
         rate = done / dt
@@ -90,7 +91,7 @@ def bench_ff_epoch():
     rng = Rng(11)
     X, y = make_blobs(10, 20, 500, 2.0, rng)
     net = FFNetwork(30, [500, 500], "relu", 0.01, Rng(12))
-    stream = build_blob_stream(X, y, 10, Rng(13))
+    stream = label_slots(10).stream(X, y, Rng(13))
     t0 = time.perf_counter()
     train_epoch(net, stream, ConstantK(0.5), 0, 128, Rng(14))
     dt = time.perf_counter() - t0
@@ -99,15 +100,15 @@ def bench_ff_epoch():
 
     # full recipe: one warm-up step, then FULL_STEPS timed steps
     batch = 128
-    rng = Rng(15)
-    samples = [
-        Sample(rng.uniform_array(784), 1 if i % 2 == 0 else -1, 0)
-        for i in range(batch * FULL_STEPS)
-    ]
+    rows = batch * FULL_STEPS // 2  # each row gives a positive and a negative
+    X = Rng(15).uniform_array(rows * 784).reshape(rows, 784)
+    y = np.arange(rows) % 10
     net = FFNetwork(784, [2000] * 4, "relu", 0.01, Rng(16))
-    train_epoch(net, samples[:batch], ConstantK(0.005), 0, batch, Rng(17))
+    warm_up = LABEL_SLOTS.stream(X[: batch // 2], y[: batch // 2], Rng(17))
+    train_epoch(net, warm_up, ConstantK(0.005), 0, batch, Rng(17))
+    stream = LABEL_SLOTS.stream(X, y, Rng(19))
     t0 = time.perf_counter()
-    train_epoch(net, samples, ConstantK(0.005), 0, batch, Rng(18))
+    train_epoch(net, stream, ConstantK(0.005), 0, batch, Rng(18))
     dt = time.perf_counter() - t0
     print(f"full-recipe steps (784 -> 2000x4, batch {batch}, {FULL_STEPS} steps): "
           f"{dt / FULL_STEPS * 1e3:.0f} ms/step")

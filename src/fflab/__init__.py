@@ -8,8 +8,8 @@ routes, a matched backprop baseline, and weight/goodness analysis.
 __version__ = "0.1.0"
 
 from .activations import ACTIVATIONS, get_activation
-from .ffnet import FFNetwork, Polarity, Sample, ff_loss, goodness, train_epoch
-from .inference import predict_head, predict_sweep, train_head
+from .ffnet import FFNetwork, LabelSlots, Polarity, ff_loss, goodness, train_epoch
+from .inference import predict_head_batch, predict_sweep_batch, train_head
 from .numerics import AdamState, adam_step, l2_normalize, matmul
 from .rng import Rng
 from .thresholds import ConstantK, Pyramidal, Scheduled
@@ -19,10 +19,10 @@ __all__ = [
     "AdamState",
     "ConstantK",
     "FFNetwork",
+    "LabelSlots",
     "Polarity",
     "Pyramidal",
     "Rng",
-    "Sample",
     "Scheduled",
     "adam_step",
     "ff_loss",
@@ -30,8 +30,8 @@ __all__ = [
     "goodness",
     "l2_normalize",
     "matmul",
-    "predict_head",
-    "predict_sweep",
+    "predict_head_batch",
+    "predict_sweep_batch",
     "train_epoch",
     "train_head",
 ]

@@ -65,6 +65,13 @@ def stable_sigmoid(u):
     return out if out.ndim else float(out)
 
 
+def softmax(logits):
+    """Row-wise stable softmax."""
+    z = logits - np.max(logits, axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
 def _sigmoid_deriv(z):
     s = stable_sigmoid(z)
     return s * (1.0 - s)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .ffnet import Polarity, goodness_batch
+from .ffnet import goodness_batch
 from .thresholds import resolve as resolve_theta
 
 
@@ -104,17 +104,15 @@ class GoodnessReport:
     thetas: np.ndarray
 
 
-def goodness_report(net, samples, strategy, epoch, bins=50, batch_size=512):
-    """Histograms of per-layer goodness, split by polarity, plus the
-    fraction of positives above theta and negatives below it."""
-    if not samples:
-        raise UsageError("goodness_report needs samples")
-    signs = np.array([float(s.polarity) for s in samples])
-    pos_mask = signs > 0
+def goodness_report(net, stream, strategy, epoch, bins=50, batch_size=512):
+    """Histograms of per-layer goodness over an :class:`EpochStream`, split
+    by polarity, plus the fraction of positives above theta and negatives
+    below it."""
+    pos_mask = stream.signs > 0
     depth = len(net.layers)
     G_all = [[] for _ in range(depth)]
-    for start in range(0, len(samples), batch_size):
-        X = np.stack([s.features for s in samples[start : start + batch_size]])
+    for start in range(0, len(stream), batch_size):
+        X, _ = stream.batch(slice(start, start + batch_size))
         stages = net.forward_batch(X)
         for li in range(depth):
             G_all[li].append(goodness_batch(stages[li][2]))

@@ -11,16 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import get_activation
+from .activations import get_activation, softmax
 from .errors import DimensionError, UsageError
 from .numerics import AdamState, adam_step
-
-
-def softmax(logits):
-    """Row-wise stable softmax."""
-    z = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 class DenseLayer:

@@ -115,7 +115,8 @@ def _cmd_analyze(args):
         bundle = build_bundle(cfg)
         strategy = threshold_strategy(cfg, len(net.layers))
         rng = Rng(derive_seed(cfg.seed, 5))
-        report = goodness_report(net, bundle.make_stream(rng), strategy, cfg["epochs"] - 1)
+        stream = bundle.slots.stream(bundle.X_train, bundle.y_train, rng)
+        report = goodness_report(net, stream, strategy, cfg["epochs"] - 1)
         write_goodness_csv(os.path.join(out_dir, "goodness_hist.csv"), report)
         for li in range(len(net.layers)):
             print(f"layer {li}: pos>theta {report.frac_pos_above[li]:.3f}, "
@@ -134,13 +135,13 @@ def _cmd_eval(args):
     if args.mode == "head":
         if head is None:
             raise UsageError("checkpoint has no trained head section")
-        pred = predict_head_batch(net, head, bundle.neutral_batch(bundle.X_test))
+        pred = predict_head_batch(net, head, bundle.slots.neutral(bundle.X_test))
     else:
         included = None
         if head is not None:
             included = head.included_layers
         pred = predict_sweep_batch(
-            net, bundle.X_test, bundle.num_classes, bundle.embed_batch, included
+            net, bundle.X_test, bundle.num_classes, bundle.slots.embed, included
         )
     err = float(np.mean(pred != bundle.y_test))
     print(f"{args.mode} test error: {err:.4f}")

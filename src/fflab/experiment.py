@@ -19,7 +19,7 @@ from .bp_baseline import BPNetwork, bp_predict_batch, bp_train_epoch
 from .checkpoint import save_network
 from .config import threshold_strategy
 from .errors import DataError, UsageError
-from .ffnet import FFNetwork, train_epoch
+from .ffnet import FFNetwork, LabelSlots, train_epoch
 from .analysis import (
     export_heatmap,
     goodness_report,
@@ -46,18 +46,22 @@ _STREAM_ANALYSIS = 5
 
 @dataclass
 class DatasetBundle:
-    """A task adapter: raw features plus label embedding conventions."""
+    """A task adapter: raw features plus where the label slots go."""
 
     name: str
-    num_classes: int
-    input_dim: int
+    slots: LabelSlots
     X_train: np.ndarray
     y_train: np.ndarray
     X_test: np.ndarray
     y_test: np.ndarray
-    embed_batch: callable      # (X_raw, label) -> embedded matrix
-    neutral_batch: callable    # (X_raw,) -> label-neutral matrix
-    make_stream: callable      # (rng,) -> list[Sample], fresh negatives
+
+    @property
+    def num_classes(self):
+        return self.slots.num_classes
+
+    @property
+    def input_dim(self):
+        return self.slots.width(self.X_train.shape[1])
 
 
 def _subset(X, y, limit):
@@ -76,18 +80,7 @@ def build_bundle(cfg):
         X_tr, y_tr, X_te, y_te = mnist_data.load_mnist(cfg["data.mnist_dir"])
         X_tr, y_tr = _subset(X_tr, y_tr, cfg["data.train_subset"])
         X_te, y_te = _subset(X_te, y_te, cfg["data.test_subset"])
-        return DatasetBundle(
-            name="mnist",
-            num_classes=mnist_data.NUM_CLASSES,
-            input_dim=mnist_data.IMAGE_SIZE,
-            X_train=X_tr,
-            y_train=y_tr,
-            X_test=X_te,
-            y_test=y_te,
-            embed_batch=mnist_data.embed_label_batch,
-            neutral_batch=mnist_data.neutral_batch,
-            make_stream=lambda rng: mnist_data.build_training_stream(X_tr, y_tr, rng),
-        )
+        return DatasetBundle("mnist", mnist_data.LABEL_SLOTS, X_tr, y_tr, X_te, y_te)
     if name == "imdb":
         return _imdb_bundle(cfg)
     raise DataError(f"unknown dataset {name!r}")
@@ -97,37 +90,21 @@ def _blob_bundle(cfg, seed):
     C = cfg["synthetic.classes"]
     dim = cfg["synthetic.dim"]
     rng = Rng(derive_seed(seed, _STREAM_DATA))
-    sep = cfg["synthetic.separation"]
     n_train = cfg["synthetic.train_per_class"]
     n_test = cfg["synthetic.test_per_class"]
     # one mean set for both splits: draw train+test per class together
-    means = (rng.uniform_array(C * dim).reshape(C, dim) * 2 - 1) * sep
-    noise = rng.normal_array(C * (n_train + n_test) * dim).reshape(-1, dim)
-    X_tr = np.empty((C * n_train, dim))
-    y_tr = np.empty(C * n_train, dtype=np.int64)
-    X_te = np.empty((C * n_test, dim))
-    y_te = np.empty(C * n_test, dtype=np.int64)
-    pos = 0
-    for c in range(C):
-        tr = slice(c * n_train, (c + 1) * n_train)
-        te = slice(c * n_test, (c + 1) * n_test)
-        X_tr[tr] = means[c] + noise[pos : pos + n_train]
-        pos += n_train
-        X_te[te] = means[c] + noise[pos : pos + n_test]
-        pos += n_test
-        y_tr[tr] = c
-        y_te[te] = c
+    X, y = synthetic.make_blobs(
+        C, dim, n_train + n_test, cfg["synthetic.separation"], rng
+    )
+    X = X.reshape(C, n_train + n_test, dim)
+    y = y.reshape(C, n_train + n_test)
     return DatasetBundle(
-        name="synthetic",
-        num_classes=C,
-        input_dim=C + dim,
-        X_train=X_tr,
-        y_train=y_tr,
-        X_test=X_te,
-        y_test=y_te,
-        embed_batch=lambda X, c: synthetic.embed_blob_batch(X, c, C),
-        neutral_batch=lambda X: synthetic.neutral_blob_batch(X, C),
-        make_stream=lambda rng: synthetic.build_blob_stream(X_tr, y_tr, C, rng),
+        "synthetic",
+        synthetic.label_slots(C),
+        X[:, :n_train].reshape(-1, dim),
+        y[:, :n_train].reshape(-1),
+        X[:, n_train:].reshape(-1, dim),
+        y[:, n_train:].reshape(-1),
     )
 
 
@@ -178,18 +155,8 @@ def _imdb_bundle(cfg):
 
     X_tr = np.stack([text_data.vectorize_review(t, vocab, table) for t in corpus_tr])
     X_te = np.stack([text_data.vectorize_review(t, vocab, table) for t in corpus_te])
-    return DatasetBundle(
-        name="imdb",
-        num_classes=text_data.NUM_SENTIMENTS,
-        input_dim=cfg["sgns.dim"] + text_data.NUM_SENTIMENTS,
-        X_train=X_tr,
-        y_train=y_tr,
-        X_test=X_te,
-        y_test=y_te,
-        embed_batch=text_data.embed_sentiment_batch,
-        neutral_batch=text_data.neutral_sentiment_batch,
-        make_stream=lambda rng: text_data.build_sentiment_stream(X_tr, y_tr, rng),
-    )
+    slots = text_data.label_slots(X_tr.shape[1])
+    return DatasetBundle("imdb", slots, X_tr, y_tr, X_te, y_te)
 
 
 def _error_rate(pred, truth):
@@ -231,8 +198,9 @@ def run_experiment(cfg):
         len(net.layers), skip_first=cfg["inference.skip_first_layer"]
     )
 
-    X_train_neutral = bundle.neutral_batch(bundle.X_train)
-    X_test_neutral = bundle.neutral_batch(bundle.X_test)
+    slots = bundle.slots
+    X_train_neutral = slots.neutral(bundle.X_train)
+    X_test_neutral = slots.neutral(bundle.X_test)
 
     mode = cfg["inference.mode"]
     metrics_rows = []
@@ -243,7 +211,7 @@ def run_experiment(cfg):
 
     for epoch in range(cfg["epochs"]):
         t0 = time.perf_counter()
-        stream = bundle.make_stream(rng_data)
+        stream = slots.stream(bundle.X_train, bundle.y_train, rng_data)
         em = train_epoch(net, stream, strategy, epoch, cfg["batch_size"], rng_data)
 
         head = train_head(
@@ -265,13 +233,13 @@ def run_experiment(cfg):
         errs["sweep"] = (
             _error_rate(
                 predict_sweep_batch(
-                    net, bundle.X_train, bundle.num_classes, bundle.embed_batch, included
+                    net, bundle.X_train, bundle.num_classes, slots.embed, included
                 ),
                 bundle.y_train,
             ),
             _error_rate(
                 predict_sweep_batch(
-                    net, bundle.X_test, bundle.num_classes, bundle.embed_batch, included
+                    net, bundle.X_test, bundle.num_classes, slots.embed, included
                 ),
                 bundle.y_test,
             ),
@@ -336,9 +304,8 @@ def run_experiment(cfg):
     write_weight_stats_csv(os.path.join(out_dir, "weight_stats.csv"), weight_stats(net))
     export_heatmap(net.layers[0].W, os.path.join(out_dir, "layer0_weights.pgm"))
     rng_an = Rng(derive_seed(seed, _STREAM_ANALYSIS))
-    report = goodness_report(
-        net, bundle.make_stream(rng_an), strategy, cfg["epochs"] - 1
-    )
+    stream = slots.stream(bundle.X_train, bundle.y_train, rng_an)
+    report = goodness_report(net, stream, strategy, cfg["epochs"] - 1)
     write_goodness_csv(os.path.join(out_dir, "goodness_hist.csv"), report)
 
     result = RunResult(
@@ -366,8 +333,8 @@ def _run_baseline(cfg, bundle, ff_net, out_dir):
         cfg["baseline.lr"],
         rng,
     )
-    X_tr = bundle.neutral_batch(bundle.X_train)
-    X_te = bundle.neutral_batch(bundle.X_test)
+    X_tr = bundle.slots.neutral(bundle.X_train)
+    X_te = bundle.slots.neutral(bundle.X_test)
     epochs = cfg["baseline.epochs"] or cfg["epochs"]
     rows = []
     final = ()

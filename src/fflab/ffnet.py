@@ -24,17 +24,94 @@ class Polarity(IntEnum):
     NEGATIVE = -1
 
 
-@dataclass
-class Sample:
-    """One training datum: an embedded feature vector plus its polarity.
+@dataclass(frozen=True)
+class LabelSlots:
+    """Where a dataset writes the label: ``num_classes`` one-hot slot columns.
 
-    ``true_label`` is bookkeeping (the class the datum came from), kept
-    even for negative samples whose embedded label is deliberately wrong.
+    The slots sit at column ``start`` of the embedded row. With
+    ``overwrite`` they replace raw columns start..start+C-1 (MNIST's
+    first ten border pixels); without it they are inserted there and the
+    raw columns from ``start`` on shift right (prepended at 0, appended
+    at the raw width). Positive and negative data differ only by the
+    label written into these slots.
     """
 
-    features: np.ndarray
-    polarity: int
-    true_label: int
+    num_classes: int
+    start: int
+    overwrite: bool
+
+    def width(self, raw_dim):
+        """Embedded row width for raw rows of ``raw_dim`` columns."""
+        return raw_dim if self.overwrite else raw_dim + self.num_classes
+
+    def neutral(self, X_raw):
+        """Embedded copy with every slot zero: what the head and baseline see."""
+        X = np.asarray(X_raw, dtype=np.float64)
+        s, e = self.start, self.start + self.num_classes
+        if self.overwrite:
+            out = X.copy()
+            out[:, s:e] = 0.0
+        else:
+            out = np.zeros((X.shape[0], X.shape[1] + self.num_classes))
+            out[:, :s] = X[:, :s]
+            out[:, e:] = X[:, s:]
+        return out
+
+    def embed(self, X_raw, labels):
+        """Embedded copy with slot ``labels`` set: one int, or one per row."""
+        labels = np.asarray(labels, dtype=np.int64)
+        bad = labels[(labels < 0) | (labels >= self.num_classes)]
+        if bad.size:
+            raise UsageError(
+                f"label must be in 0..{self.num_classes - 1}, got {bad.flat[0]}"
+            )
+        out = self.neutral(X_raw)
+        out[np.arange(out.shape[0]), self.start + labels] = 1.0
+        return out
+
+    def stream(self, X_raw, y, rng):
+        """One positive and one fresh negative per row, shuffled together.
+
+        Each row draws one wrong label, in row order, uniformly from the
+        other C-1 classes; then the 2n positions are shuffled once.
+        """
+        n = X_raw.shape[0]
+        if n == 0:
+            raise UsageError("cannot build a training stream from zero rows")
+        y = np.asarray(y, dtype=np.int64)
+        wrong = np.array([rng.randint(self.num_classes - 1) for _ in range(n)])
+        wrong += wrong >= y
+        labels = np.empty(2 * n, dtype=np.int64)
+        labels[0::2] = y
+        labels[1::2] = wrong
+        signs = np.empty(2 * n)
+        signs[0::2] = float(Polarity.POSITIVE)
+        signs[1::2] = float(Polarity.NEGATIVE)
+        order = np.array(rng.shuffle(list(range(2 * n))))
+        return EpochStream(X_raw, self, order // 2, labels[order], signs[order])
+
+
+@dataclass
+class EpochStream:
+    """An epoch's training data as indices: no embedded row is stored.
+
+    Position k is raw row ``rows[k]`` with label ``labels[k]`` written
+    into its slots, trained with polarity ``signs[k]``.
+    """
+
+    X_raw: np.ndarray
+    slots: LabelSlots
+    rows: np.ndarray
+    labels: np.ndarray
+    signs: np.ndarray
+
+    def __len__(self):
+        return self.rows.shape[0]
+
+    def batch(self, idx):
+        """(embedded rows, signs) at the given positions."""
+        rows = self.rows[idx]
+        return self.slots.embed(self.X_raw[rows], self.labels[idx]), self.signs[idx]
 
 
 def softplus(u):
@@ -222,8 +299,8 @@ class EpochMetrics:
     n_neg: int
 
 
-def train_epoch(net, samples, strategy, epoch, batch_size, rng):
-    """One pass over a mixed positive/negative sample stream.
+def train_epoch(net, stream, strategy, epoch, batch_size, rng):
+    """One pass over an :class:`EpochStream` of positives and negatives.
 
     Every batch is forwarded once with the pre-update weights; each
     layer then computes its local gradients from its own stored input
@@ -236,12 +313,10 @@ def train_epoch(net, samples, strategy, epoch, batch_size, rng):
     because the GIL changes hands at every ufunc call and BLAS threads
     keep spinning after the gradient GEMMs.
     """
-    if not samples:
-        raise UsageError("train_epoch needs a non-empty sample list")
     if batch_size < 1:
         raise UsageError("batch_size must be >= 1")
 
-    n = len(samples)
+    n = len(stream)
     order = list(range(n))
     rng.shuffle(order)
 
@@ -260,8 +335,7 @@ def train_epoch(net, samples, strategy, epoch, batch_size, rng):
 
     for start in range(0, n, batch_size):
         idx = order[start : start + batch_size]
-        X = np.stack([samples[i].features for i in idx])
-        signs = np.array([float(samples[i].polarity) for i in idx])
+        X, signs = stream.batch(idx)
         pos_mask = signs > 0
         n_pos += int(pos_mask.sum())
         n_neg += int((~pos_mask).sum())

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .activations import softmax
 from .errors import DimensionError, UsageError
 from .ffnet import goodness_batch
 from .numerics import AdamState, adam_step, row_directions
@@ -58,12 +59,6 @@ class ClassifierHead:
     @property
     def concat_width(self):
         return self.W.shape[1]
-
-
-def softmax(logits):
-    z = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def train_head(
@@ -135,6 +130,7 @@ def head_loss(net, head, X_neutral, labels):
 
 
 def predict_head_batch(net, head, X_neutral):
+    """Head predictions for neutral-encoded rows; ties go to the lower index."""
     F = features_batch(net, X_neutral, head.included_layers)
     if F.shape[1] != head.concat_width:
         raise DimensionError(
@@ -144,13 +140,14 @@ def predict_head_batch(net, head, X_neutral):
     return np.argmax(logits, axis=1)
 
 
-def predict_head(net, head, x_neutral):
-    """Head prediction for one neutral-encoded input; ties go to the lower index."""
-    return int(predict_head_batch(net, head, np.asarray(x_neutral)[None, :])[0])
-
-
 def sweep_scores_batch(net, X_raw, num_classes, embed_batch, included_layers=None):
-    """(n, num_classes) matrix of summed goodness per candidate label."""
+    """(n, num_classes) matrix of summed goodness per candidate label.
+
+    ``embed_batch(X_raw, label)`` produces the candidate inputs for one
+    label, e.g. ``LabelSlots.embed``.
+    """
+    if num_classes < 1:
+        raise UsageError("num_classes must be >= 1")
     if included_layers is None:
         included_layers = default_included_layers(len(net.layers))
     X_raw = np.asarray(X_raw, dtype=np.float64)
@@ -163,24 +160,7 @@ def sweep_scores_batch(net, X_raw, num_classes, embed_batch, included_layers=Non
 
 
 def predict_sweep_batch(net, X_raw, num_classes, embed_batch, included_layers=None):
+    """Label-sweep predictions: the argmax of summed goodness, ties toward
+    the lower label."""
     scores = sweep_scores_batch(net, X_raw, num_classes, embed_batch, included_layers)
     return np.argmax(scores, axis=1)
-
-
-def predict_sweep(net, x_raw, num_classes, embed, included_layers=None):
-    """Label-sweep prediction for one raw (label-free) input.
-
-    ``embed(x_raw, label)`` produces the candidate input for one label;
-    the argmax of summed goodness wins, ties toward the lower label.
-    """
-    if num_classes < 1:
-        raise UsageError("num_classes must be >= 1")
-
-    def embed_batch(X, c):
-        return embed(X[0], c)[None, :]
-
-    return int(
-        predict_sweep_batch(
-            net, np.asarray(x_raw)[None, :], num_classes, embed_batch, included_layers
-        )[0]
-    )

@@ -15,16 +15,19 @@ summation order.
 import numpy as np
 
 from .backend import NUMBA_ENABLED, jit_kernel
-from .rng import GOLDEN, MASK64, mix64
-
-_GOLDEN_U64 = np.uint64(GOLDEN)
-_MIX1_U64 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2_U64 = np.uint64(0x94D049BB133111EB)
-_U30 = np.uint64(30)
-_U27 = np.uint64(27)
-_U31 = np.uint64(31)
-_U11 = np.uint64(11)
-_INV53 = 2.0 ** -53
+from .rng import (
+    GOLDEN,
+    MASK64,
+    _GOLDEN_U64,
+    _INV53,
+    _MIX1_U64,
+    _MIX2_U64,
+    _U64_11,
+    _U64_27,
+    _U64_30,
+    _U64_31,
+    mix64,
+)
 
 
 def sgns_pair_grads(v_center, v_context, v_negatives):
@@ -140,10 +143,10 @@ def _sgns_epoch_jit_impl(tokens, offsets, win, wout, cdf, window, neg_k,
                 for _ in range(neg_k):
                     state = state + _GOLDEN_U64
                     z = state
-                    z = (z ^ (z >> _U30)) * _MIX1_U64
-                    z = (z ^ (z >> _U27)) * _MIX2_U64
-                    z = z ^ (z >> _U31)
-                    udraw = np.float64(z >> _U11) * _INV53
+                    z = (z ^ (z >> _U64_30)) * _MIX1_U64
+                    z = (z ^ (z >> _U64_27)) * _MIX2_U64
+                    z = z ^ (z >> _U64_31)
+                    udraw = np.float64(z >> _U64_11) * _INV53
                     t_lo = 0
                     t_hi = V
                     while t_lo < t_hi:
@@ -175,12 +178,15 @@ _sgns_epoch_jit = jit_kernel(_sgns_epoch_jit_impl)
 
 
 def sgns_epoch(tokens, offsets, win, wout, cdf, window, neg_k,
-               lr0, lr_min, pairs_done, total_pairs, state):
+               lr0, lr_min, pairs_done, total_pairs, state,
+               use_numba=NUMBA_ENABLED):
     """One pass over the encoded corpus; updates win/wout in place.
 
-    Returns (rng state, pairs processed so far, summed pair loss).
+    ``use_numba`` picks the backend; the default is the active one (see
+    :mod:`fflab.backend`). Returns (rng state, pairs processed so far,
+    summed pair loss).
     """
-    if NUMBA_ENABLED:
+    if use_numba:
         new_state, done, loss = _sgns_epoch_jit(
             tokens, offsets, win, wout, cdf,
             np.int64(window), np.int64(neg_k),
@@ -193,16 +199,3 @@ def sgns_epoch(tokens, offsets, win, wout, cdf, window, neg_k,
         tokens, offsets, win, wout, cdf, int(window), int(neg_k),
         float(lr0), float(lr_min), int(pairs_done), int(total_pairs), int(state),
     )
-
-
-def sgns_epoch_with_backend(use_numba, *args):
-    """Force one backend explicitly (benchmark and equivalence tests)."""
-    if use_numba:
-        tokens, offsets, win, wout, cdf, window, neg_k, lr0, lr_min, done, total, state = args
-        new_state, done, loss = _sgns_epoch_jit(
-            tokens, offsets, win, wout, cdf,
-            np.int64(window), np.int64(neg_k), np.float64(lr0), np.float64(lr_min),
-            np.int64(done), np.int64(total), np.uint64(state),
-        )
-        return int(new_state), int(done), float(loss)
-    return _sgns_epoch_numpy(*args)

@@ -1,10 +1,10 @@
-"""MNIST IDX parsing and positive/negative sample generation.
+"""MNIST IDX parsing and the MNIST label layout.
 
-Labels are embedded straight into the image: the first ten pixels (part
-of the black border) become a one-hot slot row — pixel ``label`` is set
-to 1.0 and the other nine to 0.0. Positive samples carry the true
-label, negative samples a uniformly random wrong one, regenerated fresh
-every epoch.
+Labels are embedded straight into the image (:data:`LABEL_SLOTS`): the
+first ten pixels (part of the black border) become a one-hot slot row —
+pixel ``label`` is set to 1.0 and the other nine to 0.0. Positive
+samples carry the true label, negative samples a uniformly random wrong
+one, regenerated fresh every epoch.
 """
 
 import gzip
@@ -13,13 +13,14 @@ import struct
 
 import numpy as np
 
-from .errors import DataError, FormatError, UsageError
-from .ffnet import Polarity, Sample
+from .errors import DataError, FormatError
+from .ffnet import LabelSlots
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 NUM_CLASSES = 10
 IMAGE_SIZE = 784
+LABEL_SLOTS = LabelSlots(NUM_CLASSES, start=0, overwrite=True)
 
 
 def _maybe_gunzip(data):
@@ -105,52 +106,3 @@ def load_mnist(directory):
             f"test {x_te.shape[0]}/{y_te.shape[0]}"
         )
     return x_tr, y_tr, x_te, y_te
-
-
-def embed_label(pixels, label):
-    """Copy of the image with the label written into pixels 0-9."""
-    if not 0 <= label < NUM_CLASSES:
-        raise UsageError(f"label must be in 0..9, got {label}")
-    out = np.array(pixels, dtype=np.float64, copy=True)
-    out[:NUM_CLASSES] = 0.0
-    out[label] = 1.0
-    return out
-
-
-def embed_label_batch(X, label):
-    if not 0 <= label < NUM_CLASSES:
-        raise UsageError(f"label must be in 0..9, got {label}")
-    out = np.array(X, dtype=np.float64, copy=True)
-    out[:, :NUM_CLASSES] = 0.0
-    out[:, label] = 1.0
-    return out
-
-
-def neutral_batch(X):
-    """Label slots zeroed: what the classifier head and baseline see."""
-    out = np.array(X, dtype=np.float64, copy=True)
-    out[:, :NUM_CLASSES] = 0.0
-    return out
-
-
-def wrong_label(true_label, rng):
-    """Uniform draw from the nine labels that are not the true one."""
-    draw = rng.randint(NUM_CLASSES - 1)
-    return draw if draw < true_label else draw + 1
-
-
-def make_negative(pixels, true_label, rng):
-    embedded = embed_label(pixels, wrong_label(true_label, rng))
-    return Sample(embedded, Polarity.NEGATIVE, int(true_label))
-
-
-def build_training_stream(X, y, rng):
-    """One positive + one fresh negative per image, shuffled together."""
-    if X.shape[0] == 0:
-        raise UsageError("cannot build a training stream from zero images")
-    stream = []
-    for i in range(X.shape[0]):
-        stream.append(Sample(embed_label(X[i], int(y[i])), Polarity.POSITIVE, int(y[i])))
-        stream.append(make_negative(X[i], int(y[i]), rng))
-    rng.shuffle(stream)
-    return stream

@@ -9,7 +9,7 @@ same way image pixels carry the label elsewhere. Two classes give the
 import numpy as np
 
 from .errors import UsageError
-from .ffnet import Polarity, Sample
+from .ffnet import LabelSlots
 from .rng import Rng, derive_seed
 
 
@@ -32,45 +32,9 @@ def make_blobs(num_classes, dim, n_per_class, separation, rng):
     return X, y
 
 
-def embed_blob_label(x_raw, label, num_classes):
+def label_slots(num_classes):
     """One-hot label slots prepended to the raw features."""
-    if not 0 <= label < num_classes:
-        raise UsageError(f"label must be in 0..{num_classes - 1}, got {label}")
-    onehot = np.zeros(num_classes, dtype=np.float64)
-    onehot[label] = 1.0
-    return np.concatenate([onehot, np.asarray(x_raw, dtype=np.float64)])
-
-
-def embed_blob_batch(X_raw, label, num_classes):
-    n = X_raw.shape[0]
-    onehot = np.zeros((n, num_classes), dtype=np.float64)
-    onehot[:, label] = 1.0
-    return np.concatenate([onehot, X_raw], axis=1)
-
-
-def neutral_blob_batch(X_raw, num_classes):
-    return np.concatenate(
-        [np.zeros((X_raw.shape[0], num_classes)), X_raw], axis=1
-    )
-
-
-def build_blob_stream(X, y, num_classes, rng):
-    """Balanced positive/negative stream with fresh random wrong labels."""
-    if X.shape[0] == 0:
-        raise UsageError("cannot build a training stream from zero rows")
-    stream = []
-    for i in range(X.shape[0]):
-        true = int(y[i])
-        stream.append(
-            Sample(embed_blob_label(X[i], true, num_classes), Polarity.POSITIVE, true)
-        )
-        draw = rng.randint(num_classes - 1)
-        wrong = draw if draw < true else draw + 1
-        stream.append(
-            Sample(embed_blob_label(X[i], wrong, num_classes), Polarity.NEGATIVE, true)
-        )
-    rng.shuffle(stream)
-    return stream
+    return LabelSlots(num_classes, start=0, overwrite=False)
 
 
 def two_blob_toy(n_per_class=60, dim=8, separation=2.5, seed=7):

@@ -1,5 +1,6 @@
 """IMDb review pipeline: preprocessing, skip-gram-with-negative-sampling
-embeddings, review vectorization, and sentiment-label attachment.
+embeddings, review vectorization, and the sentiment label layout: two
+label slots appended after the review features.
 
 The embedding model deliberately stays a single-hidden-layer model with
 no nonlinearity between the two tables — no gradient ever crosses a
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, UsageError
-from .ffnet import Polarity, Sample
+from .ffnet import LabelSlots
 from .kernels import sgns_epoch
 from .porter import stem
 from .rng import Rng
@@ -181,32 +182,9 @@ def vectorize_review(tokens, vocab, table):
 NUM_SENTIMENTS = 2
 
 
-def attach_sentiment_label(features, label, polarity):
-    """Append the 2-slot one-hot label; negatives embed the flipped label."""
-    if not 0 <= label < NUM_SENTIMENTS:
-        raise UsageError(f"sentiment label must be 0 or 1, got {label}")
-    embedded = label if int(polarity) == int(Polarity.POSITIVE) else 1 - label
-    onehot = np.zeros(NUM_SENTIMENTS, dtype=np.float64)
-    onehot[embedded] = 1.0
-    return Sample(
-        np.concatenate([np.asarray(features, dtype=np.float64), onehot]),
-        Polarity(int(polarity)),
-        int(label),
-    )
-
-
-def embed_sentiment_batch(X_raw, label):
-    """Candidate-label embedding for the sweep: features plus one-hot."""
-    n = X_raw.shape[0]
-    onehot = np.zeros((n, NUM_SENTIMENTS), dtype=np.float64)
-    onehot[:, label] = 1.0
-    return np.concatenate([X_raw, onehot], axis=1)
-
-
-def neutral_sentiment_batch(X_raw):
-    return np.concatenate(
-        [X_raw, np.zeros((X_raw.shape[0], NUM_SENTIMENTS))], axis=1
-    )
+def label_slots(dim):
+    """The two sentiment slots, appended after ``dim`` review features."""
+    return LabelSlots(NUM_SENTIMENTS, start=dim, overwrite=False)
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +260,3 @@ def load_imdb_split(root, split, limit=0):
     if not texts:
         raise DataError(f"no review files under {root!r}/{split}")
     return texts, np.array(labels, dtype=np.int64)
-
-
-def build_sentiment_stream(X_raw, labels, rng):
-    """One positive + one negative sample per review, shuffled."""
-    if X_raw.shape[0] == 0:
-        raise UsageError("cannot build a training stream from zero reviews")
-    stream = []
-    for i in range(X_raw.shape[0]):
-        stream.append(attach_sentiment_label(X_raw[i], int(labels[i]), Polarity.POSITIVE))
-        stream.append(attach_sentiment_label(X_raw[i], int(labels[i]), Polarity.NEGATIVE))
-    rng.shuffle(stream)
-    return stream

@@ -183,3 +183,31 @@ def loop_epoch(layer_params, acts, samples_order, features, signs, thetas,
                 P -= lr * mhat / (np.sqrt(vhat) + 1e-8)
 
     return loss_sum / n, params
+
+
+def loop_label_stream(X_raw, y, num_classes, start, overwrite, rng):
+    """Reference epoch stream, built one row at a time.
+
+    Per row: the raw row with its true label written into the slots
+    (positive), then with one drawn wrong label (negative); the whole
+    list is shuffled once at the end. Slots overwrite raw columns
+    start..start+C-1, or are inserted at ``start``. Returns (features
+    list, signs list) in stream order.
+    """
+
+    def embed(x, label):
+        slots = [0.0] * num_classes
+        slots[label] = 1.0
+        x = [float(v) for v in x]
+        rest = x[start + num_classes :] if overwrite else x[start:]
+        return np.array(x[:start] + slots + rest)
+
+    stream = []
+    for i in range(len(y)):
+        true = int(y[i])
+        stream.append((embed(X_raw[i], true), 1.0))
+        draw = int(rng.randint(num_classes - 1))
+        wrong = draw if draw < true else draw + 1
+        stream.append((embed(X_raw[i], wrong), -1.0))
+    rng.shuffle(stream)
+    return [f for f, _ in stream], [s for _, s in stream]

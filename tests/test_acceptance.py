@@ -32,7 +32,7 @@ from fflab.kernels import sgns_pair_grads
 from fflab.mnist_data import parse_idx_images, parse_idx_labels
 from fflab.numerics import AdamState
 from fflab.rng import Rng, derive_seed
-from fflab.synthetic import embed_blob_batch, neutral_blob_batch
+from fflab.synthetic import label_slots
 from fflab.thresholds import ConstantK, Pyramidal
 
 from conftest import IMDB_DIR, MNIST_DIR, requires_imdb, requires_mnist
@@ -168,7 +168,7 @@ def test_c2_scale_invariance():
     rng = Rng(906)
     net = FFNetwork(6 + 4, [12, 12], "relu", 0.01, rng)
     X_raw = rng.uniform_array(40 * 4).reshape(40, 4)
-    scores = sweep_scores_batch(net, X_raw, 6, lambda X, c: embed_blob_batch(X, c, 6))
+    scores = sweep_scores_batch(net, X_raw, 6, label_slots(6).embed)
     base = scores.argmax(axis=1)
     for lam in (1e-6, 0.5, 3.0, 1e9):
         np.testing.assert_array_equal((lam * scores).argmax(axis=1), base)
@@ -207,18 +207,18 @@ def desk_ff_run(strategy_key, strategy, seed):
     net = FFNetwork(bundle.input_dim, DESK_ARCH, "relu", DESK_LR, Rng(derive_seed(seed, 0)))
     rng = Rng(derive_seed(seed, 1))
     for epoch in range(DESK_EPOCHS):
-        stream = bundle.make_stream(rng)
+        stream = bundle.slots.stream(bundle.X_train, bundle.y_train, rng)
         train_epoch(net, stream, strategy, epoch, DESK_BATCH, rng)
     head = train_head(
         net,
-        bundle.neutral_batch(bundle.X_train),
+        bundle.slots.neutral(bundle.X_train),
         bundle.y_train,
         bundle.num_classes,
         rng=Rng(derive_seed(seed, 2)),
     )
     err = float(
         np.mean(
-            predict_head_batch(net, head, bundle.neutral_batch(bundle.X_test))
+            predict_head_batch(net, head, bundle.slots.neutral(bundle.X_test))
             != bundle.y_test
         )
     )
@@ -234,13 +234,13 @@ def desk_bp_run(seed):
         bundle.input_dim, DESK_ARCH, bundle.num_classes, "relu", 1e-3,
         Rng(derive_seed(seed, 3)),
     )
-    X = bundle.neutral_batch(bundle.X_train)
+    X = bundle.slots.neutral(bundle.X_train)
     rng = Rng(derive_seed(seed, 4))
     for _ in range(DESK_EPOCHS):
         bp_train_epoch(net, X, bundle.y_train, DESK_BATCH, rng)
     err = float(
         np.mean(
-            bp_predict_batch(net, bundle.neutral_batch(bundle.X_test)) != bundle.y_test
+            bp_predict_batch(net, bundle.slots.neutral(bundle.X_test)) != bundle.y_test
         )
     )
     _bp_run_cache[seed] = (net, err)
@@ -300,10 +300,10 @@ def test_c5_bounded_activation_failure():
         net = FFNetwork(bundle.input_dim, [100, 100], act, 0.01, Rng(1))
         rng = Rng(2)
         for epoch in range(80):
-            stream = bundle.make_stream(rng)
+            stream = bundle.slots.stream(bundle.X_train, bundle.y_train, rng)
             train_epoch(net, stream, ConstantK(2.0), epoch, 128, rng)
         pred = predict_sweep_batch(
-            net, bundle.X_test, bundle.num_classes, bundle.embed_batch
+            net, bundle.X_test, bundle.num_classes, bundle.slots.embed
         )
         accs[act] = float(np.mean(pred == bundle.y_test))
     assert accs["sigmoid"] <= chance + 0.15, accs
@@ -356,18 +356,18 @@ def test_c7_imdb_desk():
     net = FFNetwork(bundle.input_dim, [500, 500], "relu", 0.01, Rng(derive_seed(cfg.seed, 0)))
     rng = Rng(derive_seed(cfg.seed, 1))
     for epoch in range(6):
-        stream = bundle.make_stream(rng)
+        stream = bundle.slots.stream(bundle.X_train, bundle.y_train, rng)
         train_epoch(net, stream, ConstantK(0.5), epoch, 128, rng)
     head = train_head(
         net,
-        bundle.neutral_batch(bundle.X_train),
+        bundle.slots.neutral(bundle.X_train),
         bundle.y_train,
         bundle.num_classes,
         rng=Rng(derive_seed(cfg.seed, 2)),
     )
     acc = float(
         np.mean(
-            predict_head_batch(net, head, bundle.neutral_batch(bundle.X_test))
+            predict_head_batch(net, head, bundle.slots.neutral(bundle.X_test))
             == bundle.y_test
         )
     )

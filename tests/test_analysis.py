@@ -15,8 +15,10 @@ from fflab.analysis import (
 )
 from fflab.ffnet import FFNetwork, goodness_batch, train_epoch
 from fflab.rng import Rng
-from fflab.synthetic import build_blob_stream, two_blob_toy
+from fflab.synthetic import label_slots, two_blob_toy
 from fflab.thresholds import ConstantK
+
+BLOB = label_slots(2)
 
 
 def trained_toy(k=0.5, lr=0.05, epochs=40):
@@ -25,7 +27,7 @@ def trained_toy(k=0.5, lr=0.05, epochs=40):
     net = FFNetwork(2 + X.shape[1], [32, 32], "relu", lr, Rng(100))
     rng = Rng(101)
     for epoch in range(epochs):
-        train_epoch(net, build_blob_stream(X, y, 2, rng), ConstantK(k), epoch, 16, rng)
+        train_epoch(net, BLOB.stream(X, y, rng), ConstantK(k), epoch, 16, rng)
     return X, y, net
 
 
@@ -97,7 +99,7 @@ class TestHeatmap:
 class TestGoodnessReport:
     def test_histogram_conservation(self):
         X, y, net = trained_toy(epochs=3)
-        stream = build_blob_stream(X, y, 2, Rng(7))
+        stream = BLOB.stream(X, y, Rng(7))
         report = goodness_report(net, stream, ConstantK(0.5), 2)
         for li in range(2):
             total = report.pos_counts[li].sum() + report.neg_counts[li].sum()
@@ -108,9 +110,8 @@ class TestGoodnessReport:
         """Seeded oracle run: random weights cannot split the polarities."""
         X, y, _ = two_blob_toy(n_per_class=60, separation=6.0)
         net = FFNetwork(2 + X.shape[1], [32, 32], "relu", 0.05, Rng(706))
-        stream = build_blob_stream(X, y, 2, Rng(707))
-        signs = np.array([float(s.polarity) for s in stream])
-        feats = np.stack([s.features for s in stream])
+        stream = BLOB.stream(X, y, Rng(707))
+        feats, signs = stream.batch(np.arange(len(stream)))
         for stage in net.forward_batch(feats):
             G = goodness_batch(stage[2])
             _, p = ks_2sample(G[signs > 0], G[signs < 0])
@@ -119,9 +120,8 @@ class TestGoodnessReport:
     def test_trained_net_distinguishable_and_separated(self):
         """After training the same distributions split decisively."""
         X, y, net = trained_toy()
-        stream = build_blob_stream(X, y, 2, Rng(991))
-        signs = np.array([float(s.polarity) for s in stream])
-        feats = np.stack([s.features for s in stream])
+        stream = BLOB.stream(X, y, Rng(991))
+        feats, signs = stream.batch(np.arange(len(stream)))
         for stage in net.forward_batch(feats):
             G = goodness_batch(stage[2])
             _, p = ks_2sample(G[signs > 0], G[signs < 0])
@@ -132,7 +132,7 @@ class TestGoodnessReport:
 
     def test_csv_schema(self, tmp_path):
         X, y, net = trained_toy(epochs=2)
-        report = goodness_report(net, build_blob_stream(X, y, 2, Rng(8)), ConstantK(0.5), 1)
+        report = goodness_report(net, BLOB.stream(X, y, Rng(8)), ConstantK(0.5), 1)
         path = tmp_path / "hist.csv"
         write_goodness_csv(path, report)
         lines = path.read_text().splitlines()

@@ -10,12 +10,12 @@ from fflab.bp_baseline import (
     bp_predict_batch,
     bp_train_epoch,
     check_architecture_parity,
-    softmax,
 )
+from fflab.activations import softmax
 from fflab.errors import UsageError
 from fflab.ffnet import FFNetwork
 from fflab.rng import Rng
-from fflab.synthetic import neutral_blob_batch, two_blob_toy
+from fflab.synthetic import label_slots, two_blob_toy
 
 from oracles import central_diff_grad, rel_err
 
@@ -84,7 +84,7 @@ class TestTraining:
     def test_two_blob_accuracy(self):
         """Five epochs on separable blobs clear 95% train accuracy."""
         X, y, _ = two_blob_toy()
-        Xn = neutral_blob_batch(X, 2)
+        Xn = label_slots(2).neutral(X)
         net = BPNetwork(Xn.shape[1], [16, 16], 2, "relu", 1e-3, Rng(504))
         rng = Rng(505)
         for _ in range(5):
@@ -94,7 +94,7 @@ class TestTraining:
 
     def test_loss_strictly_decreases_first_three_epochs(self):
         X, y, _ = two_blob_toy()
-        Xn = neutral_blob_batch(X, 2)
+        Xn = label_slots(2).neutral(X)
         net = BPNetwork(Xn.shape[1], [16], 2, "relu", 1e-3, Rng(506))
         rng = Rng(507)
         losses = [bp_train_epoch(net, Xn, y, 16, rng).mean_loss for _ in range(3)]

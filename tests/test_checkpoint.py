@@ -9,7 +9,7 @@ from fflab.errors import FormatError, UsageError
 from fflab.ffnet import FFNetwork
 from fflab.inference import train_head
 from fflab.rng import Rng
-from fflab.synthetic import neutral_blob_batch, two_blob_toy
+from fflab.synthetic import label_slots, two_blob_toy
 
 
 @pytest.fixture
@@ -31,7 +31,7 @@ def test_ff_roundtrip_bit_exact(tmp_path, ff_net):
 
 def test_ff_roundtrip_with_head(tmp_path, ff_net):
     X, y, _ = two_blob_toy()
-    Xn = neutral_blob_batch(X, 2)
+    Xn = label_slots(2).neutral(X)
     net = FFNetwork(Xn.shape[1], [8, 6], "relu", 0.01, Rng(6))
     head = train_head(net, Xn, y, 2, epochs=1, rng=Rng(7))
     path = tmp_path / "net.ffn1"

@@ -8,20 +8,21 @@ from fflab.errors import DimensionError, DivergenceError, UsageError
 from fflab.ffnet import (
     FFLayer,
     FFNetwork,
+    LabelSlots,
     Polarity,
-    Sample,
     ff_loss,
     goodness,
     softplus,
     train_epoch,
 )
 from fflab.rng import Rng
-from fflab.synthetic import build_blob_stream, two_blob_toy
+from fflab.synthetic import label_slots, two_blob_toy
 from fflab.thresholds import ConstantK
 
 from oracles import (
     central_diff_grad,
     loop_goodness,
+    loop_label_stream,
     loop_layer_forward,
     loop_layer_loss,
     loop_epoch,
@@ -238,43 +239,43 @@ class TestGoodnessBounds:
 
 
 class TestTrainEpoch:
-    def _toy_samples(self, n=20, dim=6, seed=70):
+    def _toy_stream(self, n=20, dim=6, seed=70):
+        """A stream of n//2 positives and n//2 negatives over 3 classes."""
         rng = Rng(seed)
-        samples = []
-        for i in range(n):
-            feats = rng.uniform_array(dim) * 2 - 1
-            pol = Polarity.POSITIVE if i % 2 == 0 else Polarity.NEGATIVE
-            samples.append(Sample(feats, pol, i % 3))
-        return samples
+        X = rng.uniform_array(n // 2 * dim).reshape(n // 2, dim) * 2 - 1
+        y = np.arange(n // 2) % 3
+        return LabelSlots(3, start=0, overwrite=True).stream(X, y, rng)
 
     def test_empty_samples_rejected(self):
-        net = FFNetwork(4, [3], "relu", 0.01, Rng(1))
         with pytest.raises(UsageError):
-            train_epoch(net, [], ConstantK(1.0), 0, 8, Rng(2))
+            LabelSlots(3, start=0, overwrite=True).stream(
+                np.empty((0, 6)), np.empty(0, dtype=np.int64), Rng(2)
+            )
 
     def test_zero_lr_is_bitwise_fixed_point(self):
         net = FFNetwork(6, [5, 4], "relu", 0.0, Rng(80))
         before = [(l.W.copy(), l.b.copy()) for l in net.layers]
-        train_epoch(net, self._toy_samples(), ConstantK(0.5), 0, 8, Rng(81))
+        train_epoch(net, self._toy_stream(), ConstantK(0.5), 0, 8, Rng(81))
         for (W0, b0), layer in zip(before, net.layers):
             np.testing.assert_array_equal(W0, layer.W)
             np.testing.assert_array_equal(b0, layer.b)
 
-    def _check_against_loop_oracle(self, samples, widths, k, net_seed, seed):
+    def _check_against_loop_oracle(self, stream, widths, k, net_seed, seed):
         net = FFNetwork(6, widths, "relu", 0.01, Rng(net_seed))
         layer_params = [(l.W.copy(), l.b.copy()) for l in net.layers]
         acts = [(l.act.fn, l.act.deriv) for l in net.layers]
         thetas = [k * w for w in widths]
 
-        metrics = train_epoch(net, samples, ConstantK(k), 0, 8, Rng(seed))
+        metrics = train_epoch(net, stream, ConstantK(k), 0, 8, Rng(seed))
 
-        order = Rng(seed).shuffle(list(range(len(samples))))
+        order = Rng(seed).shuffle(list(range(len(stream))))
+        features, signs = stream.batch(np.arange(len(stream)))
         ref_losses, ref_params = loop_epoch(
             layer_params,
             acts,
             order,
-            [s.features for s in samples],
-            [float(s.polarity) for s in samples],
+            list(features),
+            list(signs),
             thetas,
             batch_size=8,
             lr=0.01,
@@ -286,7 +287,7 @@ class TestTrainEpoch:
 
     def test_matches_plain_loop_reference(self):
         """One epoch on 20 samples equals the straight-line loop oracle."""
-        self._check_against_loop_oracle(self._toy_samples(), [5, 4], 0.5, 91, 90)
+        self._check_against_loop_oracle(self._toy_stream(), [5, 4], 0.5, 91, 90)
 
     def test_goodness_separates_on_two_blobs(self):
         """Positive goodness rises and negative falls between epochs 1 and 5.
@@ -301,40 +302,41 @@ class TestTrainEpoch:
         rng = Rng(101)
         history = []
         for epoch in range(5):
-            stream = build_blob_stream(X, y, 2, rng)
+            stream = label_slots(2).stream(X, y, rng)
             history.append(train_epoch(net, stream, ConstantK(0.1), epoch, 16, rng))
         assert np.all(history[4].mean_g_pos > history[0].mean_g_pos)
         assert np.all(history[4].mean_g_neg < history[0].mean_g_neg)
 
     def test_uneven_four_layer_net_matches_loop_oracle(self):
         """Four layers of uneven widths equal the loop oracle."""
-        self._check_against_loop_oracle(self._toy_samples(n=30), [7, 5, 9, 3], 0.4, 92, 93)
+        self._check_against_loop_oracle(self._toy_stream(n=30), [7, 5, 9, 3], 0.4, 92, 93)
 
     def test_bit_identical_to_layer_by_layer_loop(self):
         """train_epoch equals, bit for bit, grads_batch then apply_grads per layer."""
         widths = [7, 5, 9, 3]
-        samples = self._toy_samples(n=45)
+        stream = self._toy_stream(n=45)
+        features, all_signs = stream.batch(np.arange(len(stream)))
         net = FFNetwork(6, widths, "tanh", 0.02, Rng(94))
         serial = FFNetwork(6, widths, "tanh", 0.02, Rng(94))
         strategy = ConstantK(0.3)
         depth = len(widths)
         for epoch in range(3):
-            metrics = train_epoch(net, samples, strategy, epoch, 8, Rng(95 + epoch))
+            metrics = train_epoch(net, stream, strategy, epoch, 8, Rng(95 + epoch))
 
-            order = Rng(95 + epoch).shuffle(list(range(len(samples))))
+            order = Rng(95 + epoch).shuffle(list(range(len(stream))))
             thetas = [0.3 * w for w in serial.widths]
             loss_sum = np.zeros(depth)
             for start in range(0, len(order), 8):
                 idx = order[start : start + 8]
-                X = np.stack([samples[i].features for i in idx])
-                signs = np.array([float(samples[i].polarity) for i in idx])
+                X = features[idx]
+                signs = all_signs[idx]
                 stages = serial.forward_batch(X)
                 for li, layer in enumerate(serial.layers):
                     dW, db, losses, _ = layer.grads_batch(*stages[li], signs, thetas[li])
                     layer.apply_grads(dW, db)
                     loss_sum[li] += losses.sum()
 
-            assert np.array_equal(metrics.mean_loss, loss_sum / len(samples))
+            assert np.array_equal(metrics.mean_loss, loss_sum / len(stream))
             for layer, ref in zip(net.layers, serial.layers):
                 assert np.array_equal(layer.W, ref.W)
                 assert np.array_equal(layer.b, ref.b)
@@ -344,15 +346,61 @@ class TestTrainEpoch:
         net = FFNetwork(6, [7, 5, 9, 3], "relu", 0.01, Rng(96))
         net.layers[2].W[0, 0] = np.inf
         with pytest.raises(DivergenceError) as info:
-            train_epoch(net, self._toy_samples(), ConstantK(0.5), 7, 8, Rng(97))
+            train_epoch(net, self._toy_stream(), ConstantK(0.5), 7, 8, Rng(97))
         assert (info.value.layer, info.value.epoch) == (2, 7)
         assert str(info.value).startswith("epoch 7, layer 2: ")
 
     def test_polarity_counts(self):
-        samples = self._toy_samples(n=20)
+        stream = self._toy_stream(n=20)
         net = FFNetwork(6, [4], "relu", 0.01, Rng(1))
-        m = train_epoch(net, samples, ConstantK(1.0), 0, 7, Rng(2))
+        m = train_epoch(net, stream, ConstantK(1.0), 0, 7, Rng(2))
         assert m.n_pos == 10 and m.n_neg == 10
+
+
+class TestLabelSlots:
+    # (num_classes, start, overwrite, raw_dim): the MNIST, synthetic and
+    # IMDb layouts
+    LAYOUTS = [(10, 0, True, 30), (4, 0, False, 6), (2, 5, False, 5)]
+
+    @pytest.mark.parametrize("C, start, overwrite, raw_dim", LAYOUTS)
+    def test_stream_matches_per_row_oracle(self, C, start, overwrite, raw_dim):
+        """Every batch equals the per-row reference, and both leave the
+        rng in the same state."""
+        data = Rng(120 + C)
+        n = 23
+        X = data.uniform_array(n * raw_dim).reshape(n, raw_dim)
+        y = np.array([data.randint(C) for _ in range(n)])
+        rng, ref_rng = Rng(130), Rng(130)
+        stream = LabelSlots(C, start, overwrite).stream(X, y, rng)
+        features, signs = loop_label_stream(X, y, C, start, overwrite, ref_rng)
+        assert len(stream) == 2 * n
+        for lo in range(0, 2 * n, 7):
+            idx = list(range(lo, min(lo + 7, 2 * n)))
+            Xb, sb = stream.batch(idx)
+            np.testing.assert_array_equal(Xb, np.stack([features[i] for i in idx]))
+            np.testing.assert_array_equal(sb, [signs[i] for i in idx])
+        assert rng.state == ref_rng.state
+
+    @pytest.mark.parametrize("C, start, overwrite, raw_dim", LAYOUTS)
+    def test_width_and_neutral(self, C, start, overwrite, raw_dim):
+        slots = LabelSlots(C, start, overwrite)
+        X = Rng(140).uniform_array(3 * raw_dim).reshape(3, raw_dim) + 0.5
+        N = slots.neutral(X)
+        assert N.shape == (3, slots.width(raw_dim))
+        assert np.all(N[:, start : start + C] == 0.0)
+        E = slots.embed(X, [0, C - 1, 1])
+        np.testing.assert_array_equal(E[:, start : start + C].argmax(axis=1), [0, C - 1, 1])
+        outside = np.ones(N.shape[1], dtype=bool)
+        outside[start : start + C] = False
+        raw_kept = np.delete(X, np.s_[start : start + C], axis=1) if overwrite else X
+        np.testing.assert_array_equal(N[:, outside], raw_kept)
+        np.testing.assert_array_equal(E[:, outside], raw_kept)
+
+    @pytest.mark.parametrize("labels", [[0, 2, 4], [-1, 0, 1], [4, 0, 9]])
+    def test_embed_rejects_out_of_range_label_array(self, labels):
+        slots = LabelSlots(4, start=0, overwrite=False)
+        with pytest.raises(UsageError):
+            slots.embed(np.zeros((3, 5)), np.array(labels))
 
 
 class TestFiniteCheck:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fflab.activations import softmax
 from fflab.checkpoint import network_bytes
 from fflab.errors import UsageError
 from fflab.ffnet import FFNetwork, train_epoch
@@ -12,26 +13,19 @@ from fflab.inference import (
     default_included_layers,
     features_batch,
     head_loss,
-    predict_head,
     predict_head_batch,
-    predict_sweep,
     predict_sweep_batch,
-    softmax,
     sweep_scores_batch,
     train_head,
 )
 from fflab.numerics import AdamState
 from fflab.rng import Rng
-from fflab.synthetic import (
-    build_blob_stream,
-    embed_blob_batch,
-    embed_blob_label,
-    neutral_blob_batch,
-    two_blob_toy,
-)
+from fflab.synthetic import label_slots, two_blob_toy
 from fflab.thresholds import ConstantK
 
 from oracles import central_diff_grad, rel_err
+
+BLOB = label_slots(2)
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +34,7 @@ def toy_task():
     net = FFNetwork(2 + X.shape[1], [16, 16], "relu", 0.03, Rng(300))
     rng = Rng(301)
     for epoch in range(12):
-        stream = build_blob_stream(X, y, 2, rng)
+        stream = BLOB.stream(X, y, rng)
         train_epoch(net, stream, ConstantK(0.3), epoch, 16, rng)
     return X, y, net
 
@@ -50,7 +44,7 @@ class TestTrainHead:
         """The detachment contract: head training leaves the net bit-identical."""
         X, y, net = toy_task
         before = network_bytes(net)
-        train_head(net, neutral_blob_batch(X, 2), y, 2, epochs=3, rng=Rng(5))
+        train_head(net, BLOB.neutral(X), y, 2, epochs=3, rng=Rng(5))
         assert network_bytes(net) == before
 
     @pytest.mark.parametrize("layer, param", [(0, "W"), (1, "W"), (1, "b")])
@@ -68,7 +62,7 @@ class TestTrainHead:
 
         monkeypatch.setattr(inference, "adam_step", step_and_write)
         with pytest.raises(UsageError, match="mutated the frozen network"):
-            train_head(net, neutral_blob_batch(X, 2), y, 2, epochs=1, rng=Rng(6))
+            train_head(net, BLOB.neutral(X), y, 2, epochs=1, rng=Rng(6))
 
     def test_empty_data_rejected(self, toy_task):
         _, _, net = toy_task
@@ -78,7 +72,7 @@ class TestTrainHead:
     def test_gradient_matches_finite_differences(self, toy_task):
         """Cross-entropy gradient of the head weights vs central differences."""
         X, y, net = toy_task
-        Xn = neutral_blob_batch(X, 2)[:16]
+        Xn = BLOB.neutral(X)[:16]
         yb = y[:16]
         rng = Rng(40)
         W0 = (rng.uniform_array(2 * 32).reshape(2, 32) - 0.5) * 0.4
@@ -111,7 +105,7 @@ class TestTrainHead:
 
     def test_learns_the_toy_task(self, toy_task):
         X, y, net = toy_task
-        Xn = neutral_blob_batch(X, 2)
+        Xn = BLOB.neutral(X)
         head = train_head(net, Xn, y, 2, epochs=8, rng=Rng(41))
         acc = float(np.mean(predict_head_batch(net, head, Xn) == y))
         assert acc > 0.9
@@ -130,7 +124,7 @@ class TestPredictHead:
     def test_equal_logits_tie_to_class_zero(self, toy_task):
         X, _, net = toy_task
         head = self._constant_head(net, 16)
-        assert predict_head(net, head, neutral_blob_batch(X[:1], 2)[0]) == 0
+        assert predict_head_batch(net, head, BLOB.neutral(X[:1]))[0] == 0
 
     def test_softmax_shift_invariance(self):
         logits = np.array([[1.0, 2.0, 3.0]])
@@ -139,8 +133,8 @@ class TestPredictHead:
 
     def test_hand_set_two_class_head(self, toy_task):
         X, _, net = toy_task
-        x = neutral_blob_batch(X[:1], 2)[0]
-        F = features_batch(net, x[None, :], (1,))[0]
+        x = BLOB.neutral(X[:1])
+        F = features_batch(net, x, (1,))[0]
         W = np.vstack([F, -F])  # logit0 = ||F||^2 > logit1
         head = ClassifierHead(
             W=W,
@@ -149,22 +143,20 @@ class TestPredictHead:
             adam_b=AdamState.for_param((2,), 1e-3),
             included_layers=(1,),
         )
-        assert predict_head(net, head, x) == 0
+        assert predict_head_batch(net, head, x)[0] == 0
         head.W = -W
-        assert predict_head(net, head, x) == 1
+        assert predict_head_batch(net, head, x)[0] == 1
 
 
 class TestPredictSweep:
     def test_single_class_degenerate(self, toy_task):
         X, _, net = toy_task
-        pred = predict_sweep(net, X[0], 1, lambda x, c: embed_blob_label(x, c, 2))
-        assert pred == 0
+        pred = predict_sweep_batch(net, X[:1], 1, BLOB.embed)
+        assert pred[0] == 0
 
     def test_rescaling_scores_keeps_argmax(self, toy_task):
         X, y, net = toy_task
-        scores = sweep_scores_batch(
-            net, X, 2, lambda Xr, c: embed_blob_batch(Xr, c, 2)
-        )
+        scores = sweep_scores_batch(net, X, 2, BLOB.embed)
         assert np.array_equal(
             scores.argmax(axis=1), (123.456 * scores).argmax(axis=1)
         )
@@ -172,18 +164,16 @@ class TestPredictSweep:
     def test_agrees_with_head_on_toy_task(self, toy_task):
         """Both routes solve the separable toy; they agree on >= 90% of points."""
         X, y, net = toy_task
-        head = train_head(net, neutral_blob_batch(X, 2), y, 2, epochs=8, rng=Rng(42))
-        head_pred = predict_head_batch(net, head, neutral_blob_batch(X, 2))
-        sweep_pred = predict_sweep_batch(
-            net, X, 2, lambda Xr, c: embed_blob_batch(Xr, c, 2)
-        )
+        head = train_head(net, BLOB.neutral(X), y, 2, epochs=8, rng=Rng(42))
+        head_pred = predict_head_batch(net, head, BLOB.neutral(X))
+        sweep_pred = predict_sweep_batch(net, X, 2, BLOB.embed)
         agreement = float(np.mean(head_pred == sweep_pred))
         assert agreement >= 0.9
 
     def test_deterministic(self, toy_task):
         X, _, net = toy_task
-        a = predict_sweep_batch(net, X[:50], 2, lambda Xr, c: embed_blob_batch(Xr, c, 2))
-        b = predict_sweep_batch(net, X[:50], 2, lambda Xr, c: embed_blob_batch(Xr, c, 2))
+        a = predict_sweep_batch(net, X[:50], 2, BLOB.embed)
+        b = predict_sweep_batch(net, X[:50], 2, BLOB.embed)
         np.testing.assert_array_equal(a, b)
 
     def test_default_included_layers(self):

@@ -1,10 +1,13 @@
 """The @njit kernel and its pure-numpy twin must be interchangeable."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fflab.backend import HAVE_NUMBA, NUMBA_ENABLED
-from fflab.kernels import sgns_epoch, sgns_epoch_with_backend
+from fflab.kernels import sgns_epoch
 from fflab.rng import Rng
 from fflab.text_data import (
     build_vocab,
@@ -34,11 +37,13 @@ def test_jit_and_numpy_twins_agree():
     tokens, offsets, win1, wout1, cdf, total = _setup()
     _, _, win2, wout2, _, _ = _setup()
 
-    s1, d1, l1 = sgns_epoch_with_backend(
-        True, tokens, offsets, win1, wout1, cdf, 3, 5, 0.025, 2.5e-6, 0, total, 424242
+    s1, d1, l1 = sgns_epoch(
+        tokens, offsets, win1, wout1, cdf, 3, 5, 0.025, 2.5e-6, 0, total, 424242,
+        use_numba=True,
     )
-    s2, d2, l2 = sgns_epoch_with_backend(
-        False, tokens, offsets, win2, wout2, cdf, 3, 5, 0.025, 2.5e-6, 0, total, 424242
+    s2, d2, l2 = sgns_epoch(
+        tokens, offsets, win2, wout2, cdf, 3, 5, 0.025, 2.5e-6, 0, total, 424242,
+        use_numba=False,
     )
     assert s1 == s2, "rng streams diverged between backends"
     assert d1 == d2
@@ -71,3 +76,14 @@ def test_epoch_is_deterministic():
 def test_numba_importable_matches_flag():
     # the backend flag can only be on when numba imports
     assert not (NUMBA_ENABLED and not HAVE_NUMBA)
+
+
+def test_bench_kernels_script_runs(capsys):
+    """benchmarks/bench_kernels.py still runs against the package API."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
+    spec = importlib.util.spec_from_file_location("bench_kernels", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    bench.bench_sgns(2000)
+    out = capsys.readouterr().out
+    assert "numpy twin" in out and "pairs/s" in out

@@ -8,16 +8,7 @@ import pytest
 
 from fflab.errors import FormatError, UsageError
 from fflab.ffnet import Polarity
-from fflab.mnist_data import (
-    build_training_stream,
-    embed_label,
-    embed_label_batch,
-    make_negative,
-    neutral_batch,
-    parse_idx_images,
-    parse_idx_labels,
-    wrong_label,
-)
+from fflab.mnist_data import LABEL_SLOTS, parse_idx_images, parse_idx_labels
 from fflab.rng import Rng
 
 
@@ -89,7 +80,7 @@ class TestParseLabels:
 class TestEmbedLabel:
     def test_sets_exactly_one_slot(self):
         pixels = Rng(1).uniform_array(784)
-        out = embed_label(pixels, 3)
+        out = LABEL_SLOTS.embed(pixels[None], 3)[0]
         assert out[3] == 1.0
         for i in range(10):
             if i != 3:
@@ -97,54 +88,55 @@ class TestEmbedLabel:
 
     def test_argmax_roundtrip(self):
         pixels = Rng(2).uniform_array(784)
-        assert int(np.argmax(embed_label(pixels, 7)[:10])) == 7
+        assert int(np.argmax(LABEL_SLOTS.embed(pixels[None], 7)[0, :10])) == 7
 
     def test_pixels_beyond_ten_untouched(self):
         pixels = Rng(3).uniform_array(784)
-        out = embed_label(pixels, 0)
+        out = LABEL_SLOTS.embed(pixels[None], 0)[0]
         np.testing.assert_array_equal(out[10:], pixels[10:])
 
     def test_idempotent(self):
         pixels = Rng(4).uniform_array(784)
-        once = embed_label(pixels, 5)
-        np.testing.assert_array_equal(once, embed_label(once, 5))
+        once = LABEL_SLOTS.embed(pixels[None], 5)
+        np.testing.assert_array_equal(once, LABEL_SLOTS.embed(once, 5))
 
     def test_label_out_of_range(self):
         with pytest.raises(UsageError):
-            embed_label(np.zeros(784), 10)
+            LABEL_SLOTS.embed(np.zeros((1, 784)), 10)
 
     def test_batch_matches_single(self):
         X = Rng(5).uniform_array(3 * 784).reshape(3, 784)
-        batch = embed_label_batch(X, 6)
+        batch = LABEL_SLOTS.embed(X, 6)
         for i in range(3):
-            np.testing.assert_array_equal(batch[i], embed_label(X[i], 6))
+            single = LABEL_SLOTS.embed(X[i][None], 6)[0]
+            np.testing.assert_array_equal(batch[i], single)
 
     def test_neutral_zeroes_slots_only(self):
         X = Rng(6).uniform_array(784).reshape(1, 784)
-        out = neutral_batch(X)
+        out = LABEL_SLOTS.neutral(X)
         assert np.all(out[0, :10] == 0.0)
         np.testing.assert_array_equal(out[0, 10:], X[0, 10:])
 
 
 class TestMakeNegative:
     def test_never_true_label(self):
-        rng = Rng(7)
-        pixels = np.zeros(784)
-        for _ in range(500):
-            s = make_negative(pixels, 0, rng)
-            assert int(np.argmax(s.features[:10])) != 0
+        y = np.zeros(500, dtype=int)
+        stream = LABEL_SLOTS.stream(np.zeros((500, 784)), y, Rng(7))
+        X, signs = stream.batch(np.arange(len(stream)))
+        assert np.all(np.argmax(X[signs < 0, :10], axis=1) != 0)
 
     def test_polarity_and_bookkeeping(self):
-        s = make_negative(np.zeros(784), 4, Rng(8))
-        assert s.polarity == Polarity.NEGATIVE
-        assert s.true_label == 4
+        y = np.array([4])
+        stream = LABEL_SLOTS.stream(np.zeros((1, 784)), y, Rng(8))
+        neg = stream.signs == Polarity.NEGATIVE
+        assert neg.sum() == 1
+        assert y[stream.rows[neg][0]] == 4
 
     def test_wrong_labels_near_uniform(self):
         """Over 9000 draws each wrong label appears 1000 +- 100 times."""
-        rng = Rng(9)
-        counts = np.zeros(10, dtype=int)
-        for _ in range(9000):
-            counts[wrong_label(3, rng)] += 1
+        y = np.full(9000, 3)
+        stream = LABEL_SLOTS.stream(np.zeros((9000, 10)), y, Rng(9))
+        counts = np.bincount(stream.labels[stream.signs < 0], minlength=10)
         assert counts[3] == 0
         others = np.delete(counts, 3)
         assert np.all(np.abs(others - 1000) <= 100)
@@ -185,26 +177,29 @@ class TestTrainingStream:
 
     def test_counts_and_balance(self):
         X, y = self._small_set()
-        stream = build_training_stream(X, y, Rng(11))
+        stream = LABEL_SLOTS.stream(X, y, Rng(11))
         assert len(stream) == 200
-        pos = [s for s in stream if s.polarity == Polarity.POSITIVE]
-        neg = [s for s in stream if s.polarity == Polarity.NEGATIVE]
-        assert len(pos) == 100 and len(neg) == 100
+        assert np.sum(stream.signs == Polarity.POSITIVE) == 100
+        assert np.sum(stream.signs == Polarity.NEGATIVE) == 100
 
     def test_deterministic_order(self):
         X, y = self._small_set()
-        s1 = build_training_stream(X, y, Rng(12))
-        s2 = build_training_stream(X, y, Rng(12))
-        for a, b in zip(s1, s2):
-            assert a.polarity == b.polarity and a.true_label == b.true_label
-            np.testing.assert_array_equal(a.features, b.features)
+        s1 = LABEL_SLOTS.stream(X, y, Rng(12))
+        s2 = LABEL_SLOTS.stream(X, y, Rng(12))
+        idx = np.arange(len(s1))
+        for a, b in zip(s1.batch(idx), s2.batch(idx)):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(s1.rows, s2.rows)
 
     def test_positive_samples_carry_true_label(self):
         X, y = self._small_set()
-        for s in build_training_stream(X, y, Rng(13)):
-            if s.polarity == Polarity.POSITIVE:
-                assert int(np.argmax(s.features[:10])) == s.true_label
+        stream = LABEL_SLOTS.stream(X, y, Rng(13))
+        feats, signs = stream.batch(np.arange(len(stream)))
+        pos = signs == Polarity.POSITIVE
+        np.testing.assert_array_equal(
+            np.argmax(feats[pos, :10], axis=1), y[stream.rows[pos]]
+        )
 
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
-            build_training_stream(np.empty((0, 784)), np.empty(0), Rng(1))
+            LABEL_SLOTS.stream(np.empty((0, 784)), np.empty(0), Rng(1))

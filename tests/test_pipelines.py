@@ -203,9 +203,9 @@ class TestImdbPipeline:
         cfg, result = run
         bundle = build_bundle(cfg)
         net, head = load_network(result.checkpoint)
-        head_pred = predict_head_batch(net, head, bundle.neutral_batch(bundle.X_test))
+        head_pred = predict_head_batch(net, head, bundle.slots.neutral(bundle.X_test))
         sweep_pred = predict_sweep_batch(
-            net, bundle.X_test, 2, bundle.embed_batch, head.included_layers
+            net, bundle.X_test, 2, bundle.slots.embed, head.included_layers
         )
         assert set(np.unique(head_pred)) <= {0, 1}
         assert set(np.unique(sweep_pred)) <= {0, 1}
@@ -225,7 +225,7 @@ def test_untrained_net_head_floor_on_real_mnist():
     net = FFNetwork(bundle.input_dim, [500, 500], "relu", 0.01, Rng(123))
     head = train_head(
         net,
-        bundle.neutral_batch(bundle.X_train),
+        bundle.slots.neutral(bundle.X_train),
         bundle.y_train,
         bundle.num_classes,
         epochs=20,
@@ -234,7 +234,7 @@ def test_untrained_net_head_floor_on_real_mnist():
     )
     acc = float(
         np.mean(
-            predict_head_batch(net, head, bundle.neutral_batch(bundle.X_test))
+            predict_head_batch(net, head, bundle.slots.neutral(bundle.X_test))
             == bundle.y_test
         )
     )

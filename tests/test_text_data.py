@@ -12,16 +12,13 @@ from fflab.porter import stem
 from fflab.rng import Rng
 from fflab.text_data import (
     STOPWORDS,
-    attach_sentiment_label,
-    build_sentiment_stream,
     build_vocab,
     corpus_fingerprint,
-    embed_sentiment_batch,
     encode_corpus,
     init_embeddings,
+    label_slots,
     load_cached_embeddings,
     load_embeddings,
-    neutral_sentiment_batch,
     noise_cdf,
     preprocess,
     save_embeddings,
@@ -233,32 +230,40 @@ class TestVectorize:
 
 
 class TestSentimentLabels:
+    def _one_review_stream(self, label):
+        X = np.array([[0.1, 0.2]])
+        stream = label_slots(2).stream(X, np.array([label]), Rng(1))
+        feats, signs = stream.batch(np.arange(2))
+        return stream, feats, signs
+
     def test_positive_suffix(self):
-        s = attach_sentiment_label(np.array([0.1, 0.2]), 1, Polarity.POSITIVE)
-        np.testing.assert_array_equal(s.features[-2:], [0.0, 1.0])
-        assert s.polarity == Polarity.POSITIVE
+        _, feats, signs = self._one_review_stream(1)
+        pos = signs == Polarity.POSITIVE
+        np.testing.assert_array_equal(feats[pos][0, -2:], [0.0, 1.0])
+        assert pos.sum() == 1
 
     def test_negative_flips(self):
-        s = attach_sentiment_label(np.array([0.1, 0.2]), 1, Polarity.NEGATIVE)
-        np.testing.assert_array_equal(s.features[-2:], [1.0, 0.0])
-        assert s.true_label == 1
+        stream, feats, signs = self._one_review_stream(1)
+        neg = signs == Polarity.NEGATIVE
+        np.testing.assert_array_equal(feats[neg][0, -2:], [1.0, 0.0])
+        assert stream.rows[neg][0] == 0  # still review 0, true label 1
 
     def test_feature_part_untouched(self):
         feats = np.array([0.5, -0.25, 3.0])
-        s = attach_sentiment_label(feats, 0, Polarity.POSITIVE)
-        np.testing.assert_array_equal(s.features[:3], feats)
+        out = label_slots(3).embed(feats[None], 0)[0]
+        np.testing.assert_array_equal(out[:3], feats)
 
     def test_batch_helpers(self):
         X = np.array([[1.0, 2.0]])
-        np.testing.assert_array_equal(embed_sentiment_batch(X, 0)[0], [1, 2, 1, 0])
-        np.testing.assert_array_equal(neutral_sentiment_batch(X)[0], [1, 2, 0, 0])
+        np.testing.assert_array_equal(label_slots(2).embed(X, 0)[0], [1, 2, 1, 0])
+        np.testing.assert_array_equal(label_slots(2).neutral(X)[0], [1, 2, 0, 0])
 
     def test_stream_balance(self):
         X = Rng(3).uniform_array(20).reshape(10, 2)
         y = np.array([0, 1] * 5)
-        stream = build_sentiment_stream(X, y, Rng(4))
+        stream = label_slots(2).stream(X, y, Rng(4))
         assert len(stream) == 20
-        assert sum(1 for s in stream if s.polarity == Polarity.POSITIVE) == 10
+        assert np.sum(stream.signs == Polarity.POSITIVE) == 10
 
 
 class TestEmbeddingCache:
