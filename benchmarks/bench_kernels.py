@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from fflab.backend import HAVE_NUMBA
+from fflab.backend import NUMBA_ENABLED
 from fflab.ffnet import FFNetwork, train_epoch
 from fflab.kernels import sgns_epoch
 from fflab.mnist_data import LABEL_SLOTS
@@ -64,8 +64,8 @@ def bench_sgns(target_pairs):
 
     results = {}
     for label, use_numba in (("numba @njit", True), ("numpy twin", False)):
-        if use_numba and not HAVE_NUMBA:
-            print(f"{label:12s}  unavailable (numba not installed)")
+        if use_numba and not NUMBA_ENABLED:
+            print(f"{label:12s}  unavailable (numba not installed, or FFLAB_NUMBA=0)")
             continue
         win, wout = init_embeddings(len(vocab), 100, Rng(7))
         if use_numba:  # compile outside the timed region

@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .activations import ACTIVATIONS, get_activation
 from .ffnet import FFNetwork, LabelSlots, Polarity, ff_loss, goodness, train_epoch
 from .inference import predict_head_batch, predict_sweep_batch, train_head
-from .numerics import AdamState, adam_step, l2_normalize, matmul
+from .numerics import AdamState, adam_step
 from .rng import Rng
 from .thresholds import ConstantK, Pyramidal, Scheduled
 
@@ -28,8 +28,6 @@ __all__ = [
     "ff_loss",
     "get_activation",
     "goodness",
-    "l2_normalize",
-    "matmul",
     "predict_head_batch",
     "predict_sweep_batch",
     "train_epoch",

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .ffnet import goodness_batch
+from .ffnet import goodness
 from .thresholds import resolve as resolve_theta
 
 
@@ -115,7 +115,7 @@ def goodness_report(net, stream, strategy, epoch, bins=50, batch_size=512):
         X, _ = stream.batch(slice(start, start + batch_size))
         stages = net.forward_batch(X)
         for li in range(depth):
-            G_all[li].append(goodness_batch(stages[li][2]))
+            G_all[li].append(goodness(stages[li][2]))
     thetas = np.array(
         [resolve_theta(strategy, i, net.layers[i].out_dim, epoch) for i in range(depth)]
     )

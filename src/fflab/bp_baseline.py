@@ -78,9 +78,9 @@ class BPNetwork:
     def forward_batch(self, X):
         """Returns (per-hidden (Z, A) list, logits)."""
         X = np.asarray(X, dtype=np.float64)
-        if X.shape[1] != self.input_dim:
+        if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise DimensionError(
-                f"baseline expects input width {self.input_dim}, got {X.shape[1]}"
+                f"baseline expects input of shape (n, {self.input_dim}), got {X.shape}"
             )
         stages = []
         A = X
@@ -90,11 +90,8 @@ class BPNetwork:
         _, logits = self.out_layer.forward_batch(A)
         return stages, logits
 
-    def logits(self, X):
-        return self.forward_batch(np.atleast_2d(X))[1]
 
-
-def bp_loss_batch(net, X, y):
+def bp_loss(net, X, y):
     """Mean softmax cross-entropy; the quantity backprop descends."""
     _, logits = net.forward_batch(X)
     P = softmax(logits)
@@ -160,13 +157,8 @@ def bp_train_epoch(net, X, y, batch_size, rng):
     return BpEpochMetrics(mean_loss=loss_sum / n, n_samples=n)
 
 
-def bp_predict(net, x):
-    """Predicted class for one input; ties break toward the lower index."""
-    logits = net.logits(np.asarray(x, dtype=np.float64)[None, :])[0]
-    return int(np.argmax(logits))
-
-
 def bp_predict_batch(net, X):
+    """Predicted class per row; ties break toward the lower index."""
     _, logits = net.forward_batch(X)
     return np.argmax(logits, axis=1)
 

@@ -113,29 +113,95 @@ class _Reader:
         return self.take(1, what)[0]
 
     def f64_array(self, count, what):
-        raw = self.take(8 * count, what)
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64).copy()
+        """``count`` float64 values, all finite."""
+        at = self.pos
+        a = np.frombuffer(self.take(8 * count, what), dtype="<f8").astype(np.float64)
+        # min/max propagate NaN and expose +-inf without a boolean mask
+        if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+            i = int(np.flatnonzero(~np.isfinite(a))[0])
+            raise FormatError(f"non-finite value {a[i]} in {what}", offset=at + 8 * i)
+        return a
 
 
-def _read_layers(r, count):
+def _read_activation(r, li, linear):
+    """The layer's activation; ``None`` for the linear BPN1 output layer."""
+    at = r.pos
+    tag = r.u8(f"layer {li} activation tag")
+    if linear:
+        if tag != LINEAR_TAG:
+            raise FormatError(
+                f"BPN1 output layer must be linear (tag {LINEAR_TAG}), got {tag}",
+                offset=at,
+            )
+        return None
+    try:
+        return activation_by_tag(tag)
+    except UsageError:
+        raise FormatError(f"layer {li}: unknown activation tag {tag}", offset=at) from None
+
+
+def _read_layers(r, magic):
+    """(in_dim, out_dim, activation, W, b) per layer; widths must chain."""
+    at = r.pos
+    count = r.u32("layer count")
+    least = 1 if magic == FF_MAGIC else 2
+    if count < least:
+        raise FormatError(
+            f"{magic.decode()} checkpoint needs at least {least} layers, has {count}",
+            offset=at,
+        )
     out = []
     for li in range(count):
+        at = r.pos
         in_dim = r.u32(f"layer {li} in_width")
         out_dim = r.u32(f"layer {li} out_width")
-        tag = r.u8(f"layer {li} activation tag")
+        if in_dim == 0 or out_dim == 0:
+            raise FormatError(
+                f"layer {li} has zero width", offset=at if in_dim == 0 else at + 4
+            )
+        if out and in_dim != out[-1][1]:
+            raise FormatError(
+                f"layer {li} in_width {in_dim} does not match layer {li - 1} "
+                f"out_width {out[-1][1]}",
+                offset=at,
+            )
+        act = _read_activation(r, li, linear=magic == BP_MAGIC and li == count - 1)
         W = r.f64_array(out_dim * in_dim, f"layer {li} weights").reshape(out_dim, in_dim)
         b = r.f64_array(out_dim, f"layer {li} bias")
-        out.append((in_dim, out_dim, tag, W, b))
+        out.append((in_dim, out_dim, act, W, b))
     return out
 
 
-def _read_head(r, head_lr):
+def _read_head(r, head_lr, widths):
+    """The head section: at least one class, read from at least one existing
+    layer, at the included layers' total width."""
+    at = r.pos
     num_classes = r.u32("head num_classes")
+    if num_classes == 0:
+        raise FormatError("head has no classes", offset=at)
+    width_at = r.pos
     concat_width = r.u32("head concat_width")
+    at = r.pos
     n_inc = r.u32("head n_included")
+    if n_inc == 0:
+        raise FormatError("head reads no layers", offset=at)
+    inc_at = r.pos
     included = tuple(
         struct.unpack(f"<{n_inc}I", r.take(4 * n_inc, "head included layers"))
     )
+    for k, li in enumerate(included):
+        if li >= len(widths):
+            raise FormatError(
+                f"head includes layer {li}, but the network has {len(widths)} layers",
+                offset=inc_at + 4 * k,
+            )
+    expected = sum(widths[li] for li in included)
+    if concat_width != expected:
+        raise FormatError(
+            f"head concat_width {concat_width} does not match the included "
+            f"layers' total width {expected}",
+            offset=width_at,
+        )
     W = r.f64_array(num_classes * concat_width, "head weights").reshape(
         num_classes, concat_width
     )
@@ -150,44 +216,36 @@ def _read_head(r, head_lr):
 
 
 def load_network(path, lr=0.01, head_lr=1e-3):
-    """Returns (net, head_or_None); accepts both container magics."""
+    """Returns (net, head_or_None); accepts both container magics.
+
+    A file that does not describe a usable network raises
+    :class:`FormatError` with the byte offset of the offending field:
+    no layers, a zero width, an unknown activation tag, widths that do
+    not chain, non-finite weights, or a head with no classes or one
+    that reads no layers, missing layers or the wrong width.
+    """
     with open(path, "rb") as f:
         data = f.read()
     r = _Reader(data)
     magic = r.take(4, "magic")
     if magic not in (FF_MAGIC, BP_MAGIC):
         raise FormatError(f"bad checkpoint magic {magic!r}", offset=0)
-    count = r.u32("layer count")
-    specs = _read_layers(r, count)
+    specs = _read_layers(r, magic)
 
     if magic == FF_MAGIC:
-        layers = []
-        for in_dim, out_dim, tag, W, b in specs:
-            layers.append(
-                FFLayer(in_dim, out_dim, activation_by_tag(tag), lr, W=W, b=b)
-            )
-        net = FFNetwork.from_layer_list(specs[0][0] if specs else 0, layers)
+        layers = [FFLayer(i, o, act, lr, W=W, b=b) for i, o, act, W, b in specs]
+        net = FFNetwork.from_layer_list(specs[0][0], layers)
     else:
-        if len(specs) < 2:
-            raise FormatError("BPN1 checkpoint needs hidden and output layers", offset=4)
-        hidden = []
-        for in_dim, out_dim, tag, W, b in specs[:-1]:
-            hidden.append(DenseLayer(in_dim, out_dim, activation_by_tag(tag), lr, W=W, b=b))
-        in_dim, out_dim, tag, W, b = specs[-1]
-        if tag != LINEAR_TAG:
-            raise FormatError(
-                f"BPN1 output layer must be linear (tag {LINEAR_TAG}), got {tag}",
-                offset=r.pos,
-            )
-        out_layer = DenseLayer(in_dim, out_dim, None, lr, W=W, b=b)
-        net = BPNetwork.from_parts(specs[0][0], out_dim, hidden, out_layer)
+        hidden = [DenseLayer(i, o, act, lr, W=W, b=b) for i, o, act, W, b in specs]
+        out_layer = hidden.pop()
+        net = BPNetwork.from_parts(specs[0][0], out_layer.out_dim, hidden, out_layer)
 
     head = None
     if r.pos < len(data):
         tag = r.take(4, "trailing section tag")
         if tag != HEAD_TAG:
             raise FormatError(f"unknown trailing section {tag!r}", offset=r.pos - 4)
-        head = _read_head(r, head_lr)
+        head = _read_head(r, head_lr, [spec[1] for spec in specs])
     if r.pos != len(data):
         raise FormatError(
             f"{len(data) - r.pos} unexpected trailing bytes", offset=r.pos

@@ -109,12 +109,12 @@ def _cmd_analyze(args):
               f"mean {s['mean']:.6f} var {s['var']:.6f}")
 
     if args.config and isinstance(net, FFNetwork):
-        from .experiment import build_bundle
+        from .experiment import STREAM_ANALYSIS, build_bundle
 
         cfg = parse_config(args.config, _overrides(args))
         bundle = build_bundle(cfg)
         strategy = threshold_strategy(cfg, len(net.layers))
-        rng = Rng(derive_seed(cfg.seed, 5))
+        rng = Rng(derive_seed(cfg.seed, STREAM_ANALYSIS))
         stream = bundle.slots.stream(bundle.X_train, bundle.y_train, rng)
         report = goodness_report(net, stream, strategy, cfg["epochs"] - 1)
         write_goodness_csv(os.path.join(out_dir, "goodness_hist.csv"), report)

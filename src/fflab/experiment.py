@@ -41,7 +41,7 @@ _STREAM_DATA = 1
 _STREAM_HEAD = 2
 _STREAM_BASELINE = 3
 _STREAM_EMBED = 4
-_STREAM_ANALYSIS = 5
+STREAM_ANALYSIS = 5  # public: ``ff-lab analyze`` redraws the goodness-report stream
 
 
 @dataclass
@@ -303,7 +303,7 @@ def run_experiment(cfg):
 
     write_weight_stats_csv(os.path.join(out_dir, "weight_stats.csv"), weight_stats(net))
     export_heatmap(net.layers[0].W, os.path.join(out_dir, "layer0_weights.pgm"))
-    rng_an = Rng(derive_seed(seed, _STREAM_ANALYSIS))
+    rng_an = Rng(derive_seed(seed, STREAM_ANALYSIS))
     stream = slots.stream(bundle.X_train, bundle.y_train, rng_an)
     report = goodness_report(net, stream, strategy, cfg["epochs"] - 1)
     write_goodness_csv(os.path.join(out_dir, "goodness_hist.csv"), report)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .activations import get_activation, stable_sigmoid
 from .errors import DimensionError, DivergenceError, UsageError
-from .numerics import AdamState, adam_step, direction, row_directions
+from .numerics import AdamState, adam_step, row_directions
 from .thresholds import resolve as resolve_theta
 
 
@@ -121,31 +121,24 @@ def softplus(u):
     return out if out.ndim else float(out)
 
 
-def goodness(a):
-    """Sum of squared activations of one layer for one sample."""
-    a = np.asarray(a, dtype=np.float64)
-    return float(np.sum(a * a))
+def goodness(A):
+    """Sum of squared activations over the last axis: one value per row of
+    a batch, or a scalar for a single activation vector."""
+    return np.sum(A * A, axis=-1)
 
 
-def goodness_batch(A):
-    return np.sum(A * A, axis=1)
+def ff_loss(G, theta, signs):
+    """Layer-local loss, elementwise over G and ``signs``.
 
-
-def ff_loss(g, theta, polarity):
-    """Layer-local loss: softplus(theta - G) for positive samples,
-
-    softplus(G - theta) for negative ones. Strictly decreasing in G for
-    positive, strictly increasing for negative; log(2) at G == theta.
+    softplus(theta - G) where the sign is +1 (positive data) and
+    softplus(G - theta) where it is -1 (negative data): strictly
+    decreasing in G for positive, strictly increasing for negative;
+    log(2) at G == theta. A :class:`Polarity` works as ``signs``.
     """
-    s = int(polarity)
-    return softplus(s * (theta - g))
-
-
-def _loss_batch(G, theta, signs):
     return softplus(signs * (theta - G))
 
 
-def _dloss_dG_batch(G, theta, signs):
+def _dloss_dG(G, theta, signs):
     # dL/dG = -s * sigmoid(s * (theta - G))
     return -signs * stable_sigmoid(signs * (theta - G))
 
@@ -180,21 +173,12 @@ class FFLayer:
     def out_dim(self):
         return self.W.shape[0]
 
-    def forward(self, x):
-        """(z, a) for one sample. The input is reduced to its direction first."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.in_dim,):
-            raise DimensionError(
-                f"layer expects input of width {self.in_dim}, got {x.shape}"
-            )
-        xhat = direction(x)
-        z = self.W @ xhat + self.b
-        return z, self.act.fn(z)
-
     def forward_batch(self, X):
-        if X.shape[1] != self.in_dim:
+        """(Xhat, Z, A) for a batch matrix; each row is reduced to its
+        direction before the affine map."""
+        if X.ndim != 2 or X.shape[1] != self.in_dim:
             raise DimensionError(
-                f"layer expects input width {self.in_dim}, got {X.shape[1]}"
+                f"layer expects input of shape (n, {self.in_dim}), got {X.shape}"
             )
         Xhat = row_directions(X)
         Z = Xhat @ self.W.T + self.b
@@ -206,27 +190,15 @@ class FFLayer:
         Returns (dW, db, losses, G). No gradient with respect to the
         layer input is ever formed.
         """
-        G = goodness_batch(A)
-        losses = _loss_batch(G, theta, signs)
-        dG = _dloss_dG_batch(G, theta, signs)
+        G = goodness(A)
+        losses = ff_loss(G, theta, signs)
+        dG = _dloss_dG(G, theta, signs)
         dZ = (dG[:, None] * 2.0 * A) * self.act.deriv(Z)
         n = Xhat.shape[0]
         dW = dZ.T @ Xhat
         dW /= n
         db = dZ.mean(axis=0)
         return dW, db, losses, G
-
-    def grads(self, x, polarity, theta):
-        """(dW, db, loss) for a single sample."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.in_dim,):
-            raise DimensionError(
-                f"layer expects input of width {self.in_dim}, got {x.shape}"
-            )
-        signs = np.array([float(int(polarity))])
-        Xhat, Z, A = self.forward_batch(x[None, :])
-        dW, db, losses, _ = self.grads_batch(Xhat, Z, A, signs, theta)
-        return dW, db, float(losses[0])
 
     def apply_grads(self, dW, db, index=None):
         """One Adam step on W and b; ``index`` names the layer in errors."""
@@ -264,22 +236,8 @@ class FFNetwork:
     def widths(self):
         return [layer.out_dim for layer in self.layers]
 
-    def forward(self, x):
-        """Per-layer (z, a) pairs for one sample."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.input_dim,):
-            raise DimensionError(
-                f"network expects input of width {self.input_dim}, got {x.shape}"
-            )
-        out = []
-        for layer in self.layers:
-            z, a = layer.forward(x)
-            out.append((z, a))
-            x = a
-        return out
-
     def forward_batch(self, X):
-        """Per-layer (Xhat, Z, A) triples for a batch matrix."""
+        """Per-layer (Xhat, Z, A) triples for an (n, input_dim) batch matrix."""
         X = np.asarray(X, dtype=np.float64)
         out = []
         for layer in self.layers:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .activations import softmax
 from .errors import DimensionError, UsageError
-from .ffnet import goodness_batch
+from .ffnet import goodness
 from .numerics import AdamState, adam_step, row_directions
 from .rng import Rng
 
@@ -155,7 +155,7 @@ def sweep_scores_batch(net, X_raw, num_classes, embed_batch, included_layers=Non
     for c in range(num_classes):
         stages = net.forward_batch(embed_batch(X_raw, c))
         for i in included_layers:
-            scores[:, c] += goodness_batch(stages[i][2])
+            scores[:, c] += goodness(stages[i][2])
     return scores
 
 

@@ -15,6 +15,7 @@ summation order.
 import numpy as np
 
 from .backend import NUMBA_ENABLED, jit_kernel
+from .errors import UsageError
 from .rng import (
     GOLDEN,
     MASK64,
@@ -183,10 +184,17 @@ def sgns_epoch(tokens, offsets, win, wout, cdf, window, neg_k,
     """One pass over the encoded corpus; updates win/wout in place.
 
     ``use_numba`` picks the backend; the default is the active one (see
-    :mod:`fflab.backend`). Returns (rng state, pairs processed so far,
-    summed pair loss).
+    :mod:`fflab.backend`). Asking for numba while its backend is inactive
+    raises :class:`UsageError`: the uncompiled kernel body would run in
+    the interpreter, slower than the numpy twin. Returns (rng state,
+    pairs processed so far, summed pair loss).
     """
     if use_numba:
+        if not NUMBA_ENABLED:
+            raise UsageError(
+                "use_numba=True but the numba backend is inactive "
+                "(numba is not installed, or FFLAB_NUMBA=0)"
+            )
         new_state, done, loss = _sgns_epoch_jit(
             tokens, offsets, win, wout, cdf,
             np.int64(window), np.int64(neg_k),

@@ -1,8 +1,7 @@
-"""Dense float64 linear algebra primitives and a hand-rolled Adam optimizer.
+"""Row normalization and a hand-rolled, in-place Adam optimizer.
 
-Matrices are C-contiguous float64 ndarrays (row-major), vectors are 1-D
-float64 ndarrays. Everything downstream builds on the handful of
-operations here.
+Batches are float64 matrices with one sample per row; parameters are
+float64 ndarrays of any shape.
 """
 
 import math
@@ -12,48 +11,16 @@ import numpy as np
 
 from .errors import DimensionError
 
-__all__ = [
-    "matmul",
-    "l2_normalize",
-    "direction",
-    "row_directions",
-    "AdamState",
-    "adam_step",
-]
+__all__ = ["row_directions", "AdamState", "adam_step"]
 
 
-def matmul(a, b):
-    """Matrix product with an explicit shape check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(
-            f"matmul expects 2-D operands, got {a.shape} and {b.shape}"
-        )
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def l2_normalize(x, eps=1e-8):
-    """x / (||x||_2 + eps). The eps guard maps the zero vector to itself."""
-    x = np.asarray(x, dtype=np.float64)
-    return x / (np.linalg.norm(x) + eps)
-
-
-def direction(x, eps=1e-8):
-    """x / max(||x||_2, eps): exactly scale-free away from zero, zero-safe.
+def row_directions(X, eps=1e-8):
+    """Each row of X divided by max(||row||_2, eps): exactly scale-free away
+    from zero, and zero-safe.
 
     Layers normalize their inputs with this form; dividing by
     ``norm + eps`` would leak the input magnitude back in at small scales.
     """
-    x = np.asarray(x, dtype=np.float64)
-    n = np.linalg.norm(x)
-    return x / (n if n > eps else eps)
-
-
-def row_directions(X, eps=1e-8):
-    """Row-wise :func:`direction` for a batch matrix."""
     X = np.asarray(X, dtype=np.float64)
     norms = np.sqrt(np.sum(X * X, axis=1, keepdims=True))
     return X / np.maximum(norms, eps)

@@ -50,27 +50,19 @@ def scalar_adam(p0, grads, lr=0.01, b1=0.9, b2=0.999, eps=1e-8):
     return p
 
 
-def loop_matmul(a, b):
-    n, k = a.shape
-    k2, m = b.shape
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
-
-def loop_layer_forward(W, b, x, act_fn, eps=1e-8):
-    """Plain-loop forward pass: normalize, affine, activate."""
+def loop_direction(x, eps=1e-8):
+    """x divided by max(||x||_2, eps), summing the squares in a loop."""
     norm = 0.0
     for v in x:
         norm += v * v
     norm = norm ** 0.5
     denom = norm if norm > eps else eps
-    xhat = np.array([v / denom for v in x])
+    return np.array([v / denom for v in x])
+
+
+def loop_layer_forward(W, b, x, act_fn, eps=1e-8):
+    """Plain-loop forward pass: normalize, affine, activate."""
+    xhat = loop_direction(x, eps)
     z = np.zeros(W.shape[0])
     for i in range(W.shape[0]):
         acc = 0.0
@@ -140,12 +132,7 @@ def loop_epoch(layer_params, acts, samples_order, features, signs, thetas,
             for li in range(depth):
                 W, b = params[li]
                 z, a = loop_layer_forward(W, b, cur, acts[li][0])
-                norm = 0.0
-                for v in cur:
-                    norm += v * v
-                norm = norm ** 0.5
-                denom = norm if norm > 1e-8 else 1e-8
-                per_layer_xhat[li].append(np.array([v / denom for v in cur]))
+                per_layer_xhat[li].append(loop_direction(cur))
                 per_layer_z[li].append(z)
                 per_layer_a[li].append(a)
                 cur = a

@@ -61,8 +61,8 @@ def test_c1_gradient_oracles():
                 layer = FFLayer(6, 4, act_name, 0.01, rng)
                 x = rng.uniform_array(6) * 4.0 - 2.0
                 theta = 0.2 + rng.uniform() * 4.0
-                z, a = layer.forward(x)
-                if np.min(np.abs(z)) < 5e-3:
+                Xhat, Z, A = layer.forward_batch(x[None, :])
+                if np.min(np.abs(Z)) < 5e-3:
                     continue  # keep clear of relu-family kinks
                 # stay in the healthy-gradient regime: a saturated loss
                 # pushes true gradients below the finite-difference
@@ -70,11 +70,12 @@ def test_c1_gradient_oracles():
                 from fflab.activations import stable_sigmoid
                 from fflab.ffnet import goodness
 
-                gate = stable_sigmoid(float(polarity) * (theta - goodness(a)))
+                gate = stable_sigmoid(float(polarity) * (theta - goodness(A[0])))
                 if not 0.1 < gate < 0.9:
                     continue
                 checked += 1
-                dW, db, _ = layer.grads(x, polarity, theta)
+                signs = np.array([float(polarity)])
+                dW, db, _, _ = layer.grads_batch(Xhat, Z, A, signs, theta)
                 W0, b0 = layer.W.copy(), layer.b.copy()
                 sign = float(polarity)
                 fd_W = central_diff_grad(
@@ -116,7 +117,7 @@ def test_c1_gradient_oracles():
     assert rel_err(d_n, central_diff_grad(lambda v: sgns_pair_grads(vc, vo, v)[3], vn.copy(), h)) < 1e-4
 
     # backprop baseline gradients on a 6-4-3 toy
-    from fflab.bp_baseline import bp_loss_batch
+    from fflab.bp_baseline import bp_loss
 
     bp = BPNetwork(6, [4], 3, "tanh", 1e-3, Rng(902))
     Xb = Rng(903).uniform_array(10 * 6).reshape(10, 6) * 2 - 1
@@ -138,7 +139,7 @@ def test_c1_gradient_oracles():
 
         def loss_at(value, param=param):
             param[...] = value
-            return bp_loss_batch(bp, Xb, yb)
+            return bp_loss(bp, Xb, yb)
 
         fd = central_diff_grad(loss_at, saved.copy(), h)
         param[...] = saved
@@ -158,9 +159,9 @@ def test_c2_scale_invariance():
         rng = Rng(905)
         layer = FFLayer(10, 7, act_name, 0.01, rng)
         x = rng.uniform_array(10) + 0.05
-        z_ref, a_ref = layer.forward(x)
+        _, z_ref, a_ref = layer.forward_batch(x[None, :])
         for c in (1e-3, 1.0, 1e3):
-            z, a = layer.forward(c * x)
+            _, z, a = layer.forward_batch(c * x[None, :])
             np.testing.assert_allclose(z, z_ref, atol=1e-12, rtol=0)
             np.testing.assert_allclose(a, a_ref, atol=1e-12, rtol=0)
 

@@ -13,7 +13,7 @@ from fflab.analysis import (
     write_goodness_csv,
     write_weight_stats_csv,
 )
-from fflab.ffnet import FFNetwork, goodness_batch, train_epoch
+from fflab.ffnet import FFNetwork, goodness, train_epoch
 from fflab.rng import Rng
 from fflab.synthetic import label_slots, two_blob_toy
 from fflab.thresholds import ConstantK
@@ -113,7 +113,7 @@ class TestGoodnessReport:
         stream = BLOB.stream(X, y, Rng(707))
         feats, signs = stream.batch(np.arange(len(stream)))
         for stage in net.forward_batch(feats):
-            G = goodness_batch(stage[2])
+            G = goodness(stage[2])
             _, p = ks_2sample(G[signs > 0], G[signs < 0])
             assert p > 0.01
 
@@ -123,7 +123,7 @@ class TestGoodnessReport:
         stream = BLOB.stream(X, y, Rng(991))
         feats, signs = stream.batch(np.arange(len(stream)))
         for stage in net.forward_batch(feats):
-            G = goodness_batch(stage[2])
+            G = goodness(stage[2])
             _, p = ks_2sample(G[signs > 0], G[signs < 0])
             assert p < 1e-10
         report = goodness_report(net, stream, ConstantK(0.5), 39)

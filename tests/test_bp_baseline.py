@@ -5,14 +5,13 @@ import pytest
 
 from fflab.bp_baseline import (
     BPNetwork,
-    bp_loss_batch,
-    bp_predict,
+    bp_loss,
     bp_predict_batch,
     bp_train_epoch,
     check_architecture_parity,
 )
 from fflab.activations import softmax
-from fflab.errors import UsageError
+from fflab.errors import DimensionError, UsageError
 from fflab.ffnet import FFNetwork
 from fflab.rng import Rng
 from fflab.synthetic import label_slots, two_blob_toy
@@ -59,7 +58,7 @@ class TestGradients:
 
             def loss_at(value, P0=P0):
                 P0[...] = value
-                out = bp_loss_batch(net, X, y)
+                out = bp_loss(net, X, y)
                 return out
 
             fd = central_diff_grad(loss_at, saved.copy())
@@ -106,7 +105,12 @@ class TestPredict:
         net = BPNetwork(4, [3], 5, "relu", 1e-3, Rng(508))
         net.out_layer.W[...] = 0.0
         net.out_layer.b[...] = 0.0
-        assert bp_predict(net, np.ones(4)) == 0
+        assert bp_predict_batch(net, np.ones((1, 4)))[0] == 0
+
+    def test_input_must_be_a_matrix(self):
+        net = BPNetwork(4, [3], 5, "relu", 1e-3, Rng(508))
+        with pytest.raises(DimensionError):
+            bp_predict_batch(net, np.ones(4))
 
     def test_softmax_shift_invariance(self):
         logits = np.array([[0.3, -0.2, 1.4]])
@@ -118,8 +122,8 @@ class TestPredict:
         net.layers[0].b[...] = 0.0
         net.out_layer.W[...] = np.array([[1.0, 0.0], [0.0, 1.0]])
         net.out_layer.b[...] = 0.0
-        assert bp_predict(net, np.array([3.0, 1.0])) == 0
-        assert bp_predict(net, np.array([1.0, 3.0])) == 1
+        assert bp_predict_batch(net, np.array([[3.0, 1.0]]))[0] == 0
+        assert bp_predict_batch(net, np.array([[1.0, 3.0]]))[0] == 1
 
 
 def test_architecture_parity_check():

@@ -1,10 +1,14 @@
-"""Checkpoint container round-trips must be bit-exact."""
+"""Checkpoint container round-trips must be bit-exact, and malformed
+containers must be refused at load with the offending byte offset."""
+
+import struct
 
 import numpy as np
 import pytest
 
 from fflab.bp_baseline import BPNetwork
 from fflab.checkpoint import load_network, network_bytes, save_network
+from fflab.cli import main
 from fflab.errors import FormatError, UsageError
 from fflab.ffnet import FFNetwork
 from fflab.inference import train_head
@@ -108,3 +112,99 @@ def test_nonstandard_leaky_slope_refused(tmp_path):
     net = FFNetwork.from_layer_list(4, [layer])
     with pytest.raises(UsageError, match="canonical"):
         save_network(tmp_path / "x.ffn1", net)
+
+
+# Hand-built FFN1 files: a 4 -> 3 -> 2 relu net with a head over layer 1,
+# and one defect per case. Each case names the byte offset the error
+# must report.
+
+
+def _u32(*values):
+    return struct.pack(f"<{len(values)}I", *values)
+
+
+def _layer(in_dim, out_dim, tag=0, values=None):
+    if values is None:
+        values = np.full(out_dim * in_dim + out_dim, 0.1)
+    return _u32(in_dim, out_dim) + bytes([tag]) + np.asarray(values, "<f8").tobytes()
+
+
+def _head(concat_width, included, num_classes=2):
+    return (
+        b"HEAD"
+        + _u32(num_classes, concat_width, len(included), *included)
+        + np.zeros(num_classes * concat_width + num_classes, "<f8").tobytes()
+    )
+
+
+_TOP = b"FFN1" + _u32(2)
+_L0 = _layer(4, 3)
+_L1 = _layer(3, 2)
+_NAN_AT = 4  # flat index of the NaN in layer 1's weights
+_L1_NAN = _layer(3, 2, values=np.where(np.arange(8) == _NAN_AT, np.nan, 0.1))
+
+MALFORMED = {
+    "no layers": (b"FFN1" + _u32(0), 4),
+    "unknown activation tag": (_TOP + _layer(4, 3, tag=9) + _L1, len(_TOP) + 8),
+    "broken width chain": (_TOP + _L0 + _layer(5, 2), len(_TOP + _L0)),
+    "non-finite weight": (_TOP + _L0 + _L1_NAN, len(_TOP + _L0) + 9 + 8 * _NAN_AT),
+    "head reads a missing layer": (
+        _TOP + _L0 + _L1 + _head(2, [1, 2]),
+        len(_TOP + _L0 + _L1) + 4 + 12 + 4,
+    ),
+    "head width mismatch": (_TOP + _L0 + _L1 + _head(3, [1]), len(_TOP + _L0 + _L1) + 8),
+    "zero-width layer": (_TOP + _layer(4, 0) + _layer(0, 2), len(_TOP) + 4),
+    "head with no classes": (
+        _TOP + _L0 + _L1 + _head(2, [1], num_classes=0),
+        len(_TOP + _L0 + _L1) + 4,
+    ),
+    "head reads no layers": (_TOP + _L0 + _L1 + _head(0, []), len(_TOP + _L0 + _L1) + 12),
+}
+
+
+def test_hand_built_file_loads(tmp_path):
+    """The cases below differ from this valid file by one defect each."""
+    path = tmp_path / "ok.ffn1"
+    path.write_bytes(_TOP + _L0 + _L1 + _head(2, [1]))
+    net, head = load_network(path)
+    assert net.widths == [3, 2] and head.included_layers == (1,)
+    assert network_bytes(net, head) == path.read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_checkpoint_rejected_at_load(tmp_path, case):
+    data, offset = MALFORMED[case]
+    path = tmp_path / "bad.ffn1"
+    path.write_bytes(data)
+    with pytest.raises(FormatError) as info:
+        load_network(path)
+    assert info.value.offset == offset
+
+
+@pytest.mark.parametrize("command", ["analyze", "eval"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_checkpoint_exits_2(tmp_path, capsys, case, command):
+    data, offset = MALFORMED[case]
+    path = tmp_path / "bad.ffn1"
+    path.write_bytes(data)
+    args = [command, "--checkpoint", str(path), "--set", "seed=1"]
+    if command == "analyze":
+        args += ["--out", str(tmp_path / "analysis")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert f"(at byte {offset})" in err
+
+
+def test_bp_output_layer_must_be_linear(tmp_path):
+    bp = BPNetwork(12, [7, 5], 3, "relu", 1e-3, Rng(8))
+    data = bytearray(network_bytes(bp))
+    # the output layer's tag follows its two width fields
+    tag_at = 8 + sum(9 + 8 * (l.out_dim * l.in_dim + l.out_dim) for l in bp.layers) + 8
+    assert data[tag_at] == 255
+    data[tag_at] = 0
+    path = tmp_path / "bad.bpn1"
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="linear") as info:
+        load_network(path)
+    assert info.value.offset == tag_at

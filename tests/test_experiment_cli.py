@@ -219,6 +219,19 @@ class TestCli:
         assert os.path.exists(out / "goodness_hist.csv")
         assert "pos>theta" in capsys.readouterr().out
 
+    def test_analyze_goodness_report_equals_the_runs(self, tmp_path, capsys):
+        """analyze --config redraws the run's own analysis stream: same bytes."""
+        cfg = parse_config(None, fast_overrides(tmp_path / "run"))
+        result = run_experiment(cfg)
+        echo = os.path.join(result.out_dir, "config_echo.txt")
+        out = tmp_path / "analysis"
+        assert main(
+            ["analyze", "--checkpoint", result.checkpoint, "--out", str(out),
+             "--config", echo]
+        ) == 0
+        with open(os.path.join(result.out_dir, "goodness_hist.csv"), "rb") as f:
+            assert (out / "goodness_hist.csv").read_bytes() == f.read()
+
     def test_eval_checkpoint_both_modes(self, tmp_path, capsys):
         cfg = parse_config(None, fast_overrides(tmp_path / "run"))
         result = run_experiment(cfg)

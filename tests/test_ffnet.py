@@ -34,13 +34,26 @@ def make_layer(rng, in_dim, out_dim, act="relu", lr=0.01):
     return FFLayer(in_dim, out_dim, act, lr, rng)
 
 
+def forward_one(layer, x):
+    """(z, a) of one sample: the batch forward with n=1."""
+    _, Z, A = layer.forward_batch(x[None, :])
+    return Z[0], A[0]
+
+
+def grads_one(layer, x, polarity, theta):
+    """(dW, db, loss) of one sample: the batch gradients with n=1."""
+    Xhat, Z, A = layer.forward_batch(x[None, :])
+    dW, db, losses, _ = layer.grads_batch(Xhat, Z, A, np.array([float(polarity)]), theta)
+    return dW, db, losses[0]
+
+
 def smooth_case(seed, act_name, in_dim=6, out_dim=4):
     """A (layer, x) pair whose pre-activations sit clear of any kink."""
     for attempt in range(50):
         rng = Rng(seed + attempt * 1000)
         layer = make_layer(rng, in_dim, out_dim, act_name)
         x = rng.uniform_array(in_dim) * 4.0 - 2.0
-        z, _ = layer.forward(x)
+        z, _ = forward_one(layer, x)
         if np.min(np.abs(z)) > 2e-3:
             return layer, x
     raise AssertionError("could not find a kink-free configuration")
@@ -49,13 +62,13 @@ def smooth_case(seed, act_name, in_dim=6, out_dim=4):
 class TestLayerForward:
     def test_zero_weights_give_f_of_zero(self):
         layer = FFLayer(3, 4, "sigmoid", 0.01, W=np.zeros((4, 3)), b=np.zeros(4))
-        _, a = layer.forward(np.array([1.0, -2.0, 0.5]))
+        _, a = forward_one(layer, np.array([1.0, -2.0, 0.5]))
         np.testing.assert_array_equal(a, np.full(4, 0.5))
 
     def test_scale_invariance(self):
         layer, x = smooth_case(1, "relu")
-        z1, a1 = layer.forward(x)
-        z2, a2 = layer.forward(7.0 * x)
+        z1, a1 = forward_one(layer, x)
+        z2, a2 = forward_one(layer, 7.0 * x)
         np.testing.assert_allclose(z1, z2, atol=1e-12)
         np.testing.assert_allclose(a1, a2, atol=1e-12)
 
@@ -63,7 +76,7 @@ class TestLayerForward:
         rng = Rng(14)
         layer = make_layer(rng, 3, 2)
         x = rng.uniform_array(3) * 2 - 1
-        z, a = layer.forward(x)
+        z, a = forward_one(layer, x)
         z_ref, a_ref = loop_layer_forward(layer.W, layer.b, x, ACTIVATIONS["relu"].fn)
         np.testing.assert_allclose(z, z_ref, atol=1e-13)
         np.testing.assert_allclose(a, a_ref, atol=1e-13)
@@ -71,7 +84,13 @@ class TestLayerForward:
     def test_width_mismatch(self):
         layer = make_layer(Rng(1), 3, 2)
         with pytest.raises(DimensionError):
-            layer.forward(np.zeros(4))
+            layer.forward_batch(np.zeros((1, 4)))
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 1, 3)])
+    def test_input_must_be_a_matrix(self, shape):
+        layer = make_layer(Rng(1), 3, 2)
+        with pytest.raises(DimensionError):
+            layer.forward_batch(np.zeros(shape))
 
     def test_batch_agrees_with_single(self):
         rng = Rng(15)
@@ -79,7 +98,7 @@ class TestLayerForward:
         X = rng.uniform_array(20).reshape(4, 5)
         Xhat, Z, A = layer.forward_batch(X)
         for i in range(4):
-            z, a = layer.forward(X[i])
+            z, a = loop_layer_forward(layer.W, layer.b, X[i], layer.act.fn)
             np.testing.assert_allclose(Z[i], z, atol=1e-13)
             np.testing.assert_allclose(A[i], a, atol=1e-13)
 
@@ -97,6 +116,10 @@ class TestGoodness:
 
     def test_nonnegative(self):
         assert goodness(Rng(7).uniform_array(64) - 0.5) >= 0.0
+
+    def test_batch_is_one_value_per_row(self):
+        A = Rng(8).uniform_array(15).reshape(5, 3) - 0.5
+        np.testing.assert_array_equal(goodness(A), [goodness(a) for a in A])
 
 
 class TestFFLoss:
@@ -121,6 +144,12 @@ class TestFFLoss:
         assert np.all(np.diff(pos) < 0)
         assert np.all(np.diff(neg) > 0)
 
+    def test_elementwise_over_a_batch(self):
+        G = np.array([0.5, 3.0, 9.0, 3.0])
+        signs = np.array([1.0, -1.0, -1.0, 1.0])
+        expected = [ff_loss(g, 3.0, Polarity(int(s))) for g, s in zip(G, signs)]
+        np.testing.assert_array_equal(ff_loss(G, 3.0, signs), expected)
+
     def test_softplus_overflow_safe(self):
         assert softplus(1000.0) == 1000.0
         assert softplus(-100.0) == pytest.approx(0.0, abs=1e-40)
@@ -129,7 +158,7 @@ class TestFFLoss:
 class TestLayerGrads:
     def test_dead_relu_fixed_point(self):
         layer = FFLayer(3, 4, "relu", 0.01, W=np.zeros((4, 3)), b=np.zeros(4))
-        dW, db, _ = layer.grads(np.array([1.0, 2.0, 3.0]), Polarity.POSITIVE, 5.0)
+        dW, db, _ = grads_one(layer, np.array([1.0, 2.0, 3.0]), Polarity.POSITIVE, 5.0)
         np.testing.assert_array_equal(dW, np.zeros((4, 3)))
         np.testing.assert_array_equal(db, np.zeros(4))
 
@@ -140,7 +169,7 @@ class TestLayerGrads:
         theta = 1.7
         sign = float(polarity)
         act_fn = layer.act.fn
-        dW, db, _ = layer.grads(x, polarity, theta)
+        dW, db, _ = grads_one(layer, x, polarity, theta)
 
         W0 = layer.W.copy()
         b0 = layer.b.copy()
@@ -160,7 +189,7 @@ class TestLayerGrads:
         rng = Rng(5)
         layer = make_layer(rng, 4, 3)
         x = rng.uniform_array(4) + 0.5
-        dW, _, _ = layer.grads(x, Polarity.POSITIVE, -1e4)  # G >> theta
+        dW, _, _ = grads_one(layer, x, Polarity.POSITIVE, -1e4)  # G >> theta
         assert np.linalg.norm(dW) < 1e-10
 
 
@@ -169,35 +198,40 @@ class TestNetworkForward:
         rng = Rng(41)
         net = FFNetwork(4, [3], "relu", 0.01, rng)
         x = Rng(42).uniform_array(4)
-        z, a = net.layers[0].forward(x)
-        out = net.forward(x)
+        z, a = forward_one(net.layers[0], x)
+        out = net.forward_batch(x[None, :])
         assert len(out) == 1
-        np.testing.assert_array_equal(out[0][0], z)
-        np.testing.assert_array_equal(out[0][1], a)
+        np.testing.assert_array_equal(out[0][1][0], z)
+        np.testing.assert_array_equal(out[0][2][0], a)
 
     def test_two_layer_composition(self):
         rng = Rng(43)
         net = FFNetwork(4, [3, 2], "tanh", 0.01, rng)
         x = Rng(44).uniform_array(4)
-        out = net.forward(x)
-        z0, a0 = net.layers[0].forward(x)
-        z1, a1 = net.layers[1].forward(a0)
-        np.testing.assert_allclose(out[1][0], z1, atol=1e-15)
-        np.testing.assert_allclose(out[1][1], a1, atol=1e-15)
+        out = net.forward_batch(x[None, :])
+        z0, a0 = forward_one(net.layers[0], x)
+        z1, a1 = forward_one(net.layers[1], a0)
+        np.testing.assert_allclose(out[1][1][0], z1, atol=1e-15)
+        np.testing.assert_allclose(out[1][2][0], a1, atol=1e-15)
 
     def test_input_scaling_leaves_activations_unchanged(self):
         rng = Rng(45)
         net = FFNetwork(6, [5, 4], "relu", 0.01, rng)
         x = Rng(46).uniform_array(6) + 0.1
-        out1 = net.forward(x)
-        out2 = net.forward(10.0 * x)
-        np.testing.assert_allclose(out1[0][1], out2[0][1], atol=1e-12)
-        np.testing.assert_allclose(out1[1][1], out2[1][1], atol=1e-12)
+        out1 = net.forward_batch(x[None, :])
+        out2 = net.forward_batch(10.0 * x[None, :])
+        np.testing.assert_allclose(out1[0][2], out2[0][2], atol=1e-12)
+        np.testing.assert_allclose(out1[1][2], out2[1][2], atol=1e-12)
 
     def test_wrong_input_width(self):
         net = FFNetwork(6, [5], "relu", 0.01, Rng(1))
         with pytest.raises(DimensionError):
-            net.forward(np.zeros(7))
+            net.forward_batch(np.zeros((1, 7)))
+
+    def test_input_must_be_a_matrix(self):
+        net = FFNetwork(6, [5], "relu", 0.01, Rng(1))
+        with pytest.raises(DimensionError):
+            net.forward_batch(np.zeros(6))
 
 
 class TestLocality:
@@ -207,8 +241,8 @@ class TestLocality:
         deep = FFNetwork(6, [5, 4, 3], "relu", 0.01, rng)
         shallow = FFNetwork.from_layer_list(6, deep.layers[:1])
         x = Rng(52).uniform_array(6)
-        dW_deep, db_deep, _ = deep.layers[0].grads(x, Polarity.POSITIVE, 2.0)
-        dW_shallow, db_shallow, _ = shallow.layers[0].grads(x, Polarity.POSITIVE, 2.0)
+        dW_deep, db_deep, _ = grads_one(deep.layers[0], x, Polarity.POSITIVE, 2.0)
+        dW_shallow, db_shallow, _ = grads_one(shallow.layers[0], x, Polarity.POSITIVE, 2.0)
         np.testing.assert_array_equal(dW_deep, dW_shallow)
         np.testing.assert_array_equal(db_deep, db_shallow)
 
@@ -217,10 +251,10 @@ class TestLocality:
         rng = Rng(53)
         net = FFNetwork(6, [5, 4], "relu", 0.01, rng)
         x = Rng(54).uniform_array(6)
-        a0 = net.forward(x)[0][1]
-        dW1, db1, _ = net.layers[1].grads(a0, Polarity.NEGATIVE, 1.0)
+        a0 = net.forward_batch(x[None, :])[0][2][0]
+        dW1, db1, _ = grads_one(net.layers[1], a0, Polarity.NEGATIVE, 1.0)
         net.layers[0].W += 100.0  # layer 1 must not notice if its input is fixed
-        dW1b, db1b, _ = net.layers[1].grads(a0, Polarity.NEGATIVE, 1.0)
+        dW1b, db1b, _ = grads_one(net.layers[1], a0, Polarity.NEGATIVE, 1.0)
         np.testing.assert_array_equal(dW1, dW1b)
         np.testing.assert_array_equal(db1, db1b)
 
@@ -234,7 +268,7 @@ class TestGoodnessBounds:
         layer.W *= 50.0  # drive the units to saturation
         for _ in range(20):
             x = rng.uniform_array(8) * 10 - 5
-            _, a = layer.forward(x)
+            _, a = forward_one(layer, x)
             assert goodness(a) <= out_dim + 1e-9
 
 

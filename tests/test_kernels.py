@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fflab import kernels
 from fflab.backend import HAVE_NUMBA, NUMBA_ENABLED
+from fflab.errors import UsageError
 from fflab.kernels import sgns_epoch
 from fflab.rng import Rng
 from fflab.text_data import (
@@ -87,3 +89,14 @@ def test_bench_kernels_script_runs(capsys):
     bench.bench_sgns(2000)
     out = capsys.readouterr().out
     assert "numpy twin" in out and "pairs/s" in out
+
+
+def test_numba_request_without_backend_raises(monkeypatch):
+    """use_numba=True must not fall back to the uncompiled kernel body."""
+    monkeypatch.setattr(kernels, "NUMBA_ENABLED", False)
+    tokens, offsets, win, wout, cdf, total = _setup()
+    with pytest.raises(UsageError, match="FFLAB_NUMBA"):
+        sgns_epoch(
+            tokens, offsets, win, wout, cdf, 3, 5, 0.025, 2.5e-6, 0, total, 7,
+            use_numba=True,
+        )

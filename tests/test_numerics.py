@@ -1,4 +1,4 @@
-"""matmul, normalization, and the Adam recursion against independent oracles."""
+"""Row normalization and the Adam recursion against independent oracles."""
 
 import numpy as np
 import pytest
@@ -7,64 +7,35 @@ from hypothesis import strategies as st
 
 from fflab import numerics
 from fflab.errors import DimensionError
-from fflab.numerics import AdamState, adam_step, direction, l2_normalize, matmul, row_directions
+from fflab.numerics import AdamState, adam_step, row_directions
 from fflab.rng import Rng
 
-from oracles import loop_matmul, scalar_adam
+from oracles import loop_direction, scalar_adam
 
 
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(matmul(np.eye(2), a), a)
-
-    def test_zero(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        z = np.zeros((2, 1))
-        np.testing.assert_array_equal(matmul(a, z), np.zeros((2, 1)))
-
-    def test_small_product(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0], [6.0]])
-        np.testing.assert_array_equal(matmul(a, b), np.array([[17.0], [39.0]]))
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-    def test_matches_loop_oracle(self):
-        rng = Rng(100)
-        a = rng.uniform_array(12).reshape(3, 4)
-        b = rng.uniform_array(20).reshape(4, 5)
-        np.testing.assert_allclose(matmul(a, b), loop_matmul(a, b), rtol=1e-13)
-
-    def test_associativity(self):
-        rng = Rng(8)
-        for _ in range(5):
-            a = rng.uniform_array(6).reshape(2, 3)
-            b = rng.uniform_array(12).reshape(3, 4)
-            c = rng.uniform_array(8).reshape(4, 2)
-            np.testing.assert_allclose(
-                matmul(matmul(a, b), c), matmul(a, matmul(b, c)), rtol=1e-9
-            )
+def one_row(x, eps=1e-8):
+    """row_directions of a single vector, as a 1-row matrix and back."""
+    return row_directions(np.asarray(x)[None, :], eps=eps)[0]
 
 
 class TestL2Normalize:
+    """row_directions on a single row: exact, zero-safe and scale-free."""
+
     def test_three_four_five(self):
         np.testing.assert_allclose(
-            l2_normalize(np.array([3.0, 4.0]), eps=0.0), [0.6, 0.8]
+            one_row(np.array([3.0, 4.0]), eps=0.0), [0.6, 0.8]
         )
 
     def test_zero_vector(self):
         np.testing.assert_array_equal(
-            l2_normalize(np.zeros(2), eps=1e-8), np.zeros(2)
+            one_row(np.zeros(2), eps=1e-8), np.zeros(2)
         )
 
     @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
     def test_scale_invariance_eps_zero(self, c):
         x = np.array([3.0, 4.0])
         np.testing.assert_allclose(
-            l2_normalize(c * x, eps=0.0), l2_normalize(x, eps=0.0), atol=1e-12
+            one_row(c * x, eps=0.0), one_row(x, eps=0.0), atol=1e-12
         )
 
     @given(
@@ -77,18 +48,18 @@ class TestL2Normalize:
         if np.linalg.norm(x) < 1e-6:
             return
         np.testing.assert_allclose(
-            l2_normalize(c * x, eps=0.0), l2_normalize(x, eps=0.0), atol=1e-12
+            one_row(c * x, eps=0.0), one_row(x, eps=0.0), atol=1e-12
         )
 
     def test_direction_zero_safe(self):
-        np.testing.assert_array_equal(direction(np.zeros(3)), np.zeros(3))
+        np.testing.assert_array_equal(one_row(np.zeros(3)), np.zeros(3))
 
     def test_row_directions_matches_direction(self):
         rng = Rng(3)
         X = rng.uniform_array(12).reshape(3, 4)
         rows = row_directions(X)
         for i in range(3):
-            np.testing.assert_allclose(rows[i], direction(X[i]), rtol=1e-15)
+            np.testing.assert_allclose(rows[i], loop_direction(X[i]), rtol=1e-15)
 
 
 class TestAdam:
