@@ -8,7 +8,9 @@ pays off; the corpus is cut so one SGNS epoch visits about N pairs, and
 the real count is printed. The layer-training path is BLAS-bound numpy
 and is timed here for context only (a hand-rolled kernel would not beat
 BLAS there): one epoch at a desk shape, and eight batch steps at the
-full recipe shape, 784 -> 2000x4 with batch 128.
+full recipe shape, 784 -> 2000x4 with batch 128. Eval throughput is
+the label sweep's candidate rows scored per second, ten labels on
+MNIST-shaped rows at 784 -> [500, 500].
 """
 
 import argparse
@@ -18,6 +20,7 @@ import numpy as np
 
 from fflab.backend import NUMBA_ENABLED
 from fflab.ffnet import FFNetwork, train_epoch
+from fflab.inference import sweep_scores_batch
 from fflab.kernels import sgns_epoch
 from fflab.mnist_data import LABEL_SLOTS
 from fflab.rng import Rng
@@ -114,6 +117,17 @@ def bench_ff_epoch():
           f"{dt / FULL_STEPS * 1e3:.0f} ms/step")
 
 
+def bench_sweep(rows):
+    X = Rng(21).uniform_array(rows * 784).reshape(rows, 784)
+    net = FFNetwork(784, [500, 500], "relu", 0.01, Rng(22))
+    sweep_scores_batch(net, X[:1], 10, LABEL_SLOTS)  # warm-up
+    t0 = time.perf_counter()
+    sweep_scores_batch(net, X, 10, LABEL_SLOTS)
+    dt = time.perf_counter() - t0
+    print(f"label sweep (784 -> [500, 500], 10 labels, {rows} rows): {dt:.2f}s  "
+          f"({rows * 10 / dt:,.0f} candidate rows/s)")
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser()
     parser.add_argument("--pairs", type=int, default=300_000,
@@ -121,3 +135,4 @@ if __name__ == "__main__":
     args = parser.parse_args()
     bench_sgns(args.pairs)
     bench_ff_epoch()
+    bench_sweep(10_000)

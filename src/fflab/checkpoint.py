@@ -23,6 +23,7 @@ Round-trips are bit-exact. Optimizer state is not persisted; loaded
 networks get fresh Adam moments.
 """
 
+import io
 import struct
 
 import numpy as np
@@ -49,45 +50,60 @@ def _canonical_tag(act):
     return act.tag
 
 
-def _pack_layer(W, b, tag):
-    out_dim, in_dim = W.shape
-    parts = [struct.pack("<IIB", in_dim, out_dim, tag)]
-    parts.append(np.ascontiguousarray(W, dtype="<f8").tobytes())
-    parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    return b"".join(parts)
+def _f8(a):
+    """Little-endian float64 view of ``a``; no copy for a native C-contiguous array."""
+    return np.ascontiguousarray(a, dtype="<f8")
 
 
-def _pack_head(head):
-    parts = [HEAD_TAG]
-    parts.append(struct.pack("<III", head.num_classes, head.concat_width, len(head.included_layers)))
-    parts.append(struct.pack(f"<{len(head.included_layers)}I", *head.included_layers))
-    parts.append(np.ascontiguousarray(head.W, dtype="<f8").tobytes())
-    parts.append(np.ascontiguousarray(head.b, dtype="<f8").tobytes())
-    return b"".join(parts)
+def _layer_plan(net):
+    """(magic, [(W, b, tag) per layer]) with every activation tag resolved,
+    so a net that cannot be written is refused before any byte is."""
+    if isinstance(net, FFNetwork):
+        return FF_MAGIC, [
+            (layer.W, layer.b, _canonical_tag(layer.act)) for layer in net.layers
+        ]
+    if isinstance(net, BPNetwork):
+        layers = list(net.layers) + [net.out_layer]
+        return BP_MAGIC, [
+            (layer.W, layer.b,
+             LINEAR_TAG if layer.act is None else _canonical_tag(layer.act))
+            for layer in layers
+        ]
+    raise UsageError(f"cannot checkpoint a {type(net).__name__}")
+
+
+def _write(f, plan, head):
+    """Write a resolved plan (and optional head) to a binary file object,
+    each array straight from its buffer."""
+    magic, layers = plan
+    f.write(magic)
+    f.write(struct.pack("<I", len(layers)))
+    for W, b, tag in layers:
+        out_dim, in_dim = W.shape
+        f.write(struct.pack("<IIB", in_dim, out_dim, tag))
+        f.write(_f8(W))
+        f.write(_f8(b))
+    if head is not None:
+        inc = head.included_layers
+        f.write(HEAD_TAG)
+        f.write(struct.pack("<III", head.num_classes, head.concat_width, len(inc)))
+        f.write(struct.pack(f"<{len(inc)}I", *inc))
+        f.write(_f8(head.W))
+        f.write(_f8(head.b))
 
 
 def network_bytes(net, head=None):
     """Serialized form of a network (plus optional head) as bytes."""
-    if isinstance(net, FFNetwork):
-        parts = [FF_MAGIC, struct.pack("<I", len(net.layers))]
-        for layer in net.layers:
-            parts.append(_pack_layer(layer.W, layer.b, _canonical_tag(layer.act)))
-    elif isinstance(net, BPNetwork):
-        layers = list(net.layers) + [net.out_layer]
-        parts = [BP_MAGIC, struct.pack("<I", len(layers))]
-        for layer in layers:
-            tag = LINEAR_TAG if layer.act is None else _canonical_tag(layer.act)
-            parts.append(_pack_layer(layer.W, layer.b, tag))
-    else:
-        raise UsageError(f"cannot checkpoint a {type(net).__name__}")
-    if head is not None:
-        parts.append(_pack_head(head))
-    return b"".join(parts)
+    buf = io.BytesIO()
+    _write(buf, _layer_plan(net), head)
+    return buf.getvalue()
 
 
 def save_network(path, net, head=None):
+    """Write the checkpoint; a net that cannot be written leaves ``path`` as it was."""
+    plan = _layer_plan(net)
     with open(path, "wb") as f:
-        f.write(network_bytes(net, head))
+        _write(f, plan, head)
 
 
 class _Reader:

@@ -141,7 +141,7 @@ def _cmd_eval(args):
         if head is not None:
             included = head.included_layers
         pred = predict_sweep_batch(
-            net, bundle.X_test, bundle.num_classes, bundle.slots.embed, included
+            net, bundle.X_test, bundle.num_classes, bundle.slots, included
         )
     err = float(np.mean(pred != bundle.y_test))
     print(f"{args.mode} test error: {err:.4f}")

@@ -233,13 +233,13 @@ def run_experiment(cfg):
         errs["sweep"] = (
             _error_rate(
                 predict_sweep_batch(
-                    net, bundle.X_train, bundle.num_classes, slots.embed, included
+                    net, bundle.X_train, bundle.num_classes, slots, included
                 ),
                 bundle.y_train,
             ),
             _error_rate(
                 predict_sweep_batch(
-                    net, bundle.X_test, bundle.num_classes, slots.embed, included
+                    net, bundle.X_test, bundle.num_classes, slots, included
                 ),
                 bundle.y_test,
             ),

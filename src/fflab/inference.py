@@ -2,8 +2,9 @@
 
 1. A one-layer softmax head over concatenated (per-layer normalized)
    activations of a frozen network, fed with label-neutral inputs.
-2. Label sweep: embed every candidate label, run the network, and pick
-   the label with the largest summed goodness.
+2. Label sweep: score every candidate label written into the label
+   slots, and pick the label with the largest summed goodness. Layer 0
+   is shared by all candidates (one GEMM per row chunk).
 
 By default both routes read every layer except the first, whose units
 see the label slots directly and would leak.
@@ -28,11 +29,38 @@ def default_included_layers(depth, skip_first=True):
     return tuple(range(depth))
 
 
+def _checked_layers(included_layers, depth):
+    """``included_layers`` as a tuple: non-empty, each in 0..depth-1, no repeats."""
+    included = tuple(int(i) for i in included_layers)
+    if not included:
+        raise UsageError("included_layers is empty")
+    for i in included:
+        if not 0 <= i < depth:
+            raise UsageError(f"included layer {i} is not in 0..{depth - 1}")
+    if len(set(included)) != len(included):
+        raise UsageError(f"included_layers {included} names a layer twice")
+    return included
+
+
 def features_batch(net, X_neutral, included_layers):
-    """Concatenated unit-normalized activations of the included layers."""
-    stages = net.forward_batch(np.asarray(X_neutral, dtype=np.float64))
-    parts = [row_directions(stages[i][2]) for i in included_layers]
-    return np.concatenate(parts, axis=1)
+    """Concatenated unit-normalized activations of the included layers.
+
+    Forwards layer by layer up to the last included layer and keeps only
+    the current activation; each included layer's directions go straight
+    into their columns of F. The whole split is one GEMM per layer: a
+    row-chunked product differs from it in the last bits, which would
+    move the head's weights.
+    """
+    included = _checked_layers(included_layers, len(net.layers))
+    X = np.asarray(X_neutral, dtype=np.float64)
+    widths = [net.layers[i].out_dim for i in included]
+    F = np.empty((X.shape[0], sum(widths)))
+    column = dict(zip(included, np.cumsum([0] + widths)))
+    for i, layer in enumerate(net.layers[: max(included) + 1]):
+        _, _, X = layer.forward_batch(X)
+        if i in column:
+            F[:, column[i] : column[i] + layer.out_dim] = row_directions(X)
+    return F
 
 
 def _weights_digest(net):
@@ -140,27 +168,62 @@ def predict_head_batch(net, head, X_neutral):
     return np.argmax(logits, axis=1)
 
 
-def sweep_scores_batch(net, X_raw, num_classes, embed_batch, included_layers=None):
+# rows per sweep chunk: bounds the sweep's live memory to a few chunk-sized
+# matrices per layer, whatever the split size
+SWEEP_CHUNK_ROWS = 1024
+
+
+def sweep_scores_batch(net, X_raw, num_classes, slots, included_layers=None):
     """(n, num_classes) matrix of summed goodness per candidate label.
 
-    ``embed_batch(X_raw, label)`` produces the candidate inputs for one
-    label, e.g. ``LabelSlots.embed``.
+    ``slots`` is the dataset's :class:`~fflab.ffnet.LabelSlots`; the
+    candidates are labels 0..num_classes-1 written into them. They
+    differ only by one slot column holding 1.0 in a row whose slots are
+    otherwise zero, so with x0 = ``slots.neutral(X_raw)`` candidate c
+    has squared norm ||x0||^2 + 1 and layer 0 is
+    ``(x0 @ W.T + W[:, start + c]) / sqrt(||x0||^2 + 1) + b``: one GEMM
+    per row chunk for every label. Later layers run per candidate, up
+    to the last included layer, and only the summed goodness is kept.
     """
-    if num_classes < 1:
-        raise UsageError("num_classes must be >= 1")
+    if not 1 <= num_classes <= slots.num_classes:
+        raise UsageError(
+            f"num_classes must be in 1..{slots.num_classes}, got {num_classes}"
+        )
     if included_layers is None:
         included_layers = default_included_layers(len(net.layers))
+    included = _checked_layers(included_layers, len(net.layers))
     X_raw = np.asarray(X_raw, dtype=np.float64)
+    first = net.layers[0]
+    if X_raw.ndim != 2 or slots.width(X_raw.shape[1]) != first.in_dim:
+        raise DimensionError(
+            f"network expects embedded rows of width {first.in_dim}, got raw "
+            f"input of shape {X_raw.shape} ({slots.num_classes} label slots)"
+        )
+    later = net.layers[1 : max(included) + 1]
+    slot_cols = first.W[:, slots.start : slots.start + num_classes].T
     scores = np.zeros((X_raw.shape[0], num_classes))
-    for c in range(num_classes):
-        stages = net.forward_batch(embed_batch(X_raw, c))
-        for i in included_layers:
-            scores[:, c] += goodness(stages[i][2])
+    for lo in range(0, X_raw.shape[0], SWEEP_CHUNK_ROWS):
+        x0 = slots.neutral(X_raw[lo : lo + SWEEP_CHUNK_ROWS])
+        # >= 1, so the eps floor of row_directions never applies
+        norms = np.sqrt(np.sum(x0 * x0, axis=1, keepdims=True) + 1.0)
+        shared = x0 @ first.W.T
+        out = scores[lo : lo + SWEEP_CHUNK_ROWS]
+        for c in range(num_classes):
+            Z = shared + slot_cols[c]
+            Z /= norms
+            Z += first.b
+            A = first.act.fn(Z)
+            if 0 in included:
+                out[:, c] += goodness(A)
+            for i, layer in enumerate(later, start=1):
+                _, _, A = layer.forward_batch(A)
+                if i in included:
+                    out[:, c] += goodness(A)
     return scores
 
 
-def predict_sweep_batch(net, X_raw, num_classes, embed_batch, included_layers=None):
+def predict_sweep_batch(net, X_raw, num_classes, slots, included_layers=None):
     """Label-sweep predictions: the argmax of summed goodness, ties toward
     the lower label."""
-    scores = sweep_scores_batch(net, X_raw, num_classes, embed_batch, included_layers)
+    scores = sweep_scores_batch(net, X_raw, num_classes, slots, included_layers)
     return np.argmax(scores, axis=1)

@@ -198,3 +198,15 @@ def loop_label_stream(X_raw, y, num_classes, start, overwrite, rng):
         stream.append((embed(X_raw[i], wrong), -1.0))
     rng.shuffle(stream)
     return [f for f, _ in stream], [s for _, s in stream]
+
+
+def loop_sweep(net, X_raw, num_classes, slots, included_layers):
+    """Reference sweep scores: each label embedded on its own and the full
+    network forwarded per label, summing the included layers' goodness."""
+    scores = np.zeros((X_raw.shape[0], num_classes))
+    for c in range(num_classes):
+        stages = net.forward_batch(slots.embed(X_raw, c))
+        for i in included_layers:
+            A = stages[i][2]
+            scores[:, c] += np.sum(A * A, axis=1)
+    return scores

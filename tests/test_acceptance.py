@@ -169,7 +169,7 @@ def test_c2_scale_invariance():
     rng = Rng(906)
     net = FFNetwork(6 + 4, [12, 12], "relu", 0.01, rng)
     X_raw = rng.uniform_array(40 * 4).reshape(40, 4)
-    scores = sweep_scores_batch(net, X_raw, 6, label_slots(6).embed)
+    scores = sweep_scores_batch(net, X_raw, 6, label_slots(6))
     base = scores.argmax(axis=1)
     for lam in (1e-6, 0.5, 3.0, 1e9):
         np.testing.assert_array_equal((lam * scores).argmax(axis=1), base)
@@ -304,7 +304,7 @@ def test_c5_bounded_activation_failure():
             stream = bundle.slots.stream(bundle.X_train, bundle.y_train, rng)
             train_epoch(net, stream, ConstantK(2.0), epoch, 128, rng)
         pred = predict_sweep_batch(
-            net, bundle.X_test, bundle.num_classes, bundle.slots.embed
+            net, bundle.X_test, bundle.num_classes, bundle.slots
         )
         accs[act] = float(np.mean(pred == bundle.y_test))
     assert accs["sigmoid"] <= chance + 0.15, accs

@@ -114,6 +114,53 @@ def test_nonstandard_leaky_slope_refused(tmp_path):
         save_network(tmp_path / "x.ffn1", net)
 
 
+def _layout_bytes(magic, layers, head=None):
+    """The documented container layout, built with per-array ``tobytes``."""
+    out = magic + struct.pack("<I", len(layers))
+    for W, b, tag in layers:
+        out += struct.pack("<IIB", W.shape[1], W.shape[0], tag) + W.tobytes() + b.tobytes()
+    if head is not None:
+        inc = head.included_layers
+        out += b"HEAD" + struct.pack("<III", head.num_classes, head.concat_width, len(inc))
+        out += struct.pack(f"<{len(inc)}I", *inc) + head.W.tobytes() + head.b.tobytes()
+    return out
+
+
+def test_saved_ffn1_with_head_is_the_documented_layout(tmp_path):
+    X, y, _ = two_blob_toy()
+    Xn = label_slots(2).neutral(X)
+    net = FFNetwork(Xn.shape[1], [8, 6], "gelu", 0.01, Rng(10))
+    head = train_head(net, Xn, y, 2, epochs=1, rng=Rng(11), included_layers=(0, 1))
+    path = tmp_path / "net.ffn1"
+    save_network(path, net, head)
+    want = _layout_bytes(b"FFN1", [(x.W, x.b, x.act.tag) for x in net.layers], head)
+    assert path.read_bytes() == want == network_bytes(net, head)
+
+
+def test_saved_bpn1_is_the_documented_layout(tmp_path):
+    bp = BPNetwork(12, [7, 5], 3, "tanh", 1e-3, Rng(12))
+    path = tmp_path / "net.bpn1"
+    save_network(path, bp)
+    layers = [(x.W, x.b, x.act.tag) for x in bp.layers]
+    layers.append((bp.out_layer.W, bp.out_layer.b, 255))
+    assert path.read_bytes() == _layout_bytes(b"BPN1", layers) == network_bytes(bp)
+
+
+def test_refused_net_leaves_the_existing_file_intact(tmp_path, ff_net):
+    """The activation tags are resolved before the file is opened."""
+    from fflab.activations import leaky_relu
+    from fflab.ffnet import FFLayer
+
+    path = tmp_path / "net.ffn1"
+    save_network(path, ff_net)
+    before = path.read_bytes()
+    odd = FFLayer(6, 3, leaky_relu(0.3), 0.01, Rng(13))
+    net = FFNetwork.from_layer_list(10, ff_net.layers + [odd])
+    with pytest.raises(UsageError, match="canonical"):
+        save_network(path, net)
+    assert path.read_bytes() == before
+
+
 # Hand-built FFN1 files: a 4 -> 3 -> 2 relu net with a head over layer 1,
 # and one defect per case. Each case names the byte offset the error
 # must report.

@@ -5,8 +5,9 @@ import pytest
 
 from fflab.activations import softmax
 from fflab.checkpoint import network_bytes
-from fflab.errors import UsageError
+from fflab.errors import DimensionError, UsageError
 from fflab.ffnet import FFNetwork, train_epoch
+from fflab.mnist_data import LABEL_SLOTS
 from fflab import inference
 from fflab.inference import (
     ClassifierHead,
@@ -18,12 +19,13 @@ from fflab.inference import (
     sweep_scores_batch,
     train_head,
 )
-from fflab.numerics import AdamState
+from fflab.numerics import AdamState, row_directions
 from fflab.rng import Rng
 from fflab.synthetic import label_slots, two_blob_toy
+from fflab.text_data import label_slots as sentiment_slots
 from fflab.thresholds import ConstantK
 
-from oracles import central_diff_grad, rel_err
+from oracles import central_diff_grad, loop_sweep, rel_err
 
 BLOB = label_slots(2)
 
@@ -151,12 +153,12 @@ class TestPredictHead:
 class TestPredictSweep:
     def test_single_class_degenerate(self, toy_task):
         X, _, net = toy_task
-        pred = predict_sweep_batch(net, X[:1], 1, BLOB.embed)
+        pred = predict_sweep_batch(net, X[:1], 1, BLOB)
         assert pred[0] == 0
 
     def test_rescaling_scores_keeps_argmax(self, toy_task):
         X, y, net = toy_task
-        scores = sweep_scores_batch(net, X, 2, BLOB.embed)
+        scores = sweep_scores_batch(net, X, 2, BLOB)
         assert np.array_equal(
             scores.argmax(axis=1), (123.456 * scores).argmax(axis=1)
         )
@@ -166,17 +168,92 @@ class TestPredictSweep:
         X, y, net = toy_task
         head = train_head(net, BLOB.neutral(X), y, 2, epochs=8, rng=Rng(42))
         head_pred = predict_head_batch(net, head, BLOB.neutral(X))
-        sweep_pred = predict_sweep_batch(net, X, 2, BLOB.embed)
+        sweep_pred = predict_sweep_batch(net, X, 2, BLOB)
         agreement = float(np.mean(head_pred == sweep_pred))
         assert agreement >= 0.9
 
     def test_deterministic(self, toy_task):
         X, _, net = toy_task
-        a = predict_sweep_batch(net, X[:50], 2, BLOB.embed)
-        b = predict_sweep_batch(net, X[:50], 2, BLOB.embed)
+        a = predict_sweep_batch(net, X[:50], 2, BLOB)
+        b = predict_sweep_batch(net, X[:50], 2, BLOB)
         np.testing.assert_array_equal(a, b)
 
     def test_default_included_layers(self):
         assert default_included_layers(4) == (1, 2, 3)
         assert default_included_layers(1) == (0,)
         assert default_included_layers(3, skip_first=False) == (0, 1, 2)
+
+
+# (slots, raw width) of the three dataset layouts
+LAYOUTS = {
+    "overwrite@0 C=10": (LABEL_SLOTS, 784),
+    "insert@0 C=4": (label_slots(4), 6),
+    "append C=2": (sentiment_slots(5), 5),
+}
+
+
+def _layout_case(layout, n, seed=70):
+    slots, raw = LAYOUTS[layout]
+    rng = Rng(seed)
+    X = rng.uniform_array(n * raw).reshape(n, raw)
+    net = FFNetwork(slots.width(raw), [12, 10, 8], "relu", 0.01, rng)
+    return slots, X, net
+
+
+class TestSharedSweep:
+    """The shared-layer-0, row-chunked sweep against per-label forwards."""
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("included", [None, (0, 1, 2), (1,), (0,)])
+    @pytest.mark.parametrize("n", [1, 37])
+    def test_equals_per_label_forwards(self, monkeypatch, layout, included, n):
+        """37 rows in chunks of 8 cross four chunk boundaries."""
+        monkeypatch.setattr(inference, "SWEEP_CHUNK_ROWS", 8)
+        slots, X, net = _layout_case(layout, n)
+        C = slots.num_classes
+        got = sweep_scores_batch(net, X, C, slots, included)
+        want = loop_sweep(net, X, C, slots, included or (1, 2))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(got.argmax(axis=1), want.argmax(axis=1))
+
+    def test_zero_rows(self):
+        slots, X, net = _layout_case("insert@0 C=4", 0)
+        assert sweep_scores_batch(net, X, 4, slots).shape == (0, 4)
+
+    @pytest.mark.parametrize("num_classes", [0, 5])
+    def test_candidates_outside_the_slots_rejected(self, num_classes):
+        slots, X, net = _layout_case("insert@0 C=4", 3)
+        with pytest.raises(UsageError, match="num_classes"):
+            sweep_scores_batch(net, X, num_classes, slots)
+
+    @pytest.mark.parametrize("shape", [(3, 7), (3, 5), (6,)])
+    def test_wrong_width_is_a_dimension_error(self, shape):
+        slots, _, net = _layout_case("insert@0 C=4", 3)
+        with pytest.raises(DimensionError):
+            sweep_scores_batch(net, np.zeros(shape), 4, slots)
+
+
+@pytest.mark.parametrize("included", [(), (3,), (-1,), (1, 1), (0, 2, 0)])
+class TestIncludedLayersChecked:
+    """Empty, out-of-range or repeated layers are usage errors, not a
+    traceback or a layer counted twice."""
+
+    def test_features(self, included):
+        slots, X, net = _layout_case("insert@0 C=4", 3)
+        with pytest.raises(UsageError, match="included"):
+            features_batch(net, slots.neutral(X), included)
+
+    def test_sweep(self, included):
+        slots, X, net = _layout_case("insert@0 C=4", 3)
+        with pytest.raises(UsageError, match="included"):
+            sweep_scores_batch(net, X, 4, slots, included)
+
+
+@pytest.mark.parametrize("included", [(0, 1, 2), (1,), (0,), (2, 0), (1, 2)])
+def test_features_equal_the_stage_list_expression(included):
+    """Streaming the forward into one preallocated F changes no bit."""
+    slots, X, net = _layout_case("overwrite@0 C=10", 300)
+    Xn = slots.neutral(X)
+    stages = net.forward_batch(Xn)
+    want = np.concatenate([row_directions(stages[i][2]) for i in included], axis=1)
+    np.testing.assert_array_equal(features_batch(net, Xn, included), want)

@@ -87,8 +87,10 @@ def test_bench_kernels_script_runs(capsys):
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     bench.bench_sgns(2000)
+    bench.bench_sweep(20)
     out = capsys.readouterr().out
     assert "numpy twin" in out and "pairs/s" in out
+    assert "candidate rows/s" in out
 
 
 def test_numba_request_without_backend_raises(monkeypatch):

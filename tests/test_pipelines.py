@@ -205,7 +205,7 @@ class TestImdbPipeline:
         net, head = load_network(result.checkpoint)
         head_pred = predict_head_batch(net, head, bundle.slots.neutral(bundle.X_test))
         sweep_pred = predict_sweep_batch(
-            net, bundle.X_test, 2, bundle.slots.embed, head.included_layers
+            net, bundle.X_test, 2, bundle.slots, head.included_layers
         )
         assert set(np.unique(head_pred)) <= {0, 1}
         assert set(np.unique(sweep_pred)) <= {0, 1}
