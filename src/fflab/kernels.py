@@ -4,10 +4,15 @@ The skip-gram negative-sampling trainer walks tens of millions of
 (center, context) pairs doing d-length dot products and rank-1 updates;
 that loop is python-bound without JIT. ``sgns_epoch`` dispatches to an
 ``@njit`` kernel when the numba backend is active (see
-:mod:`fflab.backend`) and to a numpy per-pair twin otherwise. Both
-implement the identical per-pair sequential algorithm and consume the
-identical splitmix64 draw stream, so they differ only by float
-summation order.
+:mod:`fflab.backend`) and to a numpy twin otherwise. Both consume the
+identical splitmix64 draw stream and implement the identical per-pair
+sequential algorithm: every target of a pair is scored against the
+center's pre-pair row, each target's row is updated before the next
+copy of it is read, and the center's row is updated last. The numba
+kernel runs it one draw at a time. The numpy twin draws a sentence's
+negatives in bulk and scores a pair's distinct targets with one gather
+and one matvec; a pair whose targets repeat falls back to the per-draw
+loop. So the twins differ only by float summation order.
 
 ``benchmarks/bench_kernels.py`` times the two paths side by side.
 """
@@ -17,8 +22,6 @@ import numpy as np
 from .backend import NUMBA_ENABLED, jit_kernel
 from .errors import UsageError
 from .rng import (
-    GOLDEN,
-    MASK64,
     _GOLDEN_U64,
     _INV53,
     _MIX1_U64,
@@ -27,7 +30,7 @@ from .rng import (
     _U64_27,
     _U64_30,
     _U64_31,
-    mix64,
+    Rng,
 )
 
 
@@ -52,53 +55,103 @@ def sgns_pair_grads(v_center, v_context, v_negatives):
     return d_center, d_context, d_negatives, loss
 
 
+def pairs_per_sentence(offsets, window):
+    """Number of (center, context) pairs each sentence yields.
+
+    A sentence of L tokens pairs each position with every other one at
+    most ``window`` away. With m = min(window, L - 1) that is
+    2 * sum_{k=1..m} (L - k) = m * (2L - m - 1) pairs.
+    """
+    L = np.diff(offsets)
+    m = np.maximum(np.minimum(window, L - 1), 0)
+    return m * (2 * L - m - 1)
+
+
+def _sentence_pairs(n, window):
+    """(center, context) positions of an n-token sentence, in visit order:
+    by center, then by context position."""
+    w = min(window, n - 1)
+    steps = np.concatenate([np.arange(-w, 0), np.arange(1, w + 1)])
+    ctx = np.arange(n)[:, None] + steps
+    inside = (ctx >= 0) & (ctx < n)
+    return np.nonzero(inside)[0], ctx[inside]
+
+
+def negative_targets(rng, cdf, n):
+    """The next n noise words: ``rng``'s draws mapped through ``cdf``.
+
+    splitmix64 is counter-based, so these are the same ids as n scalar
+    draws, each mapped with ``searchsorted(cdf, draw, side="right")``.
+    """
+    return np.searchsorted(cdf, rng.uniform_array(n), side="right")
+
+
 def _sgns_epoch_numpy(tokens, offsets, win, wout, cdf, window, neg_k,
                       lr0, lr_min, pairs_done, total_pairs, state):
-    """Pure-numpy twin: same pair order, same rng stream, same updates."""
-    d = win.shape[1]
+    """Pure-numpy twin: same pair order, same rng stream, same updates.
+
+    Per sentence, every negative is drawn in bulk and every pair's
+    learning rate is computed at once. Per pair, the targets are the
+    context word then the negatives that differ from it. When they are
+    distinct, one gather and one matvec score them all against the
+    center's pre-pair row, as the sequential loop does; a pair whose
+    targets repeat runs one target at a time, so a second copy sees the
+    first copy's update.
+    """
+    rng = Rng(state)
+    width = 1 + neg_k
+    # loss of slot q is softplus(sign[q] * u): slot 0 is the context word
+    sign = np.ones(width)
+    sign[0] = -1.0
+    # target labels for m kept targets: 1 for the context word, 0 after it
+    labels = [np.eye(1, m).ravel() for m in range(width + 1)]
     loss_sum = 0.0
-    n_sent = offsets.shape[0] - 1
-    for s in range(n_sent):
-        lo, hi = int(offsets[s]), int(offsets[s + 1])
-        for i in range(lo, hi):
-            c = int(tokens[i])
-            j_lo = max(lo, i - window)
-            j_hi = min(hi - 1, i + window)
-            for j in range(j_lo, j_hi + 1):
-                if j == i:
-                    continue
-                o = int(tokens[j])
-                lr = lr0 * (1.0 - pairs_done / total_pairs)
-                if lr < lr_min:
-                    lr = lr_min
-                pairs_done += 1
-
-                grad_c = np.zeros(d)
-                u = float(win[c] @ wout[o])
-                uc = max(min(u, 40.0), -40.0)
-                f = 1.0 / (1.0 + np.exp(-uc))
-                g = (1.0 - f) * lr
-                loss_sum += np.log1p(np.exp(-uc))
-                grad_c += g * wout[o]
-                wout[o] += g * win[c]
-
-                for _ in range(neg_k):
-                    state = (state + GOLDEN) & MASK64
-                    udraw = (mix64(state) >> 11) * _INV53
-                    # first index with cdf > draw
-                    t = int(np.searchsorted(cdf, udraw, side="right"))
-                    if t == o:
-                        continue
-                    u = float(win[c] @ wout[t])
-                    uc = max(min(u, 40.0), -40.0)
-                    f = 1.0 / (1.0 + np.exp(-uc))
-                    g = (0.0 - f) * lr
-                    loss_sum += np.log1p(np.exp(uc))
+    counts = pairs_per_sentence(offsets, window)
+    for s in np.flatnonzero(counts):
+        n_pairs = int(counts[s])
+        sent = tokens[offsets[s] : offsets[s + 1]]
+        pos_c, pos_o = _sentence_pairs(sent.shape[0], window)
+        targets = np.empty((n_pairs, width), dtype=np.int64)
+        targets[:, 0] = sent[pos_o]
+        targets[:, 1:] = negative_targets(rng, cdf, n_pairs * neg_k).reshape(n_pairs, neg_k)
+        # a draw that hits the context word is skipped
+        kept = targets != targets[:, :1]
+        kept[:, 0] = True
+        # skipped slots get distinct ids below 0, so they never count as repeats
+        marked = np.sort(np.where(kept, targets, -1 - np.arange(width)), axis=1)
+        repeats = (marked[:, 1:] == marked[:, :-1]).any(axis=1)
+        lrs = np.maximum(
+            lr0 * (1.0 - (pairs_done + np.arange(n_pairs)) / total_pairs), lr_min
+        )
+        pairs_done += n_pairs
+        # clipped dot products; an unused slot stays -inf and adds no loss
+        u_kept = np.full((n_pairs, width), -np.inf)
+        per_pair = zip(
+            sent[pos_c].tolist(), lrs.tolist(), kept.all(axis=1).tolist(), repeats.tolist()
+        )
+        for p, (c, lr, all_kept, repeat) in enumerate(per_pair):
+            idx = targets[p] if all_kept else targets[p][kept[p]]
+            wc = win[c]
+            if repeat:
+                grad_c = np.zeros(wc.shape[0])
+                for q, t in enumerate(idx.tolist()):
+                    uc = max(min(float(wc @ wout[t]), 40.0), -40.0)
+                    g = ((1.0 if q == 0 else 0.0) - 1.0 / (1.0 + np.exp(-uc))) * lr
+                    u_kept[p, q] = uc
                     grad_c += g * wout[t]
-                    wout[t] += g * win[c]
-
-                win[c] += grad_c
-    return state, pairs_done, loss_sum
+                    wout[t] += g * wc
+            else:
+                rows = wout.take(idx, axis=0)
+                u = rows.dot(wc)
+                np.minimum(np.maximum(u, -40.0, out=u), 40.0, out=u)
+                g = (labels[idx.shape[0]] - 1.0 / (1.0 + np.exp(-u))) * lr
+                u_kept[p, : idx.shape[0]] = u
+                grad_c = g.dot(rows)
+                rows += g[:, None] * wc
+                wout[idx] = rows
+            wc += grad_c
+        loss_sum += float(np.log1p(np.exp(sign * u_kept)).sum())
+    return rng.state, pairs_done, loss_sum
 
 
 def _sgns_epoch_jit_impl(tokens, offsets, win, wout, cdf, window, neg_k,
@@ -186,9 +239,12 @@ def sgns_epoch(tokens, offsets, win, wout, cdf, window, neg_k,
     ``use_numba`` picks the backend; the default is the active one (see
     :mod:`fflab.backend`). Asking for numba while its backend is inactive
     raises :class:`UsageError`: the uncompiled kernel body would run in
-    the interpreter, slower than the numpy twin. Returns (rng state,
-    pairs processed so far, summed pair loss).
+    the interpreter, slower than the numpy twin. A negative ``neg_k``
+    raises :class:`UsageError`. Returns (rng state, pairs processed so
+    far, summed pair loss).
     """
+    if neg_k < 0:
+        raise UsageError(f"neg_k must be >= 0, got {neg_k}")
     if use_numba:
         if not NUMBA_ENABLED:
             raise UsageError(

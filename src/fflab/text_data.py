@@ -8,6 +8,7 @@ layer boundary here either, which is what makes it an admissible
 feature extractor for the local-learning network downstream.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, UsageError
+from .errors import DataError, FormatError, UsageError
 from .ffnet import LabelSlots
-from .kernels import sgns_epoch
+from .kernels import pairs_per_sentence, sgns_epoch
 from .porter import stem
 from .rng import Rng
 
@@ -44,12 +45,15 @@ _TAG_RE = re.compile(r"<[^>]*>")
 _SPLIT_RE = re.compile(r"[^a-z0-9]+")
 
 
+@functools.lru_cache(maxsize=1 << 18)
 def stem_fixpoint(token):
     """Iterate the stemmer until the token stops changing.
 
     Single-pass suffix stripping is not idempotent (agreed -> agre ->
     agr); the pipeline must be a fixpoint of itself, so it stems to
     convergence. Terminates: each pass shortens the token or leaves it.
+    Memoized: a corpus repeats its words, and both splits share the
+    cache. The bound holds a full-IMDb vocabulary with room to spare.
     """
     s = stem(token)
     while s != token:
@@ -122,14 +126,7 @@ def noise_cdf(counts):
 
 def count_pairs(offsets, window):
     """Number of (center, context) pairs one epoch will visit."""
-    total = 0
-    for s in range(offsets.shape[0] - 1):
-        L = int(offsets[s + 1] - offsets[s])
-        if L < 2:
-            continue
-        i = np.arange(L)
-        total += int(np.sum(np.minimum(i + window, L - 1) - np.maximum(i - window, 0)))
-    return total
+    return int(pairs_per_sentence(offsets, window).sum())
 
 
 def init_embeddings(vocab_size, dim, rng):
@@ -212,26 +209,71 @@ def save_embeddings(path, vocab, table, fingerprint=None):
 
 
 def load_embeddings(path):
-    """Returns (tokens, table) from the text format."""
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().split()
-        v, d = int(header[0]), int(header[1])
-        tokens = []
-        table = np.empty((v, d), dtype=np.float64)
+    """Returns (tokens, table) from the text format.
+
+    A malformed file raises :class:`FormatError` naming the path and the
+    line: a header that is not two non-negative integers, a file that
+    ends before its V rows, a row without exactly a token and d values,
+    a value that is not a finite number, or a line that is not UTF-8.
+    """
+
+    def malformed(line_no, what):
+        return FormatError(f"embedding cache {path!r}, line {line_no}: {what}")
+
+    with open(path, "rb") as f:
+
+        def read_line(line_no):
+            try:
+                return f.readline().decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise malformed(line_no, f"not UTF-8 ({e.reason})") from None
+
+        header = read_line(1).split()
+        try:
+            v, d = (int(x) for x in header)
+        except ValueError:
+            v = d = -1
+        if v < 0 or d < 0:
+            raise malformed(1, f"expected a 'V d' header, got {' '.join(header)!r}")
+        tokens, rows = [], []
         for i in range(v):
-            parts = f.readline().rstrip("\n").split(" ")
+            line = read_line(i + 2)
+            if not line:
+                raise malformed(i + 2, f"file ends after {i} of {v} rows")
+            parts = line.rstrip("\n").split(" ")
+            if len(parts) != d + 1:
+                raise malformed(
+                    i + 2, f"expected a token and {d} values, got {len(parts)} fields"
+                )
+            try:
+                rows.append([float(x) for x in parts[1:]])
+            except ValueError as e:
+                raise malformed(i + 2, str(e)) from None
             tokens.append(parts[0])
-            table[i] = [float(x) for x in parts[1 : d + 1]]
+    # built from the rows read, so a header's V allocates nothing up front
+    table = np.array(rows, dtype=np.float64).reshape(v, d)
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        raise malformed(int(bad[0]) + 2, "non-finite value")
     return tokens, table
 
 
 def load_cached_embeddings(path, fingerprint):
-    """(tokens, table) if the sidecar fingerprint matches, else None."""
+    """(tokens, table) if the sidecar fingerprint matches, else None.
+
+    A sidecar that is not a JSON object raises :class:`FormatError`.
+    """
     meta_path = path + ".meta.json"
     if not (os.path.exists(path) and os.path.exists(meta_path)):
         return None
-    with open(meta_path, "r", encoding="utf-8") as f:
-        meta = json.load(f)
+    with open(meta_path, "rb") as f:
+        raw = f.read()
+    try:
+        meta = json.loads(raw)
+    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+        raise FormatError(f"embedding cache sidecar {meta_path!r}: {e}") from None
+    if not isinstance(meta, dict):
+        raise FormatError(f"embedding cache sidecar {meta_path!r}: not a JSON object")
     if meta.get("fingerprint") != fingerprint:
         return None
     return load_embeddings(path)

@@ -6,6 +6,8 @@ scalar recursions — and stays independent of the code paths it judges.
 
 import numpy as np
 
+from fflab.rng import GOLDEN, MASK64, _INV53, mix64
+
 
 def central_diff_grad(f, x, h=1e-5):
     """Central finite-difference gradient of scalar f at array x."""
@@ -210,3 +212,58 @@ def loop_sweep(net, X_raw, num_classes, slots, included_layers):
             A = stages[i][2]
             scores[:, c] += np.sum(A * A, axis=1)
     return scores
+
+
+def loop_sgns_epoch(tokens, offsets, win, wout, cdf, window, neg_k,
+                    lr0, lr_min, pairs_done, total_pairs, state):
+    """Reference SGNS epoch: one pair at a time, one draw at a time.
+
+    Every target's dot product, sigmoid and rank-1 update runs on its
+    own, in pair order, drawing each negative from the scalar splitmix64
+    stream; a draw that hits the context word is skipped. Updates win
+    and wout in place; returns (rng state, pairs done, summed loss).
+    """
+    d = win.shape[1]
+    loss_sum = 0.0
+    n_sent = offsets.shape[0] - 1
+    for s in range(n_sent):
+        lo, hi = int(offsets[s]), int(offsets[s + 1])
+        for i in range(lo, hi):
+            c = int(tokens[i])
+            j_lo = max(lo, i - window)
+            j_hi = min(hi - 1, i + window)
+            for j in range(j_lo, j_hi + 1):
+                if j == i:
+                    continue
+                o = int(tokens[j])
+                lr = lr0 * (1.0 - pairs_done / total_pairs)
+                if lr < lr_min:
+                    lr = lr_min
+                pairs_done += 1
+
+                grad_c = np.zeros(d)
+                u = float(win[c] @ wout[o])
+                uc = max(min(u, 40.0), -40.0)
+                f = 1.0 / (1.0 + np.exp(-uc))
+                g = (1.0 - f) * lr
+                loss_sum += np.log1p(np.exp(-uc))
+                grad_c += g * wout[o]
+                wout[o] += g * win[c]
+
+                for _ in range(neg_k):
+                    state = (state + GOLDEN) & MASK64
+                    udraw = (mix64(state) >> 11) * _INV53
+                    # first index with cdf > draw
+                    t = int(np.searchsorted(cdf, udraw, side="right"))
+                    if t == o:
+                        continue
+                    u = float(win[c] @ wout[t])
+                    uc = max(min(u, 40.0), -40.0)
+                    f = 1.0 / (1.0 + np.exp(-uc))
+                    g = (0.0 - f) * lr
+                    loss_sum += np.log1p(np.exp(uc))
+                    grad_c += g * wout[t]
+                    wout[t] += g * win[c]
+
+                win[c] += grad_c
+    return state, pairs_done, loss_sum

@@ -9,7 +9,7 @@ import pytest
 from fflab import kernels
 from fflab.backend import HAVE_NUMBA, NUMBA_ENABLED
 from fflab.errors import UsageError
-from fflab.kernels import sgns_epoch
+from fflab.kernels import negative_targets, pairs_per_sentence, sgns_epoch
 from fflab.rng import Rng
 from fflab.text_data import (
     build_vocab,
@@ -19,6 +19,7 @@ from fflab.text_data import (
     noise_cdf,
 )
 
+from oracles import loop_sgns_epoch
 from test_text_data import make_clique_corpus
 
 
@@ -93,6 +94,12 @@ def test_bench_kernels_script_runs(capsys):
     assert "candidate rows/s" in out
 
 
+def test_negative_neg_k_rejected():
+    tokens, offsets, win, wout, cdf, total = _setup()
+    with pytest.raises(UsageError, match="neg_k"):
+        sgns_epoch(tokens, offsets, win, wout, cdf, 3, -1, 0.025, 2.5e-6, 0, total, 7)
+
+
 def test_numba_request_without_backend_raises(monkeypatch):
     """use_numba=True must not fall back to the uncompiled kernel body."""
     monkeypatch.setattr(kernels, "NUMBA_ENABLED", False)
@@ -102,3 +109,75 @@ def test_numba_request_without_backend_raises(monkeypatch):
             tokens, offsets, win, wout, cdf, 3, 5, 0.025, 2.5e-6, 0, total, 7,
             use_numba=True,
         )
+
+
+def _brute_pairs(length, window):
+    return sum(
+        1 for i in range(length) for j in range(length) if i != j and abs(i - j) <= window
+    )
+
+
+@pytest.mark.parametrize("window", [0, 1, 2, 3, 7, 40])
+def test_pairs_per_sentence_matches_enumeration(window):
+    """Lengths 0 and 1 yield no pairs; a window past the sentence pairs
+    every token with every other one."""
+    lengths = [0, 1, 2, 3, 5, 8, 0, 1, 13, 30]
+    offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    counts = pairs_per_sentence(offsets, window)
+    assert counts.tolist() == [_brute_pairs(n, window) for n in lengths]
+    assert count_pairs(offsets, window) == sum(counts.tolist())
+
+
+def test_bulk_negatives_equal_scalar_draws():
+    """One sentence's bulk draws give the ids and the rng state of one
+    scalar next_u64 + searchsorted draw at a time."""
+    cdf = noise_cdf(np.array([9.0, 5.0, 5.0, 2.0, 1.0, 1.0]))
+    bulk, scalar = Rng(31), Rng(31)
+    ids = negative_targets(bulk, cdf, 37)
+    expected = [
+        int(np.searchsorted(cdf, (scalar.next_u64() >> 11) * 2.0 ** -53, side="right"))
+        for _ in range(37)
+    ]
+    assert ids.tolist() == expected
+    assert bulk.state == scalar.state
+
+
+def _tiny_corpus(vocab_size, lengths, seed):
+    rng = Rng(seed)
+    tokens = np.array([int(rng.randint(vocab_size)) for _ in range(sum(lengths))],
+                      dtype=np.int32)
+    offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    counts = np.bincount(tokens, minlength=vocab_size) + 1.0
+    win = rng.uniform_array(vocab_size * 8).reshape(vocab_size, 8) - 0.5
+    wout = rng.uniform_array(vocab_size * 8).reshape(vocab_size, 8) - 0.5
+    return tokens, offsets, win, wout, noise_cdf(counts)
+
+
+# Sentences of 0 and 1 tokens sit between the others. total_pairs is a
+# third of the pairs, so most pairs train at the lr_min floor.
+ORACLE_CASES = {
+    # four words and five negatives: nearly every pair repeats a target
+    "repeats": (4, 5, 2),
+    # one negative never repeats: every pair takes the gather+matvec path
+    "no-repeats": (30, 1, 3),
+    # both paths interleaved in one epoch
+    "mixed": (12, 5, 3),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_numpy_twin_matches_per_draw_oracle(case):
+    vocab_size, neg_k, window = ORACLE_CASES[case]
+    lengths = [6, 0, 1, 9, 1, 0, 14, 2, 5]
+    tokens, offsets, win1, wout1, cdf = _tiny_corpus(vocab_size, lengths, seed=8)
+    win2, wout2 = win1.copy(), wout1.copy()
+    total = count_pairs(offsets, window) // 3
+    args = (cdf, window, neg_k, 0.05, 1e-3, 4, total, 2024)
+
+    s1, d1, l1 = sgns_epoch(tokens, offsets, win1, wout1, *args, use_numba=False)
+    s2, d2, l2 = loop_sgns_epoch(tokens, offsets, win2, wout2, *args)
+    assert s1 == s2
+    assert d1 == d2 == 4 + count_pairs(offsets, window)
+    assert abs(l1 - l2) <= 1e-8 * abs(l2)
+    np.testing.assert_allclose(win1, win2, rtol=1e-10, atol=1e-13)
+    np.testing.assert_allclose(wout1, wout2, rtol=1e-10, atol=1e-13)

@@ -8,6 +8,7 @@ bounds live in test_acceptance and stay gated on the actual datasets.
 
 import gzip
 import os
+import shutil
 import struct
 
 import numpy as np
@@ -190,6 +191,27 @@ class TestImdbPipeline:
         result2 = run_experiment(rerun_cfg)
         with open(result.checkpoint, "rb") as f1, open(result2.checkpoint, "rb") as f2:
             assert f1.read() == f2.read()
+
+    def test_corrupt_embedding_cache_exits_two(self, run, tmp_path, capsys):
+        """A cache whose fingerprint matches but whose rows are cut short is
+        a located data error, not a traceback."""
+        cfg, _ = run
+        cache = tmp_path / "emb.txt"
+        with open(cfg["data.embedding_cache"], encoding="utf-8") as f:
+            lines = f.readlines()
+        cache.write_text("".join(lines[:3]), encoding="utf-8")
+        shutil.copy(cfg["data.embedding_cache"] + ".meta.json", str(cache) + ".meta.json")
+        args = ["train"]
+        for k, v in cfg.values.items():
+            if v is None or isinstance(v, list):
+                continue
+            args += ["--set", f"{k}={v}"]
+        args += ["--set", f"data.embedding_cache={cache}",
+                 "--set", f"output_dir={tmp_path / 'run'}", "--arch", "16,16"]
+        assert main(args) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("data error: embedding cache") and "line 4:" in err[0]
 
     def test_input_dim_is_embedding_plus_onehot(self, run):
         cfg, _ = run

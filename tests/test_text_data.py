@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fflab.errors import UsageError
+from fflab.errors import FormatError, UsageError
 from fflab.ffnet import Polarity
 from fflab.kernels import sgns_pair_grads
 from fflab.porter import stem
@@ -286,6 +286,39 @@ class TestEmbeddingCache:
         save_embeddings(path, vocab, table, fingerprint=fp)
         assert load_cached_embeddings(path, fp) is not None
         assert load_cached_embeddings(path, "different") is None
+
+    @pytest.mark.parametrize("content, line, what", [
+        ("3\nfoo 0.1 0.2\n", 1, "'V d' header"),
+        ("3 two\nfoo 0.1 0.2\n", 1, "'V d' header"),
+        ("-1 2\n", 1, "'V d' header"),
+        ("3 2\nfoo 0.1 0.2\nbar 0.3 0.4\n", 4, "ends after 2 of 3 rows"),
+        ("3 2\nfoo 0.1 0.2\nbar 0.3\nbaz 0.5 0.6\n", 3, "got 2 fields"),
+        ("2 2\nfoo 0.1 0.2 0.3\nbar 0.3 0.4\n", 2, "got 4 fields"),
+        ("2 2\nfoo 0.1 0.2\nbar 0.3 x\n", 3, "could not convert"),
+        ("2 2\nfoo 0.1 0.2\nbar inf 0.4\n", 3, "non-finite"),
+        ("2 2\nfoo nan 0.2\nbar 0.3 0.4\n", 2, "non-finite"),
+    ])
+    def test_malformed_file_is_located(self, tmp_path, content, line, what):
+        path = tmp_path / "emb.txt"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(FormatError, match=what) as info:
+            load_embeddings(str(path))
+        assert str(path) in str(info.value)
+        assert f"line {line}:" in str(info.value)
+
+    def test_line_that_is_not_utf8_is_located(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"2 2\nfoo 0.1 0.2\nb\xffr 0.3 0.4\n")
+        with pytest.raises(FormatError, match="line 3: not UTF-8"):
+            load_embeddings(str(path))
+
+    @pytest.mark.parametrize("sidecar", [b"{not json", b"[1, 2]", b"\xff\xfe{"])
+    def test_malformed_sidecar_rejected(self, tmp_path, sidecar):
+        path = tmp_path / "emb.txt"
+        path.write_text("1 2\nfoo 0.1 0.2\n", encoding="utf-8")
+        (tmp_path / "emb.txt.meta.json").write_bytes(sidecar)
+        with pytest.raises(FormatError, match="sidecar"):
+            load_cached_embeddings(str(path), "fp")
 
     def test_fingerprint_sensitive_to_corpus_and_params(self):
         corpus, _ = make_clique_corpus(n_reviews=5)
