@@ -32,7 +32,7 @@ from fflab.text_data import (
     init_embeddings,
     noise_cdf,
 )
-from fflab.thresholds import ConstantK
+from fflab.thresholds import Thresholds
 
 
 def synth_corpus(n_docs, doc_len, vocab_size, seed=1):
@@ -96,7 +96,7 @@ def bench_ff_epoch():
     net = FFNetwork(30, [500, 500], "relu", 0.01, Rng(12))
     stream = label_slots(10).stream(X, y, Rng(13))
     t0 = time.perf_counter()
-    train_epoch(net, stream, ConstantK(0.5), 0, 128, Rng(14))
+    train_epoch(net, stream, Thresholds((0.5, 0.5)), 0, 128, Rng(14))
     dt = time.perf_counter() - t0
     print(f"\nlayer-training epoch ({len(stream)} samples, arch [500, 500], "
           f"numpy/BLAS): {dt:.2f}s  ({len(stream) / dt:,.0f} samples/s)")
@@ -108,10 +108,10 @@ def bench_ff_epoch():
     y = np.arange(rows) % 10
     net = FFNetwork(784, [2000] * 4, "relu", 0.01, Rng(16))
     warm_up = LABEL_SLOTS.stream(X[: batch // 2], y[: batch // 2], Rng(17))
-    train_epoch(net, warm_up, ConstantK(0.005), 0, batch, Rng(17))
+    train_epoch(net, warm_up, Thresholds((0.005,) * 4), 0, batch, Rng(17))
     stream = LABEL_SLOTS.stream(X, y, Rng(19))
     t0 = time.perf_counter()
-    train_epoch(net, stream, ConstantK(0.005), 0, batch, Rng(18))
+    train_epoch(net, stream, Thresholds((0.005,) * 4), 0, batch, Rng(18))
     dt = time.perf_counter() - t0
     print(f"full-recipe steps (784 -> 2000x4, batch {batch}, {FULL_STEPS} steps): "
           f"{dt / FULL_STEPS * 1e3:.0f} ms/step")

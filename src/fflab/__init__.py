@@ -12,18 +12,16 @@ from .ffnet import FFNetwork, LabelSlots, Polarity, ff_loss, goodness, train_epo
 from .inference import predict_head_batch, predict_sweep_batch, train_head
 from .numerics import AdamState, adam_step
 from .rng import Rng
-from .thresholds import ConstantK, Pyramidal, Scheduled
+from .thresholds import Thresholds
 
 __all__ = [
     "ACTIVATIONS",
     "AdamState",
-    "ConstantK",
     "FFNetwork",
     "LabelSlots",
     "Polarity",
-    "Pyramidal",
     "Rng",
-    "Scheduled",
+    "Thresholds",
     "adam_step",
     "ff_loss",
     "get_activation",

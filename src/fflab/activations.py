@@ -23,8 +23,6 @@ class Activation:
     fn: callable
     deriv: callable
     bounded: bool
-    # squared-activation ceiling per unit, for bounded kinds (else inf)
-    unit_goodness_cap: float = np.inf
 
 
 def _relu(z):
@@ -96,10 +94,8 @@ _leaky_fn, _leaky_deriv = _make_leaky(DEFAULT_LEAKY_SLOPE)
 
 RELU = Activation("relu", 0, _relu, _relu_deriv, bounded=False)
 LEAKY_RELU = Activation("leaky_relu", 1, _leaky_fn, _leaky_deriv, bounded=False)
-TANH = Activation("tanh", 2, _tanh, _tanh_deriv, bounded=True, unit_goodness_cap=1.0)
-SIGMOID = Activation(
-    "sigmoid", 3, stable_sigmoid, _sigmoid_deriv, bounded=True, unit_goodness_cap=1.0
-)
+TANH = Activation("tanh", 2, _tanh, _tanh_deriv, bounded=True)
+SIGMOID = Activation("sigmoid", 3, stable_sigmoid, _sigmoid_deriv, bounded=True)
 GELU = Activation("gelu", 4, _gelu, _gelu_deriv, bounded=False)
 
 ACTIVATIONS = {a.name: a for a in (RELU, LEAKY_RELU, TANH, SIGMOID, GELU)}

@@ -11,7 +11,6 @@ import numpy as np
 
 from .errors import UsageError
 from .ffnet import goodness
-from .thresholds import resolve as resolve_theta
 
 
 def weight_matrices(net):
@@ -116,9 +115,7 @@ def goodness_report(net, stream, strategy, epoch, bins=50, batch_size=512):
         stages = net.forward_batch(X)
         for li in range(depth):
             G_all[li].append(goodness(stages[li][2]))
-    thetas = np.array(
-        [resolve_theta(strategy, i, net.layers[i].out_dim, epoch) for i in range(depth)]
-    )
+    thetas = strategy.thetas(net.widths, epoch)
 
     edges, pos_counts, neg_counts = [], [], []
     frac_pos = np.zeros(depth)

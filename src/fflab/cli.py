@@ -15,16 +15,9 @@ import sys
 
 import numpy as np
 
-from .analysis import (
-    export_heatmap,
-    goodness_report,
-    weight_matrices,
-    weight_stats,
-    write_goodness_csv,
-    write_weight_stats_csv,
-)
+from .analysis import export_heatmap, weight_matrices, weight_stats, write_weight_stats_csv
 from .checkpoint import load_network
-from .config import parse_config, threshold_strategy
+from .config import parse_config
 from .errors import (
     ConfigError,
     DataError,
@@ -36,7 +29,6 @@ from .errors import (
 )
 from .ffnet import FFNetwork
 from .inference import predict_head_batch, predict_sweep_batch
-from .rng import Rng, derive_seed
 
 
 def _add_common(p):
@@ -109,15 +101,10 @@ def _cmd_analyze(args):
               f"mean {s['mean']:.6f} var {s['var']:.6f}")
 
     if args.config and isinstance(net, FFNetwork):
-        from .experiment import STREAM_ANALYSIS, build_bundle
+        from .experiment import build_bundle, write_goodness_report
 
         cfg = parse_config(args.config, _overrides(args))
-        bundle = build_bundle(cfg)
-        strategy = threshold_strategy(cfg, len(net.layers))
-        rng = Rng(derive_seed(cfg.seed, STREAM_ANALYSIS))
-        stream = bundle.slots.stream(bundle.X_train, bundle.y_train, rng)
-        report = goodness_report(net, stream, strategy, cfg["epochs"] - 1)
-        write_goodness_csv(os.path.join(out_dir, "goodness_hist.csv"), report)
+        report = write_goodness_report(cfg, build_bundle(cfg), net, out_dir)
         for li in range(len(net.layers)):
             print(f"layer {li}: pos>theta {report.frac_pos_above[li]:.3f}, "
                   f"neg<theta {report.frac_neg_below[li]:.3f}")

@@ -9,7 +9,7 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .thresholds import ConstantK, Pyramidal, Scheduled
+from .thresholds import Thresholds
 
 
 def _parse_bool(s):
@@ -75,6 +75,19 @@ SCHEMA = {
 }
 
 _DATASETS = ("mnist", "imdb", "synthetic")
+# numeric keys with a lower bound; baseline.epochs = 0 means "same as epochs"
+_AT_LEAST = {
+    "epochs": 1,
+    "batch_size": 1,
+    "head.epochs": 1,
+    "head.batch_size": 1,
+    "baseline.epochs": 0,
+    "sgns.dim": 1,
+    "sgns.window": 1,
+    "sgns.neg_k": 0,
+    "sgns.epochs": 0,
+}
+_POSITIVE = ("lr", "head.lr", "baseline.lr", "sgns.lr")
 _DESK_SUBSET = {"mnist": 10000, "imdb": 5000, "synthetic": 0}
 
 
@@ -141,10 +154,12 @@ def _validate(values):
         raise ConfigError(
             f"dataset must be one of {_DATASETS}, got {values['dataset']!r}"
         )
-    if values["epochs"] < 1:
-        raise ConfigError("epochs must be >= 1")
-    if values["batch_size"] < 1:
-        raise ConfigError("batch_size must be >= 1")
+    for key, low in _AT_LEAST.items():
+        if values[key] < low:
+            raise ConfigError(f"{key} must be >= {low}, got {values[key]}")
+    for key in _POSITIVE:
+        if not values[key] > 0:  # also rejects nan
+            raise ConfigError(f"{key} must be > 0, got {values[key]}")
     if not values["arch"] or any(w < 1 for w in values["arch"]):
         raise ConfigError(f"arch widths must all be >= 1, got {values['arch']}")
     if values["inference.mode"] not in ("head", "sweep"):
@@ -168,33 +183,27 @@ def _validate(values):
 
 
 def threshold_strategy(cfg, depth):
-    """Build the configured strategy, checking pyramidal length against depth."""
+    """The configured :class:`Thresholds`, its k vector checked against depth.
+
+    constant: ``threshold.k`` on every layer; pyramidal: ``threshold.k_per_layer``;
+    scheduled: the ramp carries the magnitude (k_start -> k_end) and the base
+    only the per-layer shape, so a constant base is k=1.
+    """
     kind = cfg["threshold.strategy"]
     if kind == "constant":
-        return ConstantK(cfg["threshold.k"])
-    if kind == "pyramidal":
+        ks = [cfg["threshold.k"]] * depth
+    elif kind == "pyramidal" or cfg["threshold.base"] == "pyramidal":
         ks = cfg["threshold.k_per_layer"]
-        if len(ks) != depth:
-            raise ConfigError(
-                f"threshold.k_per_layer has {len(ks)} entries for a depth-{depth} network"
-            )
-        return Pyramidal(tuple(ks))
-    # scheduled: the ramp carries the magnitude (k_start -> k_end), the
-    # base carries only the per-layer shape, so a constant base is k=1
-    if cfg["threshold.base"] == "constant":
-        base = ConstantK(1.0)
     else:
-        if len(cfg["threshold.k_per_layer"]) != depth:
-            raise ConfigError(
-                f"threshold.k_per_layer has {len(cfg['threshold.k_per_layer'])} entries "
-                f"for a depth-{depth} network"
-            )
-        base = Pyramidal(tuple(cfg["threshold.k_per_layer"]))
-    return Scheduled(
-        cfg["threshold.k_start"],
-        cfg["threshold.k_end"],
-        cfg["threshold.ramp_epochs"],
-        base=base,
+        ks = [1.0] * depth
+    if len(ks) != depth:
+        raise ConfigError(
+            f"threshold.k_per_layer has {len(ks)} entries for a depth-{depth} network"
+        )
+    if kind != "scheduled":
+        return Thresholds(tuple(ks))
+    return Thresholds(
+        tuple(ks), cfg["threshold.k_start"], cfg["threshold.k_end"], cfg["threshold.ramp_epochs"]
     )
 
 

@@ -41,7 +41,7 @@ _STREAM_DATA = 1
 _STREAM_HEAD = 2
 _STREAM_BASELINE = 3
 _STREAM_EMBED = 4
-STREAM_ANALYSIS = 5  # public: ``ff-lab analyze`` redraws the goodness-report stream
+_STREAM_ANALYSIS = 5
 
 
 @dataclass
@@ -303,10 +303,7 @@ def run_experiment(cfg):
 
     write_weight_stats_csv(os.path.join(out_dir, "weight_stats.csv"), weight_stats(net))
     export_heatmap(net.layers[0].W, os.path.join(out_dir, "layer0_weights.pgm"))
-    rng_an = Rng(derive_seed(seed, STREAM_ANALYSIS))
-    stream = slots.stream(bundle.X_train, bundle.y_train, rng_an)
-    report = goodness_report(net, stream, strategy, cfg["epochs"] - 1)
-    write_goodness_csv(os.path.join(out_dir, "goodness_hist.csv"), report)
+    write_goodness_report(cfg, bundle, net, out_dir)
 
     result = RunResult(
         out_dir=out_dir,
@@ -316,14 +313,28 @@ def run_experiment(cfg):
     )
 
     if cfg["baseline.enabled"]:
-        result.bp_checkpoint, result.bp_final_err = _run_baseline(cfg, bundle, net, out_dir)
+        result.bp_checkpoint, result.bp_final_err = _run_baseline(
+            cfg, bundle, X_train_neutral, X_test_neutral, out_dir
+        )
 
     _write_report(cfg, out_dir, result, included)
     return result
 
 
-def _run_baseline(cfg, bundle, ff_net, out_dir):
-    """Matched-architecture backprop baseline on label-neutral inputs."""
+def write_goodness_report(cfg, bundle, net, out_dir):
+    """``goodness_hist.csv``: the goodness report at the last epoch's theta
+    over a train-split stream drawn from its own seed stream, so a run and
+    ``ff-lab analyze`` on its checkpoint write the same bytes."""
+    rng = Rng(derive_seed(cfg.seed, _STREAM_ANALYSIS))
+    stream = bundle.slots.stream(bundle.X_train, bundle.y_train, rng)
+    strategy = threshold_strategy(cfg, len(net.layers))
+    report = goodness_report(net, stream, strategy, cfg["epochs"] - 1)
+    write_goodness_csv(os.path.join(out_dir, "goodness_hist.csv"), report)
+    return report
+
+
+def _run_baseline(cfg, bundle, X_tr, X_te, out_dir):
+    """Matched-architecture backprop baseline on the label-neutral inputs."""
     rng = Rng(derive_seed(cfg.seed, _STREAM_BASELINE))
     net = BPNetwork(
         bundle.input_dim,
@@ -333,8 +344,6 @@ def _run_baseline(cfg, bundle, ff_net, out_dir):
         cfg["baseline.lr"],
         rng,
     )
-    X_tr = bundle.slots.neutral(bundle.X_train)
-    X_te = bundle.slots.neutral(bundle.X_test)
     epochs = cfg["baseline.epochs"] or cfg["epochs"]
     rows = []
     final = ()

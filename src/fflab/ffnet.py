@@ -16,7 +16,6 @@ import numpy as np
 from .activations import get_activation, stable_sigmoid
 from .errors import DimensionError, DivergenceError, UsageError
 from .numerics import AdamState, adam_step, row_directions
-from .thresholds import resolve as resolve_theta
 
 
 class Polarity(IntEnum):
@@ -279,12 +278,7 @@ def train_epoch(net, stream, strategy, epoch, batch_size, rng):
     rng.shuffle(order)
 
     depth = len(net.layers)
-    thetas = np.array(
-        [
-            resolve_theta(strategy, i, net.layers[i].out_dim, epoch)
-            for i in range(depth)
-        ]
-    )
+    thetas = strategy.thetas(net.widths, epoch)
     loss_sum = np.zeros(depth)
     g_pos_sum = np.zeros(depth)
     g_neg_sum = np.zeros(depth)

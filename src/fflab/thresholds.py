@@ -1,78 +1,49 @@
-"""Loss-threshold strategies: theta as a function of (layer, width, epoch).
+"""Loss thresholds: one formula for theta per layer and epoch.
 
-theta is parameterized as k * layer_width. Three schemes:
+    theta_l(e) = ramp(e) * (k_l * width_l)
+    ramp(e)    = k_start + (k_end - k_start) * (min(e, R) / R)
 
-* ``ConstantK`` — one k for every layer (k=1 reproduces the
-  threshold-equals-width baseline).
-* ``Pyramidal`` — one k per layer; monotonically increasing vectors are
-  the interesting case.
-* ``Scheduled`` — a per-epoch linear ramp of an effective k from
-  k_start to k_end over ramp_epochs, applied multiplicatively on top of
-  a base scheme (default: constant k=1).
+With the default ramp (``k_start = k_end = 1``) ``ramp`` is exactly 1.0,
+so a constant k (``k_per_layer = (k,) * depth``) and a per-layer
+("pyramidal") vector keep ``k_l * width_l`` to the bit. A scheduled
+ramp carries the magnitude and ``k_per_layer`` only the per-layer shape
+(all ones for a constant base). ``config.threshold_strategy`` maps the
+``threshold.*`` keys onto these inputs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import UsageError
 
 
 @dataclass(frozen=True)
-class ConstantK:
-    k: float
-
-    def __post_init__(self):
-        if self.k <= 0:
-            raise UsageError(f"threshold factor k must be > 0, got {self.k}")
-
-    def resolve(self, layer_idx, layer_width, epoch):
-        return self.k * layer_width
-
-
-@dataclass(frozen=True)
-class Pyramidal:
+class Thresholds:
     k_per_layer: tuple
+    k_start: float = 1.0
+    k_end: float = 1.0
+    ramp_epochs: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "k_per_layer", tuple(float(k) for k in self.k_per_layer))
         if not self.k_per_layer:
-            raise UsageError("pyramidal thresholds need at least one k")
+            raise UsageError("thresholds need at least one k")
         if any(k <= 0 for k in self.k_per_layer):
             raise UsageError(f"threshold factors must be > 0, got {self.k_per_layer}")
-
-    def resolve(self, layer_idx, layer_width, epoch):
-        if not 0 <= layer_idx < len(self.k_per_layer):
-            raise UsageError(
-                f"layer index {layer_idx} out of range for "
-                f"{len(self.k_per_layer)} per-layer thresholds"
-            )
-        return self.k_per_layer[layer_idx] * layer_width
-
-
-@dataclass(frozen=True)
-class Scheduled:
-    k_start: float
-    k_end: float
-    ramp_epochs: int
-    base: object = field(default_factory=lambda: ConstantK(1.0))
-
-    def __post_init__(self):
         if self.k_start <= 0 or self.k_end <= 0:
-            raise UsageError("scheduled k_start and k_end must be > 0")
+            raise UsageError("threshold k_start and k_end must be > 0")
         if self.ramp_epochs < 1:
             raise UsageError("ramp_epochs must be >= 1")
 
-    def effective_k(self, epoch):
+    def thetas(self, widths, epoch):
+        """theta for every layer at one epoch. Pure; identical inputs, identical thetas."""
+        if len(widths) != len(self.k_per_layer):
+            raise UsageError(
+                f"{len(widths)} layer widths for {len(self.k_per_layer)} threshold factors"
+            )
+        if any(w < 1 for w in widths):
+            raise UsageError(f"layer widths must be >= 1, got {list(widths)}")
         frac = min(epoch, self.ramp_epochs) / self.ramp_epochs
-        return self.k_start + (self.k_end - self.k_start) * frac
-
-    def resolve(self, layer_idx, layer_width, epoch):
-        return self.effective_k(epoch) * self.base.resolve(layer_idx, layer_width, epoch)
-
-
-def resolve(strategy, layer_idx, layer_width, epoch):
-    """theta for one layer at one epoch. Pure; identical inputs, identical theta."""
-    if layer_width < 1:
-        raise UsageError(f"layer width must be >= 1, got {layer_width}")
-    if layer_idx < 0:
-        raise UsageError(f"layer index must be >= 0, got {layer_idx}")
-    return strategy.resolve(layer_idx, layer_width, epoch)
+        ramp = self.k_start + (self.k_end - self.k_start) * frac
+        return ramp * (np.array(self.k_per_layer) * np.array(widths, dtype=np.float64))

@@ -33,7 +33,7 @@ from fflab.mnist_data import parse_idx_images, parse_idx_labels
 from fflab.numerics import AdamState
 from fflab.rng import Rng, derive_seed
 from fflab.synthetic import label_slots
-from fflab.thresholds import ConstantK, Pyramidal
+from fflab.thresholds import Thresholds
 
 from conftest import IMDB_DIR, MNIST_DIR, requires_imdb, requires_mnist
 from oracles import central_diff_grad, loop_layer_loss, rel_err
@@ -260,7 +260,7 @@ def test_c3_desk_mnist():
     gate is the automated bound.
     """
     t0 = time.perf_counter()
-    _, err = desk_ff_run("k0.5", ConstantK(0.5), DESK_SEEDS[0])
+    _, err = desk_ff_run("k0.5", Thresholds((0.5, 0.5)), DESK_SEEDS[0])
     elapsed = time.perf_counter() - t0
     assert err <= 0.08, f"desk head error {err:.4f}"
     assert elapsed < 600.0, f"desk run took {elapsed:.0f}s"
@@ -274,10 +274,10 @@ def test_c4_threshold_ordering():
     """Direction only: pyramidal-increasing < pyramidal-decreasing, and
     k=0.5 <= the k=1 baseline, mean over three seeds at the desk budget."""
     strategies = {
-        "pyr_inc": Pyramidal((0.3, 0.5)),
-        "pyr_dec": Pyramidal((0.5, 0.3)),
-        "k0.5": ConstantK(0.5),
-        "k1": ConstantK(1.0),
+        "pyr_inc": Thresholds((0.3, 0.5)),
+        "pyr_dec": Thresholds((0.5, 0.3)),
+        "k0.5": Thresholds((0.5, 0.5)),
+        "k1": Thresholds((1.0, 1.0)),
     }
     means = {}
     for name, strat in strategies.items():
@@ -302,7 +302,7 @@ def test_c5_bounded_activation_failure():
         rng = Rng(2)
         for epoch in range(80):
             stream = bundle.slots.stream(bundle.X_train, bundle.y_train, rng)
-            train_epoch(net, stream, ConstantK(2.0), epoch, 128, rng)
+            train_epoch(net, stream, Thresholds((2.0, 2.0)), epoch, 128, rng)
         pred = predict_sweep_batch(
             net, bundle.X_test, bundle.num_classes, bundle.slots
         )
@@ -318,7 +318,7 @@ def test_c5_bounded_activation_failure():
 def test_c6_weight_range_and_spike():
     ff_ranges, bp_ranges = [], []
     for seed in DESK_SEEDS:
-        ff_net, _ = desk_ff_run("k0.5", ConstantK(0.5), seed)
+        ff_net, _ = desk_ff_run("k0.5", Thresholds((0.5, 0.5)), seed)
         bp_net, _ = desk_bp_run(seed)
         ff_s = weight_stats(ff_net)[0]
         bp_s = weight_stats(bp_net)[0]
@@ -328,7 +328,7 @@ def test_c6_weight_range_and_spike():
     assert factor >= 3.0, (ff_ranges, bp_ranges)
 
     # first-layer weights spike on the ten label pixels
-    ff_net, _ = desk_ff_run("k0.5", ConstantK(0.5), DESK_SEEDS[0])
+    ff_net, _ = desk_ff_run("k0.5", Thresholds((0.5, 0.5)), DESK_SEEDS[0])
     spike, rest = label_pixel_spike(ff_net.layers[0].W, 10)
     assert spike > rest, (spike, rest)
 
@@ -358,7 +358,7 @@ def test_c7_imdb_desk():
     rng = Rng(derive_seed(cfg.seed, 1))
     for epoch in range(6):
         stream = bundle.slots.stream(bundle.X_train, bundle.y_train, rng)
-        train_epoch(net, stream, ConstantK(0.5), epoch, 128, rng)
+        train_epoch(net, stream, Thresholds((0.5, 0.5)), epoch, 128, rng)
     head = train_head(
         net,
         bundle.slots.neutral(bundle.X_train),

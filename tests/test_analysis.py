@@ -16,7 +16,7 @@ from fflab.analysis import (
 from fflab.ffnet import FFNetwork, goodness, train_epoch
 from fflab.rng import Rng
 from fflab.synthetic import label_slots, two_blob_toy
-from fflab.thresholds import ConstantK
+from fflab.thresholds import Thresholds
 
 BLOB = label_slots(2)
 
@@ -27,7 +27,7 @@ def trained_toy(k=0.5, lr=0.05, epochs=40):
     net = FFNetwork(2 + X.shape[1], [32, 32], "relu", lr, Rng(100))
     rng = Rng(101)
     for epoch in range(epochs):
-        train_epoch(net, BLOB.stream(X, y, rng), ConstantK(k), epoch, 16, rng)
+        train_epoch(net, BLOB.stream(X, y, rng), Thresholds((k, k)), epoch, 16, rng)
     return X, y, net
 
 
@@ -100,7 +100,7 @@ class TestGoodnessReport:
     def test_histogram_conservation(self):
         X, y, net = trained_toy(epochs=3)
         stream = BLOB.stream(X, y, Rng(7))
-        report = goodness_report(net, stream, ConstantK(0.5), 2)
+        report = goodness_report(net, stream, Thresholds((0.5, 0.5)), 2)
         for li in range(2):
             total = report.pos_counts[li].sum() + report.neg_counts[li].sum()
             assert total == len(stream)
@@ -126,13 +126,13 @@ class TestGoodnessReport:
             G = goodness(stage[2])
             _, p = ks_2sample(G[signs > 0], G[signs < 0])
             assert p < 1e-10
-        report = goodness_report(net, stream, ConstantK(0.5), 39)
+        report = goodness_report(net, stream, Thresholds((0.5, 0.5)), 39)
         assert np.all(report.frac_pos_above > 0.9)
         assert np.all(report.frac_neg_below > 0.9)
 
     def test_csv_schema(self, tmp_path):
         X, y, net = trained_toy(epochs=2)
-        report = goodness_report(net, BLOB.stream(X, y, Rng(8)), ConstantK(0.5), 1)
+        report = goodness_report(net, BLOB.stream(X, y, Rng(8)), Thresholds((0.5, 0.5)), 1)
         path = tmp_path / "hist.csv"
         write_goodness_csv(path, report)
         lines = path.read_text().splitlines()

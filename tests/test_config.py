@@ -4,7 +4,7 @@ import pytest
 
 from fflab.config import echo_config, parse_config, threshold_strategy
 from fflab.errors import ConfigError
-from fflab.thresholds import ConstantK, Pyramidal, Scheduled
+from fflab.thresholds import Thresholds
 
 
 def write(tmp_path, text):
@@ -58,6 +58,35 @@ class TestParsing:
         with pytest.raises(ConfigError, match="inference.mode"):
             parse_config(None, {"seed": "1", "inference.mode": "vote"})
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("lr", "0"),
+            ("lr", "nan"),
+            ("head.epochs", "0"),
+            ("head.batch_size", "0"),
+            ("head.lr", "-1e-3"),
+            ("baseline.epochs", "-2"),
+            ("baseline.lr", "0"),
+            ("sgns.dim", "0"),
+            ("sgns.window", "-2"),
+            ("sgns.neg_k", "-1"),
+            ("sgns.epochs", "-1"),
+            ("sgns.lr", "-1"),
+        ],
+    )
+    def test_out_of_range_value_names_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be "):
+            parse_config(None, {"seed": "1", key: value})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("baseline.epochs", "0"), ("sgns.neg_k", "0"), ("sgns.epochs", "0"),
+         ("head.epochs", "1"), ("sgns.window", "1")],
+    )
+    def test_lowest_allowed_value_parses(self, key, value):
+        assert parse_config(None, {"seed": "1", key: value})[key] == int(value)
+
     def test_full_clears_subset_cap(self):
         desk = parse_config(None, {"seed": "1", "dataset": "mnist"})
         assert desk["data.train_subset"] == 10000
@@ -77,7 +106,7 @@ class TestThresholdStrategy:
     def test_constant(self):
         cfg = parse_config(None, {"seed": "1", "threshold.k": "0.5"})
         strat = threshold_strategy(cfg, 4)
-        assert isinstance(strat, ConstantK) and strat.k == 0.5
+        assert strat == Thresholds((0.5,) * 4)
 
     def test_pyramidal_depth_checked(self):
         cfg = parse_config(
@@ -85,7 +114,7 @@ class TestThresholdStrategy:
             {"seed": "1", "threshold.strategy": "pyramidal",
              "threshold.k_per_layer": "0.3,0.5"},
         )
-        assert isinstance(threshold_strategy(cfg, 2), Pyramidal)
+        assert threshold_strategy(cfg, 2) == Thresholds((0.3, 0.5))
         with pytest.raises(ConfigError, match="depth-3"):
             threshold_strategy(cfg, 3)
 
@@ -97,7 +126,7 @@ class TestThresholdStrategy:
              "threshold.ramp_epochs": "10"},
         )
         strat = threshold_strategy(cfg, 2)
-        assert isinstance(strat, Scheduled)
-        assert strat.resolve(0, 100, 0) == pytest.approx(10.0)
-        assert strat.resolve(0, 100, 5) == pytest.approx(30.0)
-        assert strat.resolve(0, 100, 12) == pytest.approx(50.0)
+        assert strat == Thresholds((1.0, 1.0), 0.1, 0.5, 10)
+        assert strat.thetas([100, 100], 0)[0] == pytest.approx(10.0)
+        assert strat.thetas([100, 100], 5)[0] == pytest.approx(30.0)
+        assert strat.thetas([100, 100], 12)[0] == pytest.approx(50.0)

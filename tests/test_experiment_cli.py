@@ -144,6 +144,14 @@ class TestCli:
         assert main(["train", "--set", "no.such.key=1", "--seed", "1"]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_out_of_range_value_exit_one_without_traceback(self, tmp_path, capsys):
+        args = ["train", "--set", "head.batch_size=0"]
+        for k, v in fast_overrides(tmp_path / "run").items():
+            args += ["--set", f"{k}={v}"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["config error: head.batch_size must be >= 1, got 0"]
+
     def test_missing_seed_exit_one(self, capsys):
         assert main(["train", "--dataset", "synthetic"]) == 1
 

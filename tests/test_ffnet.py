@@ -17,7 +17,7 @@ from fflab.ffnet import (
 )
 from fflab.rng import Rng
 from fflab.synthetic import label_slots, two_blob_toy
-from fflab.thresholds import ConstantK
+from fflab.thresholds import Thresholds
 
 from oracles import (
     central_diff_grad,
@@ -289,7 +289,7 @@ class TestTrainEpoch:
     def test_zero_lr_is_bitwise_fixed_point(self):
         net = FFNetwork(6, [5, 4], "relu", 0.0, Rng(80))
         before = [(l.W.copy(), l.b.copy()) for l in net.layers]
-        train_epoch(net, self._toy_stream(), ConstantK(0.5), 0, 8, Rng(81))
+        train_epoch(net, self._toy_stream(), Thresholds((0.5, 0.5)), 0, 8, Rng(81))
         for (W0, b0), layer in zip(before, net.layers):
             np.testing.assert_array_equal(W0, layer.W)
             np.testing.assert_array_equal(b0, layer.b)
@@ -300,7 +300,7 @@ class TestTrainEpoch:
         acts = [(l.act.fn, l.act.deriv) for l in net.layers]
         thetas = [k * w for w in widths]
 
-        metrics = train_epoch(net, stream, ConstantK(k), 0, 8, Rng(seed))
+        metrics = train_epoch(net, stream, Thresholds((k,) * len(widths)), 0, 8, Rng(seed))
 
         order = Rng(seed).shuffle(list(range(len(stream))))
         features, signs = stream.batch(np.arange(len(stream)))
@@ -337,7 +337,7 @@ class TestTrainEpoch:
         history = []
         for epoch in range(5):
             stream = label_slots(2).stream(X, y, rng)
-            history.append(train_epoch(net, stream, ConstantK(0.1), epoch, 16, rng))
+            history.append(train_epoch(net, stream, Thresholds((0.1, 0.1)), epoch, 16, rng))
         assert np.all(history[4].mean_g_pos > history[0].mean_g_pos)
         assert np.all(history[4].mean_g_neg < history[0].mean_g_neg)
 
@@ -352,8 +352,8 @@ class TestTrainEpoch:
         features, all_signs = stream.batch(np.arange(len(stream)))
         net = FFNetwork(6, widths, "tanh", 0.02, Rng(94))
         serial = FFNetwork(6, widths, "tanh", 0.02, Rng(94))
-        strategy = ConstantK(0.3)
         depth = len(widths)
+        strategy = Thresholds((0.3,) * depth)
         for epoch in range(3):
             metrics = train_epoch(net, stream, strategy, epoch, 8, Rng(95 + epoch))
 
@@ -380,14 +380,14 @@ class TestTrainEpoch:
         net = FFNetwork(6, [7, 5, 9, 3], "relu", 0.01, Rng(96))
         net.layers[2].W[0, 0] = np.inf
         with pytest.raises(DivergenceError) as info:
-            train_epoch(net, self._toy_stream(), ConstantK(0.5), 7, 8, Rng(97))
+            train_epoch(net, self._toy_stream(), Thresholds((0.5,) * 4), 7, 8, Rng(97))
         assert (info.value.layer, info.value.epoch) == (2, 7)
         assert str(info.value).startswith("epoch 7, layer 2: ")
 
     def test_polarity_counts(self):
         stream = self._toy_stream(n=20)
         net = FFNetwork(6, [4], "relu", 0.01, Rng(1))
-        m = train_epoch(net, stream, ConstantK(1.0), 0, 7, Rng(2))
+        m = train_epoch(net, stream, Thresholds((1.0,)), 0, 7, Rng(2))
         assert m.n_pos == 10 and m.n_neg == 10
 
 

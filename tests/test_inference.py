@@ -23,7 +23,7 @@ from fflab.numerics import AdamState, row_directions
 from fflab.rng import Rng
 from fflab.synthetic import label_slots, two_blob_toy
 from fflab.text_data import label_slots as sentiment_slots
-from fflab.thresholds import ConstantK
+from fflab.thresholds import Thresholds
 
 from oracles import central_diff_grad, loop_sweep, rel_err
 
@@ -37,7 +37,7 @@ def toy_task():
     rng = Rng(301)
     for epoch in range(12):
         stream = BLOB.stream(X, y, rng)
-        train_epoch(net, stream, ConstantK(0.3), epoch, 16, rng)
+        train_epoch(net, stream, Thresholds((0.3, 0.3)), epoch, 16, rng)
     return X, y, net
 
 

@@ -1,67 +1,131 @@
-"""Threshold strategies are small pure functions; pin them down exactly."""
+"""Thresholds are one small pure formula; pin it down exactly."""
 
 import pytest
 
+from fflab.config import parse_config, threshold_strategy
 from fflab.errors import UsageError
-from fflab.thresholds import ConstantK, Pyramidal, Scheduled, resolve
+from fflab.thresholds import Thresholds
 
 
 class TestConstantK:
+    """threshold.strategy = constant: one k on every layer."""
+
     def test_width_times_k(self):
-        assert resolve(ConstantK(1.0), 0, 2000, 0) == 2000.0
+        assert Thresholds((1.0,)).thetas([2000], 0)[0] == 2000.0
 
     def test_fractional_k(self):
-        assert resolve(ConstantK(0.5), 3, 500, 99) == 250.0
+        assert Thresholds((0.5,) * 4).thetas([9, 9, 9, 500], 99)[3] == 250.0
 
     def test_rejects_nonpositive(self):
         with pytest.raises(UsageError):
-            ConstantK(0.0)
+            Thresholds((0.0,))
 
 
 class TestPyramidal:
+    """threshold.strategy = pyramidal: one k per layer."""
+
     def test_per_layer_product(self):
-        strat = Pyramidal((0.3, 0.5, 0.7, 0.9))
-        assert resolve(strat, 2, 2000, 5) == pytest.approx(1400.0)
+        strat = Thresholds((0.3, 0.5, 0.7, 0.9))
+        assert strat.thetas([2000] * 4, 5)[2] == pytest.approx(1400.0)
 
     def test_layer_out_of_range(self):
-        with pytest.raises(UsageError, match="out of range"):
-            resolve(Pyramidal((0.3, 0.5)), 2, 100, 0)
+        """The widths must match the k values one for one, in both directions."""
+        with pytest.raises(UsageError, match="3 layer widths for 2 threshold factors"):
+            Thresholds((0.3, 0.5)).thetas([100, 100, 100], 0)
+        with pytest.raises(UsageError, match="2 layer widths for 3 threshold factors"):
+            Thresholds((0.3, 0.5, 0.7)).thetas([100, 100], 0)
 
     def test_increasing_k_gives_increasing_theta(self):
-        strat = Pyramidal((0.3, 0.5, 0.7, 0.9))
-        thetas = [resolve(strat, i, 2000, 0) for i in range(4)]
+        thetas = list(Thresholds((0.3, 0.5, 0.7, 0.9)).thetas([2000] * 4, 0))
         assert thetas == sorted(thetas) and len(set(thetas)) == 4
+
+    def test_rejects_empty(self):
+        with pytest.raises(UsageError, match="at least one k"):
+            Thresholds(())
 
 
 class TestScheduled:
+    """threshold.strategy = scheduled: a ramp over a constant or per-layer base."""
+
     def test_ramp_endpoints_and_midpoint(self):
-        strat = Scheduled(0.1, 0.5, 10)
-        assert resolve(strat, 0, 100, 0) == pytest.approx(0.1 * 100)
-        assert resolve(strat, 0, 100, 5) == pytest.approx(0.3 * 100)
-        assert resolve(strat, 0, 100, 10) == pytest.approx(0.5 * 100)
-        assert resolve(strat, 0, 100, 25) == pytest.approx(0.5 * 100)
+        strat = Thresholds((1.0,), 0.1, 0.5, 10)
+        assert strat.thetas([100], 0)[0] == pytest.approx(0.1 * 100)
+        assert strat.thetas([100], 5)[0] == pytest.approx(0.3 * 100)
+        assert strat.thetas([100], 10)[0] == pytest.approx(0.5 * 100)
+        assert strat.thetas([100], 25)[0] == pytest.approx(0.5 * 100)
 
     def test_nondecreasing_when_ramping_up(self):
-        strat = Scheduled(0.2, 0.8, 7)
-        thetas = [resolve(strat, 0, 50, e) for e in range(15)]
+        strat = Thresholds((1.0,), 0.2, 0.8, 7)
+        thetas = [strat.thetas([50], e)[0] for e in range(15)]
         assert all(b >= a for a, b in zip(thetas, thetas[1:]))
 
     def test_multiplies_base_scheme(self):
-        strat = Scheduled(0.1, 0.5, 10, base=Pyramidal((1.0, 2.0)))
-        assert resolve(strat, 1, 100, 10) == pytest.approx(0.5 * 2.0 * 100)
+        strat = Thresholds((1.0, 2.0), 0.1, 0.5, 10)
+        assert strat.thetas([100, 100], 10)[1] == pytest.approx(0.5 * 2.0 * 100)
 
     def test_rejects_bad_ramp(self):
         with pytest.raises(UsageError):
-            Scheduled(0.1, 0.5, 0)
+            Thresholds((1.0,), 0.1, 0.5, 0)
+
+    @pytest.mark.parametrize("k_start, k_end", [(0.0, 0.5), (0.1, -0.5)])
+    def test_rejects_nonpositive_ramp_ends(self, k_start, k_end):
+        with pytest.raises(UsageError, match="k_start and k_end"):
+            Thresholds((1.0,), k_start, k_end, 10)
 
 
-def test_resolve_is_pure():
-    strat = Scheduled(0.1, 0.5, 10, base=Pyramidal((0.3, 0.5)))
-    a = resolve(strat, 1, 321, 4)
-    b = resolve(strat, 1, 321, 4)
-    assert a == b
+def test_thetas_is_pure():
+    strat = Thresholds((0.3, 0.5), 0.1, 0.5, 10)
+    a = strat.thetas([7, 321], 4)
+    b = strat.thetas([7, 321], 4)
+    assert list(a) == list(b)
 
 
-def test_resolve_validates_width():
+def test_thetas_validates_width():
     with pytest.raises(UsageError):
-        resolve(ConstantK(1.0), 0, 0, 0)
+        Thresholds((1.0,)).thetas([0], 0)
+
+
+_SHAPES = {
+    "constant": {"threshold.strategy": "constant", "threshold.k": "0.37"},
+    "pyramidal": {"threshold.strategy": "pyramidal"},
+    "scheduled-constant": {"threshold.strategy": "scheduled", "threshold.base": "constant"},
+    "scheduled-pyramidal": {"threshold.strategy": "scheduled", "threshold.base": "pyramidal"},
+}
+
+
+def _old_theta(cfg, layer, width, epoch):
+    """theta as the per-strategy classes computed it, one layer at a time."""
+    kind = cfg["threshold.strategy"]
+    if kind == "constant":
+        return cfg["threshold.k"] * width
+    if kind == "pyramidal":
+        return cfg["threshold.k_per_layer"][layer] * width
+    base_k = 1.0 if cfg["threshold.base"] == "constant" else cfg["threshold.k_per_layer"][layer]
+    R = cfg["threshold.ramp_epochs"]
+    frac = min(epoch, R) / R
+    k = cfg["threshold.k_start"] + (cfg["threshold.k_end"] - cfg["threshold.k_start"]) * frac
+    return k * (base_k * width)
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_config_shapes_equal_the_per_strategy_formula_bit_for_bit(shape):
+    """Every threshold.* shape gives exactly (==) the theta the old
+    constant / pyramidal / scheduled classes gave, epochs 0-12."""
+    widths = [24, 16, 12]
+    cfg = parse_config(
+        None,
+        dict(
+            _SHAPES[shape],
+            seed="1",
+            **{
+                "threshold.k_per_layer": "0.3,0.55,0.7",
+                "threshold.k_start": "0.1",
+                "threshold.k_end": "0.9",
+                "threshold.ramp_epochs": "7",
+            },
+        ),
+    )
+    strat = threshold_strategy(cfg, len(widths))
+    for epoch in range(13):
+        got = strat.thetas(widths, epoch)
+        assert list(got) == [_old_theta(cfg, i, w, epoch) for i, w in enumerate(widths)]
