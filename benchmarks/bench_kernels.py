@@ -10,17 +10,21 @@ and is timed here for context only (a hand-rolled kernel would not beat
 BLAS there): one epoch at a desk shape, and eight batch steps at the
 full recipe shape, 784 -> 2000x4 with batch 128. Eval throughput is
 the label sweep's candidate rows scored per second, ten labels on
-MNIST-shaped rows at 784 -> [500, 500].
+MNIST-shaped rows at 784 -> [500, 500]; the head's features are timed
+at the same shape, with the tracemalloc peak of one call (numpy reports
+its buffers to tracemalloc), which should be F plus a few row-chunk-sized
+matrices.
 """
 
 import argparse
 import time
+import tracemalloc
 
 import numpy as np
 
 from fflab.backend import NUMBA_ENABLED
 from fflab.ffnet import FFNetwork, train_epoch
-from fflab.inference import sweep_scores_batch
+from fflab.inference import features_batch, sweep_scores_batch
 from fflab.kernels import sgns_epoch
 from fflab.mnist_data import LABEL_SLOTS
 from fflab.rng import Rng
@@ -128,6 +132,22 @@ def bench_sweep(rows):
           f"({rows * 10 / dt:,.0f} candidate rows/s)")
 
 
+def bench_features(rows):
+    X = Rng(23).uniform_array(rows * 784).reshape(rows, 784)
+    net = FFNetwork(784, [500, 500], "relu", 0.01, Rng(24))
+    features_batch(net, X[:1], (1,))  # warm-up
+    t0 = time.perf_counter()
+    F_mb = features_batch(net, X, (1,)).nbytes / 1e6
+    dt = time.perf_counter() - t0
+    tracemalloc.start()
+    features_batch(net, X, (1,))
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    print(f"head features (784 -> [500, 500], layer 1, {rows} rows): {dt:.2f}s  "
+          f"({rows / dt:,.0f} head-feature rows/s); tracemalloc peak {peak / 1e6:.1f} MB "
+          f"(F is {F_mb:.1f} MB)")
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser()
     parser.add_argument("--pairs", type=int, default=300_000,
@@ -136,3 +156,4 @@ if __name__ == "__main__":
     bench_sgns(args.pairs)
     bench_ff_epoch()
     bench_sweep(10_000)
+    bench_features(10_000)

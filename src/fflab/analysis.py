@@ -106,15 +106,16 @@ class GoodnessReport:
 def goodness_report(net, stream, strategy, epoch, bins=50, batch_size=512):
     """Histograms of per-layer goodness over an :class:`EpochStream`, split
     by polarity, plus the fraction of positives above theta and negatives
-    below it."""
+    below it. Each batch is forwarded layer by layer, keeping only the
+    current activation."""
     pos_mask = stream.signs > 0
     depth = len(net.layers)
     G_all = [[] for _ in range(depth)]
     for start in range(0, len(stream), batch_size):
-        X, _ = stream.batch(slice(start, start + batch_size))
-        stages = net.forward_batch(X)
-        for li in range(depth):
-            G_all[li].append(goodness(stages[li][2]))
+        A, _ = stream.batch(slice(start, start + batch_size))
+        for li, layer in enumerate(net.layers):
+            _, _, A = layer.forward_batch(A)
+            G_all[li].append(goodness(A))
     thetas = strategy.thetas(net.widths, epoch)
 
     edges, pos_counts, neg_counts = [], [], []

@@ -13,7 +13,7 @@ import numpy as np
 
 from .activations import get_activation, softmax
 from .errors import DimensionError, UsageError
-from .numerics import AdamState, adam_step
+from .numerics import AdamState, adam_step, row_chunks
 
 
 class DenseLayer:
@@ -158,9 +158,16 @@ def bp_train_epoch(net, X, y, batch_size, rng):
 
 
 def bp_predict_batch(net, X):
-    """Predicted class per row; ties break toward the lower index."""
-    _, logits = net.forward_batch(X)
-    return np.argmax(logits, axis=1)
+    """Predicted class per row, forwarded one row chunk at a time; ties
+    break toward the lower index."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise DimensionError(f"baseline expects a matrix of rows, got shape {X.shape}")
+    pred = np.empty(X.shape[0], dtype=np.int64)
+    for rows in row_chunks(X.shape[0]):
+        _, logits = net.forward_batch(X[rows])
+        pred[rows] = np.argmax(logits, axis=1)
+    return pred
 
 
 def check_architecture_parity(bp_net, ff_net):

@@ -154,18 +154,6 @@ def _validate(values):
         raise ConfigError(
             f"dataset must be one of {_DATASETS}, got {values['dataset']!r}"
         )
-    for key, low in _AT_LEAST.items():
-        if values[key] < low:
-            raise ConfigError(f"{key} must be >= {low}, got {values[key]}")
-    for key in _POSITIVE:
-        if not values[key] > 0:  # also rejects nan
-            raise ConfigError(f"{key} must be > 0, got {values[key]}")
-    if not values["arch"] or any(w < 1 for w in values["arch"]):
-        raise ConfigError(f"arch widths must all be >= 1, got {values['arch']}")
-    if values["inference.mode"] not in ("head", "sweep"):
-        raise ConfigError(
-            f"inference.mode must be head or sweep, got {values['inference.mode']!r}"
-        )
     if values["threshold.strategy"] not in ("constant", "pyramidal", "scheduled"):
         raise ConfigError(
             "threshold.strategy must be constant, pyramidal or scheduled, "
@@ -174,6 +162,36 @@ def _validate(values):
     if values["threshold.base"] not in ("constant", "pyramidal"):
         raise ConfigError(
             f"threshold.base must be constant or pyramidal, got {values['threshold.base']!r}"
+        )
+    at_least, positive = dict(_AT_LEAST), list(_POSITIVE)
+    # only the threshold values the chosen strategy reads
+    if values["threshold.strategy"] == "constant":
+        positive.append("threshold.k")
+    elif values["threshold.strategy"] == "scheduled":
+        positive += ["threshold.k_start", "threshold.k_end"]
+        at_least["threshold.ramp_epochs"] = 1
+    for key, low in at_least.items():
+        if values[key] < low:
+            raise ConfigError(f"{key} must be >= {low}, got {values[key]}")
+    for key in positive:
+        if not values[key] > 0:  # also rejects nan
+            raise ConfigError(f"{key} must be > 0, got {values[key]}")
+    if not values["arch"] or any(w < 1 for w in values["arch"]):
+        raise ConfigError(f"arch widths must all be >= 1, got {values['arch']}")
+    if values["threshold.strategy"] == "pyramidal" or (
+        values["threshold.strategy"] == "scheduled" and values["threshold.base"] == "pyramidal"
+    ):
+        ks, arch = values["threshold.k_per_layer"], values["arch"]
+        if len(ks) != len(arch):
+            raise ConfigError(
+                f"threshold.k_per_layer has {len(ks)} entries for the "
+                f"{len(arch)} layers of arch {arch}"
+            )
+        if not all(k > 0 for k in ks):
+            raise ConfigError(f"threshold.k_per_layer entries must all be > 0, got {ks}")
+    if values["inference.mode"] not in ("head", "sweep"):
+        raise ConfigError(
+            f"inference.mode must be head or sweep, got {values['inference.mode']!r}"
         )
     # --full clears the desk-scale training subset cap
     if values["full"]:

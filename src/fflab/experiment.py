@@ -17,7 +17,7 @@ import numpy as np
 from . import mnist_data, synthetic, text_data
 from .bp_baseline import BPNetwork, bp_predict_batch, bp_train_epoch
 from .checkpoint import save_network
-from .config import threshold_strategy
+from .config import parse_config, threshold_strategy
 from .errors import DataError, UsageError
 from .ffnet import FFNetwork, LabelSlots, train_epoch
 from .analysis import (
@@ -29,9 +29,11 @@ from .analysis import (
 )
 from .inference import (
     default_included_layers,
+    features_batch,
+    fit_head,
     predict_head_batch,
+    predict_head_features,
     predict_sweep_batch,
-    train_head,
 )
 from .rng import Rng, derive_seed
 
@@ -214,20 +216,24 @@ def run_experiment(cfg):
         stream = slots.stream(bundle.X_train, bundle.y_train, rng_data)
         em = train_epoch(net, stream, strategy, epoch, cfg["batch_size"], rng_data)
 
-        head = train_head(
-            net,
-            X_train_neutral,
+        F = features_batch(net, X_train_neutral, included)
+        head = fit_head(
+            F,
             bundle.y_train,
             bundle.num_classes,
+            included,
             epochs=cfg["head.epochs"],
             batch_size=cfg["head.batch_size"],
             lr=cfg["head.lr"],
             rng=rng_head,
-            included_layers=included,
         )
+        head_train_err = _error_rate(predict_head_features(head, F), bundle.y_train)
+        # not held through the test split's features, the sweeps, the finish
+        # phase and the baseline
+        del F
         errs = {}
         errs["head"] = (
-            _error_rate(predict_head_batch(net, head, X_train_neutral), bundle.y_train),
+            head_train_err,
             _error_rate(predict_head_batch(net, head, X_test_neutral), bundle.y_test),
         )
         errs["sweep"] = (
@@ -392,22 +398,26 @@ def _write_report(cfg, out_dir, result, included):
     print(text, end="")
 
 
-def run_sweep(cfg, key, raw_values, parser=float):
-    """One run per value of ``key``; returns rows for the summary table."""
+def run_sweep(cfg, key, raw_values):
+    """One run per value of ``key``; returns rows for the summary table.
+
+    Every value is checked, as ``parse_config`` checks ``threshold.k``,
+    before the first run starts.
+    """
     if key not in ("threshold.k", "k"):
         raise UsageError(f"sweep supports threshold.k, got {key!r}")
     root = cfg["output_dir"]
-    os.makedirs(root, exist_ok=True)
-    rows = []
+    runs = []
     for raw in raw_values:
-        v = parser(raw)
         sub = dict(cfg.values)
-        sub["threshold.k"] = v
+        sub["threshold.k"] = raw
         sub["threshold.strategy"] = "constant"
         sub["output_dir"] = os.path.join(root, f"k_{raw}")
-        from .config import ExperimentConfig
-
-        result = run_experiment(ExperimentConfig(sub))
+        runs.append((raw, parse_config(None, sub)))
+    os.makedirs(root, exist_ok=True)
+    rows = []
+    for raw, sub_cfg in runs:
+        result = run_experiment(sub_cfg)
         mode = cfg["inference.mode"]
         rows.append(
             [

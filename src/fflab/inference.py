@@ -18,7 +18,7 @@ import numpy as np
 from .activations import softmax
 from .errors import DimensionError, UsageError
 from .ffnet import goodness
-from .numerics import AdamState, adam_step, row_directions
+from .numerics import AdamState, adam_step, row_chunks, row_directions
 from .rng import Rng
 
 
@@ -45,21 +45,25 @@ def _checked_layers(included_layers, depth):
 def features_batch(net, X_neutral, included_layers):
     """Concatenated unit-normalized activations of the included layers.
 
-    Forwards layer by layer up to the last included layer and keeps only
-    the current activation; each included layer's directions go straight
-    into their columns of F. The whole split is one GEMM per layer: a
-    row-chunked product differs from it in the last bits, which would
-    move the head's weights.
+    Forwards one chunk of rows (:func:`~fflab.numerics.row_chunks`) at a
+    time up to the last included layer, keeping only the current
+    activation; each included layer's directions go straight into their
+    rows and columns of F. Transients are chunk-sized whatever the split
+    size; a split of more than one chunk gets F, and so the head fitted
+    on it, in the chunk's rounding, not the whole-split GEMM's.
     """
     included = _checked_layers(included_layers, len(net.layers))
     X = np.asarray(X_neutral, dtype=np.float64)
     widths = [net.layers[i].out_dim for i in included]
     F = np.empty((X.shape[0], sum(widths)))
     column = dict(zip(included, np.cumsum([0] + widths)))
-    for i, layer in enumerate(net.layers[: max(included) + 1]):
-        _, _, X = layer.forward_batch(X)
-        if i in column:
-            F[:, column[i] : column[i] + layer.out_dim] = row_directions(X)
+    layers = net.layers[: max(included) + 1]
+    for rows in row_chunks(X.shape[0]):
+        A = X[rows]
+        for i, layer in enumerate(layers):
+            _, _, A = layer.forward_batch(A)
+            if i in column:
+                F[rows, column[i] : column[i] + layer.out_dim] = row_directions(A)
     return F
 
 
@@ -103,30 +107,41 @@ def train_head(
     """Fit the softmax head on features from the frozen network.
 
     The network is read, never written: features are computed once up
-    front and only the head's own parameters take Adam steps. The
-    detachment contract is asserted — the net's weights must be
-    bit-identical before and after. Gradient of the cross-entropy for
-    one sample is (softmax(logits) - onehot) outer features.
+    front and only the head's own parameters take Adam steps
+    (:func:`fit_head`). The detachment contract is asserted — the net's
+    weights must be bit-identical before and after.
     """
-    X_neutral = np.asarray(X_neutral, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if X_neutral.shape[0] == 0:
-        raise UsageError("train_head needs a non-empty dataset")
-    if rng is None:
-        rng = Rng(0)
     if included_layers is None:
         included_layers = default_included_layers(len(net.layers))
     included_layers = tuple(sorted(included_layers))
     frozen = _weights_digest(net)
-
     F = features_batch(net, X_neutral, included_layers)
+    head = fit_head(F, labels, num_classes, included_layers, epochs, batch_size, lr, rng)
+    if _weights_digest(net) != frozen:
+        raise UsageError("head training mutated the frozen network")
+    return head
+
+
+def fit_head(F, labels, num_classes, included_layers, epochs=8, batch_size=128, lr=1e-3,
+             rng=None):
+    """Adam over shuffled minibatches of the feature rows ``F``, which
+    ``features_batch`` computed from ``included_layers``.
+
+    Gradient of the cross-entropy for one sample is
+    (softmax(logits) - onehot) outer features.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    if F.shape[0] == 0:
+        raise UsageError("the head needs a non-empty dataset")
+    if rng is None:
+        rng = Rng(0)
     width = F.shape[1]
     head = ClassifierHead(
         W=np.zeros((num_classes, width), dtype=np.float64),
         b=np.zeros(num_classes, dtype=np.float64),
         adam_W=AdamState.for_param((num_classes, width), lr),
         adam_b=AdamState.for_param((num_classes,), lr),
-        included_layers=included_layers,
+        included_layers=tuple(included_layers),
     )
 
     n = F.shape[0]
@@ -144,8 +159,6 @@ def train_head(
             dlogits /= m
             adam_step(head.adam_W, head.W, dlogits.T @ Fb)
             adam_step(head.adam_b, head.b, dlogits.sum(axis=0))
-    if _weights_digest(net) != frozen:
-        raise UsageError("head training mutated the frozen network")
     return head
 
 
@@ -159,18 +172,17 @@ def head_loss(net, head, X_neutral, labels):
 
 def predict_head_batch(net, head, X_neutral):
     """Head predictions for neutral-encoded rows; ties go to the lower index."""
-    F = features_batch(net, X_neutral, head.included_layers)
+    return predict_head_features(head, features_batch(net, X_neutral, head.included_layers))
+
+
+def predict_head_features(head, F):
+    """Head predictions for rows of ``F`` from :func:`features_batch`."""
     if F.shape[1] != head.concat_width:
         raise DimensionError(
             f"head expects {head.concat_width} features, got {F.shape[1]}"
         )
     logits = F @ head.W.T + head.b
     return np.argmax(logits, axis=1)
-
-
-# rows per sweep chunk: bounds the sweep's live memory to a few chunk-sized
-# matrices per layer, whatever the split size
-SWEEP_CHUNK_ROWS = 1024
 
 
 def sweep_scores_batch(net, X_raw, num_classes, slots, included_layers=None):
@@ -202,12 +214,12 @@ def sweep_scores_batch(net, X_raw, num_classes, slots, included_layers=None):
     later = net.layers[1 : max(included) + 1]
     slot_cols = first.W[:, slots.start : slots.start + num_classes].T
     scores = np.zeros((X_raw.shape[0], num_classes))
-    for lo in range(0, X_raw.shape[0], SWEEP_CHUNK_ROWS):
-        x0 = slots.neutral(X_raw[lo : lo + SWEEP_CHUNK_ROWS])
+    for rows in row_chunks(X_raw.shape[0]):
+        x0 = slots.neutral(X_raw[rows])
         # >= 1, so the eps floor of row_directions never applies
         norms = np.sqrt(np.sum(x0 * x0, axis=1, keepdims=True) + 1.0)
         shared = x0 @ first.W.T
-        out = scores[lo : lo + SWEEP_CHUNK_ROWS]
+        out = scores[rows]
         for c in range(num_classes):
             Z = shared + slot_cols[c]
             Z /= norms

@@ -11,7 +11,19 @@ import numpy as np
 
 from .errors import DimensionError
 
-__all__ = ["row_directions", "AdamState", "adam_step"]
+__all__ = ["CHUNK_ROWS", "row_chunks", "row_directions", "AdamState", "adam_step"]
+
+# Rows per chunk of every whole-split forward pass (label sweep, head
+# features, baseline predictions): their transients are a few matrices
+# of this many rows whatever the split size. Results depend on it in the
+# last bits, since a chunk's GEMM may round differently from a whole one.
+CHUNK_ROWS = 1024
+
+
+def row_chunks(n):
+    """Slices covering rows 0..n-1 in order, ``CHUNK_ROWS`` at a time."""
+    for lo in range(0, n, CHUNK_ROWS):
+        yield slice(lo, min(lo + CHUNK_ROWS, n))
 
 
 def row_directions(X, eps=1e-8):

@@ -130,6 +130,28 @@ class TestGoodnessReport:
         assert np.all(report.frac_pos_above > 0.9)
         assert np.all(report.frac_neg_below > 0.9)
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 37])
+    def test_equals_the_stage_list_version(self, n):
+        """Forwarding layer by layer, in batches of 8 stream positions, gives
+        the bits of a full stage list per batch."""
+        X, y, net = trained_toy(epochs=2)
+        stream = BLOB.stream(X[:n], y[:n], Rng(9))
+        got = goodness_report(net, stream, Thresholds((0.5, 0.5)), 1, batch_size=8)
+        G = [[], []]
+        for start in range(0, len(stream), 8):
+            feats, _ = stream.batch(slice(start, start + 8))
+            for li, stage in enumerate(net.forward_batch(feats)):
+                G[li].append(goodness(stage[2]))
+        pos = stream.signs > 0
+        for li in range(2):
+            Gl = np.concatenate(G[li])
+            edges = np.linspace(0.0, float(Gl.max()), 51)
+            np.testing.assert_array_equal(got.bin_edges[li], edges)
+            np.testing.assert_array_equal(got.pos_counts[li], np.histogram(Gl[pos], edges)[0])
+            np.testing.assert_array_equal(got.neg_counts[li], np.histogram(Gl[~pos], edges)[0])
+            assert got.frac_pos_above[li] == np.mean(Gl[pos] > got.thetas[li])
+            assert got.frac_neg_below[li] == np.mean(Gl[~pos] < got.thetas[li])
+
     def test_csv_schema(self, tmp_path):
         X, y, net = trained_toy(epochs=2)
         report = goodness_report(net, BLOB.stream(X, y, Rng(8)), Thresholds((0.5, 0.5)), 1)

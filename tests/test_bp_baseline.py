@@ -10,6 +10,7 @@ from fflab.bp_baseline import (
     bp_train_epoch,
     check_architecture_parity,
 )
+from fflab import numerics
 from fflab.activations import softmax
 from fflab.errors import DimensionError, UsageError
 from fflab.ffnet import FFNetwork
@@ -111,6 +112,15 @@ class TestPredict:
         net = BPNetwork(4, [3], 5, "relu", 1e-3, Rng(508))
         with pytest.raises(DimensionError):
             bp_predict_batch(net, np.ones(4))
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 37])
+    def test_chunked_equals_unchunked_argmax(self, monkeypatch, n):
+        """Rows forwarded 8 at a time predict what one whole forward does."""
+        monkeypatch.setattr(numerics, "CHUNK_ROWS", 8)
+        X, _ = small_task(n, seed=510)
+        net = BPNetwork(6, [9, 7], 3, "relu", 1e-3, Rng(511))
+        _, logits = net.forward_batch(X)
+        np.testing.assert_array_equal(bp_predict_batch(net, X), np.argmax(logits, axis=1))
 
     def test_softmax_shift_invariance(self):
         logits = np.array([[0.3, -0.2, 1.4]])

@@ -102,6 +102,41 @@ class TestParsing:
         assert cfg2.values == cfg.values
 
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"threshold.k": "0"}, "threshold.k"),
+            ({"threshold.k": "nan"}, "threshold.k"),
+            ({"threshold.strategy": "pyramidal", "arch": "8,8",
+              "threshold.k_per_layer": "0.3"}, "threshold.k_per_layer"),
+            ({"threshold.strategy": "pyramidal", "arch": "8,8",
+              "threshold.k_per_layer": "0.3,0"}, "threshold.k_per_layer"),
+            ({"threshold.strategy": "scheduled", "threshold.base": "pyramidal",
+              "arch": "8", "threshold.k_per_layer": "0.3,0.5"}, "threshold.k_per_layer"),
+            ({"threshold.strategy": "scheduled", "threshold.k_start": "0"}, "threshold.k_start"),
+            ({"threshold.strategy": "scheduled", "threshold.k_end": "-1"}, "threshold.k_end"),
+            ({"threshold.strategy": "scheduled", "threshold.ramp_epochs": "0"},
+             "threshold.ramp_epochs"),
+        ],
+    )
+    def test_threshold_setting_the_strategy_reads_is_checked(self, overrides, key):
+        with pytest.raises(ConfigError, match=f"^{key} "):
+            parse_config(None, dict(overrides, seed="1"))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"threshold.k_per_layer": "0.3", "threshold.ramp_epochs": "0"},
+            {"threshold.strategy": "pyramidal", "arch": "8,8", "threshold.k_per_layer": "0.3,0.5",
+             "threshold.k": "0", "threshold.k_start": "0"},
+            {"threshold.strategy": "scheduled", "threshold.k": "0",
+             "threshold.k_per_layer": "0.3"},
+        ],
+    )
+    def test_threshold_setting_the_strategy_ignores_is_not_checked(self, overrides):
+        parse_config(None, dict(overrides, seed="1"))
+
+
 class TestThresholdStrategy:
     def test_constant(self):
         cfg = parse_config(None, {"seed": "1", "threshold.k": "0.5"})
@@ -111,7 +146,7 @@ class TestThresholdStrategy:
     def test_pyramidal_depth_checked(self):
         cfg = parse_config(
             None,
-            {"seed": "1", "threshold.strategy": "pyramidal",
+            {"seed": "1", "arch": "8,8", "threshold.strategy": "pyramidal",
              "threshold.k_per_layer": "0.3,0.5"},
         )
         assert threshold_strategy(cfg, 2) == Thresholds((0.3, 0.5))

@@ -8,7 +8,7 @@ import pytest
 
 from fflab.checkpoint import load_network
 from fflab.cli import main
-from fflab import experiment
+from fflab import experiment, inference
 from fflab.config import parse_config
 from fflab.errors import FFLabError
 from fflab.experiment import build_bundle, run_experiment
@@ -131,6 +131,22 @@ class TestRunExperiment:
         assert len(rows) == 3
 
 
+    def test_one_feature_pass_per_split_and_epoch(self, tmp_path, monkeypatch):
+        """The train split's features fit the head and score its train error;
+        the test split's score its test error."""
+        seen = []
+        real = inference.features_batch
+
+        def counted(net, X, included):
+            seen.append(X.shape[0])
+            return real(net, X, included)
+
+        monkeypatch.setattr(inference, "features_batch", counted)
+        monkeypatch.setattr(experiment, "features_batch", counted)
+        run_experiment(parse_config(None, fast_overrides(tmp_path / "run")))
+        assert seen == [300, 100] * 2  # 10 classes x 30 train, 10 test rows; 2 epochs
+
+
 class TestCli:
     def test_train_exit_zero(self, tmp_path, capsys):
         args = ["train"]
@@ -163,6 +179,26 @@ class TestCli:
         )
         assert code == 2
         assert "data error" in capsys.readouterr().err
+
+    def test_bad_threshold_exit_one_before_data_and_output(self, tmp_path, capsys):
+        code = main(
+            ["train", "--dataset", "imdb", "--seed", "1",
+             "--set", f"data.imdb_dir={tmp_path / 'nonexistent'}",
+             "--set", "threshold.k=0", "--output", str(tmp_path / "run")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: threshold.k must be > 0, got 0.0"
+        ]
+        assert not os.path.exists(tmp_path / "run")
+
+    def test_sweep_checks_every_k_before_the_first_run(self, tmp_path, capsys):
+        args = ["sweep", "--sweep", "k=0.3,0"]
+        for k, v in fast_overrides(tmp_path / "sweepout").items():
+            args += ["--set", f"{k}={v}"]
+        assert main(args) == 1
+        assert "threshold.k must be > 0, got 0.0" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "sweepout")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_three(self, tmp_path, capsys):

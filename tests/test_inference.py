@@ -1,5 +1,7 @@
 """Head training on a frozen net, and both prediction routes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from fflab.checkpoint import network_bytes
 from fflab.errors import DimensionError, UsageError
 from fflab.ffnet import FFNetwork, train_epoch
 from fflab.mnist_data import LABEL_SLOTS
-from fflab import inference
+from fflab import inference, numerics
 from fflab.inference import (
     ClassifierHead,
     default_included_layers,
@@ -208,7 +210,7 @@ class TestSharedSweep:
     @pytest.mark.parametrize("n", [1, 37])
     def test_equals_per_label_forwards(self, monkeypatch, layout, included, n):
         """37 rows in chunks of 8 cross four chunk boundaries."""
-        monkeypatch.setattr(inference, "SWEEP_CHUNK_ROWS", 8)
+        monkeypatch.setattr(numerics, "CHUNK_ROWS", 8)
         slots, X, net = _layout_case(layout, n)
         C = slots.num_classes
         got = sweep_scores_batch(net, X, C, slots, included)
@@ -250,10 +252,40 @@ class TestIncludedLayersChecked:
 
 
 @pytest.mark.parametrize("included", [(0, 1, 2), (1,), (0,), (2, 0), (1, 2)])
-def test_features_equal_the_stage_list_expression(included):
-    """Streaming the forward into one preallocated F changes no bit."""
-    slots, X, net = _layout_case("overwrite@0 C=10", 300)
-    Xn = slots.neutral(X)
-    stages = net.forward_batch(Xn)
-    want = np.concatenate([row_directions(stages[i][2]) for i in included], axis=1)
-    np.testing.assert_array_equal(features_batch(net, Xn, included), want)
+def test_features_equal_the_stage_list_expression(monkeypatch, included):
+    """Chunked forwarding into one preallocated F changes no bit of the
+    stage-list expression applied to each chunk; 37 rows in chunks of 8
+    end on a partial chunk."""
+    monkeypatch.setattr(numerics, "CHUNK_ROWS", 8)
+    slots, X, net = _layout_case("overwrite@0 C=10", 37)
+    for n in (1, 7, 8, 9, 37):
+        Xn = slots.neutral(X[:n])
+        want = []
+        for lo in range(0, n, 8):
+            stages = net.forward_batch(Xn[lo : lo + 8])
+            want.append(np.concatenate([row_directions(stages[i][2]) for i in included], axis=1))
+        np.testing.assert_array_equal(features_batch(net, Xn, included), np.concatenate(want))
+
+
+def _features_peak(net, n):
+    """(tracemalloc peak of features_batch above what was live before, F bytes)."""
+    X = Rng(90).uniform_array(n * 784).reshape(n, 784)
+    tracemalloc.start()
+    try:
+        F = features_batch(net, X, (1,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, F.nbytes
+
+
+def test_features_memory_is_chunk_sized():
+    """Beyond F, features_batch holds a few chunk-sized matrices: its peak
+    does not grow with n x 784 (a whole-split forward holds several
+    n x 784 matrices at once)."""
+    net = FFNetwork(784, [64, 64], "relu", 0.01, Rng(91))
+    chunk_bytes = numerics.CHUNK_ROWS * 784 * 8
+    peak4, F4 = _features_peak(net, 4 * numerics.CHUNK_ROWS)
+    peak8, F8 = _features_peak(net, 8 * numerics.CHUNK_ROWS)
+    assert peak4 < F4 + 3 * chunk_bytes
+    assert peak8 - peak4 < (F8 - F4) + chunk_bytes // 2

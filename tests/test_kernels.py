@@ -89,9 +89,11 @@ def test_bench_kernels_script_runs(capsys):
     spec.loader.exec_module(bench)
     bench.bench_sgns(2000)
     bench.bench_sweep(20)
+    bench.bench_features(20)
     out = capsys.readouterr().out
     assert "numpy twin" in out and "pairs/s" in out
     assert "candidate rows/s" in out
+    assert "head-feature rows/s" in out and "tracemalloc peak" in out
 
 
 def test_negative_neg_k_rejected():

@@ -117,6 +117,7 @@ def test_config_shapes_equal_the_per_strategy_formula_bit_for_bit(shape):
         dict(
             _SHAPES[shape],
             seed="1",
+            arch="24,16,12",
             **{
                 "threshold.k_per_layer": "0.3,0.55,0.7",
                 "threshold.k_start": "0.1",
