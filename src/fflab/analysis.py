@@ -1,7 +1,8 @@
 """Weight statistics, PGM heatmap export, and goodness diagnostics.
 
-Everything here is a pure function of a checkpoint (plus data for the
-goodness report): re-running on the same inputs is bit-identical.
+Everything here is a pure function of a checkpoint (plus, for the
+goodness report, the label sweep's per-layer goodness): re-running on
+the same inputs is bit-identical.
 """
 
 import csv
@@ -10,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .ffnet import goodness
 
 
 def weight_matrices(net):
@@ -103,33 +103,33 @@ class GoodnessReport:
     thetas: np.ndarray
 
 
-def goodness_report(net, stream, strategy, epoch, bins=50, batch_size=512):
-    """Histograms of per-layer goodness over an :class:`EpochStream`, split
-    by polarity, plus the fraction of positives above theta and negatives
-    below it. Each batch is forwarded layer by layer, keeping only the
-    current activation."""
-    pos_mask = stream.signs > 0
-    depth = len(net.layers)
-    G_all = [[] for _ in range(depth)]
-    for start in range(0, len(stream), batch_size):
-        A, _ = stream.batch(slice(start, start + batch_size))
-        for li, layer in enumerate(net.layers):
-            _, _, A = layer.forward_batch(A)
-            G_all[li].append(goodness(A))
-    thetas = strategy.thetas(net.widths, epoch)
+def goodness_report(G, y, wrong, thetas, bins=50):
+    """Histograms of per-layer goodness split by polarity, plus the
+    fraction of positives above theta and of negatives below it.
 
+    ``G`` is the (n, C, depth) per-layer goodness that the label sweep
+    writes (:func:`~fflab.inference.sweep_scores_batch`). Row i's
+    positive is ``G[i, y[i]]`` and its negative ``G[i, wrong[i]]``; no
+    row is forwarded here.
+    """
+    if G.shape[0] == 0:
+        raise UsageError("the goodness report needs at least one row")
+    rows = np.arange(G.shape[0])
+    pos = G[rows, np.asarray(y, dtype=np.int64)]
+    neg = G[rows, np.asarray(wrong, dtype=np.int64)]
+    depth = G.shape[2]
+    thetas = np.asarray(thetas, dtype=np.float64)
     edges, pos_counts, neg_counts = [], [], []
     frac_pos = np.zeros(depth)
     frac_neg = np.zeros(depth)
     for li in range(depth):
-        G = np.concatenate(G_all[li])
-        top = float(G.max())
+        top = float(max(pos[:, li].max(), neg[:, li].max()))
         e = np.linspace(0.0, top if top > 0 else 1.0, bins + 1)
-        pos_counts.append(np.histogram(G[pos_mask], bins=e)[0])
-        neg_counts.append(np.histogram(G[~pos_mask], bins=e)[0])
+        pos_counts.append(np.histogram(pos[:, li], bins=e)[0])
+        neg_counts.append(np.histogram(neg[:, li], bins=e)[0])
         edges.append(e)
-        frac_pos[li] = float(np.mean(G[pos_mask] > thetas[li]))
-        frac_neg[li] = float(np.mean(G[~pos_mask] < thetas[li]))
+        frac_pos[li] = float(np.mean(pos[:, li] > thetas[li]))
+        frac_neg[li] = float(np.mean(neg[:, li] < thetas[li]))
     return GoodnessReport(edges, pos_counts, neg_counts, frac_pos, frac_neg, thetas)
 
 

@@ -28,7 +28,7 @@ from .errors import (
     UsageError,
 )
 from .ffnet import FFNetwork
-from .inference import predict_head_batch, predict_sweep_batch
+from .inference import predict_head_batch, predict_sweep_batch, sweep_scores_batch
 
 
 def _add_common(p):
@@ -104,7 +104,13 @@ def _cmd_analyze(args):
         from .experiment import build_bundle, write_goodness_report
 
         cfg = parse_config(args.config, _overrides(args))
-        report = write_goodness_report(cfg, build_bundle(cfg), net, out_dir)
+        bundle = build_bundle(cfg)
+        # the run's last train-split sweep, whose goodness the report reads
+        G = np.empty((len(bundle.y_train), bundle.num_classes, len(net.layers)))
+        sweep_scores_batch(
+            net, bundle.X_train, bundle.num_classes, bundle.slots, layer_goodness=G
+        )
+        report = write_goodness_report(cfg, bundle, net, G, out_dir)
         for li in range(len(net.layers)):
             print(f"layer {li}: pos>theta {report.frac_pos_above[li]:.3f}, "
                   f"neg<theta {report.frac_neg_below[li]:.3f}")

@@ -86,6 +86,9 @@ _AT_LEAST = {
     "sgns.window": 1,
     "sgns.neg_k": 0,
     "sgns.epochs": 0,
+    "synthetic.dim": 1,
+    "synthetic.train_per_class": 1,
+    "synthetic.test_per_class": 1,
 }
 _POSITIVE = ("lr", "head.lr", "baseline.lr", "sgns.lr")
 _DESK_SUBSET = {"mnist": 10000, "imdb": 5000, "synthetic": 0}

@@ -210,6 +210,7 @@ def run_experiment(cfg):
     best = {"head": (np.inf, -1), "sweep": (np.inf, -1)}
     final = {}
     head = None
+    G = None
 
     for epoch in range(cfg["epochs"]):
         t0 = time.perf_counter()
@@ -236,10 +237,15 @@ def run_experiment(cfg):
             head_train_err,
             _error_rate(predict_head_batch(net, head, X_test_neutral), bundle.y_test),
         )
+        # the last train-split sweep also keeps every layer's goodness for
+        # goodness_hist.csv, so the finish phase forwards nothing
+        if epoch == cfg["epochs"] - 1:
+            G = np.empty((len(bundle.y_train), bundle.num_classes, len(net.layers)))
         errs["sweep"] = (
             _error_rate(
                 predict_sweep_batch(
-                    net, bundle.X_train, bundle.num_classes, slots, included
+                    net, bundle.X_train, bundle.num_classes, slots, included,
+                    layer_goodness=G,
                 ),
                 bundle.y_train,
             ),
@@ -309,7 +315,7 @@ def run_experiment(cfg):
 
     write_weight_stats_csv(os.path.join(out_dir, "weight_stats.csv"), weight_stats(net))
     export_heatmap(net.layers[0].W, os.path.join(out_dir, "layer0_weights.pgm"))
-    write_goodness_report(cfg, bundle, net, out_dir)
+    write_goodness_report(cfg, bundle, net, G, out_dir)
 
     result = RunResult(
         out_dir=out_dir,
@@ -327,14 +333,15 @@ def run_experiment(cfg):
     return result
 
 
-def write_goodness_report(cfg, bundle, net, out_dir):
+def write_goodness_report(cfg, bundle, net, G, out_dir):
     """``goodness_hist.csv``: the goodness report at the last epoch's theta
-    over a train-split stream drawn from its own seed stream, so a run and
+    over ``G``, the train split's per-layer sweep goodness. Each row's
+    negative label is drawn from its own seed stream, so a run and
     ``ff-lab analyze`` on its checkpoint write the same bytes."""
     rng = Rng(derive_seed(cfg.seed, _STREAM_ANALYSIS))
-    stream = bundle.slots.stream(bundle.X_train, bundle.y_train, rng)
-    strategy = threshold_strategy(cfg, len(net.layers))
-    report = goodness_report(net, stream, strategy, cfg["epochs"] - 1)
+    wrong = bundle.slots.wrong_labels(bundle.y_train, rng)
+    thetas = threshold_strategy(cfg, len(net.layers)).thetas(net.widths, cfg["epochs"] - 1)
+    report = goodness_report(G, bundle.y_train, wrong, thetas)
     write_goodness_csv(os.path.join(out_dir, "goodness_hist.csv"), report)
     return report
 

@@ -68,18 +68,25 @@ class LabelSlots:
         out[np.arange(out.shape[0]), self.start + labels] = 1.0
         return out
 
+    def wrong_labels(self, y, rng):
+        """One wrong label per row, in row order, drawn uniformly from the
+        other C-1 classes: one ``randint(C-1)`` draw per row."""
+        y = np.asarray(y, dtype=np.int64)
+        wrong = rng.randint_array(y.shape[0], self.num_classes - 1)
+        wrong += wrong >= y
+        return wrong
+
     def stream(self, X_raw, y, rng):
         """One positive and one fresh negative per row, shuffled together.
 
-        Each row draws one wrong label, in row order, uniformly from the
-        other C-1 classes; then the 2n positions are shuffled once.
+        Each row draws one wrong label (:meth:`wrong_labels`); then the 2n
+        positions are shuffled once.
         """
         n = X_raw.shape[0]
         if n == 0:
             raise UsageError("cannot build a training stream from zero rows")
         y = np.asarray(y, dtype=np.int64)
-        wrong = np.array([rng.randint(self.num_classes - 1) for _ in range(n)])
-        wrong += wrong >= y
+        wrong = self.wrong_labels(y, rng)
         labels = np.empty(2 * n, dtype=np.int64)
         labels[0::2] = y
         labels[1::2] = wrong

@@ -185,7 +185,8 @@ def predict_head_features(head, F):
     return np.argmax(logits, axis=1)
 
 
-def sweep_scores_batch(net, X_raw, num_classes, slots, included_layers=None):
+def sweep_scores_batch(net, X_raw, num_classes, slots, included_layers=None,
+                       layer_goodness=None):
     """(n, num_classes) matrix of summed goodness per candidate label.
 
     ``slots`` is the dataset's :class:`~fflab.ffnet.LabelSlots`; the
@@ -196,14 +197,19 @@ def sweep_scores_batch(net, X_raw, num_classes, slots, included_layers=None):
     ``(x0 @ W.T + W[:, start + c]) / sqrt(||x0||^2 + 1) + b``: one GEMM
     per row chunk for every label. Later layers run per candidate, up
     to the last included layer, and only the summed goodness is kept.
+
+    ``layer_goodness``, an (n, num_classes, depth) float64 array, is
+    filled with every layer's goodness of every candidate, layer 0
+    included; every layer is then forwarded. The scores do not change.
     """
     if not 1 <= num_classes <= slots.num_classes:
         raise UsageError(
             f"num_classes must be in 1..{slots.num_classes}, got {num_classes}"
         )
+    depth = len(net.layers)
     if included_layers is None:
-        included_layers = default_included_layers(len(net.layers))
-    included = _checked_layers(included_layers, len(net.layers))
+        included_layers = default_included_layers(depth)
+    included = _checked_layers(included_layers, depth)
     X_raw = np.asarray(X_raw, dtype=np.float64)
     first = net.layers[0]
     if X_raw.ndim != 2 or slots.width(X_raw.shape[1]) != first.in_dim:
@@ -211,7 +217,17 @@ def sweep_scores_batch(net, X_raw, num_classes, slots, included_layers=None):
             f"network expects embedded rows of width {first.in_dim}, got raw "
             f"input of shape {X_raw.shape} ({slots.num_classes} label slots)"
         )
-    later = net.layers[1 : max(included) + 1]
+    if layer_goodness is None:
+        kept = included
+    else:
+        shape = (X_raw.shape[0], num_classes, depth)
+        if layer_goodness.shape != shape or layer_goodness.dtype != np.float64:
+            raise UsageError(
+                f"layer_goodness must be a float64 array of shape {shape}, got "
+                f"{layer_goodness.dtype} {layer_goodness.shape}"
+            )
+        kept = range(depth)
+    layers = net.layers[: max(kept) + 1]
     slot_cols = first.W[:, slots.start : slots.start + num_classes].T
     scores = np.zeros((X_raw.shape[0], num_classes))
     for rows in row_chunks(X_raw.shape[0]):
@@ -225,17 +241,23 @@ def sweep_scores_batch(net, X_raw, num_classes, slots, included_layers=None):
             Z /= norms
             Z += first.b
             A = first.act.fn(Z)
-            if 0 in included:
-                out[:, c] += goodness(A)
-            for i, layer in enumerate(later, start=1):
-                _, _, A = layer.forward_batch(A)
-                if i in included:
-                    out[:, c] += goodness(A)
+            for i, layer in enumerate(layers):
+                if i:
+                    _, _, A = layer.forward_batch(A)
+                if i in kept:
+                    g = goodness(A)
+                    if i in included:
+                        out[:, c] += g
+                    if layer_goodness is not None:
+                        layer_goodness[rows, c, i] = g
     return scores
 
 
-def predict_sweep_batch(net, X_raw, num_classes, slots, included_layers=None):
+def predict_sweep_batch(net, X_raw, num_classes, slots, included_layers=None,
+                        layer_goodness=None):
     """Label-sweep predictions: the argmax of summed goodness, ties toward
-    the lower label."""
-    scores = sweep_scores_batch(net, X_raw, num_classes, slots, included_layers)
+    the lower label. ``layer_goodness`` is as in :func:`sweep_scores_batch`."""
+    scores = sweep_scores_batch(
+        net, X_raw, num_classes, slots, included_layers, layer_goodness
+    )
     return np.argmax(scores, axis=1)

@@ -68,6 +68,13 @@ class Rng:
             raise ValueError("randint needs n >= 1")
         return self.next_u64() % n
 
+    def randint_array(self, n, k):
+        """n draws in {0, ..., k-1}: the values and end state of n
+        :meth:`randint` calls."""
+        if k <= 0:
+            raise ValueError("randint_array needs k >= 1")
+        return (self._u64_array(n) % np.uint64(k)).astype(np.int64)
+
     def _u64_array(self, n):
         counters = np.uint64(self._state) + _GOLDEN_U64 * np.arange(
             1, n + 1, dtype=np.uint64

@@ -214,6 +214,34 @@ def loop_sweep(net, X_raw, num_classes, slots, included_layers):
     return scores
 
 
+def loop_goodness_report(net, stream, thetas, bins=50, batch_size=512):
+    """Reference goodness report: every position of an epoch stream
+    embedded and forwarded through the whole network, in batches.
+
+    Returns per layer (bin edges, positive counts, negative counts,
+    fraction of positives above theta, fraction of negatives below it).
+    """
+    pos = stream.signs > 0
+    G = [[] for _ in net.layers]
+    for start in range(0, len(stream), batch_size):
+        feats, _ = stream.batch(slice(start, start + batch_size))
+        for li, stage in enumerate(net.forward_batch(feats)):
+            G[li].append(np.sum(stage[2] * stage[2], axis=1))
+    out = []
+    for li, parts in enumerate(G):
+        Gl = np.concatenate(parts)
+        top = float(Gl.max())
+        edges = np.linspace(0.0, top if top > 0 else 1.0, bins + 1)
+        out.append((
+            edges,
+            np.histogram(Gl[pos], bins=edges)[0],
+            np.histogram(Gl[~pos], bins=edges)[0],
+            float(np.mean(Gl[pos] > thetas[li])),
+            float(np.mean(Gl[~pos] < thetas[li])),
+        ))
+    return out
+
+
 def loop_sgns_epoch(tokens, offsets, win, wout, cdf, window, neg_k,
                     lr0, lr_min, pairs_done, total_pairs, state):
     """Reference SGNS epoch: one pair at a time, one draw at a time.

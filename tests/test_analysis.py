@@ -14,9 +14,12 @@ from fflab.analysis import (
     write_weight_stats_csv,
 )
 from fflab.ffnet import FFNetwork, goodness, train_epoch
+from fflab.inference import sweep_scores_batch
 from fflab.rng import Rng
 from fflab.synthetic import label_slots, two_blob_toy
 from fflab.thresholds import Thresholds
+
+from oracles import loop_goodness_report
 
 BLOB = label_slots(2)
 
@@ -96,14 +99,22 @@ class TestHeatmap:
         assert spike > rest
 
 
+def report_inputs(net, X, y, rng):
+    """(G, y, wrong): the label sweep's per-layer goodness of every
+    candidate, the true labels and one drawn wrong label per row."""
+    G = np.empty((len(y), 2, len(net.layers)))
+    sweep_scores_batch(net, X, 2, BLOB, layer_goodness=G)
+    return G, y, BLOB.wrong_labels(y, rng)
+
+
 class TestGoodnessReport:
     def test_histogram_conservation(self):
         X, y, net = trained_toy(epochs=3)
-        stream = BLOB.stream(X, y, Rng(7))
-        report = goodness_report(net, stream, Thresholds((0.5, 0.5)), 2)
+        thetas = Thresholds((0.5, 0.5)).thetas(net.widths, 2)
+        report = goodness_report(*report_inputs(net, X, y, Rng(7)), thetas)
         for li in range(2):
             total = report.pos_counts[li].sum() + report.neg_counts[li].sum()
-            assert total == len(stream)
+            assert total == 2 * len(y)
             assert len(report.bin_edges[li]) == 51
 
     def test_untrained_net_indistinguishable(self):
@@ -126,35 +137,58 @@ class TestGoodnessReport:
             G = goodness(stage[2])
             _, p = ks_2sample(G[signs > 0], G[signs < 0])
             assert p < 1e-10
-        report = goodness_report(net, stream, Thresholds((0.5, 0.5)), 39)
+        thetas = Thresholds((0.5, 0.5)).thetas(net.widths, 39)
+        report = goodness_report(*report_inputs(net, X, y, Rng(991)), thetas)
         assert np.all(report.frac_pos_above > 0.9)
         assert np.all(report.frac_neg_below > 0.9)
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 37])
     def test_equals_the_stage_list_version(self, n):
-        """Forwarding layer by layer, in batches of 8 stream positions, gives
-        the bits of a full stage list per batch."""
+        """The report is a reduction of the tensor it is given: np.histogram
+        and the theta fractions over each row's true-label and wrong-label
+        goodness."""
         X, y, net = trained_toy(epochs=2)
-        stream = BLOB.stream(X[:n], y[:n], Rng(9))
-        got = goodness_report(net, stream, Thresholds((0.5, 0.5)), 1, batch_size=8)
-        G = [[], []]
-        for start in range(0, len(stream), 8):
-            feats, _ = stream.batch(slice(start, start + 8))
-            for li, stage in enumerate(net.forward_batch(feats)):
-                G[li].append(goodness(stage[2]))
-        pos = stream.signs > 0
+        G, y, wrong = report_inputs(net, X[:n], y[:n], Rng(9))
+        thetas = Thresholds((0.5, 0.5)).thetas(net.widths, 1)
+        got = goodness_report(G, y, wrong, thetas)
         for li in range(2):
-            Gl = np.concatenate(G[li])
-            edges = np.linspace(0.0, float(Gl.max()), 51)
+            pos = np.array([G[i, y[i], li] for i in range(n)])
+            neg = np.array([G[i, wrong[i], li] for i in range(n)])
+            edges = np.linspace(0.0, float(max(pos.max(), neg.max())), 51)
             np.testing.assert_array_equal(got.bin_edges[li], edges)
-            np.testing.assert_array_equal(got.pos_counts[li], np.histogram(Gl[pos], edges)[0])
-            np.testing.assert_array_equal(got.neg_counts[li], np.histogram(Gl[~pos], edges)[0])
-            assert got.frac_pos_above[li] == np.mean(Gl[pos] > got.thetas[li])
-            assert got.frac_neg_below[li] == np.mean(Gl[~pos] < got.thetas[li])
+            np.testing.assert_array_equal(got.pos_counts[li], np.histogram(pos, edges)[0])
+            np.testing.assert_array_equal(got.neg_counts[li], np.histogram(neg, edges)[0])
+            assert got.frac_pos_above[li] == np.mean(pos > got.thetas[li])
+            assert got.frac_neg_below[li] == np.mean(neg < got.thetas[li])
+
+    @pytest.mark.parametrize("classes", [2, 4])
+    def test_counts_equal_the_stream_forward_oracle(self, classes):
+        """Seeded: the same counts and fractions as forwarding a stream whose
+        negatives are the same drawn labels; edges agree to rounding. With
+        four classes the drawn label is not implied by the true one."""
+        if classes == 2:
+            X, y, net = trained_toy(epochs=5)
+        else:
+            rng = Rng(13)
+            X = rng.uniform_array(40 * 6).reshape(40, 6)
+            y = rng.randint_array(40, classes)
+            net = FFNetwork(6 + classes, [12, 10], "relu", 0.01, rng)
+        slots = label_slots(classes)
+        thetas = Thresholds((0.5, 0.5)).thetas(net.widths, 4)
+        G = np.empty((len(y), classes, 2))
+        sweep_scores_batch(net, X, classes, slots, layer_goodness=G)
+        got = goodness_report(G, y, slots.wrong_labels(y, Rng(12)), thetas, bins=8)
+        want = loop_goodness_report(net, slots.stream(X, y, Rng(12)), thetas, bins=8)
+        for li, (edges, pos, neg, frac_pos, frac_neg) in enumerate(want):
+            np.testing.assert_allclose(got.bin_edges[li], edges, rtol=1e-14, atol=0)
+            np.testing.assert_array_equal(got.pos_counts[li], pos)
+            np.testing.assert_array_equal(got.neg_counts[li], neg)
+            assert (got.frac_pos_above[li], got.frac_neg_below[li]) == (frac_pos, frac_neg)
 
     def test_csv_schema(self, tmp_path):
         X, y, net = trained_toy(epochs=2)
-        report = goodness_report(net, BLOB.stream(X, y, Rng(8)), Thresholds((0.5, 0.5)), 1)
+        thetas = Thresholds((0.5, 0.5)).thetas(net.widths, 1)
+        report = goodness_report(*report_inputs(net, X, y, Rng(8)), thetas)
         path = tmp_path / "hist.csv"
         write_goodness_csv(path, report)
         lines = path.read_text().splitlines()

@@ -8,8 +8,12 @@ it feeds silently reads 0. These tests make such a rename fail here.
 
 import importlib
 import inspect
+import os
 
 import pytest
+
+from fflab import experiment
+from fflab.config import parse_config
 
 # (module, qualified name) of every hooked function or method
 TRACED = [
@@ -71,3 +75,39 @@ def test_phase_hook_is_an_experiment_global(name):
 def test_positional_parameter_stays_put(module, name, position, parameter):
     params = list(inspect.signature(_resolve(module, name)).parameters)
     assert params[position] == parameter
+
+
+def test_run_experiment_calls_the_phase_hooks_in_order(tmp_path, monkeypatch):
+    """``bench/child.py`` reads each epoch as train_epoch, the train-split
+    sweep and the test-split sweep, and reloads what save_network wrote
+    after the last sweep; a run that breaks this fails there as a failed
+    benchmark run."""
+    calls = []
+
+    def record(name, real):
+        def hooked(*args, **kwargs):
+            if name == "predict_sweep_batch":
+                calls.append((name, args[1].shape[0]))
+            elif name == "save_network":
+                calls.append((name, os.path.basename(args[0])))
+            else:
+                calls.append((name,))
+            return real(*args, **kwargs)
+
+        return hooked
+
+    for name in PATCHED_IN_EXPERIMENT:
+        monkeypatch.setattr(experiment, name, record(name, getattr(experiment, name)))
+    cfg = parse_config(None, {
+        "seed": "11", "dataset": "synthetic", "arch": "16,16", "epochs": "2",
+        "batch_size": "32", "threshold.k": "0.3", "synthetic.train_per_class": "30",
+        "synthetic.test_per_class": "10", "head.epochs": "1",
+        "baseline.enabled": "true", "baseline.epochs": "1",
+        "output_dir": str(tmp_path / "run"),
+    })
+    experiment.run_experiment(cfg)
+    epoch = [("train_epoch",), ("predict_sweep_batch", 300), ("predict_sweep_batch", 100)]
+    assert calls == epoch * 2 + [
+        ("save_network", "checkpoint.ffn1"),
+        ("save_network", "checkpoint.bpn1"),
+    ]

@@ -73,6 +73,10 @@ class TestParsing:
             ("sgns.neg_k", "-1"),
             ("sgns.epochs", "-1"),
             ("sgns.lr", "-1"),
+            ("synthetic.dim", "0"),
+            ("synthetic.train_per_class", "0"),
+            ("synthetic.test_per_class", "0"),
+            ("synthetic.test_per_class", "-3"),
         ],
     )
     def test_out_of_range_value_names_key(self, key, value):
@@ -82,7 +86,8 @@ class TestParsing:
     @pytest.mark.parametrize(
         "key, value",
         [("baseline.epochs", "0"), ("sgns.neg_k", "0"), ("sgns.epochs", "0"),
-         ("head.epochs", "1"), ("sgns.window", "1")],
+         ("head.epochs", "1"), ("sgns.window", "1"), ("synthetic.dim", "1"),
+         ("synthetic.train_per_class", "1"), ("synthetic.test_per_class", "1")],
     )
     def test_lowest_allowed_value_parses(self, key, value):
         assert parse_config(None, {"seed": "1", key: value})[key] == int(value)

@@ -12,6 +12,7 @@ from fflab import experiment, inference
 from fflab.config import parse_config
 from fflab.errors import FFLabError
 from fflab.experiment import build_bundle, run_experiment
+from fflab.ffnet import FFLayer
 
 FAST = {
     "seed": "11",
@@ -147,6 +148,30 @@ class TestRunExperiment:
         assert seen == [300, 100] * 2  # 10 classes x 30 train, 10 test rows; 2 epochs
 
 
+    def test_no_forward_after_the_last_sweep(self, tmp_path, monkeypatch):
+        """goodness_hist.csv reads the last train-split sweep's goodness:
+        the finish phase forwards no row (the baseline is off here)."""
+        events = []
+        forward = FFLayer.forward_batch
+        sweep = experiment.predict_sweep_batch
+
+        def counted_forward(layer, X):
+            events.append("forward")
+            return forward(layer, X)
+
+        def counted_sweep(*args, **kwargs):
+            out = sweep(*args, **kwargs)
+            events.append("sweep")
+            return out
+
+        monkeypatch.setattr(FFLayer, "forward_batch", counted_forward)
+        monkeypatch.setattr(experiment, "predict_sweep_batch", counted_sweep)
+        run_experiment(parse_config(None, fast_overrides(tmp_path / "run")))
+        assert events.count("sweep") == 4
+        assert events[-1] == "sweep"
+        assert "forward" in events
+
+
 class TestCli:
     def test_train_exit_zero(self, tmp_path, capsys):
         args = ["train"]
@@ -167,6 +192,19 @@ class TestCli:
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.splitlines() == ["config error: head.batch_size must be >= 1, got 0"]
+
+    @pytest.mark.parametrize(
+        "key", ["synthetic.dim", "synthetic.train_per_class", "synthetic.test_per_class"]
+    )
+    def test_empty_synthetic_task_exit_one_before_output(self, tmp_path, capsys, key):
+        args = ["train"]
+        for k, v in fast_overrides(tmp_path / "run", **{key: 0}).items():
+            args += ["--set", f"{k}={v}"]
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {key} must be >= 1, got 0"
+        ]
+        assert not os.path.exists(tmp_path / "run")
 
     def test_missing_seed_exit_one(self, capsys):
         assert main(["train", "--dataset", "synthetic"]) == 1
@@ -275,6 +313,20 @@ class TestCli:
         ) == 0
         with open(os.path.join(result.out_dir, "goodness_hist.csv"), "rb") as f:
             assert (out / "goodness_hist.csv").read_bytes() == f.read()
+
+    def test_analyze_on_data_of_another_width_exit_two(self, tmp_path, capsys):
+        result = run_experiment(parse_config(None, fast_overrides(tmp_path / "run")))
+        args = []
+        for k, v in fast_overrides(tmp_path / "run", **{"synthetic.dim": 9}).items():
+            args += ["--set", f"{k}={v}"]
+        echo = os.path.join(result.out_dir, "config_echo.txt")
+        out = tmp_path / "analysis"
+        code = main(["analyze", "--checkpoint", result.checkpoint, "--out", str(out),
+                     "--config", echo] + args)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: ")
+        assert not os.path.exists(out / "goodness_hist.csv")
 
     def test_eval_checkpoint_both_modes(self, tmp_path, capsys):
         cfg = parse_config(None, fast_overrides(tmp_path / "run"))

@@ -415,6 +415,26 @@ class TestLabelSlots:
             np.testing.assert_array_equal(sb, [signs[i] for i in idx])
         assert rng.state == ref_rng.state
 
+    @pytest.mark.parametrize("C", [2, 10])
+    @pytest.mark.parametrize("n", [1, 10000])
+    def test_wrong_labels_match_per_row_draws(self, C, n):
+        """One randint(C-1) per row, skipping the true label, as the
+        per-row loop draws them; the rng ends in the same state."""
+        y = Rng(150).randint_array(n, C)
+        rng, ref = Rng(151), Rng(151)
+        got = LabelSlots(C, 0, True).wrong_labels(y, rng)
+        want = []
+        for label in y:
+            draw = int(ref.randint(C - 1))
+            want.append(draw if draw < label else draw + 1)
+        np.testing.assert_array_equal(got, want)
+        assert np.all(got != y) and got.min() >= 0 and got.max() < C
+        assert rng.state == ref.state
+
+    def test_wrong_labels_of_a_single_class_raise(self):
+        with pytest.raises(ValueError, match="k >= 1"):
+            LabelSlots(1, 0, True).wrong_labels(np.zeros(3, dtype=np.int64), Rng(152))
+
     @pytest.mark.parametrize("C, start, overwrite, raw_dim", LAYOUTS)
     def test_width_and_neutral(self, C, start, overwrite, raw_dim):
         slots = LabelSlots(C, start, overwrite)

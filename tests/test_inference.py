@@ -218,6 +218,50 @@ class TestSharedSweep:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         np.testing.assert_array_equal(got.argmax(axis=1), want.argmax(axis=1))
 
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 37])
+    def test_layer_goodness_equals_per_label_forwards(self, monkeypatch, layout, n):
+        """Every layer's goodness of every candidate, layer 0 included,
+        whatever the included layers."""
+        monkeypatch.setattr(numerics, "CHUNK_ROWS", 8)
+        slots, X, net = _layout_case(layout, n)
+        C = slots.num_classes
+        want = np.empty((n, C, 3))
+        for c in range(C):
+            for i, (_, _, A) in enumerate(net.forward_batch(slots.embed(X, c))):
+                want[:, c, i] = np.sum(A * A, axis=1)
+        for included in (None, (0,), (1,)):
+            G = np.full((n, C, 3), np.nan)
+            sweep_scores_batch(net, X, C, slots, included, layer_goodness=G)
+            np.testing.assert_allclose(G, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("included", [None, (0, 1, 2), (1,), (0,)])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 37])
+    def test_layer_goodness_leaves_the_scores_alone(self, monkeypatch, layout, included, n):
+        monkeypatch.setattr(numerics, "CHUNK_ROWS", 8)
+        slots, X, net = _layout_case(layout, n)
+        C = slots.num_classes
+        G = np.empty((n, C, 3))
+        np.testing.assert_array_equal(
+            sweep_scores_batch(net, X, C, slots, included, layer_goodness=G),
+            sweep_scores_batch(net, X, C, slots, included),
+        )
+        np.testing.assert_array_equal(
+            predict_sweep_batch(net, X, C, slots, included, layer_goodness=G),
+            predict_sweep_batch(net, X, C, slots, included),
+        )
+
+    @pytest.mark.parametrize(
+        "G", [np.empty((3, 4, 2)), np.empty((3, 3, 3)), np.empty((4, 4, 3)),
+              np.empty((3, 4, 3), dtype=np.float32)],
+        ids=["depth", "classes", "rows", "float32"],
+    )
+    def test_layer_goodness_of_another_shape_rejected(self, G):
+        slots, X, net = _layout_case("insert@0 C=4", 3)
+        with pytest.raises(UsageError, match="layer_goodness"):
+            sweep_scores_batch(net, X, 4, slots, layer_goodness=G)
+
     def test_zero_rows(self):
         slots, X, net = _layout_case("insert@0 C=4", 0)
         assert sweep_scores_batch(net, X, 4, slots).shape == (0, 4)

@@ -23,6 +23,24 @@ def test_golden_stream():
     assert got_u == fix["first_uniforms"]
 
 
+@pytest.mark.parametrize("k", [1, 9])
+@pytest.mark.parametrize("n", [1, 10000])
+def test_randint_array_matches_scalar_draws(n, k):
+    """The values and end state of n scalar randint(k) calls."""
+    a, b = Rng(21), Rng(21)
+    got = a.randint_array(n, k)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, [b.randint(k) for _ in range(n)])
+    assert a.state == b.state
+
+
+def test_randint_array_rejects_an_empty_range():
+    r = Rng(22)
+    with pytest.raises(ValueError, match="k >= 1"):
+        r.randint_array(5, 0)
+    assert r.state == Rng(22).state
+
+
 def test_same_seed_identical_long_stream():
     a, b = Rng(123), Rng(123)
     assert [a.next_u64() for _ in range(1000)] == [b.next_u64() for _ in range(1000)]
