@@ -13,7 +13,7 @@ import numpy as np
 
 from .activations import get_activation, softmax
 from .errors import DimensionError, UsageError
-from .numerics import AdamState, adam_step, row_chunks
+from .numerics import AdamState, adam_step, fan_in_uniform, row_chunks
 
 
 class DenseLayer:
@@ -22,8 +22,7 @@ class DenseLayer:
     def __init__(self, in_dim, out_dim, activation, lr, rng=None, W=None, b=None):
         self.act = activation
         if W is None:
-            bound = 1.0 / np.sqrt(in_dim)
-            W = (rng.uniform_array(out_dim * in_dim).reshape(out_dim, in_dim) * 2.0 - 1.0) * bound
+            W = fan_in_uniform(rng, out_dim, in_dim)
         if b is None:
             b = np.zeros(out_dim, dtype=np.float64)
         self.W = np.ascontiguousarray(W, dtype=np.float64)

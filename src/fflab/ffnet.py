@@ -15,7 +15,7 @@ import numpy as np
 
 from .activations import get_activation, stable_sigmoid
 from .errors import DimensionError, DivergenceError, UsageError
-from .numerics import AdamState, adam_step, row_directions
+from .numerics import AdamState, adam_step, fan_in_uniform, row_directions
 
 
 class Polarity(IntEnum):
@@ -157,8 +157,7 @@ class FFLayer:
             activation = get_activation(activation)
         self.act = activation
         if W is None:
-            bound = 1.0 / np.sqrt(in_dim)
-            W = (rng.uniform_array(out_dim * in_dim).reshape(out_dim, in_dim) * 2.0 - 1.0) * bound
+            W = fan_in_uniform(rng, out_dim, in_dim)
         if b is None:
             b = np.zeros(out_dim, dtype=np.float64)
         self.W = np.ascontiguousarray(W, dtype=np.float64)
@@ -308,6 +307,8 @@ def train_epoch(net, stream, strategy, epoch, batch_size, rng):
             except DivergenceError as e:
                 e.epoch = epoch
                 raise
+            # one live gradient at a time: free it before the next layer's
+            del dW, db
             loss_sum[li] += losses.sum()
             g_pos_sum[li] += G[pos_mask].sum()
             g_neg_sum[li] += G[~pos_mask].sum()

@@ -228,7 +228,8 @@ def sweep_scores_batch(net, X_raw, num_classes, slots, included_layers=None,
             )
         kept = range(depth)
     layers = net.layers[: max(kept) + 1]
-    slot_cols = first.W[:, slots.start : slots.start + num_classes].T
+    # one contiguous row per candidate: a column of W has a stride of in_dim
+    slot_cols = np.ascontiguousarray(first.W[:, slots.start : slots.start + num_classes].T)
     scores = np.zeros((X_raw.shape[0], num_classes))
     for rows in row_chunks(X_raw.shape[0]):
         x0 = slots.neutral(X_raw[rows])

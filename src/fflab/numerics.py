@@ -1,4 +1,4 @@
-"""Row normalization and a hand-rolled, in-place Adam optimizer.
+"""Row normalization, initial weights and a hand-rolled, in-place Adam optimizer.
 
 Batches are float64 matrices with one sample per row; parameters are
 float64 ndarrays of any shape.
@@ -11,7 +11,9 @@ import numpy as np
 
 from .errors import DimensionError
 
-__all__ = ["CHUNK_ROWS", "row_chunks", "row_directions", "AdamState", "adam_step"]
+__all__ = [
+    "CHUNK_ROWS", "row_chunks", "row_directions", "fan_in_uniform", "AdamState", "adam_step",
+]
 
 # Rows per chunk of every whole-split forward pass (label sweep, head
 # features, baseline predictions): their transients are a few matrices
@@ -36,6 +38,17 @@ def row_directions(X, eps=1e-8):
     X = np.asarray(X, dtype=np.float64)
     norms = np.sqrt(np.sum(X * X, axis=1, keepdims=True))
     return X / np.maximum(norms, eps)
+
+
+def fan_in_uniform(rng, out_dim, in_dim):
+    """Initial (out_dim, in_dim) weights uniform in +-1/sqrt(in_dim):
+    ``(u * 2.0 - 1.0) * bound`` over ``rng.uniform_array``, with the same
+    three operations done in place, so the bits are the same."""
+    W = rng.uniform_array(out_dim * in_dim).reshape(out_dim, in_dim)
+    W *= 2.0
+    W -= 1.0
+    W *= 1.0 / np.sqrt(in_dim)
+    return W
 
 
 @dataclass
@@ -66,7 +79,11 @@ class AdamState:
 
 
 # Rows of a parameter that one Adam block covers hold about this many
-# elements: the six arrays a block touches (512 KiB each) stay in L2.
+# elements, 512 KiB per array. A block touches six arrays, 3 MiB, more
+# than a 2 MiB per-core L2; but on such a machine (2 cores, 4 MiB of L2
+# in 2 instances) train_epoch at 784->2000x4 on 1024 stream rows took
+# 2.64 s at this size and 2.56 s at 1 << 15 (medians of 4 alternating
+# runs that spread over 2.41-3.30 s), so the size stays.
 _ADAM_BLOCK = 1 << 16
 
 

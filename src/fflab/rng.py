@@ -5,6 +5,9 @@ and the reproducibility guarantees hang off this stream being identical
 on every machine. splitmix64 is counter-based — after n draws the state
 is ``seed + n*GOLDEN mod 2^64`` — so bulk draws vectorize exactly: the
 numpy uint64 path and the scalar python-int path produce the same bits.
+Any block of the stream can be computed on its own, so bulk draws are
+made ``_DRAW_BLOCK`` counters at a time in two reusable scratch arrays
+and written straight into their output.
 """
 
 import numpy as np
@@ -23,6 +26,13 @@ _U64_31 = np.uint64(31)
 _U64_11 = np.uint64(11)
 _INV53 = 2.0 ** -53
 
+# Draws per block of a bulk draw: its two uint64 scratch arrays and the
+# counter steps (256 KiB each) stay in a 2 MiB per-core L2.
+_DRAW_BLOCK = 1 << 15
+# GOLDEN * (1, 2, ...): draw i of a block sits at its base state + _STEPS[i]
+_STEPS = np.arange(1, _DRAW_BLOCK + 1, dtype=np.uint64) * _GOLDEN_U64
+_STEPS.flags.writeable = False
+
 
 def mix64(state):
     """splitmix64 output function for a raw 64-bit counter value."""
@@ -37,11 +47,30 @@ def derive_seed(seed, stream):
     return mix64((seed ^ ((stream + 1) * _MIX1)) & MASK64)
 
 
-def _mix_array(counters):
-    z = counters
-    z = (z ^ (z >> _U64_30)) * _MIX1_U64
-    z = (z ^ (z >> _U64_27)) * _MIX2_U64
-    return z ^ (z >> _U64_31)
+def _mix_array(z, t):
+    """:func:`mix64` of every counter in uint64 array ``z``, in place;
+    ``t`` is scratch of the same shape."""
+    np.right_shift(z, _U64_30, out=t)
+    z ^= t
+    z *= _MIX1_U64
+    np.right_shift(z, _U64_27, out=t)
+    z ^= t
+    z *= _MIX2_U64
+    np.right_shift(z, _U64_31, out=t)
+    z ^= t
+    return z
+
+
+def _mixed_blocks(state, n):
+    """(offset, z) for draws offset+1.. of the stream at ``state``: z holds
+    the next ``len(z)`` outputs and is overwritten by the next block."""
+    z = np.empty(min(n, _DRAW_BLOCK), dtype=np.uint64)
+    t = np.empty_like(z)
+    for off in range(0, n, _DRAW_BLOCK):
+        if n - off < len(z):
+            z, t = z[: n - off], t[: n - off]
+        np.add(_STEPS[: len(z)], np.uint64((state + off * GOLDEN) & MASK64), out=z)
+        yield off, _mix_array(z, t)
 
 
 class Rng:
@@ -73,20 +102,36 @@ class Rng:
         :meth:`randint` calls."""
         if k <= 0:
             raise ValueError("randint_array needs k >= 1")
-        return (self._u64_array(n) % np.uint64(k)).astype(np.int64)
+        out = np.empty(n, dtype=np.int64)
+        k = np.uint64(k)
+        for off, z in self._blocks(n):
+            z %= k
+            out[off : off + len(z)] = z
+        return out
+
+    def _blocks(self, n):
+        """The next n draws as (offset, block) pairs, in order; advances the
+        state past all n at once. Each block is scratch that the next
+        one overwrites."""
+        state = self._state
+        self._state = (state + n * GOLDEN) & MASK64
+        return _mixed_blocks(state, n)
 
     def _u64_array(self, n):
-        counters = np.uint64(self._state) + _GOLDEN_U64 * np.arange(
-            1, n + 1, dtype=np.uint64
-        )
-        self._state = (self._state + n * GOLDEN) & MASK64
-        return _mix_array(counters)
+        out = np.empty(n, dtype=np.uint64)
+        for off, z in self._blocks(n):
+            out[off : off + len(z)] = z
+        return out
 
     def uniform_array(self, n):
         """n draws in [0, 1); consumes exactly n scalar draws."""
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-        return (self._u64_array(n) >> _U64_11).astype(np.float64) * _INV53
+        out = np.empty(n, dtype=np.float64)
+        for off, z in self._blocks(n):
+            z >>= _U64_11
+            # below 2^53, so exact as int64 and as float64; int64 converts
+            # faster than uint64
+            np.multiply(z.view(np.int64), _INV53, out=out[off : off + len(z)])
+        return out
 
     def normal_array(self, n):
         """n standard-normal draws via Box-Muller; consumes 2*ceil(n/2) draws."""

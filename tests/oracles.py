@@ -295,3 +295,29 @@ def loop_sgns_epoch(tokens, offsets, win, wout, cdf, window, neg_k,
 
                 win[c] += grad_c
     return state, pairs_done, loss_sum
+
+
+def whole_u64_draws(state, n):
+    """The next n splitmix64 outputs after ``state`` as one uint64
+    expression over all n counters at once, with full-size temporaries."""
+    z = np.uint64(state) + np.uint64(GOLDEN) * np.arange(1, n + 1, dtype=np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def whole_uniform_draws(state, n):
+    """:func:`whole_u64_draws` mapped to [0, 1) as ``uniform_array`` maps them."""
+    return (whole_u64_draws(state, n) >> np.uint64(11)).astype(np.float64) * _INV53
+
+
+def box_muller(raw, n):
+    """n standard normals from 2*ceil(n/2) uint64 draws: the first half gives
+    u1 in (0, 1], the second u2 in [0, 1)."""
+    raw = np.asarray(raw, dtype=np.uint64)
+    half = (n + 1) // 2
+    u1 = ((raw[:half] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV53
+    u2 = (raw[half:] >> np.uint64(11)).astype(np.float64) * _INV53
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]

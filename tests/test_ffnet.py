@@ -1,5 +1,7 @@
 """Forward pass, goodness, local losses, closed-form gradients, training."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -383,6 +385,23 @@ class TestTrainEpoch:
             train_epoch(net, self._toy_stream(), Thresholds((0.5,) * 4), 7, 8, Rng(97))
         assert (info.value.layer, info.value.epoch) == (2, 7)
         assert str(info.value).startswith("epoch 7, layer 2: ")
+
+    def test_each_gradient_is_freed_before_the_next_is_computed(self, monkeypatch):
+        """Only one layer's dW is alive at a time: the 3-layer 784->2000 net
+        would otherwise hold a second 32 MB gradient."""
+        grads_batch = FFLayer.grads_batch
+        refs, live_at_call = [], []
+
+        def tracked(layer, *args):
+            live_at_call.append(sum(r() is not None for r in refs))
+            out = grads_batch(layer, *args)
+            refs.append(weakref.ref(out[0]))
+            return out
+
+        monkeypatch.setattr(FFLayer, "grads_batch", tracked)
+        net = FFNetwork(6, [5, 4, 3], "relu", 0.01, Rng(3))
+        train_epoch(net, self._toy_stream(), Thresholds((0.5,) * 3), 0, 8, Rng(4))
+        assert live_at_call == [0] * 9  # 20 positions, batches of 8: 3 x 3 layers
 
     def test_polarity_counts(self):
         stream = self._toy_stream(n=20)
