@@ -4,16 +4,18 @@
 Run:  python benchmarks/bench_kernels.py [--pairs N]
 
 The skip-gram trainer is the python-bound hot loop and is where the JIT
-pays off; the corpus is cut so one SGNS epoch visits about N pairs, and
-the real count is printed. The layer-training path is BLAS-bound numpy
-and is timed here for context only (a hand-rolled kernel would not beat
-BLAS there): one epoch at a desk shape, and eight batch steps at the
-full recipe shape, 784 -> 2000x4 with batch 128. Eval throughput is
-the label sweep's candidate rows scored per second, ten labels on
-MNIST-shaped rows at 784 -> [500, 500]; the head's features are timed
-at the same shape, with the tracemalloc peak of one call (numpy reports
-its buffers to tracemalloc), which should be F plus a few row-chunk-sized
-matrices.
+pays off. It is timed on two corpora, each cut so one SGNS epoch visits
+about N pairs (the real count is printed): 60-token documents at window
+5, and 6-token reviews at window 2 shaped like the imdb-text benchmark,
+capped at that benchmark's 47k pairs. The layer-training path is
+BLAS-bound numpy and is timed here for context only (a hand-rolled
+kernel would not beat BLAS there): one epoch at a desk shape, and eight
+batch steps at the full recipe shape, 784 -> 2000x4 with batch 128.
+Eval throughput is the label sweep's candidate rows scored per second,
+ten labels on MNIST-shaped rows at 784 -> [500, 500]; the head's
+features are timed at the same shape, with the tracemalloc peak of one
+call (numpy reports its buffers to tracemalloc), which should be F plus
+a few row-chunk-sized matrices.
 """
 
 import argparse
@@ -54,20 +56,33 @@ def synth_corpus(n_docs, doc_len, vocab_size, seed=1):
     return docs
 
 
-DOC_LEN = 60
-WINDOW = 5
+# (name, tokens per document, window, vocabulary, pair cap): long documents,
+# where the per-pair work dominates, and short reviews shaped like the
+# imdb-text benchmark's one SGNS epoch (about 47k pairs), where the
+# numpy twin's per-review set-up shows as well
+SGNS_CORPORA = (
+    ("60-token docs", 60, 5, 2000, None),
+    ("6-token reviews", 6, 2, 600, 47_000),
+)
 FULL_STEPS = 8
 
 
 def bench_sgns(target_pairs):
-    pairs_per_doc = count_pairs(np.array([0, DOC_LEN]), WINDOW)
-    corpus = synth_corpus(max(1, round(target_pairs / pairs_per_doc)), DOC_LEN, 2000)
+    for name, doc_len, window, vocab_size, cap in SGNS_CORPORA:
+        asked = target_pairs if cap is None else min(target_pairs, cap)
+        _bench_sgns_corpus(name, asked, doc_len, window, vocab_size)
+
+
+def _bench_sgns_corpus(name, target_pairs, doc_len, window, vocab_size):
+    pairs_per_doc = count_pairs(np.array([0, doc_len]), window)
+    corpus = synth_corpus(max(1, round(target_pairs / pairs_per_doc)), doc_len, vocab_size)
     vocab = build_vocab(corpus, min_count=1)
     tokens, offsets = encode_corpus(corpus, vocab)
     cdf = noise_cdf(vocab.counts)
-    per_epoch = count_pairs(offsets, WINDOW)
-    print(f"corpus: {len(corpus)} docs, {tokens.shape[0]} tokens, vocab {len(vocab)}, "
-          f"{per_epoch} pairs/epoch (asked for {target_pairs}), dim 100, 5 negatives")
+    per_epoch = count_pairs(offsets, window)
+    print(f"{name}: {len(corpus)} docs, {tokens.shape[0]} tokens, vocab {len(vocab)}, "
+          f"window {window}, {per_epoch} pairs/epoch (asked for {target_pairs}), "
+          f"dim 100, 5 negatives")
 
     results = {}
     for label, use_numba in (("numba @njit", True), ("numpy twin", False)):
@@ -78,13 +93,13 @@ def bench_sgns(target_pairs):
         if use_numba:  # compile outside the timed region
             sgns_epoch(
                 tokens[: offsets[1]], offsets[:2].copy(), win, wout, cdf,
-                WINDOW, 5, 0.025, 2.5e-6, 0, per_epoch, 3, use_numba=True,
+                window, 5, 0.025, 2.5e-6, 0, per_epoch, 3, use_numba=True,
             )
             win, wout = init_embeddings(len(vocab), 100, Rng(7))
         t0 = time.perf_counter()
         _, done, _ = sgns_epoch(
             tokens, offsets, win, wout, cdf,
-            WINDOW, 5, 0.025, 2.5e-6, 0, per_epoch, 3, use_numba=use_numba,
+            window, 5, 0.025, 2.5e-6, 0, per_epoch, 3, use_numba=use_numba,
         )
         dt = time.perf_counter() - t0
         rate = done / dt

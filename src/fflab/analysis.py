@@ -64,29 +64,6 @@ def export_heatmap(W, path):
         f.write(header + bytes_.tobytes())
 
 
-def read_pgm(path):
-    """Decode a binary P5 PGM back into a uint8 matrix."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if not data.startswith(b"P5"):
-        raise UsageError(f"{path!r} is not a binary PGM")
-    fields = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(int(data[start:pos]))
-    pos += 1  # single whitespace after maxval
-    cols, rows, maxval = fields
-    if maxval != 255:
-        raise UsageError(f"expected maxval 255, got {maxval}")
-    pixels = np.frombuffer(data, dtype=np.uint8, offset=pos, count=rows * cols)
-    return pixels.reshape(rows, cols).copy()
-
-
 def label_pixel_spike(W, num_label_cols=10):
     """(mean |w| over label columns, mean |w| over the rest) of one matrix."""
     A = np.abs(np.asarray(W, dtype=np.float64))

@@ -167,12 +167,3 @@ def bp_predict_batch(net, X):
         _, logits = net.forward_batch(X[rows])
         pred[rows] = np.argmax(logits, axis=1)
     return pred
-
-
-def check_architecture_parity(bp_net, ff_net):
-    """The comparison is meaningless unless hidden widths match; enforce it."""
-    if bp_net.hidden_widths != ff_net.widths:
-        raise UsageError(
-            f"architecture mismatch: baseline hidden widths {bp_net.hidden_widths} "
-            f"vs {ff_net.widths}"
-        )

@@ -82,6 +82,7 @@ _AT_LEAST = {
     "head.epochs": 1,
     "head.batch_size": 1,
     "baseline.epochs": 0,
+    "data.test_subset": 0,
     "sgns.dim": 1,
     "sgns.window": 1,
     "sgns.neg_k": 0,

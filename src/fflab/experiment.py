@@ -124,19 +124,20 @@ def _imdb_bundle(cfg):
     if len(vocab) == 0:
         raise DataError("IMDb vocabulary is empty at this min_count")
 
-    params = {
-        "dim": cfg["sgns.dim"],
-        "window": cfg["sgns.window"],
-        "neg_k": cfg["sgns.neg_k"],
-        "epochs": cfg["sgns.epochs"],
-        "min_count": cfg["sgns.min_count"],
-        "lr": cfg["sgns.lr"],
-        "seed": cfg.seed,
-    }
-    fingerprint = text_data.corpus_fingerprint(corpus_tr, params)
     cache = cfg["data.embedding_cache"]
     table = None
     if cache:
+        params = {
+            "dim": cfg["sgns.dim"],
+            "window": cfg["sgns.window"],
+            "neg_k": cfg["sgns.neg_k"],
+            "epochs": cfg["sgns.epochs"],
+            "min_count": cfg["sgns.min_count"],
+            "lr": cfg["sgns.lr"],
+            "seed": cfg.seed,
+        }
+        # the whole training corpus is hashed, so only for the cache
+        fingerprint = text_data.corpus_fingerprint(corpus_tr, params)
         hit = text_data.load_cached_embeddings(cache, fingerprint)
         if hit is not None and hit[0] == vocab.tokens:
             table = hit[1]

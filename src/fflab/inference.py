@@ -162,14 +162,6 @@ def fit_head(F, labels, num_classes, included_layers, epochs=8, batch_size=128, 
     return head
 
 
-def head_loss(net, head, X_neutral, labels):
-    """Mean cross-entropy of the head; used by the gradient checks."""
-    F = features_batch(net, X_neutral, head.included_layers)
-    P = softmax(F @ head.W.T + head.b)
-    n = F.shape[0]
-    return float(-np.mean(np.log(P[np.arange(n), labels] + 1e-300)))
-
-
 def predict_head_batch(net, head, X_neutral):
     """Head predictions for neutral-encoded rows; ties go to the lower index."""
     return predict_head_features(head, features_batch(net, X_neutral, head.included_layers))

@@ -2,15 +2,13 @@
 
 The fast CI target: per-class Gaussian blobs in a low-dimensional
 feature space, with label slots prepended to the feature vector the
-same way image pixels carry the label elsewhere. Two classes give the
-"two-blob" toy used all over the test suite.
+same way image pixels carry the label elsewhere.
 """
 
 import numpy as np
 
 from .errors import UsageError
 from .ffnet import LabelSlots
-from .rng import Rng, derive_seed
 
 
 def make_blobs(num_classes, dim, n_per_class, separation, rng):
@@ -35,10 +33,3 @@ def make_blobs(num_classes, dim, n_per_class, separation, rng):
 def label_slots(num_classes):
     """One-hot label slots prepended to the raw features."""
     return LabelSlots(num_classes, start=0, overwrite=False)
-
-
-def two_blob_toy(n_per_class=60, dim=8, separation=2.5, seed=7):
-    """The small 2-class task the derived-example tests train on."""
-    rng = Rng(derive_seed(seed, 2))
-    X, y = make_blobs(2, dim, n_per_class, separation, rng)
-    return X, y, rng

@@ -2,11 +2,18 @@
 
 Everything here is deliberately written the dumb way — plain loops,
 scalar recursions — and stays independent of the code paths it judges.
+The last section holds helpers that only the tests use: closed-form
+gradients, a PGM reader, a shape check and the two-blob toy task.
 """
 
 import numpy as np
 
-from fflab.rng import GOLDEN, MASK64, _INV53, mix64
+from fflab.activations import softmax
+from fflab.errors import UsageError
+from fflab.inference import features_batch
+from fflab.kernels import negative_targets, pairs_per_sentence
+from fflab.rng import GOLDEN, MASK64, _INV53, Rng, derive_seed, mix64
+from fflab.synthetic import make_blobs
 
 
 def central_diff_grad(f, x, h=1e-5):
@@ -297,6 +304,80 @@ def loop_sgns_epoch(tokens, offsets, win, wout, cdf, window, neg_k,
     return state, pairs_done, loss_sum
 
 
+def _sentence_pairs(n, window):
+    """(center, context) positions of an n-token sentence, in visit order:
+    by center, then by context position."""
+    w = min(window, n - 1)
+    steps = np.concatenate([np.arange(-w, 0), np.arange(1, w + 1)])
+    ctx = np.arange(n)[:, None] + steps
+    inside = (ctx >= 0) & (ctx < n)
+    return np.nonzero(inside)[0], ctx[inside]
+
+
+def sentence_sgns_epoch(tokens, offsets, win, wout, cdf, window, neg_k,
+                        lr0, lr_min, pairs_done, total_pairs, state):
+    """The numpy SGNS twin as it was before block preparation: pairs,
+    negatives, masks and rates prepared one sentence at a time.
+
+    The block twin must match it bit for bit: same tables, rng state,
+    pair count and loss.
+    """
+    rng = Rng(state)
+    width = 1 + neg_k
+    # loss of slot q is softplus(sign[q] * u): slot 0 is the context word
+    sign = np.ones(width)
+    sign[0] = -1.0
+    # target labels for m kept targets: 1 for the context word, 0 after it
+    labels = [np.eye(1, m).ravel() for m in range(width + 1)]
+    loss_sum = 0.0
+    counts = pairs_per_sentence(offsets, window)
+    for s in np.flatnonzero(counts):
+        n_pairs = int(counts[s])
+        sent = tokens[offsets[s] : offsets[s + 1]]
+        pos_c, pos_o = _sentence_pairs(sent.shape[0], window)
+        targets = np.empty((n_pairs, width), dtype=np.int64)
+        targets[:, 0] = sent[pos_o]
+        targets[:, 1:] = negative_targets(rng, cdf, n_pairs * neg_k).reshape(n_pairs, neg_k)
+        # a draw that hits the context word is skipped
+        kept = targets != targets[:, :1]
+        kept[:, 0] = True
+        # skipped slots get distinct ids below 0, so they never count as repeats
+        marked = np.sort(np.where(kept, targets, -1 - np.arange(width)), axis=1)
+        repeats = (marked[:, 1:] == marked[:, :-1]).any(axis=1)
+        lrs = np.maximum(
+            lr0 * (1.0 - (pairs_done + np.arange(n_pairs)) / total_pairs), lr_min
+        )
+        pairs_done += n_pairs
+        # clipped dot products; an unused slot stays -inf and adds no loss
+        u_kept = np.full((n_pairs, width), -np.inf)
+        per_pair = zip(
+            sent[pos_c].tolist(), lrs.tolist(), kept.all(axis=1).tolist(), repeats.tolist()
+        )
+        for p, (c, lr, all_kept, repeat) in enumerate(per_pair):
+            idx = targets[p] if all_kept else targets[p][kept[p]]
+            wc = win[c]
+            if repeat:
+                grad_c = np.zeros(wc.shape[0])
+                for q, t in enumerate(idx.tolist()):
+                    uc = max(min(float(wc @ wout[t]), 40.0), -40.0)
+                    g = ((1.0 if q == 0 else 0.0) - 1.0 / (1.0 + np.exp(-uc))) * lr
+                    u_kept[p, q] = uc
+                    grad_c += g * wout[t]
+                    wout[t] += g * wc
+            else:
+                rows = wout.take(idx, axis=0)
+                u = rows.dot(wc)
+                np.minimum(np.maximum(u, -40.0, out=u), 40.0, out=u)
+                g = (labels[idx.shape[0]] - 1.0 / (1.0 + np.exp(-u))) * lr
+                u_kept[p, : idx.shape[0]] = u
+                grad_c = g.dot(rows)
+                rows += g[:, None] * wc
+                wout[idx] = rows
+            wc += grad_c
+        loss_sum += float(np.log1p(np.exp(sign * u_kept)).sum())
+    return rng.state, pairs_done, loss_sum
+
+
 def whole_u64_draws(state, n):
     """The next n splitmix64 outputs after ``state`` as one uint64
     expression over all n counters at once, with full-size temporaries."""
@@ -321,3 +402,75 @@ def box_muller(raw, n):
     r = np.sqrt(-2.0 * np.log(u1))
     theta = 2.0 * np.pi * u2
     return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+
+
+# ---------------------------------------------------------------------------
+# helpers only the tests use
+
+
+def sgns_pair_grads(v_center, v_context, v_negatives):
+    """Closed-form gradients of one pair's loss, for the gradient checks.
+
+    loss = softplus(-u_pos) + sum_i softplus(u_neg_i) with u = v_center
+    dot v_target. Returns (d_center, d_context, d_negatives, loss).
+    """
+    u_pos = float(v_center @ v_context)
+    s_pos = 1.0 / (1.0 + np.exp(-max(min(u_pos, 40.0), -40.0)))
+    d_center = (s_pos - 1.0) * v_context
+    d_context = (s_pos - 1.0) * v_center
+    loss = np.log1p(np.exp(-u_pos)) if u_pos > -30 else -u_pos
+    d_negatives = np.zeros_like(v_negatives)
+    for i in range(v_negatives.shape[0]):
+        u = float(v_center @ v_negatives[i])
+        s = 1.0 / (1.0 + np.exp(-max(min(u, 40.0), -40.0)))
+        d_center = d_center + s * v_negatives[i]
+        d_negatives[i] = s * v_center
+        loss += np.log1p(np.exp(u)) if u < 30 else u
+    return d_center, d_context, d_negatives, loss
+
+
+def head_loss(net, head, X_neutral, labels):
+    """Mean cross-entropy of the head; used by the gradient checks."""
+    F = features_batch(net, X_neutral, head.included_layers)
+    P = softmax(F @ head.W.T + head.b)
+    n = F.shape[0]
+    return float(-np.mean(np.log(P[np.arange(n), labels] + 1e-300)))
+
+
+def read_pgm(path):
+    """Decode a binary P5 PGM back into a uint8 matrix."""
+    with open(path, "rb") as f:
+        data = f.read()
+    if not data.startswith(b"P5"):
+        raise UsageError(f"{path!r} is not a binary PGM")
+    fields = []
+    pos = 2
+    while len(fields) < 3:
+        while pos < len(data) and data[pos : pos + 1].isspace():
+            pos += 1
+        start = pos
+        while pos < len(data) and not data[pos : pos + 1].isspace():
+            pos += 1
+        fields.append(int(data[start:pos]))
+    pos += 1  # single whitespace after maxval
+    cols, rows, maxval = fields
+    if maxval != 255:
+        raise UsageError(f"expected maxval 255, got {maxval}")
+    pixels = np.frombuffer(data, dtype=np.uint8, offset=pos, count=rows * cols)
+    return pixels.reshape(rows, cols).copy()
+
+
+def check_architecture_parity(bp_net, ff_net):
+    """The comparison is meaningless unless hidden widths match; enforce it."""
+    if bp_net.hidden_widths != ff_net.widths:
+        raise UsageError(
+            f"architecture mismatch: baseline hidden widths {bp_net.hidden_widths} "
+            f"vs {ff_net.widths}"
+        )
+
+
+def two_blob_toy(n_per_class=60, dim=8, separation=2.5, seed=7):
+    """The small 2-class task the derived-example tests train on."""
+    rng = Rng(derive_seed(seed, 2))
+    X, y = make_blobs(2, dim, n_per_class, separation, rng)
+    return X, y, rng

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fflab.activations import ACTIVATIONS
-from fflab.analysis import export_heatmap, label_pixel_spike, read_pgm, weight_stats
+from fflab.analysis import export_heatmap, label_pixel_spike, weight_stats
 from fflab.bp_baseline import BPNetwork, bp_predict_batch, bp_train_epoch, softmax
 from fflab.checkpoint import load_network, network_bytes, save_network
 from fflab.config import parse_config
@@ -28,7 +28,6 @@ from fflab.inference import (
     sweep_scores_batch,
     train_head,
 )
-from fflab.kernels import sgns_pair_grads
 from fflab.mnist_data import parse_idx_images, parse_idx_labels
 from fflab.numerics import AdamState
 from fflab.rng import Rng, derive_seed
@@ -36,7 +35,7 @@ from fflab.synthetic import label_slots
 from fflab.thresholds import Thresholds
 
 from conftest import IMDB_DIR, MNIST_DIR, requires_imdb, requires_mnist
-from oracles import central_diff_grad, loop_layer_loss, rel_err
+from oracles import central_diff_grad, loop_layer_loss, read_pgm, rel_err, sgns_pair_grads
 
 
 # ---------------------------------------------------------------------------

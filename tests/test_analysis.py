@@ -8,7 +8,6 @@ from fflab.analysis import (
     goodness_report,
     ks_2sample,
     label_pixel_spike,
-    read_pgm,
     weight_stats,
     write_goodness_csv,
     write_weight_stats_csv,
@@ -16,10 +15,10 @@ from fflab.analysis import (
 from fflab.ffnet import FFNetwork, goodness, train_epoch
 from fflab.inference import sweep_scores_batch
 from fflab.rng import Rng
-from fflab.synthetic import label_slots, two_blob_toy
+from fflab.synthetic import label_slots
 from fflab.thresholds import Thresholds
 
-from oracles import loop_goodness_report
+from oracles import loop_goodness_report, read_pgm, two_blob_toy
 
 BLOB = label_slots(2)
 

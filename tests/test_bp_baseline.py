@@ -8,16 +8,15 @@ from fflab.bp_baseline import (
     bp_loss,
     bp_predict_batch,
     bp_train_epoch,
-    check_architecture_parity,
 )
 from fflab import numerics
 from fflab.activations import softmax
 from fflab.errors import DimensionError, UsageError
 from fflab.ffnet import FFNetwork
 from fflab.rng import Rng
-from fflab.synthetic import label_slots, two_blob_toy
+from fflab.synthetic import label_slots
 
-from oracles import central_diff_grad, rel_err
+from oracles import central_diff_grad, check_architecture_parity, rel_err, two_blob_toy
 
 
 def small_task(n=24, seed=500):

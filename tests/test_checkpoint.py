@@ -13,7 +13,9 @@ from fflab.errors import FormatError, UsageError
 from fflab.ffnet import FFNetwork
 from fflab.inference import train_head
 from fflab.rng import Rng
-from fflab.synthetic import label_slots, two_blob_toy
+from fflab.synthetic import label_slots
+
+from oracles import two_blob_toy
 
 
 @pytest.fixture

@@ -77,6 +77,7 @@ class TestParsing:
             ("synthetic.train_per_class", "0"),
             ("synthetic.test_per_class", "0"),
             ("synthetic.test_per_class", "-3"),
+            ("data.test_subset", "-2"),
         ],
     )
     def test_out_of_range_value_names_key(self, key, value):
@@ -87,7 +88,8 @@ class TestParsing:
         "key, value",
         [("baseline.epochs", "0"), ("sgns.neg_k", "0"), ("sgns.epochs", "0"),
          ("head.epochs", "1"), ("sgns.window", "1"), ("synthetic.dim", "1"),
-         ("synthetic.train_per_class", "1"), ("synthetic.test_per_class", "1")],
+         ("synthetic.train_per_class", "1"), ("synthetic.test_per_class", "1"),
+         ("data.test_subset", "0")],
     )
     def test_lowest_allowed_value_parses(self, key, value):
         assert parse_config(None, {"seed": "1", key: value})[key] == int(value)

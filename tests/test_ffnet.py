@@ -18,7 +18,7 @@ from fflab.ffnet import (
     train_epoch,
 )
 from fflab.rng import Rng
-from fflab.synthetic import label_slots, two_blob_toy
+from fflab.synthetic import label_slots
 from fflab.thresholds import Thresholds
 
 from oracles import (
@@ -29,6 +29,7 @@ from oracles import (
     loop_layer_loss,
     loop_epoch,
     rel_err,
+    two_blob_toy,
 )
 
 

@@ -15,7 +15,6 @@ from fflab.inference import (
     ClassifierHead,
     default_included_layers,
     features_batch,
-    head_loss,
     predict_head_batch,
     predict_sweep_batch,
     sweep_scores_batch,
@@ -23,11 +22,11 @@ from fflab.inference import (
 )
 from fflab.numerics import AdamState, row_directions
 from fflab.rng import Rng
-from fflab.synthetic import label_slots, two_blob_toy
+from fflab.synthetic import label_slots
 from fflab.text_data import label_slots as sentiment_slots
 from fflab.thresholds import Thresholds
 
-from oracles import central_diff_grad, loop_sweep, rel_err
+from oracles import central_diff_grad, head_loss, loop_sweep, rel_err, two_blob_toy
 
 BLOB = label_slots(2)
 

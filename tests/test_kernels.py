@@ -1,6 +1,7 @@
 """The @njit kernel and its pure-numpy twin must be interchangeable."""
 
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from fflab.text_data import (
     noise_cdf,
 )
 
-from oracles import loop_sgns_epoch
+from oracles import loop_sgns_epoch, sentence_sgns_epoch
 from test_text_data import make_clique_corpus
 
 
@@ -183,3 +184,102 @@ def test_numpy_twin_matches_per_draw_oracle(case):
     assert abs(l1 - l2) <= 1e-8 * abs(l2)
     np.testing.assert_allclose(win1, win2, rtol=1e-10, atol=1e-13)
     np.testing.assert_allclose(wout1, wout2, rtol=1e-10, atol=1e-13)
+
+
+# Corpora the block twin must match the per-sentence twin on, bit for bit:
+# (vocab size, neg_k, window, review lengths).
+BLOCK_CASES = {
+    **{name: (*ORACLE_CASES[name], [6, 0, 1, 9, 1, 0, 14, 2, 5]) for name in ORACLE_CASES},
+    # empty and one-token reviews open, close and split blocks, and a run
+    # of them longer than a small block's look-ahead holds no pair at all
+    "empty-edges": (12, 5, 2, [0, 1, 3, 1, 0, 4, 0, 0, 1, 0, 1, 1, 0, 0, 1, 0, 2, 1, 3, 0]),
+    # one review with more pairs than a block, even an unpatched one
+    "long-review": (40, 3, 3, [5, 700, 0, 3]),
+}
+
+
+def _epochs(twin, case, n_epochs):
+    vocab_size, neg_k, window, lengths = BLOCK_CASES[case]
+    tokens, offsets, win, wout, cdf = _tiny_corpus(vocab_size, lengths, seed=8)
+    total = count_pairs(offsets, window) * n_epochs // 2
+    state, done, losses = 2024, 4, []
+    for _ in range(n_epochs):
+        state, done, loss = twin(
+            tokens, offsets, win, wout, cdf, window, neg_k, 0.05, 1e-3, done, total, state
+        )
+        losses.append(loss)
+    return win, wout, state, done, losses
+
+
+def _block_twin(*args):
+    return sgns_epoch(*args, use_numba=False)
+
+
+@pytest.mark.parametrize("block", [1, 7, 8, None])
+@pytest.mark.parametrize("n_epochs", [1, 2])
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+def test_block_twin_matches_sentence_twin_bit_for_bit(monkeypatch, case, n_epochs, block):
+    """Preparing per block of reviews changes no bit: the tables, the rng
+    state, the pair count and each epoch's loss equal the per-sentence
+    twin's, whatever the block size; a second epoch carries pairs_done."""
+    if block is not None:
+        monkeypatch.setattr(kernels, "_BLOCK_PAIRS", block)
+    win1, wout1, *rest1 = _epochs(_block_twin, case, n_epochs)
+    win2, wout2, *rest2 = _epochs(sentence_sgns_epoch, case, n_epochs)
+    assert np.array_equal(win1, win2)
+    assert np.array_equal(wout1, wout2)
+    assert rest1 == rest2
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 7, 40])
+def test_block_pairs_match_enumeration(window):
+    """Every (center, context) position pair of a block, in visit order."""
+    lengths = [0, 1, 2, 3, 5, 8, 0, 1, 13, 30]
+    offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    for first, stop in ((0, len(lengths)), (3, 9), (6, 8), (2, 3)):
+        want = [
+            (i, j)
+            for s in range(first, stop)
+            for i in range(offsets[s], offsets[s + 1])
+            for j in range(offsets[s], offsets[s + 1])
+            if i != j and abs(i - j) <= window
+        ]
+        centers, contexts = kernels._block_pairs(offsets, first, stop, window)
+        assert list(zip(centers.tolist(), contexts.tolist())) == want
+
+
+def test_review_blocks_cover_the_corpus_in_order(monkeypatch):
+    """Blocks are consecutive; each but the last holds at least
+    _BLOCK_PAIRS pairs unless its look-ahead ran out of pairs."""
+    monkeypatch.setattr(kernels, "_BLOCK_PAIRS", 8)
+    lengths = [3, 0, 1, 4, 2, 9, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 2, 3]
+    offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    blocks = list(kernels._review_blocks(offsets, 2))
+    assert blocks[0][0] == 0 and blocks[-1][1] == len(lengths)
+    for (_, stop, _), (first, _, _) in zip(blocks, blocks[1:]):
+        assert stop == first
+    for first, stop, counts in blocks:
+        assert counts.tolist() == pairs_per_sentence(offsets[first : stop + 1], 2).tolist()
+        held = int(counts.sum())
+        assert held >= 8 or stop - first == 8 or stop == len(lengths)
+        assert held - int(counts[-1]) < 8
+
+
+def test_epoch_scratch_does_not_grow_with_corpus_length(monkeypatch):
+    """At a fixed block size the transient memory of one epoch is the same
+    for a corpus eight times as long."""
+    monkeypatch.setattr(kernels, "_BLOCK_PAIRS", 64)
+
+    def peak(n_reviews):
+        lengths = [2 + i % 3 for i in range(n_reviews)]
+        tokens, offsets, win, wout, cdf = _tiny_corpus(50, lengths, seed=3)
+        total = count_pairs(offsets, 2)
+        tracemalloc.start()
+        sgns_epoch(tokens, offsets, win, wout, cdf, 2, 5, 0.05, 1e-3, 0, total, 9,
+                   use_numba=False)
+        _, top = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        return top
+
+    short, long = peak(60), peak(480)
+    assert long < 1.2 * short, (short, long)

@@ -22,6 +22,7 @@ from fflab.experiment import build_bundle, run_experiment
 from fflab.inference import predict_head_batch, train_head
 from fflab.ffnet import FFNetwork
 from fflab.rng import Rng
+from fflab import text_data
 
 from conftest import MNIST_DIR, requires_mnist
 
@@ -231,6 +232,40 @@ class TestImdbPipeline:
         )
         assert set(np.unique(head_pred)) <= {0, 1}
         assert set(np.unique(sweep_pred)) <= {0, 1}
+
+    def test_uncached_run_does_not_hash_the_corpus(self, run, tmp_path, monkeypatch):
+        """The corpus fingerprint only keys the embedding cache."""
+        cfg, _ = run
+
+        def refuse(corpus, params):
+            raise AssertionError("corpus hashed without an embedding cache")
+
+        monkeypatch.setattr(text_data, "corpus_fingerprint", refuse)
+        uncached = parse_config(
+            None,
+            {k: str(v) if not isinstance(v, list) else ",".join(map(str, v))
+             for k, v in cfg.values.items() if v is not None}
+            | {"data.embedding_cache": "", "epochs": "1", "output_dir": str(tmp_path / "run")},
+        )
+        result = run_experiment(uncached)
+        assert os.path.exists(result.checkpoint)
+
+
+def test_negative_test_subset_exits_one_before_output(tmp_path, capsys):
+    """A negative cap would cut reviews off the test split; it is refused
+    at parse time, before anything is written."""
+    root = tmp_path / "imdb"
+    write_imdb_tree(root, n_per=4)
+    out = tmp_path / "run"
+    code = main(
+        ["train", "--dataset", "imdb", "--seed", "1", "--set", f"data.imdb_dir={root}",
+         "--set", "data.test_subset=-3", "--output", str(out)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: data.test_subset must be >= 0, got -3"
+    ]
+    assert not os.path.exists(out)
 
 
 @pytest.mark.mnist

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from fflab.errors import FormatError, UsageError
 from fflab.ffnet import Polarity
-from fflab.kernels import sgns_pair_grads
 from fflab.porter import stem
 from fflab.rng import Rng
 from fflab.text_data import (
@@ -26,7 +25,7 @@ from fflab.text_data import (
     vectorize_review,
 )
 
-from oracles import central_diff_grad, rel_err
+from oracles import central_diff_grad, rel_err, sgns_pair_grads
 
 
 def make_clique_corpus(n_reviews=300, per_clique=6, length=10, seed=55):
