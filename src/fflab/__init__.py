@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from .activations import ACTIVATIONS, get_activation
 from .ffnet import FFNetwork, LabelSlots, Polarity, ff_loss, goodness, train_epoch
-from .inference import predict_head_batch, predict_sweep_batch, train_head
+from .inference import predict_head_batch, predict_sweep_batch
 from .numerics import AdamState, adam_step
 from .rng import Rng
 from .thresholds import Thresholds
@@ -29,5 +29,4 @@ __all__ = [
     "predict_head_batch",
     "predict_sweep_batch",
     "train_epoch",
-    "train_head",
 ]

@@ -117,12 +117,3 @@ def activation_by_tag(tag):
     except KeyError:
         raise UsageError(f"unknown activation tag {tag}") from None
 
-
-def leaky_relu(slope):
-    """A leaky relu with a nonstandard slope (in-memory use only;
-
-    checkpoints carry the canonical five kinds)."""
-    if slope == DEFAULT_LEAKY_SLOPE:
-        return LEAKY_RELU
-    fn, deriv = _make_leaky(slope)
-    return Activation(f"leaky_relu[{slope:g}]", 1, fn, deriv, bounded=False)

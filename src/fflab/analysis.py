@@ -126,22 +126,3 @@ def write_goodness_csv(path, report):
                     ]
                 )
 
-
-def ks_2sample(a, b):
-    """Two-sample Kolmogorov-Smirnov statistic and asymptotic p-value."""
-    a = np.sort(np.asarray(a, dtype=np.float64))
-    b = np.sort(np.asarray(b, dtype=np.float64))
-    n, m = len(a), len(b)
-    if n == 0 or m == 0:
-        raise UsageError("ks_2sample needs non-empty samples")
-    pooled = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, pooled, side="right") / n
-    cdf_b = np.searchsorted(b, pooled, side="right") / m
-    d = float(np.max(np.abs(cdf_a - cdf_b)))
-    n_eff = n * m / (n + m)
-    lam = (np.sqrt(n_eff) + 0.12 + 0.11 / np.sqrt(n_eff)) * d
-    if lam < 0.1:
-        return d, 1.0  # survival probability is 1 to double precision there
-    terms = np.arange(1, 101)
-    p = 2.0 * np.sum((-1.0) ** (terms - 1) * np.exp(-2.0 * (terms * lam) ** 2))
-    return d, float(min(max(p, 0.0), 1.0))

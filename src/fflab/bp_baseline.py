@@ -61,10 +61,6 @@ class BPNetwork:
             fan_in = int(w)
         self.out_layer = DenseLayer(fan_in, self.num_classes, None, lr, rng)
 
-    @property
-    def hidden_widths(self):
-        return [layer.out_dim for layer in self.layers]
-
     @classmethod
     def from_parts(cls, input_dim, num_classes, layers, out_layer):
         net = object.__new__(cls)
@@ -88,14 +84,6 @@ class BPNetwork:
             stages.append((Z, A))
         _, logits = self.out_layer.forward_batch(A)
         return stages, logits
-
-
-def bp_loss(net, X, y):
-    """Mean softmax cross-entropy; the quantity backprop descends."""
-    _, logits = net.forward_batch(X)
-    P = softmax(logits)
-    n = X.shape[0]
-    return float(-np.mean(np.log(P[np.arange(n), y] + 1e-300)))
 
 
 @dataclass

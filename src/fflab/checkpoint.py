@@ -19,8 +19,8 @@ Layout (all integers little-endian):
         W               num_classes*concat_width float64
         b               num_classes float64
 
-Round-trips are bit-exact. Optimizer state is not persisted; loaded
-networks get fresh Adam moments.
+Round-trips are bit-exact. Optimizer state is not persisted: loaded
+networks get fresh Adam moments, and heads carry no optimizer state.
 """
 
 import io
@@ -33,7 +33,6 @@ from .bp_baseline import BPNetwork, DenseLayer
 from .errors import FormatError, UsageError
 from .ffnet import FFLayer, FFNetwork
 from .inference import ClassifierHead
-from .numerics import AdamState
 
 FF_MAGIC = b"FFN1"
 BP_MAGIC = b"BPN1"
@@ -188,7 +187,7 @@ def _read_layers(r, magic):
     return out
 
 
-def _read_head(r, head_lr, widths):
+def _read_head(r, widths):
     """The head section: at least one class, read from at least one existing
     layer, at the included layers' total width."""
     at = r.pos
@@ -222,17 +221,12 @@ def _read_head(r, head_lr, widths):
         num_classes, concat_width
     )
     b = r.f64_array(num_classes, "head bias")
-    return ClassifierHead(
-        W=W,
-        b=b,
-        adam_W=AdamState.for_param(W.shape, head_lr),
-        adam_b=AdamState.for_param(b.shape, head_lr),
-        included_layers=included,
-    )
+    return ClassifierHead(W=W, b=b, included_layers=included)
 
 
-def load_network(path, lr=0.01, head_lr=1e-3):
-    """Returns (net, head_or_None); accepts both container magics.
+def load_network(path, lr=0.01):
+    """Returns (net, head_or_None); accepts both container magics. The
+    layers get fresh Adam moments at step size ``lr``; the head gets none.
 
     A file that does not describe a usable network raises
     :class:`FormatError` with the byte offset of the offending field:
@@ -261,7 +255,7 @@ def load_network(path, lr=0.01, head_lr=1e-3):
         tag = r.take(4, "trailing section tag")
         if tag != HEAD_TAG:
             raise FormatError(f"unknown trailing section {tag!r}", offset=r.pos - 4)
-        head = _read_head(r, head_lr, [spec[1] for spec in specs])
+        head = _read_head(r, [spec[1] for spec in specs])
     if r.pos != len(data):
         raise FormatError(
             f"{len(data) - r.pos} unexpected trailing bytes", offset=r.pos

@@ -131,15 +131,20 @@ def parse_config(path=None, overrides=None):
     if path is not None:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path!r}")
-        with open(path, "r", encoding="utf-8") as f:
-            for lineno, raw_line in enumerate(f, start=1):
-                line = raw_line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"expected 'key = value', got {line!r}", line=lineno)
-                key, _, raw = line.partition("=")
-                _set_value(values, key.strip(), raw.strip(), line=lineno)
+        with open(path, "rb") as f:
+            data = f.read()
+        # bytes split on \n, \r and \r\n, as text mode's universal newlines do
+        for lineno, raw_line in enumerate(data.splitlines(), start=1):
+            try:
+                line = raw_line.decode("utf-8").split("#", 1)[0].strip()
+            except UnicodeDecodeError as e:
+                raise ConfigError(f"not UTF-8 ({e.reason})", line=lineno) from None
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"expected 'key = value', got {line!r}", line=lineno)
+            key, _, raw = line.partition("=")
+            _set_value(values, key.strip(), raw.strip(), line=lineno)
 
     for key, raw in (overrides or {}).items():
         _set_value(values, key, raw)

@@ -10,7 +10,6 @@ By default both routes read every layer except the first, whose units
 see the label slots directly and would leak.
 """
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,21 +66,10 @@ def features_batch(net, X_neutral, included_layers):
     return F
 
 
-def _weights_digest(net):
-    """sha256 of every layer's W and b, read from their buffers without a copy."""
-    h = hashlib.sha256()
-    for layer in net.layers:
-        h.update(layer.W)
-        h.update(layer.b)
-    return h.digest()
-
-
 @dataclass
 class ClassifierHead:
     W: np.ndarray
     b: np.ndarray
-    adam_W: AdamState
-    adam_b: AdamState
     included_layers: tuple
 
     @property
@@ -93,56 +81,24 @@ class ClassifierHead:
         return self.W.shape[1]
 
 
-def train_head(
-    net,
-    X_neutral,
-    labels,
-    num_classes,
-    epochs=8,
-    batch_size=128,
-    lr=1e-3,
-    rng=None,
-    included_layers=None,
-):
-    """Fit the softmax head on features from the frozen network.
-
-    The network is read, never written: features are computed once up
-    front and only the head's own parameters take Adam steps
-    (:func:`fit_head`). The detachment contract is asserted — the net's
-    weights must be bit-identical before and after.
-    """
-    if included_layers is None:
-        included_layers = default_included_layers(len(net.layers))
-    included_layers = tuple(sorted(included_layers))
-    frozen = _weights_digest(net)
-    F = features_batch(net, X_neutral, included_layers)
-    head = fit_head(F, labels, num_classes, included_layers, epochs, batch_size, lr, rng)
-    if _weights_digest(net) != frozen:
-        raise UsageError("head training mutated the frozen network")
-    return head
-
-
 def fit_head(F, labels, num_classes, included_layers, epochs=8, batch_size=128, lr=1e-3,
              rng=None):
     """Adam over shuffled minibatches of the feature rows ``F``, which
     ``features_batch`` computed from ``included_layers``.
 
     Gradient of the cross-entropy for one sample is
-    (softmax(logits) - onehot) outer features.
+    (softmax(logits) - onehot) outer features. Only F is read, never the
+    network, so the network stays frozen.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if F.shape[0] == 0:
         raise UsageError("the head needs a non-empty dataset")
     if rng is None:
         rng = Rng(0)
-    width = F.shape[1]
-    head = ClassifierHead(
-        W=np.zeros((num_classes, width), dtype=np.float64),
-        b=np.zeros(num_classes, dtype=np.float64),
-        adam_W=AdamState.for_param((num_classes, width), lr),
-        adam_b=AdamState.for_param((num_classes,), lr),
-        included_layers=tuple(included_layers),
-    )
+    W = np.zeros((num_classes, F.shape[1]))
+    b = np.zeros(num_classes)
+    adam_W = AdamState.for_param(W.shape, lr)
+    adam_b = AdamState.for_param(b.shape, lr)
 
     n = F.shape[0]
     order = list(range(n))
@@ -153,13 +109,13 @@ def fit_head(F, labels, num_classes, included_layers, epochs=8, batch_size=128, 
             Fb = F[idx]
             yb = labels[idx]
             m = len(idx)
-            P = softmax(Fb @ head.W.T + head.b)
+            P = softmax(Fb @ W.T + b)
             dlogits = P
             dlogits[np.arange(m), yb] -= 1.0
             dlogits /= m
-            adam_step(head.adam_W, head.W, dlogits.T @ Fb)
-            adam_step(head.adam_b, head.b, dlogits.sum(axis=0))
-    return head
+            adam_step(adam_W, W, dlogits.T @ Fb)
+            adam_step(adam_b, b, dlogits.sum(axis=0))
+    return ClassifierHead(W, b, tuple(included_layers))
 
 
 def predict_head_batch(net, head, X_neutral):

@@ -10,6 +10,7 @@ one, regenerated fresh every epoch.
 import gzip
 import os
 import struct
+import zlib
 
 import numpy as np
 
@@ -24,9 +25,12 @@ LABEL_SLOTS = LabelSlots(NUM_CLASSES, start=0, overwrite=True)
 
 
 def _maybe_gunzip(data):
-    if data[:2] == b"\x1f\x8b":
+    if data[:2] != b"\x1f\x8b":
+        return data
+    try:
         return gzip.decompress(data)
-    return data
+    except (OSError, EOFError, zlib.error) as e:
+        raise FormatError(f"corrupt gzip data: {e}") from None
 
 
 def parse_idx_images(data):
@@ -98,7 +102,13 @@ def load_mnist(directory):
     ):
         path = _find_file(directory, _CANDIDATE_NAMES[key])
         with open(path, "rb") as f:
-            out.append(parser(f.read()))
+            data = f.read()
+        try:
+            out.append(parser(data))
+        except FormatError as e:
+            located = FormatError(f"{path}: {e}")
+            located.offset = e.offset
+            raise located from None
     x_tr, y_tr, x_te, y_te = out
     if x_tr.shape[0] != y_tr.shape[0] or x_te.shape[0] != y_te.shape[0]:
         raise DataError(

@@ -51,9 +51,15 @@ def fan_in_uniform(rng, out_dim, in_dim):
     return W
 
 
+# Adam's decay rates and denominator floor, Kingma & Ba's defaults (arXiv:1412.6980)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Moment estimates and hyperparameters for one parameter array.
+    """Moment estimates, step size and step count for one parameter array.
 
     Single-owner mutable; one instance per parameter array.
     """
@@ -61,19 +67,13 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     lr: float = 0.01
 
     @classmethod
-    def for_param(cls, shape, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def for_param(cls, shape, lr):
         return cls(
             m=np.zeros(shape, dtype=np.float64),
             v=np.zeros(shape, dtype=np.float64),
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
             lr=lr,
         )
 
@@ -105,7 +105,7 @@ def adam_step(state, params, grads):
             f"grads {grads.shape}, moments {state.m.shape}"
         )
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     m_scale = 1.0 - b1 ** state.t
     v_scale = 1.0 - b2 ** state.t
     P, G, M, V = params, grads, state.m, state.v
@@ -127,7 +127,7 @@ def adam_step(state, params, grads):
         # s <- sqrt(v_hat) + eps ; d <- lr * m_hat / s
         np.divide(v, v_scale, out=s)
         np.sqrt(s, out=s)
-        s += state.eps
+        s += ADAM_EPS
         np.divide(m, m_scale, out=d)
         d *= state.lr
         d /= s

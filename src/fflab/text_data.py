@@ -214,7 +214,8 @@ def load_embeddings(path):
     A malformed file raises :class:`FormatError` naming the path and the
     line: a header that is not two non-negative integers, a file that
     ends before its V rows, a row without exactly a token and d values,
-    a value that is not a finite number, or a line that is not UTF-8.
+    a value that is not a finite number, a line that is not UTF-8, or an
+    empty table too wide to hold.
     """
 
     def malformed(line_no, what):
@@ -250,8 +251,12 @@ def load_embeddings(path):
             except ValueError as e:
                 raise malformed(i + 2, str(e)) from None
             tokens.append(parts[0])
-    # built from the rows read, so a header's V allocates nothing up front
-    table = np.array(rows, dtype=np.float64).reshape(v, d)
+    # built from the rows read, so a header's V allocates nothing up front;
+    # only a V of 0 leaves d unchecked by the rows, and numpy refuses a huge one
+    try:
+        table = np.array(rows, dtype=np.float64).reshape(v, d)
+    except ValueError:
+        raise malformed(1, f"a table of width {d} is too large") from None
     bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
     if bad.size:
         raise malformed(int(bad[0]) + 2, "non-finite value")
@@ -284,18 +289,21 @@ def load_cached_embeddings(path, fingerprint):
 
 
 def load_imdb_split(root, split, limit=0):
-    """Sorted deterministic read of one split. Returns (texts, labels 0/1)."""
+    """Sorted deterministic read of one split. Returns (texts, labels 0/1).
+
+    A ``limit`` > 0 reads the first ``(limit + 1) // 2`` negative and
+    ``limit // 2`` positive reviews, so exactly ``limit`` when there are
+    that many; 0 reads all.
+    """
     texts, labels = [], []
     for label_name, label in (("neg", 0), ("pos", 1)):
         d = os.path.join(root, split, label_name)
         if not os.path.isdir(d):
             raise DataError(f"missing IMDb directory {d!r}")
-        names = sorted(os.listdir(d))
+        names = sorted(name for name in os.listdir(d) if name.endswith(".txt"))
         if limit:
-            names = names[: limit // 2]
+            names = names[: (limit + 1 - label) // 2]
         for name in names:
-            if not name.endswith(".txt"):
-                continue
             with open(os.path.join(d, name), "r", encoding="utf-8") as f:
                 texts.append(f.read())
             labels.append(label)

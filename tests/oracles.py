@@ -3,14 +3,16 @@
 Everything here is deliberately written the dumb way — plain loops,
 scalar recursions — and stays independent of the code paths it judges.
 The last section holds helpers that only the tests use: closed-form
-gradients, a PGM reader, a shape check and the two-blob toy task.
+gradients, the head fit on a frozen net, a PGM reader, a shape check,
+the baseline's loss, a leaky relu of any slope, a two-sample KS test
+and the two-blob toy task.
 """
 
 import numpy as np
 
-from fflab.activations import softmax
+from fflab.activations import DEFAULT_LEAKY_SLOPE, LEAKY_RELU, Activation, _make_leaky, softmax
 from fflab.errors import UsageError
-from fflab.inference import features_batch
+from fflab.inference import default_included_layers, features_batch, fit_head
 from fflab.kernels import negative_targets, pairs_per_sentence
 from fflab.rng import GOLDEN, MASK64, _INV53, Rng, derive_seed, mix64
 from fflab.synthetic import make_blobs
@@ -429,6 +431,16 @@ def sgns_pair_grads(v_center, v_context, v_negatives):
     return d_center, d_context, d_negatives, loss
 
 
+def frozen_head(net, X_neutral, labels, num_classes, epochs=8, batch_size=128, lr=1e-3,
+                rng=None, included_layers=None):
+    """The head ``run_experiment`` fits, from features of the frozen ``net``."""
+    if included_layers is None:
+        included_layers = default_included_layers(len(net.layers))
+    included_layers = tuple(sorted(included_layers))
+    F = features_batch(net, X_neutral, included_layers)
+    return fit_head(F, labels, num_classes, included_layers, epochs, batch_size, lr, rng)
+
+
 def head_loss(net, head, X_neutral, labels):
     """Mean cross-entropy of the head; used by the gradient checks."""
     F = features_batch(net, X_neutral, head.included_layers)
@@ -460,13 +472,55 @@ def read_pgm(path):
     return pixels.reshape(rows, cols).copy()
 
 
+def hidden_widths(bp_net):
+    """Widths of a baseline's hidden layers, output layer excluded."""
+    return [layer.out_dim for layer in bp_net.layers]
+
+
 def check_architecture_parity(bp_net, ff_net):
     """The comparison is meaningless unless hidden widths match; enforce it."""
-    if bp_net.hidden_widths != ff_net.widths:
+    if hidden_widths(bp_net) != ff_net.widths:
         raise UsageError(
-            f"architecture mismatch: baseline hidden widths {bp_net.hidden_widths} "
+            f"architecture mismatch: baseline hidden widths {hidden_widths(bp_net)} "
             f"vs {ff_net.widths}"
         )
+
+
+def bp_loss(net, X, y):
+    """Mean softmax cross-entropy; the quantity backprop descends."""
+    _, logits = net.forward_batch(X)
+    P = softmax(logits)
+    n = X.shape[0]
+    return float(-np.mean(np.log(P[np.arange(n), y] + 1e-300)))
+
+
+def leaky_relu(slope):
+    """A leaky relu with a nonstandard slope (in-memory use only;
+    checkpoints carry the canonical five kinds)."""
+    if slope == DEFAULT_LEAKY_SLOPE:
+        return LEAKY_RELU
+    fn, deriv = _make_leaky(slope)
+    return Activation(f"leaky_relu[{slope:g}]", 1, fn, deriv, bounded=False)
+
+
+def ks_2sample(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic and asymptotic p-value."""
+    a = np.sort(np.asarray(a, dtype=np.float64))
+    b = np.sort(np.asarray(b, dtype=np.float64))
+    n, m = len(a), len(b)
+    if n == 0 or m == 0:
+        raise UsageError("ks_2sample needs non-empty samples")
+    pooled = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, pooled, side="right") / n
+    cdf_b = np.searchsorted(b, pooled, side="right") / m
+    d = float(np.max(np.abs(cdf_a - cdf_b)))
+    n_eff = n * m / (n + m)
+    lam = (np.sqrt(n_eff) + 0.12 + 0.11 / np.sqrt(n_eff)) * d
+    if lam < 0.1:
+        return d, 1.0  # survival probability is 1 to double precision there
+    terms = np.arange(1, 101)
+    p = 2.0 * np.sum((-1.0) ** (terms - 1) * np.exp(-2.0 * (terms * lam) ** 2))
+    return d, float(min(max(p, 0.0), 1.0))
 
 
 def two_blob_toy(n_per_class=60, dim=8, separation=2.5, seed=7):

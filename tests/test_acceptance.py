@@ -26,16 +26,17 @@ from fflab.inference import (
     predict_head_batch,
     predict_sweep_batch,
     sweep_scores_batch,
-    train_head,
 )
 from fflab.mnist_data import parse_idx_images, parse_idx_labels
-from fflab.numerics import AdamState
 from fflab.rng import Rng, derive_seed
 from fflab.synthetic import label_slots
 from fflab.thresholds import Thresholds
 
 from conftest import IMDB_DIR, MNIST_DIR, requires_imdb, requires_mnist
-from oracles import central_diff_grad, loop_layer_loss, read_pgm, rel_err, sgns_pair_grads
+from oracles import (
+    bp_loss, central_diff_grad, frozen_head, loop_layer_loss, read_pgm, rel_err,
+    sgns_pair_grads,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +117,6 @@ def test_c1_gradient_oracles():
     assert rel_err(d_n, central_diff_grad(lambda v: sgns_pair_grads(vc, vo, v)[3], vn.copy(), h)) < 1e-4
 
     # backprop baseline gradients on a 6-4-3 toy
-    from fflab.bp_baseline import bp_loss
-
     bp = BPNetwork(6, [4], 3, "tanh", 1e-3, Rng(902))
     Xb = Rng(903).uniform_array(10 * 6).reshape(10, 6) * 2 - 1
     yb = np.array([int(Rng(904 + i).randint(3)) for i in range(10)])
@@ -209,7 +208,7 @@ def desk_ff_run(strategy_key, strategy, seed):
     for epoch in range(DESK_EPOCHS):
         stream = bundle.slots.stream(bundle.X_train, bundle.y_train, rng)
         train_epoch(net, stream, strategy, epoch, DESK_BATCH, rng)
-    head = train_head(
+    head = frozen_head(
         net,
         bundle.slots.neutral(bundle.X_train),
         bundle.y_train,
@@ -358,7 +357,7 @@ def test_c7_imdb_desk():
     for epoch in range(6):
         stream = bundle.slots.stream(bundle.X_train, bundle.y_train, rng)
         train_epoch(net, stream, Thresholds((0.5, 0.5)), epoch, 128, rng)
-    head = train_head(
+    head = frozen_head(
         net,
         bundle.slots.neutral(bundle.X_train),
         bundle.y_train,
@@ -452,8 +451,6 @@ def test_c9_format_roundtrips(tmp_path):
     head = ClassifierHead(
         W=rng.uniform_array(3 * 5).reshape(3, 5),
         b=rng.uniform_array(3),
-        adam_W=AdamState.for_param((3, 5), 1e-3),
-        adam_b=AdamState.for_param((3,), 1e-3),
         included_layers=(1,),
     )
     p1 = tmp_path / "net.ffn1"

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from fflab.activations import ACTIVATIONS, get_activation, leaky_relu
+from fflab.activations import ACTIVATIONS, get_activation
 from fflab.errors import UsageError
 from fflab.rng import Rng
+
+from oracles import leaky_relu
 
 
 @pytest.mark.parametrize("name", sorted(ACTIVATIONS))

@@ -6,7 +6,6 @@ import pytest
 from fflab.analysis import (
     export_heatmap,
     goodness_report,
-    ks_2sample,
     label_pixel_spike,
     weight_stats,
     write_goodness_csv,
@@ -18,7 +17,7 @@ from fflab.rng import Rng
 from fflab.synthetic import label_slots
 from fflab.thresholds import Thresholds
 
-from oracles import loop_goodness_report, read_pgm, two_blob_toy
+from oracles import ks_2sample, loop_goodness_report, read_pgm, two_blob_toy
 
 BLOB = label_slots(2)
 

@@ -24,7 +24,7 @@ TRACED = [
     ("ffnet", "FFNetwork.forward_batch"),
     ("numerics", "row_directions"),
     ("numerics", "adam_step"),
-    ("inference", "train_head"),
+    ("inference", "fit_head"),
     ("inference", "features_batch"),
     ("inference", "predict_head_batch"),
     ("inference", "sweep_scores_batch"),

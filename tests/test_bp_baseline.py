@@ -5,7 +5,6 @@ import pytest
 
 from fflab.bp_baseline import (
     BPNetwork,
-    bp_loss,
     bp_predict_batch,
     bp_train_epoch,
 )
@@ -16,7 +15,9 @@ from fflab.ffnet import FFNetwork
 from fflab.rng import Rng
 from fflab.synthetic import label_slots
 
-from oracles import central_diff_grad, check_architecture_parity, rel_err, two_blob_toy
+from oracles import (
+    bp_loss, central_diff_grad, check_architecture_parity, rel_err, two_blob_toy,
+)
 
 
 def small_task(n=24, seed=500):

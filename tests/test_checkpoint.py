@@ -11,11 +11,10 @@ from fflab.checkpoint import load_network, network_bytes, save_network
 from fflab.cli import main
 from fflab.errors import FormatError, UsageError
 from fflab.ffnet import FFNetwork
-from fflab.inference import train_head
 from fflab.rng import Rng
 from fflab.synthetic import label_slots
 
-from oracles import two_blob_toy
+from oracles import frozen_head, leaky_relu, two_blob_toy
 
 
 @pytest.fixture
@@ -39,7 +38,7 @@ def test_ff_roundtrip_with_head(tmp_path, ff_net):
     X, y, _ = two_blob_toy()
     Xn = label_slots(2).neutral(X)
     net = FFNetwork(Xn.shape[1], [8, 6], "relu", 0.01, Rng(6))
-    head = train_head(net, Xn, y, 2, epochs=1, rng=Rng(7))
+    head = frozen_head(net, Xn, y, 2, epochs=1, rng=Rng(7))
     path = tmp_path / "net.ffn1"
     save_network(path, net, head)
     loaded, head2 = load_network(path)
@@ -107,7 +106,6 @@ def test_every_truncation_point_is_a_format_error(tmp_path, ff_net):
 
 
 def test_nonstandard_leaky_slope_refused(tmp_path):
-    from fflab.activations import leaky_relu
     from fflab.ffnet import FFLayer
 
     layer = FFLayer(4, 3, leaky_relu(0.3), 0.01, Rng(9))
@@ -132,7 +130,7 @@ def test_saved_ffn1_with_head_is_the_documented_layout(tmp_path):
     X, y, _ = two_blob_toy()
     Xn = label_slots(2).neutral(X)
     net = FFNetwork(Xn.shape[1], [8, 6], "gelu", 0.01, Rng(10))
-    head = train_head(net, Xn, y, 2, epochs=1, rng=Rng(11), included_layers=(0, 1))
+    head = frozen_head(net, Xn, y, 2, epochs=1, rng=Rng(11), included_layers=(0, 1))
     path = tmp_path / "net.ffn1"
     save_network(path, net, head)
     want = _layout_bytes(b"FFN1", [(x.W, x.b, x.act.tag) for x in net.layers], head)
@@ -150,7 +148,6 @@ def test_saved_bpn1_is_the_documented_layout(tmp_path):
 
 def test_refused_net_leaves_the_existing_file_intact(tmp_path, ff_net):
     """The activation tags are resolved before the file is opened."""
-    from fflab.activations import leaky_relu
     from fflab.ffnet import FFLayer
 
     path = tmp_path / "net.ffn1"

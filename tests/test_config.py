@@ -28,6 +28,12 @@ class TestParsing:
             parse_config(path, {"seed": "1"})
         assert "threshold.k" in str(exc.value)
 
+    def test_line_that_is_not_utf8_names_the_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"seed = 1\narch = 8\xff\n")
+        with pytest.raises(ConfigError, match="line 2: not UTF-8"):
+            parse_config(str(path))
+
     def test_unknown_key_is_hard_error(self, tmp_path):
         path = write(tmp_path, "threshold.kay = 1\n")
         with pytest.raises(ConfigError, match="unknown config key"):

@@ -14,6 +14,8 @@ from fflab.errors import FFLabError
 from fflab.experiment import build_bundle, run_experiment
 from fflab.ffnet import FFLayer
 
+from oracles import hidden_widths
+
 FAST = {
     "seed": "11",
     "dataset": "synthetic",
@@ -99,7 +101,7 @@ class TestRunExperiment:
         assert os.path.exists(os.path.join(result.out_dir, "bp_metrics.csv"))
         assert os.path.exists(os.path.join(result.out_dir, "bp_weight_stats.csv"))
         net, _ = load_network(result.bp_checkpoint)
-        assert net.hidden_widths == [16, 16]
+        assert hidden_widths(net) == [16, 16]
 
     def test_sweep_mode_fills_metrics_error_columns(self, tmp_path):
         cfg = parse_config(
@@ -205,6 +207,15 @@ class TestCli:
             f"config error: {key} must be >= 1, got 0"
         ]
         assert not os.path.exists(tmp_path / "run")
+
+    def test_config_that_is_not_utf8_exit_one_before_output(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"seed = 1\narch = 8\xff\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(path), "--output", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: line 2: ")
+        assert not os.path.exists(out)
 
     def test_missing_seed_exit_one(self, capsys):
         assert main(["train", "--dataset", "synthetic"]) == 1

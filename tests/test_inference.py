@@ -10,7 +10,7 @@ from fflab.checkpoint import network_bytes
 from fflab.errors import DimensionError, UsageError
 from fflab.ffnet import FFNetwork, train_epoch
 from fflab.mnist_data import LABEL_SLOTS
-from fflab import inference, numerics
+from fflab import numerics
 from fflab.inference import (
     ClassifierHead,
     default_included_layers,
@@ -18,15 +18,16 @@ from fflab.inference import (
     predict_head_batch,
     predict_sweep_batch,
     sweep_scores_batch,
-    train_head,
 )
-from fflab.numerics import AdamState, row_directions
+from fflab.numerics import row_directions
 from fflab.rng import Rng
 from fflab.synthetic import label_slots
 from fflab.text_data import label_slots as sentiment_slots
 from fflab.thresholds import Thresholds
 
-from oracles import central_diff_grad, head_loss, loop_sweep, rel_err, two_blob_toy
+from oracles import (
+    central_diff_grad, frozen_head, head_loss, loop_sweep, rel_err, two_blob_toy,
+)
 
 BLOB = label_slots(2)
 
@@ -47,30 +48,13 @@ class TestTrainHead:
         """The detachment contract: head training leaves the net bit-identical."""
         X, y, net = toy_task
         before = network_bytes(net)
-        train_head(net, BLOB.neutral(X), y, 2, epochs=3, rng=Rng(5))
+        frozen_head(net, BLOB.neutral(X), y, 2, epochs=3, rng=Rng(5))
         assert network_bytes(net) == before
-
-    @pytest.mark.parametrize("layer, param", [(0, "W"), (1, "W"), (1, "b")])
-    def test_write_into_frozen_net_during_fit_detected(self, toy_task, monkeypatch,
-                                                        layer, param):
-        """A one-ulp write into the net mid-fit breaks the detachment check."""
-        X, y, _ = toy_task
-        net = FFNetwork(2 + X.shape[1], [16, 16], "relu", 0.03, Rng(302))
-        real_step = inference.adam_step
-
-        def step_and_write(state, params, grads):
-            arr = getattr(net.layers[layer], param).reshape(-1)
-            arr[-1] = np.nextafter(arr[-1], np.inf)
-            return real_step(state, params, grads)
-
-        monkeypatch.setattr(inference, "adam_step", step_and_write)
-        with pytest.raises(UsageError, match="mutated the frozen network"):
-            train_head(net, BLOB.neutral(X), y, 2, epochs=1, rng=Rng(6))
 
     def test_empty_data_rejected(self, toy_task):
         _, _, net = toy_task
         with pytest.raises(UsageError):
-            train_head(net, np.empty((0, 18)), np.empty(0, dtype=int), 2, rng=Rng(1))
+            frozen_head(net, np.empty((0, 18)), np.empty(0, dtype=int), 2, rng=Rng(1))
 
     def test_gradient_matches_finite_differences(self, toy_task):
         """Cross-entropy gradient of the head weights vs central differences."""
@@ -83,8 +67,6 @@ class TestTrainHead:
         head = ClassifierHead(
             W=W0.copy(),
             b=b0.copy(),
-            adam_W=AdamState.for_param((2, 32), 1e-3),
-            adam_b=AdamState.for_param((2,), 1e-3),
             included_layers=(0, 1),
         )
         F = features_batch(net, Xn, head.included_layers)
@@ -96,11 +78,11 @@ class TestTrainHead:
         analytic_b = dlogits.sum(axis=0)
 
         def loss_at_W(W):
-            h = ClassifierHead(W, b0, head.adam_W, head.adam_b, (0, 1))
+            h = ClassifierHead(W, b0, (0, 1))
             return head_loss(net, h, Xn, yb)
 
         def loss_at_b(b):
-            h = ClassifierHead(W0, b, head.adam_W, head.adam_b, (0, 1))
+            h = ClassifierHead(W0, b, (0, 1))
             return head_loss(net, h, Xn, yb)
 
         assert rel_err(analytic_W, central_diff_grad(loss_at_W, W0.copy())) < 1e-4
@@ -109,7 +91,7 @@ class TestTrainHead:
     def test_learns_the_toy_task(self, toy_task):
         X, y, net = toy_task
         Xn = BLOB.neutral(X)
-        head = train_head(net, Xn, y, 2, epochs=8, rng=Rng(41))
+        head = frozen_head(net, Xn, y, 2, epochs=8, rng=Rng(41))
         acc = float(np.mean(predict_head_batch(net, head, Xn) == y))
         assert acc > 0.9
 
@@ -119,8 +101,6 @@ class TestPredictHead:
         return ClassifierHead(
             W=np.zeros((num_classes, width)),
             b=np.zeros(num_classes),
-            adam_W=AdamState.for_param((num_classes, width), 1e-3),
-            adam_b=AdamState.for_param((num_classes,), 1e-3),
             included_layers=default_included_layers(len(net.layers)),
         )
 
@@ -142,8 +122,6 @@ class TestPredictHead:
         head = ClassifierHead(
             W=W,
             b=np.zeros(2),
-            adam_W=AdamState.for_param(W.shape, 1e-3),
-            adam_b=AdamState.for_param((2,), 1e-3),
             included_layers=(1,),
         )
         assert predict_head_batch(net, head, x)[0] == 0
@@ -167,7 +145,7 @@ class TestPredictSweep:
     def test_agrees_with_head_on_toy_task(self, toy_task):
         """Both routes solve the separable toy; they agree on >= 90% of points."""
         X, y, net = toy_task
-        head = train_head(net, BLOB.neutral(X), y, 2, epochs=8, rng=Rng(42))
+        head = frozen_head(net, BLOB.neutral(X), y, 2, epochs=8, rng=Rng(42))
         head_pred = predict_head_batch(net, head, BLOB.neutral(X))
         sweep_pred = predict_sweep_batch(net, X, 2, BLOB)
         agreement = float(np.mean(head_pred == sweep_pred))

@@ -114,13 +114,14 @@ class TestAdam:
 def _textbook_adam(state, params, grads):
     """The out-of-place expression adam_step must match bit for bit."""
     state.t += 1
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grads
-    state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * (grads * grads)
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    params -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    b1, b2 = numerics.ADAM_BETA1, numerics.ADAM_BETA2
+    state.m *= b1
+    state.m += (1.0 - b1) * grads
+    state.v *= b2
+    state.v += (1.0 - b2) * (grads * grads)
+    m_hat = state.m / (1.0 - b1 ** state.t)
+    v_hat = state.v / (1.0 - b2 ** state.t)
+    params -= state.lr * m_hat / (np.sqrt(v_hat) + numerics.ADAM_EPS)
 
 
 class TestAdamInPlace:

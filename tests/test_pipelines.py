@@ -19,12 +19,13 @@ from fflab.checkpoint import load_network
 from fflab.cli import main
 from fflab.config import parse_config
 from fflab.experiment import build_bundle, run_experiment
-from fflab.inference import predict_head_batch, train_head
+from fflab.inference import predict_head_batch
 from fflab.ffnet import FFNetwork
 from fflab.rng import Rng
 from fflab import text_data
 
 from conftest import MNIST_DIR, requires_mnist
+from oracles import frozen_head
 
 
 def write_idx_dir(root, bright=12, noise=10.0, n_train=600, n_test=200, seed=42):
@@ -268,6 +269,38 @@ def test_negative_test_subset_exits_one_before_output(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("name, content", [
+    ("train-images-idx3-ubyte.gz", b"\x1f\x8b\x08\x00garbage"),
+    ("train-images-idx3-ubyte.gz", b"\x1f\x8b\x07\x00garbage"),
+    ("train-images-idx3-ubyte", b"xxxxxxxxxxxxxxxxxxxx"),
+], ids=["gzip-truncated", "gzip-bad-header", "raw-bad-magic"])
+def test_corrupt_idx_file_exit_two_naming_it(tmp_path, capsys, name, content):
+    root = tmp_path / "mnist"
+    write_idx_dir(str(root), n_train=20, n_test=10)
+    os.remove(root / "train-images-idx3-ubyte")
+    (root / name).write_bytes(content)
+    code = main(
+        ["train", "--dataset", "mnist", "--seed", "1", "--set", f"data.mnist_dir={root}",
+         "--output", str(tmp_path / "run")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"data error: {root / name}: ")
+
+
+@pytest.mark.parametrize("limit, negatives, positives", [
+    (1, 1, 0), (3, 2, 1), (5, 3, 2), (9, 4, 4),
+])
+def test_imdb_subset_loads_exactly_the_limit(tmp_path, limit, negatives, positives):
+    """An odd limit puts the extra review on the negative side; a limit
+    beyond the split loads all of it."""
+    root = tmp_path / "imdb"
+    write_imdb_tree(root, n_per=4)
+    texts, labels = text_data.load_imdb_split(str(root), "test", limit=limit)
+    assert len(texts) == negatives + positives
+    assert list(labels) == [0] * negatives + [1] * positives
+
+
 @pytest.mark.mnist
 @requires_mnist
 def test_untrained_net_head_floor_on_real_mnist():
@@ -280,7 +313,7 @@ def test_untrained_net_head_floor_on_real_mnist():
     )
     bundle = build_bundle(cfg)
     net = FFNetwork(bundle.input_dim, [500, 500], "relu", 0.01, Rng(123))
-    head = train_head(
+    head = frozen_head(
         net,
         bundle.slots.neutral(bundle.X_train),
         bundle.y_train,

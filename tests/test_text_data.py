@@ -296,6 +296,7 @@ class TestEmbeddingCache:
         ("2 2\nfoo 0.1 0.2\nbar 0.3 x\n", 3, "could not convert"),
         ("2 2\nfoo 0.1 0.2\nbar inf 0.4\n", 3, "non-finite"),
         ("2 2\nfoo nan 0.2\nbar 0.3 0.4\n", 2, "non-finite"),
+        ("0 99999999999999999999\n", 1, "too large"),
     ])
     def test_malformed_file_is_located(self, tmp_path, content, line, what):
         path = tmp_path / "emb.txt"
