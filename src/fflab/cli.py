@@ -4,8 +4,8 @@ Exit codes:
 
 - 0 success
 - 1 configuration or usage error (and any other package error)
-- 2 data error: missing or malformed files, or data whose width does
-  not fit the network
+- 2 data error: missing, unreadable or malformed files, or data whose
+  width does not fit the network
 - 3 training diverged: a layer's weights left the finite range
 """
 
@@ -44,7 +44,7 @@ def _add_common(p):
     p.add_argument("--seed")
     p.add_argument("--output", dest="output_dir", help="output directory")
     p.add_argument("--full", action="store_true",
-                   help="lift the desk-scale training subset caps")
+                   help="lift the desk-scale training subset caps (data.train_subset=0)")
 
 
 def _overrides(args):
@@ -60,7 +60,7 @@ def _overrides(args):
         if v is not None:
             out[key] = v
     if getattr(args, "full", False):
-        out["full"] = "true"
+        out["data.train_subset"] = "0"
     return out
 
 
@@ -175,7 +175,7 @@ def main(argv=None):
     except (ConfigError, UsageError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except (DataError, FormatError, DimensionError, FileNotFoundError) as e:
+    except (DataError, FormatError, DimensionError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except DivergenceError as e:

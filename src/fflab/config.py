@@ -5,6 +5,7 @@ Grammar: UTF-8 lines of ``section.key = value`` (or bare ``key = value``),
 Command-line overrides use the same dotted keys and win over the file.
 """
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -40,19 +41,15 @@ SCHEMA = {
     "batch_size": (int, 128),
     "seed": (int, None),
     "output_dir": (str, "runs/latest"),
-    "full": (_parse_bool, False),
     "data.mnist_dir": (str, "data/mnist"),
     "data.imdb_dir": (str, "data/aclImdb"),
     "data.embedding_cache": (str, ""),
     "data.train_subset": (int, -1),   # -1: dataset default cap; 0: everything
     "data.test_subset": (int, 0),
-    "threshold.strategy": (str, "constant"),
-    "threshold.k": (float, 0.005),
-    "threshold.k_per_layer": (_parse_float_list, [0.3, 0.5, 0.7, 0.9]),
-    "threshold.k_start": (float, 0.1),
-    "threshold.k_end": (float, 0.5),
-    "threshold.ramp_epochs": (int, 10),
-    "threshold.base": (str, "constant"),
+    "threshold.k": (_parse_float_list, [0.005]),  # one k, or one per layer
+    "threshold.k_start": (float, 1.0),
+    "threshold.k_end": (float, 1.0),
+    "threshold.ramp_epochs": (int, 1),
     "inference.mode": (str, "head"),
     "inference.skip_first_layer": (_parse_bool, True),
     "head.epochs": (int, 8),
@@ -90,8 +87,9 @@ _AT_LEAST = {
     "synthetic.dim": 1,
     "synthetic.train_per_class": 1,
     "synthetic.test_per_class": 1,
+    "threshold.ramp_epochs": 1,
 }
-_POSITIVE = ("lr", "head.lr", "baseline.lr", "sgns.lr")
+_POSITIVE = ("lr", "head.lr", "baseline.lr", "sgns.lr", "threshold.k_start", "threshold.k_end")
 _DESK_SUBSET = {"mnist": 10000, "imdb": 5000, "synthetic": 0}
 
 
@@ -129,8 +127,8 @@ def parse_config(path=None, overrides=None):
     """Resolve file + overrides + defaults into an ExperimentConfig."""
     values = {}
     if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path!r}")
+        if not os.path.isfile(path):
+            raise ConfigError(f"no config file at {path!r}")
         with open(path, "rb") as f:
             data = f.read()
         # bytes split on \n, \r and \r\n, as text mode's universal newlines do
@@ -163,72 +161,43 @@ def _validate(values):
         raise ConfigError(
             f"dataset must be one of {_DATASETS}, got {values['dataset']!r}"
         )
-    if values["threshold.strategy"] not in ("constant", "pyramidal", "scheduled"):
-        raise ConfigError(
-            "threshold.strategy must be constant, pyramidal or scheduled, "
-            f"got {values['threshold.strategy']!r}"
-        )
-    if values["threshold.base"] not in ("constant", "pyramidal"):
-        raise ConfigError(
-            f"threshold.base must be constant or pyramidal, got {values['threshold.base']!r}"
-        )
-    at_least, positive = dict(_AT_LEAST), list(_POSITIVE)
-    # only the threshold values the chosen strategy reads
-    if values["threshold.strategy"] == "constant":
-        positive.append("threshold.k")
-    elif values["threshold.strategy"] == "scheduled":
-        positive += ["threshold.k_start", "threshold.k_end"]
-        at_least["threshold.ramp_epochs"] = 1
-    for key, low in at_least.items():
+    for key, (parser, _) in SCHEMA.items():
+        if parser in (float, _parse_float_list):
+            xs = values[key] if parser is _parse_float_list else [values[key]]
+            if not all(math.isfinite(x) for x in xs):
+                raise ConfigError(f"{key} must be finite, got {values[key]}")
+    for key, low in _AT_LEAST.items():
         if values[key] < low:
             raise ConfigError(f"{key} must be >= {low}, got {values[key]}")
-    for key in positive:
-        if not values[key] > 0:  # also rejects nan
+    for key in _POSITIVE:
+        if not values[key] > 0:
             raise ConfigError(f"{key} must be > 0, got {values[key]}")
-    if not values["arch"] or any(w < 1 for w in values["arch"]):
-        raise ConfigError(f"arch widths must all be >= 1, got {values['arch']}")
-    if values["threshold.strategy"] == "pyramidal" or (
-        values["threshold.strategy"] == "scheduled" and values["threshold.base"] == "pyramidal"
-    ):
-        ks, arch = values["threshold.k_per_layer"], values["arch"]
-        if len(ks) != len(arch):
-            raise ConfigError(
-                f"threshold.k_per_layer has {len(ks)} entries for the "
-                f"{len(arch)} layers of arch {arch}"
-            )
-        if not all(k > 0 for k in ks):
-            raise ConfigError(f"threshold.k_per_layer entries must all be > 0, got {ks}")
+    arch, ks = values["arch"], values["threshold.k"]
+    if not arch or any(w < 1 for w in arch):
+        raise ConfigError(f"arch widths must all be >= 1, got {arch}")
+    if len(ks) not in (1, len(arch)):
+        raise ConfigError(
+            f"threshold.k has {len(ks)} entries for the {len(arch)} layers of arch "
+            f"{arch}; give one k or one per layer"
+        )
+    for k in ks:
+        if not k > 0:
+            raise ConfigError(f"threshold.k must be > 0, got {k}")
     if values["inference.mode"] not in ("head", "sweep"):
         raise ConfigError(
             f"inference.mode must be head or sweep, got {values['inference.mode']!r}"
         )
-    # --full clears the desk-scale training subset cap
-    if values["full"]:
-        values["data.train_subset"] = 0
-    elif values["data.train_subset"] < 0:
+    if values["data.train_subset"] < 0:
         values["data.train_subset"] = _DESK_SUBSET[values["dataset"]]
 
 
 def threshold_strategy(cfg, depth):
-    """The configured :class:`Thresholds`, its k vector checked against depth.
-
-    constant: ``threshold.k`` on every layer; pyramidal: ``threshold.k_per_layer``;
-    scheduled: the ramp carries the magnitude (k_start -> k_end) and the base
-    only the per-layer shape, so a constant base is k=1.
-    """
-    kind = cfg["threshold.strategy"]
-    if kind == "constant":
-        ks = [cfg["threshold.k"]] * depth
-    elif kind == "pyramidal" or cfg["threshold.base"] == "pyramidal":
-        ks = cfg["threshold.k_per_layer"]
-    else:
-        ks = [1.0] * depth
+    """The configured :class:`Thresholds`: a single ``threshold.k`` is
+    broadcast to ``depth`` layers, a per-layer list must match it."""
+    ks = cfg["threshold.k"]
+    ks = ks * depth if len(ks) == 1 else ks
     if len(ks) != depth:
-        raise ConfigError(
-            f"threshold.k_per_layer has {len(ks)} entries for a depth-{depth} network"
-        )
-    if kind != "scheduled":
-        return Thresholds(tuple(ks))
+        raise ConfigError(f"threshold.k has {len(ks)} entries for a depth-{depth} network")
     return Thresholds(
         tuple(ks), cfg["threshold.k_start"], cfg["threshold.k_end"], cfg["threshold.ramp_epochs"]
     )

@@ -383,7 +383,9 @@ def _write_report(cfg, out_dir, result, included):
     lines = [
         f"dataset: {cfg['dataset']}",
         f"arch: {cfg['arch']}",
-        f"threshold: {cfg['threshold.strategy']}",
+        f"threshold: k = {','.join(map(str, cfg['threshold.k']))}, ramp "
+        f"{cfg['threshold.k_start']} -> {cfg['threshold.k_end']} over "
+        f"{cfg['threshold.ramp_epochs']} epochs",
         f"inference mode for metrics.csv: {cfg['inference.mode']}",
         f"layers scored at inference (0-based): {list(included)}",
         f"final head error: train {result.final_err['head'][0]:.4f}, "
@@ -419,7 +421,6 @@ def run_sweep(cfg, key, raw_values):
     for raw in raw_values:
         sub = dict(cfg.values)
         sub["threshold.k"] = raw
-        sub["threshold.strategy"] = "constant"
         sub["output_dir"] = os.path.join(root, f"k_{raw}")
         runs.append((raw, parse_config(None, sub)))
     os.makedirs(root, exist_ok=True)

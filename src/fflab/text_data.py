@@ -304,8 +304,12 @@ def load_imdb_split(root, split, limit=0):
         if limit:
             names = names[: (limit + 1 - label) // 2]
         for name in names:
-            with open(os.path.join(d, name), "r", encoding="utf-8") as f:
-                texts.append(f.read())
+            path = os.path.join(d, name)
+            try:
+                with open(path, "r", encoding="utf-8") as f:
+                    texts.append(f.read())
+            except UnicodeDecodeError as e:
+                raise DataError(f"review {path!r} is not UTF-8 ({e.reason})") from None
             labels.append(label)
     if not texts:
         raise DataError(f"no review files under {root!r}/{split}")

@@ -5,10 +5,11 @@
 
 With the default ramp (``k_start = k_end = 1``) ``ramp`` is exactly 1.0,
 so a constant k (``k_per_layer = (k,) * depth``) and a per-layer
-("pyramidal") vector keep ``k_l * width_l`` to the bit. A scheduled
-ramp carries the magnitude and ``k_per_layer`` only the per-layer shape
-(all ones for a constant base). ``config.threshold_strategy`` maps the
-``threshold.*`` keys onto these inputs.
+("pyramidal") vector keep ``k_l * width_l`` to the bit. The config keys
+are these inputs: ``threshold.k`` (one k, broadcast to the depth, or one
+per layer), ``threshold.k_start``, ``threshold.k_end`` and
+``threshold.ramp_epochs``; ``config.threshold_strategy`` builds a
+:class:`Thresholds` from them.
 """
 
 from dataclasses import dataclass

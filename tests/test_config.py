@@ -1,10 +1,21 @@
 """Config grammar: defaults, overrides, and hard errors on bad keys."""
 
+import argparse
+import re
+from pathlib import Path
+
 import pytest
 
-from fflab.config import echo_config, parse_config, threshold_strategy
+from fflab.cli import _overrides
+from fflab.config import SCHEMA, echo_config, parse_config, threshold_strategy
 from fflab.errors import ConfigError
 from fflab.thresholds import Thresholds
+
+# every key whose value is a float or a list of floats
+_FLOAT_KEYS = sorted(
+    key for key, (_, default) in SCHEMA.items()
+    if isinstance(default, float) or isinstance(default, list) and isinstance(default[0], float)
+)
 
 
 def write(tmp_path, text):
@@ -101,10 +112,12 @@ class TestParsing:
         assert parse_config(None, {"seed": "1", key: value})[key] == int(value)
 
     def test_full_clears_subset_cap(self):
+        """``--full`` is ``data.train_subset = 0``: no subset cap."""
         desk = parse_config(None, {"seed": "1", "dataset": "mnist"})
         assert desk["data.train_subset"] == 10000
-        full = parse_config(None, {"seed": "1", "dataset": "mnist", "full": "true"})
-        assert full["data.train_subset"] == 0
+        args = argparse.Namespace(set=["data.train_subset=500"], full=True, seed="1",
+                                  dataset="mnist")
+        assert parse_config(None, _overrides(args))["data.train_subset"] == 0
 
     def test_echo_roundtrip(self, tmp_path):
         cfg = parse_config(None, {"seed": "5", "arch": "32,32"})
@@ -120,34 +133,31 @@ class TestParsing:
         [
             ({"threshold.k": "0"}, "threshold.k"),
             ({"threshold.k": "nan"}, "threshold.k"),
-            ({"threshold.strategy": "pyramidal", "arch": "8,8",
-              "threshold.k_per_layer": "0.3"}, "threshold.k_per_layer"),
-            ({"threshold.strategy": "pyramidal", "arch": "8,8",
-              "threshold.k_per_layer": "0.3,0"}, "threshold.k_per_layer"),
-            ({"threshold.strategy": "scheduled", "threshold.base": "pyramidal",
-              "arch": "8", "threshold.k_per_layer": "0.3,0.5"}, "threshold.k_per_layer"),
-            ({"threshold.strategy": "scheduled", "threshold.k_start": "0"}, "threshold.k_start"),
-            ({"threshold.strategy": "scheduled", "threshold.k_end": "-1"}, "threshold.k_end"),
-            ({"threshold.strategy": "scheduled", "threshold.ramp_epochs": "0"},
-             "threshold.ramp_epochs"),
+            ({"arch": "8,8", "threshold.k": "0.3,0.5,0.7"}, "threshold.k"),
+            ({"arch": "8,8", "threshold.k": "0.3,0"}, "threshold.k"),
+            ({"arch": "8", "threshold.k": "0.3,0.5"}, "threshold.k"),
+            ({"threshold.k_start": "0"}, "threshold.k_start"),
+            ({"threshold.k_end": "-1"}, "threshold.k_end"),
+            ({"threshold.ramp_epochs": "0"}, "threshold.ramp_epochs"),
         ],
     )
     def test_threshold_setting_the_strategy_reads_is_checked(self, overrides, key):
+        """Every threshold key is read, so every one is checked."""
         with pytest.raises(ConfigError, match=f"^{key} "):
             parse_config(None, dict(overrides, seed="1"))
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"threshold.k_per_layer": "0.3", "threshold.ramp_epochs": "0"},
-            {"threshold.strategy": "pyramidal", "arch": "8,8", "threshold.k_per_layer": "0.3,0.5",
-             "threshold.k": "0", "threshold.k_start": "0"},
-            {"threshold.strategy": "scheduled", "threshold.k": "0",
-             "threshold.k_per_layer": "0.3"},
-        ],
-    )
-    def test_threshold_setting_the_strategy_ignores_is_not_checked(self, overrides):
-        parse_config(None, dict(overrides, seed="1"))
+    @pytest.mark.parametrize("key", ["threshold.strategy", "threshold.base",
+                                     "threshold.k_per_layer", "full"])
+    def test_removed_threshold_and_full_keys_are_unknown(self, tmp_path, key):
+        path = write(tmp_path, f"seed = 1\n{key} = 1\n")
+        with pytest.raises(ConfigError, match=f"line 2: unknown config key '{key}'"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("key", _FLOAT_KEYS)
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_float_names_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+            parse_config(None, {"seed": "1", key: value})
 
 
 class TestThresholdStrategy:
@@ -155,13 +165,11 @@ class TestThresholdStrategy:
         cfg = parse_config(None, {"seed": "1", "threshold.k": "0.5"})
         strat = threshold_strategy(cfg, 4)
         assert strat == Thresholds((0.5,) * 4)
+        # one k broadcasts to any depth, such as a checkpoint's
+        assert threshold_strategy(cfg, 2) == Thresholds((0.5,) * 2)
 
     def test_pyramidal_depth_checked(self):
-        cfg = parse_config(
-            None,
-            {"seed": "1", "arch": "8,8", "threshold.strategy": "pyramidal",
-             "threshold.k_per_layer": "0.3,0.5"},
-        )
+        cfg = parse_config(None, {"seed": "1", "arch": "8,8", "threshold.k": "0.3,0.5"})
         assert threshold_strategy(cfg, 2) == Thresholds((0.3, 0.5))
         with pytest.raises(ConfigError, match="depth-3"):
             threshold_strategy(cfg, 3)
@@ -169,7 +177,7 @@ class TestThresholdStrategy:
     def test_scheduled_reproduces_worked_example(self):
         cfg = parse_config(
             None,
-            {"seed": "1", "threshold.strategy": "scheduled",
+            {"seed": "1", "threshold.k": "1",
              "threshold.k_start": "0.1", "threshold.k_end": "0.5",
              "threshold.ramp_epochs": "10"},
         )
@@ -178,3 +186,12 @@ class TestThresholdStrategy:
         assert strat.thetas([100, 100], 0)[0] == pytest.approx(10.0)
         assert strat.thetas([100, 100], 5)[0] == pytest.approx(30.0)
         assert strat.thetas([100, 100], 12)[0] == pytest.approx(50.0)
+
+
+def test_every_readme_ini_block_parses(tmp_path):
+    """The README's config examples use only keys the parser knows."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"), flags=re.S)
+    assert blocks
+    for block in blocks:
+        parse_config(write(tmp_path, block + "seed = 1\n"))

@@ -6,13 +6,14 @@ import os
 import numpy as np
 import pytest
 
-from fflab.checkpoint import load_network
+from fflab.checkpoint import load_network, network_bytes
 from fflab.cli import main
 from fflab import experiment, inference
 from fflab.config import parse_config
 from fflab.errors import FFLabError
 from fflab.experiment import build_bundle, run_experiment
-from fflab.ffnet import FFLayer
+from fflab.ffnet import FFLayer, FFNetwork
+from fflab.rng import Rng
 
 from oracles import hidden_widths
 
@@ -325,6 +326,15 @@ class TestCli:
         with open(os.path.join(result.out_dir, "goodness_hist.csv"), "rb") as f:
             assert (out / "goodness_hist.csv").read_bytes() == f.read()
 
+    def test_analyze_config_k_broadcasts_to_the_checkpoint_depth(self, tmp_path, capsys):
+        """A single threshold.k fits a checkpoint of any depth."""
+        result = run_experiment(parse_config(None, fast_overrides(tmp_path / "run")))
+        echo = os.path.join(result.out_dir, "config_echo.txt")
+        out = tmp_path / "analysis"
+        assert main(["analyze", "--checkpoint", result.checkpoint, "--out", str(out),
+                     "--config", echo, "--arch", "16,16,16"]) == 0
+        assert os.path.exists(out / "goodness_hist.csv")
+
     def test_analyze_on_data_of_another_width_exit_two(self, tmp_path, capsys):
         result = run_experiment(parse_config(None, fast_overrides(tmp_path / "run")))
         args = []
@@ -374,3 +384,57 @@ def test_config_echo_reproduces_the_run(tmp_path):
     m1 = drop_seconds(read_rows(os.path.join(r1.out_dir, "metrics.csv")))
     m2 = drop_seconds(read_rows(os.path.join(r2.out_dir, "metrics.csv")))
     assert m1 == m2
+
+
+def _write(path, data):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
+    return str(path)
+
+
+def _truncated_checkpoint(tmp_path):
+    data = network_bytes(FFNetwork(4, [3, 2], "relu", 0.01, Rng(5)))
+    return _write(tmp_path / "cut.ffn1", data[: len(data) // 2])
+
+
+def _non_utf8_review_tree(tmp_path):
+    root = tmp_path / "aclImdb"
+    for split in ("train", "test"):
+        for label in ("neg", "pos"):
+            _write(root / split / label / "0_1.txt", b"a fine film \xff\n")
+    return str(root)
+
+
+# case -> (argv built in tmp_path, exit code, stderr prefix)
+MALFORMED = {
+    "directory-as-config": (
+        lambda t: ["train", "--config", str(t)], 1, "config error: no config file at "),
+    "directory-as-checkpoint": (
+        lambda t: ["eval", "--checkpoint", str(t), "--seed", "1"], 2, "data error: "),
+    "truncated-checkpoint": (
+        lambda t: ["eval", "--checkpoint", _truncated_checkpoint(t), "--seed", "1"],
+        2, "data error: "),
+    "non-utf8-review": (
+        lambda t: ["train", "--dataset", "imdb", "--seed", "1", "--output", str(t / "run"),
+                   "--set", f"data.imdb_dir={_non_utf8_review_tree(t)}"],
+        2, "data error: review "),
+    "removed-key": (
+        lambda t: ["train", "--output", str(t / "run"), "--config", _write(
+            t / "old.cfg", b"seed = 1\narch = 4\nepochs = 1\nthreshold.strategy = pyramidal\n")],
+        1, "config error: line 4: unknown config key 'threshold.strategy'"),
+    "non-finite-lr": (
+        lambda t: ["train", "--seed", "1", "--arch", "4", "--epochs", "1",
+                   "--output", str(t / "run"), "--set", "head.lr=inf"],
+        1, "config error: head.lr must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_input_exits_with_one_line(tmp_path, capsys, case):
+    """Each malformed input gets its documented exit code and a one-line
+    message on stderr, never a traceback."""
+    argv, code, prefix = MALFORMED[case]
+    assert main(argv(tmp_path)) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith(prefix)

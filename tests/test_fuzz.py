@@ -77,7 +77,7 @@ IMAGES = struct.pack(">IIII", 0x00000803, 2, 28, 28) + bytes(range(256)) * 6 + b
 LABELS = struct.pack(">II", 0x00000801, 5) + bytes([3, 1, 4, 1, 5])
 CONFIG = (
     b"# a run\nseed = 3\ndataset = synthetic\narch = 16,16\n"
-    b"threshold.strategy = pyramidal\nthreshold.k_per_layer = [0.3, 0.5]\n"
+    b"threshold.k = [0.3, 0.5]\n"
     b"lr = 0.01  # Adam\ninference.skip_first_layer = true\n"
 )
 EMBEDDINGS = b"3 2\nfoo 0.1 0.2\nbar -0.5 1e-3\nbaz 2.0 3.0\n"

@@ -8,7 +8,7 @@ from fflab.thresholds import Thresholds
 
 
 class TestConstantK:
-    """threshold.strategy = constant: one k on every layer."""
+    """One k on every layer."""
 
     def test_width_times_k(self):
         assert Thresholds((1.0,)).thetas([2000], 0)[0] == 2000.0
@@ -22,7 +22,7 @@ class TestConstantK:
 
 
 class TestPyramidal:
-    """threshold.strategy = pyramidal: one k per layer."""
+    """One k per layer."""
 
     def test_per_layer_product(self):
         strat = Thresholds((0.3, 0.5, 0.7, 0.9))
@@ -45,7 +45,7 @@ class TestPyramidal:
 
 
 class TestScheduled:
-    """threshold.strategy = scheduled: a ramp over a constant or per-layer base."""
+    """A ramp over one k or one k per layer."""
 
     def test_ramp_endpoints_and_midpoint(self):
         strat = Thresholds((1.0,), 0.1, 0.5, 10)
@@ -85,48 +85,46 @@ def test_thetas_validates_width():
         Thresholds((1.0,)).thetas([0], 0)
 
 
+# each old threshold.strategy shape: its old settings and its new spelling
+_RAMP = {"threshold.k_start": "0.1", "threshold.k_end": "0.9", "threshold.ramp_epochs": "7"}
+_OLD = {"k": 0.37, "k_per_layer": [0.3, 0.55, 0.7], "k_start": 0.1, "k_end": 0.9,
+        "ramp_epochs": 7}
 _SHAPES = {
-    "constant": {"threshold.strategy": "constant", "threshold.k": "0.37"},
-    "pyramidal": {"threshold.strategy": "pyramidal"},
-    "scheduled-constant": {"threshold.strategy": "scheduled", "threshold.base": "constant"},
-    "scheduled-pyramidal": {"threshold.strategy": "scheduled", "threshold.base": "pyramidal"},
+    "constant": (dict(_OLD, strategy="constant"), {"threshold.k": "0.37"}),
+    "pyramidal": (dict(_OLD, strategy="pyramidal"), {"threshold.k": "0.3,0.55,0.7"}),
+    "scheduled-constant": (
+        dict(_OLD, strategy="scheduled", base="constant"), dict(_RAMP, **{"threshold.k": "1"})
+    ),
+    "scheduled-pyramidal": (
+        dict(_OLD, strategy="scheduled", base="pyramidal"),
+        dict(_RAMP, **{"threshold.k": "0.3,0.55,0.7"}),
+    ),
 }
 
 
-def _old_theta(cfg, layer, width, epoch):
+def _old_theta(old, layer, width, epoch):
     """theta as the per-strategy classes computed it, one layer at a time."""
-    kind = cfg["threshold.strategy"]
+    kind = old["strategy"]
     if kind == "constant":
-        return cfg["threshold.k"] * width
+        return old["k"] * width
     if kind == "pyramidal":
-        return cfg["threshold.k_per_layer"][layer] * width
-    base_k = 1.0 if cfg["threshold.base"] == "constant" else cfg["threshold.k_per_layer"][layer]
-    R = cfg["threshold.ramp_epochs"]
+        return old["k_per_layer"][layer] * width
+    base_k = 1.0 if old["base"] == "constant" else old["k_per_layer"][layer]
+    R = old["ramp_epochs"]
     frac = min(epoch, R) / R
-    k = cfg["threshold.k_start"] + (cfg["threshold.k_end"] - cfg["threshold.k_start"]) * frac
+    k = old["k_start"] + (old["k_end"] - old["k_start"]) * frac
     return k * (base_k * width)
 
 
 @pytest.mark.parametrize("shape", sorted(_SHAPES))
 def test_config_shapes_equal_the_per_strategy_formula_bit_for_bit(shape):
-    """Every threshold.* shape gives exactly (==) the theta the old
-    constant / pyramidal / scheduled classes gave, epochs 0-12."""
+    """Every old threshold.strategy shape, written in the threshold.k and
+    ramp keys, gives exactly (==) the theta the old constant / pyramidal /
+    scheduled classes gave, epochs 0-12."""
     widths = [24, 16, 12]
-    cfg = parse_config(
-        None,
-        dict(
-            _SHAPES[shape],
-            seed="1",
-            arch="24,16,12",
-            **{
-                "threshold.k_per_layer": "0.3,0.55,0.7",
-                "threshold.k_start": "0.1",
-                "threshold.k_end": "0.9",
-                "threshold.ramp_epochs": "7",
-            },
-        ),
-    )
+    old, new = _SHAPES[shape]
+    cfg = parse_config(None, dict(new, seed="1", arch="24,16,12"))
     strat = threshold_strategy(cfg, len(widths))
     for epoch in range(13):
         got = strat.thetas(widths, epoch)
-        assert list(got) == [_old_theta(cfg, i, w, epoch) for i, w in enumerate(widths)]
+        assert list(got) == [_old_theta(old, i, w, epoch) for i, w in enumerate(widths)]
