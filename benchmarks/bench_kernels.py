@@ -113,12 +113,12 @@ def bench_ff_epoch():
     rng = Rng(11)
     X, y = make_blobs(10, 20, 500, 2.0, rng)
     net = FFNetwork(30, [500, 500], "relu", 0.01, Rng(12))
-    stream = label_slots(10).stream(X, y, Rng(13))
+    samples = 2 * X.shape[0]  # each row gives a positive and a negative
     t0 = time.perf_counter()
-    train_epoch(net, stream, Thresholds((0.5, 0.5)), 0, 128, Rng(14))
+    train_epoch(net, X, y, label_slots(10), Thresholds((0.5, 0.5)), 0, 128, Rng(14))
     dt = time.perf_counter() - t0
-    print(f"\nlayer-training epoch ({len(stream)} samples, arch [500, 500], "
-          f"numpy/BLAS): {dt:.2f}s  ({len(stream) / dt:,.0f} samples/s)")
+    print(f"\nlayer-training epoch ({samples} samples, arch [500, 500], "
+          f"numpy/BLAS): {dt:.2f}s  ({samples / dt:,.0f} samples/s)")
 
     # full recipe: one warm-up step, then FULL_STEPS timed steps
     batch = 128
@@ -126,11 +126,11 @@ def bench_ff_epoch():
     X = Rng(15).uniform_array(rows * 784).reshape(rows, 784)
     y = np.arange(rows) % 10
     net = FFNetwork(784, [2000] * 4, "relu", 0.01, Rng(16))
-    warm_up = LABEL_SLOTS.stream(X[: batch // 2], y[: batch // 2], Rng(17))
-    train_epoch(net, warm_up, Thresholds((0.005,) * 4), 0, batch, Rng(17))
-    stream = LABEL_SLOTS.stream(X, y, Rng(19))
+    thresholds = Thresholds((0.005,) * 4)
+    half = batch // 2
+    train_epoch(net, X[:half], y[:half], LABEL_SLOTS, thresholds, 0, batch, Rng(17))
     t0 = time.perf_counter()
-    train_epoch(net, stream, Thresholds((0.005,) * 4), 0, batch, Rng(18))
+    train_epoch(net, X, y, LABEL_SLOTS, thresholds, 0, batch, Rng(18))
     dt = time.perf_counter() - t0
     print(f"full-recipe steps (784 -> 2000x4, batch {batch}, {FULL_STEPS} steps): "
           f"{dt / FULL_STEPS * 1e3:.0f} ms/step")

@@ -8,7 +8,7 @@ routes, a matched backprop baseline, and weight/goodness analysis.
 __version__ = "0.1.0"
 
 from .activations import ACTIVATIONS, get_activation
-from .ffnet import FFNetwork, LabelSlots, Polarity, ff_loss, goodness, train_epoch
+from .ffnet import FFNetwork, LabelSlots, ff_loss, goodness, train_epoch
 from .inference import predict_head_batch, predict_sweep_batch
 from .numerics import AdamState, adam_step
 from .rng import Rng
@@ -19,7 +19,6 @@ __all__ = [
     "AdamState",
     "FFNetwork",
     "LabelSlots",
-    "Polarity",
     "Rng",
     "Thresholds",
     "adam_step",

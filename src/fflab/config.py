@@ -75,7 +75,7 @@ _DATASETS = ("mnist", "imdb", "synthetic")
 # numeric keys with a lower bound; baseline.epochs = 0 means "same as epochs"
 _AT_LEAST = {
     "epochs": 1,
-    "batch_size": 1,
+    "batch_size": 2,
     "head.epochs": 1,
     "head.batch_size": 1,
     "baseline.epochs": 0,
@@ -169,6 +169,11 @@ def _validate(values):
     for key, low in _AT_LEAST.items():
         if values[key] < low:
             raise ConfigError(f"{key} must be >= {low}, got {values[key]}")
+    if values["batch_size"] % 2:
+        raise ConfigError(
+            f"batch_size must be even (a row's positive and negative share a "
+            f"batch), got {values['batch_size']}"
+        )
     for key in _POSITIVE:
         if not values[key] > 0:
             raise ConfigError(f"{key} must be > 0, got {values[key]}")

@@ -215,8 +215,10 @@ def run_experiment(cfg):
 
     for epoch in range(cfg["epochs"]):
         t0 = time.perf_counter()
-        stream = slots.stream(bundle.X_train, bundle.y_train, rng_data)
-        em = train_epoch(net, stream, strategy, epoch, cfg["batch_size"], rng_data)
+        em = train_epoch(
+            net, bundle.X_train, bundle.y_train, slots, strategy, epoch,
+            cfg["batch_size"], rng_data,
+        )
 
         F = features_batch(net, X_train_neutral, included)
         head = fit_head(

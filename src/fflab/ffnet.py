@@ -6,21 +6,19 @@ squared activations — above a threshold theta for positive samples and
 below it for negative samples. Gradients are closed-form and never
 cross a layer boundary: a layer's update reads only its own input,
 pre-activation, activation, and theta.
+
+An epoch trains on the n raw rows, each paired with one drawn wrong
+label: a batch holds m rows embedded with their true labels (positive)
+followed by the same m rows embedded with their wrong labels (negative).
 """
 
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
 from .activations import get_activation, stable_sigmoid
 from .errors import DimensionError, DivergenceError, UsageError
 from .numerics import AdamState, adam_step, fan_in_uniform, row_directions
-
-
-class Polarity(IntEnum):
-    POSITIVE = 1
-    NEGATIVE = -1
 
 
 @dataclass(frozen=True)
@@ -76,49 +74,6 @@ class LabelSlots:
         wrong += wrong >= y
         return wrong
 
-    def stream(self, X_raw, y, rng):
-        """One positive and one fresh negative per row, shuffled together.
-
-        Each row draws one wrong label (:meth:`wrong_labels`); then the 2n
-        positions are shuffled once.
-        """
-        n = X_raw.shape[0]
-        if n == 0:
-            raise UsageError("cannot build a training stream from zero rows")
-        y = np.asarray(y, dtype=np.int64)
-        wrong = self.wrong_labels(y, rng)
-        labels = np.empty(2 * n, dtype=np.int64)
-        labels[0::2] = y
-        labels[1::2] = wrong
-        signs = np.empty(2 * n)
-        signs[0::2] = float(Polarity.POSITIVE)
-        signs[1::2] = float(Polarity.NEGATIVE)
-        order = np.array(rng.shuffle(list(range(2 * n))))
-        return EpochStream(X_raw, self, order // 2, labels[order], signs[order])
-
-
-@dataclass
-class EpochStream:
-    """An epoch's training data as indices: no embedded row is stored.
-
-    Position k is raw row ``rows[k]`` with label ``labels[k]`` written
-    into its slots, trained with polarity ``signs[k]``.
-    """
-
-    X_raw: np.ndarray
-    slots: LabelSlots
-    rows: np.ndarray
-    labels: np.ndarray
-    signs: np.ndarray
-
-    def __len__(self):
-        return self.rows.shape[0]
-
-    def batch(self, idx):
-        """(embedded rows, signs) at the given positions."""
-        rows = self.rows[idx]
-        return self.slots.embed(self.X_raw[rows], self.labels[idx]), self.signs[idx]
-
 
 def softplus(u):
     """log(1 + e^u), linearized above 30 to avoid overflow."""
@@ -139,7 +94,7 @@ def ff_loss(G, theta, signs):
     softplus(theta - G) where the sign is +1 (positive data) and
     softplus(G - theta) where it is -1 (negative data): strictly
     decreasing in G for positive, strictly increasing for negative;
-    log(2) at G == theta. A :class:`Polarity` works as ``signs``.
+    log(2) at G == theta.
     """
     return softplus(signs * (theta - G))
 
@@ -258,12 +213,18 @@ class EpochMetrics:
     mean_g_pos: np.ndarray     # per layer
     mean_g_neg: np.ndarray     # per layer
     thetas: np.ndarray         # per layer
-    n_pos: int
-    n_neg: int
 
 
-def train_epoch(net, stream, strategy, epoch, batch_size, rng):
-    """One pass over an :class:`EpochStream` of positives and negatives.
+def train_epoch(net, X_raw, y, slots, strategy, epoch, batch_size, rng):
+    """One pass over the n raw rows, each seen once as a positive and once
+    as a negative.
+
+    Each row draws one wrong label (:meth:`LabelSlots.wrong_labels`, n
+    draws in row order); then the n row indices are shuffled once (n-1
+    draws). A batch is ``batch_size // 2`` shuffled rows r, embedded as
+    ``slots.embed(X_raw[r ++ r], y[r] ++ wrong[r])``: the m positives
+    first, then their m negatives in the same row order, so the first m
+    embedded rows have sign +1 and the last m sign -1.
 
     Every batch is forwarded once with the pre-update weights; each
     layer then computes its local gradients from its own stored input
@@ -276,27 +237,30 @@ def train_epoch(net, stream, strategy, epoch, batch_size, rng):
     because the GIL changes hands at every ufunc call and BLAS threads
     keep spinning after the gradient GEMMs.
     """
-    if batch_size < 1:
-        raise UsageError("batch_size must be >= 1")
-
-    n = len(stream)
-    order = list(range(n))
-    rng.shuffle(order)
+    if batch_size < 2 or batch_size % 2:
+        raise UsageError(
+            f"batch_size must be even and >= 2 (a row's positive and negative "
+            f"share a batch), got {batch_size}"
+        )
+    n = X_raw.shape[0]
+    if n == 0:
+        raise UsageError("cannot train on zero rows")
+    y = np.asarray(y, dtype=np.int64)
+    wrong = slots.wrong_labels(y, rng)
+    order = np.array(rng.shuffle(list(range(n))))
 
     depth = len(net.layers)
     thetas = strategy.thetas(net.widths, epoch)
     loss_sum = np.zeros(depth)
     g_pos_sum = np.zeros(depth)
     g_neg_sum = np.zeros(depth)
-    n_pos = 0
-    n_neg = 0
 
-    for start in range(0, n, batch_size):
-        idx = order[start : start + batch_size]
-        X, signs = stream.batch(idx)
-        pos_mask = signs > 0
-        n_pos += int(pos_mask.sum())
-        n_neg += int((~pos_mask).sum())
+    rows_per_batch = batch_size // 2
+    for start in range(0, n, rows_per_batch):
+        r = order[start : start + rows_per_batch]
+        m = r.shape[0]
+        X = slots.embed(X_raw[np.concatenate((r, r))], np.concatenate((y[r], wrong[r])))
+        signs = np.repeat([1.0, -1.0], m)
 
         stages = net.forward_batch(X)
         for li, layer in enumerate(net.layers):
@@ -310,14 +274,12 @@ def train_epoch(net, stream, strategy, epoch, batch_size, rng):
             # one live gradient at a time: free it before the next layer's
             del dW, db
             loss_sum[li] += losses.sum()
-            g_pos_sum[li] += G[pos_mask].sum()
-            g_neg_sum[li] += G[~pos_mask].sum()
+            g_pos_sum[li] += G[:m].sum()
+            g_neg_sum[li] += G[m:].sum()
 
     return EpochMetrics(
-        mean_loss=loss_sum / n,
-        mean_g_pos=g_pos_sum / max(n_pos, 1),
-        mean_g_neg=g_neg_sum / max(n_neg, 1),
+        mean_loss=loss_sum / (2 * n),
+        mean_g_pos=g_pos_sum / n,
+        mean_g_neg=g_neg_sum / n,
         thetas=thetas,
-        n_pos=n_pos,
-        n_neg=n_neg,
     )

@@ -3,19 +3,21 @@
 Everything here is deliberately written the dumb way — plain loops,
 scalar recursions — and stays independent of the code paths it judges.
 The last section holds helpers that only the tests use: closed-form
-gradients, the head fit on a frozen net, a PGM reader, a shape check,
-the baseline's loss, a leaky relu of any slope, a two-sample KS test
-and the two-blob toy task.
+gradients, the head fit on a frozen net, the batches an epoch trains
+on, a PGM reader, a shape check, the baseline's loss, a leaky relu of
+any slope, a two-sample KS test and the two-blob toy task.
 """
 
 import numpy as np
 
 from fflab.activations import DEFAULT_LEAKY_SLOPE, LEAKY_RELU, Activation, _make_leaky, softmax
 from fflab.errors import UsageError
+from fflab.ffnet import FFNetwork, train_epoch
 from fflab.inference import default_included_layers, features_batch, fit_head
 from fflab.kernels import negative_targets, pairs_per_sentence
 from fflab.rng import GOLDEN, MASK64, _INV53, Rng, derive_seed, mix64
 from fflab.synthetic import make_blobs
+from fflab.thresholds import Thresholds
 
 
 def central_diff_grad(f, x, h=1e-5):
@@ -107,14 +109,14 @@ def loop_layer_loss(W, b, x, act_fn, sign, theta):
     return loop_softplus(sign * (theta - loop_goodness(a)))
 
 
-def loop_epoch(layer_params, acts, samples_order, features, signs, thetas,
-               batch_size, lr):
+def loop_epoch(layer_params, acts, batches, thetas, lr):
     """Straight-line reference for one training pass.
 
     layer_params: list of (W, b) arrays (copied inside); acts: list of
-    (fn, deriv); returns (per-layer mean loss, final (W, b) list).
-    Mirrors the batching semantics: forward the whole batch with
-    pre-update weights, then update every layer from its own input.
+    (fn, deriv); batches: list of (features, signs) in training order;
+    returns (per-layer mean loss, final (W, b) list). Mirrors the
+    batching semantics: forward the whole batch with pre-update weights,
+    then update every layer from its own input.
     """
     params = [(W.copy(), b.copy()) for W, b in layer_params]
     adam = [
@@ -126,13 +128,10 @@ def loop_epoch(layer_params, acts, samples_order, features, signs, thetas,
     ]
     depth = len(params)
     loss_sum = np.zeros(depth)
-    n = len(samples_order)
+    n = sum(len(batch_signs) for _, batch_signs in batches)
 
-    for start in range(0, n, batch_size):
-        idx = samples_order[start : start + batch_size]
-        batch_inputs = [features[i] for i in idx]
-        batch_signs = [signs[i] for i in idx]
-        m = len(idx)
+    for batch_inputs, batch_signs in batches:
+        m = len(batch_signs)
 
         # forward every sample through every layer with current weights
         per_layer_xhat = [[] for _ in range(depth)]
@@ -183,14 +182,17 @@ def loop_epoch(layer_params, acts, samples_order, features, signs, thetas,
     return loss_sum / n, params
 
 
-def loop_label_stream(X_raw, y, num_classes, start, overwrite, rng):
-    """Reference epoch stream, built one row at a time.
+def loop_paired_batches(X_raw, y, num_classes, start, overwrite, batch_size, rng):
+    """Reference epoch batches, built one row at a time.
 
-    Per row: the raw row with its true label written into the slots
-    (positive), then with one drawn wrong label (negative); the whole
-    list is shuffled once at the end. Slots overwrite raw columns
-    start..start+C-1, or are inserted at ``start``. Returns (features
-    list, signs list) in stream order.
+    Per row, in row order: one wrong label, drawn as ``randint(C-1)`` and
+    skipping the true label. Then a Fisher-Yates pass over the row
+    indices, one ``randint`` per step from the last position down. Each
+    batch takes the next ``batch_size // 2`` shuffled rows: every row
+    with its true label written into the slots (positive), then every
+    row again with its wrong label (negative). Slots overwrite raw
+    columns start..start+C-1, or are inserted at ``start``. Returns a
+    list of (features list, signs list), one per batch.
     """
 
     def embed(x, label):
@@ -200,15 +202,25 @@ def loop_label_stream(X_raw, y, num_classes, start, overwrite, rng):
         rest = x[start + num_classes :] if overwrite else x[start:]
         return np.array(x[:start] + slots + rest)
 
-    stream = []
-    for i in range(len(y)):
+    n = len(y)
+    wrong = []
+    for i in range(n):
         true = int(y[i])
-        stream.append((embed(X_raw[i], true), 1.0))
         draw = int(rng.randint(num_classes - 1))
-        wrong = draw if draw < true else draw + 1
-        stream.append((embed(X_raw[i], wrong), -1.0))
-    rng.shuffle(stream)
-    return [f for f, _ in stream], [s for _, s in stream]
+        wrong.append(draw if draw < true else draw + 1)
+    order = list(range(n))
+    for a in range(n - 1, 0, -1):
+        b = int(rng.randint(a + 1))
+        order[a], order[b] = order[b], order[a]
+
+    batches = []
+    m = batch_size // 2
+    for lo in range(0, n, m):
+        rows = order[lo : lo + m]
+        features = [embed(X_raw[i], int(y[i])) for i in rows]
+        features += [embed(X_raw[i], wrong[i]) for i in rows]
+        batches.append((features, [1.0] * len(rows) + [-1.0] * len(rows)))
+    return batches
 
 
 def loop_sweep(net, X_raw, num_classes, slots, included_layers):
@@ -223,18 +235,18 @@ def loop_sweep(net, X_raw, num_classes, slots, included_layers):
     return scores
 
 
-def loop_goodness_report(net, stream, thetas, bins=50, batch_size=512):
-    """Reference goodness report: every position of an epoch stream
-    embedded and forwarded through the whole network, in batches.
+def loop_goodness_report(net, positives, negatives, thetas, bins=50, batch_size=512):
+    """Reference goodness report: every embedded positive and negative row
+    forwarded through the whole network, in batches.
 
     Returns per layer (bin edges, positive counts, negative counts,
     fraction of positives above theta, fraction of negatives below it).
     """
-    pos = stream.signs > 0
+    feats = np.concatenate([positives, negatives])
+    pos = np.arange(feats.shape[0]) < positives.shape[0]
     G = [[] for _ in net.layers]
-    for start in range(0, len(stream), batch_size):
-        feats, _ = stream.batch(slice(start, start + batch_size))
-        for li, stage in enumerate(net.forward_batch(feats)):
+    for start in range(0, feats.shape[0], batch_size):
+        for li, stage in enumerate(net.forward_batch(feats[start : start + batch_size])):
             G[li].append(np.sum(stage[2] * stage[2], axis=1))
     out = []
     for li, parts in enumerate(G):
@@ -439,6 +451,27 @@ def frozen_head(net, X_neutral, labels, num_classes, epochs=8, batch_size=128, l
     included_layers = tuple(sorted(included_layers))
     F = features_batch(net, X_neutral, included_layers)
     return fit_head(F, labels, num_classes, included_layers, epochs, batch_size, lr, rng)
+
+
+def epoch_batches(X_raw, y, slots, batch_size, rng):
+    """(embedded rows, signs) of every batch ``train_epoch`` trains on, in
+    order, recorded from a one-unit net with learning rate 0."""
+    net = FFNetwork(slots.width(X_raw.shape[1]), [1], "relu", 0.0, Rng(0))
+    layer = net.layers[0]
+    seen = []
+    forward, grads = layer.forward_batch, layer.grads_batch
+
+    def record_forward(X):
+        seen.append([X.copy(), None])
+        return forward(X)
+
+    def record_grads(Xhat, Z, A, signs, theta):
+        seen[-1][1] = signs.copy()
+        return grads(Xhat, Z, A, signs, theta)
+
+    layer.forward_batch, layer.grads_batch = record_forward, record_grads
+    train_epoch(net, X_raw, y, slots, Thresholds((1.0,)), 0, batch_size, rng)
+    return [tuple(batch) for batch in seen]
 
 
 def head_loss(net, head, X_neutral, labels):

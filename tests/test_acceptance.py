@@ -18,7 +18,7 @@ from fflab.bp_baseline import BPNetwork, bp_predict_batch, bp_train_epoch, softm
 from fflab.checkpoint import load_network, network_bytes, save_network
 from fflab.config import parse_config
 from fflab.experiment import build_bundle, run_experiment
-from fflab.ffnet import FFLayer, FFNetwork, Polarity, train_epoch
+from fflab.ffnet import FFLayer, FFNetwork, train_epoch
 from fflab.inference import (
     ClassifierHead,
     default_included_layers,
@@ -51,7 +51,7 @@ def test_c1_gradient_oracles():
     # layer gradients: all 5 activations x both polarities x 20 random configs
     for act_name in sorted(ACTIVATIONS):
         act = ACTIVATIONS[act_name]
-        for polarity in (Polarity.POSITIVE, Polarity.NEGATIVE):
+        for polarity in (1.0, -1.0):
             checked = 0
             attempt = 0
             case_id = act.tag * 211 + (3 if polarity > 0 else 7)
@@ -206,8 +206,9 @@ def desk_ff_run(strategy_key, strategy, seed):
     net = FFNetwork(bundle.input_dim, DESK_ARCH, "relu", DESK_LR, Rng(derive_seed(seed, 0)))
     rng = Rng(derive_seed(seed, 1))
     for epoch in range(DESK_EPOCHS):
-        stream = bundle.slots.stream(bundle.X_train, bundle.y_train, rng)
-        train_epoch(net, stream, strategy, epoch, DESK_BATCH, rng)
+        train_epoch(
+            net, bundle.X_train, bundle.y_train, bundle.slots, strategy, epoch, DESK_BATCH, rng
+        )
     head = frozen_head(
         net,
         bundle.slots.neutral(bundle.X_train),
@@ -299,8 +300,10 @@ def test_c5_bounded_activation_failure():
         net = FFNetwork(bundle.input_dim, [100, 100], act, 0.01, Rng(1))
         rng = Rng(2)
         for epoch in range(80):
-            stream = bundle.slots.stream(bundle.X_train, bundle.y_train, rng)
-            train_epoch(net, stream, Thresholds((2.0, 2.0)), epoch, 128, rng)
+            train_epoch(
+                net, bundle.X_train, bundle.y_train, bundle.slots, Thresholds((2.0, 2.0)),
+                epoch, 128, rng,
+            )
         pred = predict_sweep_batch(
             net, bundle.X_test, bundle.num_classes, bundle.slots
         )
@@ -355,8 +358,10 @@ def test_c7_imdb_desk():
     net = FFNetwork(bundle.input_dim, [500, 500], "relu", 0.01, Rng(derive_seed(cfg.seed, 0)))
     rng = Rng(derive_seed(cfg.seed, 1))
     for epoch in range(6):
-        stream = bundle.slots.stream(bundle.X_train, bundle.y_train, rng)
-        train_epoch(net, stream, Thresholds((0.5, 0.5)), epoch, 128, rng)
+        train_epoch(
+            net, bundle.X_train, bundle.y_train, bundle.slots, Thresholds((0.5, 0.5)),
+            epoch, 128, rng,
+        )
     head = frozen_head(
         net,
         bundle.slots.neutral(bundle.X_train),

@@ -28,7 +28,7 @@ def trained_toy(k=0.5, lr=0.05, epochs=40):
     net = FFNetwork(2 + X.shape[1], [32, 32], "relu", lr, Rng(100))
     rng = Rng(101)
     for epoch in range(epochs):
-        train_epoch(net, BLOB.stream(X, y, rng), Thresholds((k, k)), epoch, 16, rng)
+        train_epoch(net, X, y, BLOB, Thresholds((k, k)), epoch, 16, rng)
     return X, y, net
 
 
@@ -119,21 +119,17 @@ class TestGoodnessReport:
         """Seeded oracle run: random weights cannot split the polarities."""
         X, y, _ = two_blob_toy(n_per_class=60, separation=6.0)
         net = FFNetwork(2 + X.shape[1], [32, 32], "relu", 0.05, Rng(706))
-        stream = BLOB.stream(X, y, Rng(707))
-        feats, signs = stream.batch(np.arange(len(stream)))
-        for stage in net.forward_batch(feats):
-            G = goodness(stage[2])
-            _, p = ks_2sample(G[signs > 0], G[signs < 0])
+        pos, neg = BLOB.embed(X, y), BLOB.embed(X, BLOB.wrong_labels(y, Rng(707)))
+        for stage_pos, stage_neg in zip(net.forward_batch(pos), net.forward_batch(neg)):
+            _, p = ks_2sample(goodness(stage_pos[2]), goodness(stage_neg[2]))
             assert p > 0.01
 
     def test_trained_net_distinguishable_and_separated(self):
         """After training the same distributions split decisively."""
         X, y, net = trained_toy()
-        stream = BLOB.stream(X, y, Rng(991))
-        feats, signs = stream.batch(np.arange(len(stream)))
-        for stage in net.forward_batch(feats):
-            G = goodness(stage[2])
-            _, p = ks_2sample(G[signs > 0], G[signs < 0])
+        pos, neg = BLOB.embed(X, y), BLOB.embed(X, BLOB.wrong_labels(y, Rng(991)))
+        for stage_pos, stage_neg in zip(net.forward_batch(pos), net.forward_batch(neg)):
+            _, p = ks_2sample(goodness(stage_pos[2]), goodness(stage_neg[2]))
             assert p < 1e-10
         thetas = Thresholds((0.5, 0.5)).thetas(net.widths, 39)
         report = goodness_report(*report_inputs(net, X, y, Rng(991)), thetas)
@@ -161,9 +157,10 @@ class TestGoodnessReport:
 
     @pytest.mark.parametrize("classes", [2, 4])
     def test_counts_equal_the_stream_forward_oracle(self, classes):
-        """Seeded: the same counts and fractions as forwarding a stream whose
-        negatives are the same drawn labels; edges agree to rounding. With
-        four classes the drawn label is not implied by the true one."""
+        """Seeded: the same counts and fractions as forwarding every row
+        embedded with its true label and with the same drawn wrong label;
+        edges agree to rounding. With four classes the drawn label is not
+        implied by the true one."""
         if classes == 2:
             X, y, net = trained_toy(epochs=5)
         else:
@@ -175,8 +172,11 @@ class TestGoodnessReport:
         thetas = Thresholds((0.5, 0.5)).thetas(net.widths, 4)
         G = np.empty((len(y), classes, 2))
         sweep_scores_batch(net, X, classes, slots, layer_goodness=G)
-        got = goodness_report(G, y, slots.wrong_labels(y, Rng(12)), thetas, bins=8)
-        want = loop_goodness_report(net, slots.stream(X, y, Rng(12)), thetas, bins=8)
+        wrong = slots.wrong_labels(y, Rng(12))
+        got = goodness_report(G, y, wrong, thetas, bins=8)
+        want = loop_goodness_report(
+            net, slots.embed(X, y), slots.embed(X, wrong), thetas, bins=8
+        )
         for li, (edges, pos, neg, frac_pos, frac_neg) in enumerate(want):
             np.testing.assert_allclose(got.bin_edges[li], edges, rtol=1e-14, atol=0)
             np.testing.assert_array_equal(got.pos_counts[li], pos)

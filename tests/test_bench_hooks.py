@@ -44,6 +44,7 @@ PATCHED_IN_EXPERIMENT = ["train_epoch", "predict_sweep_batch", "save_network"]
 
 # (module, function, position, parameter) read by position
 POSITIONAL = [
+    ("ffnet", "train_epoch", 0, "net"),
     ("inference", "sweep_scores_batch", 2, "num_classes"),
     ("kernels", "sgns_epoch", 9, "pairs_done"),
     ("numerics", "adam_step", 1, "params"),

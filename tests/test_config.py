@@ -80,6 +80,9 @@ class TestParsing:
         [
             ("lr", "0"),
             ("lr", "nan"),
+            ("batch_size", "0"),
+            ("batch_size", "1"),
+            ("batch_size", "129"),
             ("head.epochs", "0"),
             ("head.batch_size", "0"),
             ("head.lr", "-1e-3"),
@@ -106,7 +109,7 @@ class TestParsing:
         [("baseline.epochs", "0"), ("sgns.neg_k", "0"), ("sgns.epochs", "0"),
          ("head.epochs", "1"), ("sgns.window", "1"), ("synthetic.dim", "1"),
          ("synthetic.train_per_class", "1"), ("synthetic.test_per_class", "1"),
-         ("data.test_subset", "0")],
+         ("data.test_subset", "0"), ("batch_size", "2")],
     )
     def test_lowest_allowed_value_parses(self, key, value):
         assert parse_config(None, {"seed": "1", key: value})[key] == int(value)

@@ -426,6 +426,10 @@ MALFORMED = {
         lambda t: ["train", "--seed", "1", "--arch", "4", "--epochs", "1",
                    "--output", str(t / "run"), "--set", "head.lr=inf"],
         1, "config error: head.lr must be finite"),
+    "odd-batch-size": (
+        lambda t: ["train", "--seed", "1", "--arch", "4", "--epochs", "1",
+                   "--output", str(t / "run"), "--batch-size", "33"],
+        1, "config error: batch_size must be even"),
 }
 
 

@@ -11,7 +11,6 @@ from fflab.ffnet import (
     FFLayer,
     FFNetwork,
     LabelSlots,
-    Polarity,
     ff_loss,
     goodness,
     softplus,
@@ -23,11 +22,12 @@ from fflab.thresholds import Thresholds
 
 from oracles import (
     central_diff_grad,
+    epoch_batches,
     loop_goodness,
-    loop_label_stream,
     loop_layer_forward,
     loop_layer_loss,
     loop_epoch,
+    loop_paired_batches,
     rel_err,
     two_blob_toy,
 )
@@ -127,30 +127,30 @@ class TestGoodness:
 
 class TestFFLoss:
     def test_midpoint_is_log2(self):
-        for pol in (Polarity.POSITIVE, Polarity.NEGATIVE):
+        for pol in (1.0, -1.0):
             assert ff_loss(3.0, 3.0, pol) == pytest.approx(0.6931471805599453)
 
     def test_asymptotics(self):
-        assert ff_loss(1e6, 3.0, Polarity.POSITIVE) == pytest.approx(0.0, abs=1e-12)
-        big = ff_loss(1e6, 3.0, Polarity.NEGATIVE)
+        assert ff_loss(1e6, 3.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+        big = ff_loss(1e6, 3.0, -1.0)
         assert big == pytest.approx(1e6 - 3.0)  # linear in G far above theta
 
     def test_direct_value(self):
-        assert ff_loss(5.0, 3.0, Polarity.NEGATIVE) == pytest.approx(
+        assert ff_loss(5.0, 3.0, -1.0) == pytest.approx(
             2.1269280110429727
         )
 
     def test_monotonicity(self):
         gs = np.linspace(0.0, 20.0, 200)
-        pos = np.array([ff_loss(g, 10.0, Polarity.POSITIVE) for g in gs])
-        neg = np.array([ff_loss(g, 10.0, Polarity.NEGATIVE) for g in gs])
+        pos = np.array([ff_loss(g, 10.0, 1.0) for g in gs])
+        neg = np.array([ff_loss(g, 10.0, -1.0) for g in gs])
         assert np.all(np.diff(pos) < 0)
         assert np.all(np.diff(neg) > 0)
 
     def test_elementwise_over_a_batch(self):
         G = np.array([0.5, 3.0, 9.0, 3.0])
         signs = np.array([1.0, -1.0, -1.0, 1.0])
-        expected = [ff_loss(g, 3.0, Polarity(int(s))) for g, s in zip(G, signs)]
+        expected = [ff_loss(g, 3.0, s) for g, s in zip(G, signs)]
         np.testing.assert_array_equal(ff_loss(G, 3.0, signs), expected)
 
     def test_softplus_overflow_safe(self):
@@ -161,12 +161,12 @@ class TestFFLoss:
 class TestLayerGrads:
     def test_dead_relu_fixed_point(self):
         layer = FFLayer(3, 4, "relu", 0.01, W=np.zeros((4, 3)), b=np.zeros(4))
-        dW, db, _ = grads_one(layer, np.array([1.0, 2.0, 3.0]), Polarity.POSITIVE, 5.0)
+        dW, db, _ = grads_one(layer, np.array([1.0, 2.0, 3.0]), 1.0, 5.0)
         np.testing.assert_array_equal(dW, np.zeros((4, 3)))
         np.testing.assert_array_equal(db, np.zeros(4))
 
     @pytest.mark.parametrize("act_name", sorted(ACTIVATIONS))
-    @pytest.mark.parametrize("polarity", [Polarity.POSITIVE, Polarity.NEGATIVE])
+    @pytest.mark.parametrize("polarity", [1.0, -1.0], ids="{:g}".format)
     def test_matches_finite_differences(self, act_name, polarity):
         layer, x = smooth_case(31, act_name)
         theta = 1.7
@@ -192,7 +192,7 @@ class TestLayerGrads:
         rng = Rng(5)
         layer = make_layer(rng, 4, 3)
         x = rng.uniform_array(4) + 0.5
-        dW, _, _ = grads_one(layer, x, Polarity.POSITIVE, -1e4)  # G >> theta
+        dW, _, _ = grads_one(layer, x, 1.0, -1e4)  # G >> theta
         assert np.linalg.norm(dW) < 1e-10
 
 
@@ -244,8 +244,8 @@ class TestLocality:
         deep = FFNetwork(6, [5, 4, 3], "relu", 0.01, rng)
         shallow = FFNetwork.from_layer_list(6, deep.layers[:1])
         x = Rng(52).uniform_array(6)
-        dW_deep, db_deep, _ = grads_one(deep.layers[0], x, Polarity.POSITIVE, 2.0)
-        dW_shallow, db_shallow, _ = grads_one(shallow.layers[0], x, Polarity.POSITIVE, 2.0)
+        dW_deep, db_deep, _ = grads_one(deep.layers[0], x, 1.0, 2.0)
+        dW_shallow, db_shallow, _ = grads_one(shallow.layers[0], x, 1.0, 2.0)
         np.testing.assert_array_equal(dW_deep, dW_shallow)
         np.testing.assert_array_equal(db_deep, db_shallow)
 
@@ -255,9 +255,9 @@ class TestLocality:
         net = FFNetwork(6, [5, 4], "relu", 0.01, rng)
         x = Rng(54).uniform_array(6)
         a0 = net.forward_batch(x[None, :])[0][2][0]
-        dW1, db1, _ = grads_one(net.layers[1], a0, Polarity.NEGATIVE, 1.0)
+        dW1, db1, _ = grads_one(net.layers[1], a0, -1.0, 1.0)
         net.layers[0].W += 100.0  # layer 1 must not notice if its input is fixed
-        dW1b, db1b, _ = grads_one(net.layers[1], a0, Polarity.NEGATIVE, 1.0)
+        dW1b, db1b, _ = grads_one(net.layers[1], a0, -1.0, 1.0)
         np.testing.assert_array_equal(dW1, dW1b)
         np.testing.assert_array_equal(db1, db1b)
 
@@ -275,56 +275,64 @@ class TestGoodnessBounds:
             assert goodness(a) <= out_dim + 1e-9
 
 
-class TestTrainEpoch:
-    def _toy_stream(self, n=20, dim=6, seed=70):
-        """A stream of n//2 positives and n//2 negatives over 3 classes."""
-        rng = Rng(seed)
-        X = rng.uniform_array(n // 2 * dim).reshape(n // 2, dim) * 2 - 1
-        y = np.arange(n // 2) % 3
-        return LabelSlots(3, start=0, overwrite=True).stream(X, y, rng)
+TOY_SLOTS = LabelSlots(3, start=0, overwrite=True)
 
+
+def toy_rows(n=10, dim=6, seed=70):
+    """n raw rows over 3 classes: an epoch of n positives and n negatives."""
+    rng = Rng(seed)
+    X = rng.uniform_array(n * dim).reshape(n, dim) * 2 - 1
+    return X, np.arange(n) % 3
+
+
+def train_toy(net, strategy, epoch, batch_size, rng, n=10):
+    X, y = toy_rows(n)
+    return train_epoch(net, X, y, TOY_SLOTS, strategy, epoch, batch_size, rng)
+
+
+class TestTrainEpoch:
     def test_empty_samples_rejected(self):
-        with pytest.raises(UsageError):
-            LabelSlots(3, start=0, overwrite=True).stream(
-                np.empty((0, 6)), np.empty(0, dtype=np.int64), Rng(2)
+        net = FFNetwork(6, [4], "relu", 0.01, Rng(1))
+        with pytest.raises(UsageError, match="zero rows"):
+            train_epoch(
+                net, np.empty((0, 6)), np.empty(0, dtype=np.int64), TOY_SLOTS,
+                Thresholds((0.5,)), 0, 8, Rng(2),
             )
+
+    @pytest.mark.parametrize("batch_size", [0, 1, 7])
+    def test_odd_or_tiny_batch_size_rejected(self, batch_size):
+        """A row's positive and negative never split across batches."""
+        net = FFNetwork(6, [4], "relu", 0.01, Rng(1))
+        with pytest.raises(UsageError, match="batch_size must be even and >= 2"):
+            train_toy(net, Thresholds((0.5,)), 0, batch_size, Rng(2))
 
     def test_zero_lr_is_bitwise_fixed_point(self):
         net = FFNetwork(6, [5, 4], "relu", 0.0, Rng(80))
         before = [(l.W.copy(), l.b.copy()) for l in net.layers]
-        train_epoch(net, self._toy_stream(), Thresholds((0.5, 0.5)), 0, 8, Rng(81))
+        train_toy(net, Thresholds((0.5, 0.5)), 0, 8, Rng(81))
         for (W0, b0), layer in zip(before, net.layers):
             np.testing.assert_array_equal(W0, layer.W)
             np.testing.assert_array_equal(b0, layer.b)
 
-    def _check_against_loop_oracle(self, stream, widths, k, net_seed, seed):
+    def _check_against_loop_oracle(self, n, widths, k, net_seed, seed):
         net = FFNetwork(6, widths, "relu", 0.01, Rng(net_seed))
         layer_params = [(l.W.copy(), l.b.copy()) for l in net.layers]
         acts = [(l.act.fn, l.act.deriv) for l in net.layers]
         thetas = [k * w for w in widths]
 
-        metrics = train_epoch(net, stream, Thresholds((k,) * len(widths)), 0, 8, Rng(seed))
+        metrics = train_toy(net, Thresholds((k,) * len(widths)), 0, 8, Rng(seed), n=n)
 
-        order = Rng(seed).shuffle(list(range(len(stream))))
-        features, signs = stream.batch(np.arange(len(stream)))
-        ref_losses, ref_params = loop_epoch(
-            layer_params,
-            acts,
-            order,
-            list(features),
-            list(signs),
-            thetas,
-            batch_size=8,
-            lr=0.01,
-        )
+        X, y = toy_rows(n)
+        batches = loop_paired_batches(X, y, 3, 0, True, 8, Rng(seed))
+        ref_losses, ref_params = loop_epoch(layer_params, acts, batches, thetas, lr=0.01)
         np.testing.assert_allclose(metrics.mean_loss, ref_losses, rtol=1e-10, atol=1e-12)
         for (W_ref, b_ref), layer in zip(ref_params, net.layers):
             np.testing.assert_allclose(layer.W, W_ref, rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(layer.b, b_ref, rtol=1e-10, atol=1e-12)
 
     def test_matches_plain_loop_reference(self):
-        """One epoch on 20 samples equals the straight-line loop oracle."""
-        self._check_against_loop_oracle(self._toy_stream(), [5, 4], 0.5, 91, 90)
+        """One epoch on 10 rows (20 samples) equals the straight-line loop oracle."""
+        self._check_against_loop_oracle(10, [5, 4], 0.5, 91, 90)
 
     def test_goodness_separates_on_two_blobs(self):
         """Positive goodness rises and negative falls between epochs 1 and 5.
@@ -339,41 +347,45 @@ class TestTrainEpoch:
         rng = Rng(101)
         history = []
         for epoch in range(5):
-            stream = label_slots(2).stream(X, y, rng)
-            history.append(train_epoch(net, stream, Thresholds((0.1, 0.1)), epoch, 16, rng))
+            history.append(
+                train_epoch(net, X, y, label_slots(2), Thresholds((0.1, 0.1)), epoch, 16, rng)
+            )
         assert np.all(history[4].mean_g_pos > history[0].mean_g_pos)
         assert np.all(history[4].mean_g_neg < history[0].mean_g_neg)
 
     def test_uneven_four_layer_net_matches_loop_oracle(self):
         """Four layers of uneven widths equal the loop oracle."""
-        self._check_against_loop_oracle(self._toy_stream(n=30), [7, 5, 9, 3], 0.4, 92, 93)
+        self._check_against_loop_oracle(15, [7, 5, 9, 3], 0.4, 92, 93)
 
     def test_bit_identical_to_layer_by_layer_loop(self):
-        """train_epoch equals, bit for bit, grads_batch then apply_grads per layer."""
+        """train_epoch equals, bit for bit, grads_batch then apply_grads per
+        layer over the reference batches; the goodness means read the
+        positive and the negative halves of each batch."""
         widths = [7, 5, 9, 3]
-        stream = self._toy_stream(n=45)
-        features, all_signs = stream.batch(np.arange(len(stream)))
+        X, y = toy_rows(n=23)
         net = FFNetwork(6, widths, "tanh", 0.02, Rng(94))
         serial = FFNetwork(6, widths, "tanh", 0.02, Rng(94))
         depth = len(widths)
         strategy = Thresholds((0.3,) * depth)
         for epoch in range(3):
-            metrics = train_epoch(net, stream, strategy, epoch, 8, Rng(95 + epoch))
+            metrics = train_epoch(net, X, y, TOY_SLOTS, strategy, epoch, 8, Rng(95 + epoch))
 
-            order = Rng(95 + epoch).shuffle(list(range(len(stream))))
+            batches = loop_paired_batches(X, y, 3, 0, True, 8, Rng(95 + epoch))
             thetas = [0.3 * w for w in serial.widths]
-            loss_sum = np.zeros(depth)
-            for start in range(0, len(order), 8):
-                idx = order[start : start + 8]
-                X = features[idx]
-                signs = all_signs[idx]
-                stages = serial.forward_batch(X)
+            loss_sum, g_pos, g_neg = np.zeros(depth), np.zeros(depth), np.zeros(depth)
+            for features, signs in batches:
+                signs = np.array(signs)
+                stages = serial.forward_batch(np.stack(features))
                 for li, layer in enumerate(serial.layers):
-                    dW, db, losses, _ = layer.grads_batch(*stages[li], signs, thetas[li])
+                    dW, db, losses, G = layer.grads_batch(*stages[li], signs, thetas[li])
                     layer.apply_grads(dW, db)
                     loss_sum[li] += losses.sum()
+                    g_pos[li] += G[signs > 0].sum()
+                    g_neg[li] += G[signs < 0].sum()
 
-            assert np.array_equal(metrics.mean_loss, loss_sum / len(stream))
+            assert np.array_equal(metrics.mean_loss, loss_sum / (2 * len(y)))
+            assert np.array_equal(metrics.mean_g_pos, g_pos / len(y))
+            assert np.array_equal(metrics.mean_g_neg, g_neg / len(y))
             for layer, ref in zip(net.layers, serial.layers):
                 assert np.array_equal(layer.W, ref.W)
                 assert np.array_equal(layer.b, ref.b)
@@ -383,7 +395,7 @@ class TestTrainEpoch:
         net = FFNetwork(6, [7, 5, 9, 3], "relu", 0.01, Rng(96))
         net.layers[2].W[0, 0] = np.inf
         with pytest.raises(DivergenceError) as info:
-            train_epoch(net, self._toy_stream(), Thresholds((0.5,) * 4), 7, 8, Rng(97))
+            train_toy(net, Thresholds((0.5,) * 4), 7, 8, Rng(97))
         assert (info.value.layer, info.value.epoch) == (2, 7)
         assert str(info.value).startswith("epoch 7, layer 2: ")
 
@@ -401,14 +413,36 @@ class TestTrainEpoch:
 
         monkeypatch.setattr(FFLayer, "grads_batch", tracked)
         net = FFNetwork(6, [5, 4, 3], "relu", 0.01, Rng(3))
-        train_epoch(net, self._toy_stream(), Thresholds((0.5,) * 3), 0, 8, Rng(4))
-        assert live_at_call == [0] * 9  # 20 positions, batches of 8: 3 x 3 layers
+        train_toy(net, Thresholds((0.5,) * 3), 0, 8, Rng(4))
+        assert live_at_call == [0] * 9  # 10 rows, 4 per batch: 3 x 3 layers
 
     def test_polarity_counts(self):
-        stream = self._toy_stream(n=20)
-        net = FFNetwork(6, [4], "relu", 0.01, Rng(1))
-        m = train_epoch(net, stream, Thresholds((1.0,)), 0, 7, Rng(2))
-        assert m.n_pos == 10 and m.n_neg == 10
+        """Each batch holds its m rows as m positives, then as m negatives:
+        n of each over the epoch, the last batch short."""
+        X, y = toy_rows(n=10)
+        batches = epoch_batches(X, y, TOY_SLOTS, 8, Rng(2))
+        assert [list(signs) for _, signs in batches] == [
+            [1.0] * 4 + [-1.0] * 4, [1.0] * 4 + [-1.0] * 4, [1.0, 1.0, -1.0, -1.0]
+        ]
+
+    def test_one_shuffle_of_n_rows(self, monkeypatch):
+        """An epoch shuffles once, the n row indices; the rng advances by n
+        wrong-label draws plus n - 1 shuffle draws."""
+        shuffle = Rng.shuffle
+        lengths = []
+
+        def recorded(rng, seq):
+            lengths.append(len(seq))
+            return shuffle(rng, seq)
+
+        monkeypatch.setattr(Rng, "shuffle", recorded)
+        net = FFNetwork(6, [5, 4], "relu", 0.01, Rng(3))
+        rng, ref = Rng(4), Rng(4)
+        train_toy(net, Thresholds((0.5, 0.5)), 0, 8, rng, n=10)
+        assert lengths == [10]
+        for _ in range(10 + 9):
+            ref.next_u64()
+        assert rng.state == ref.state
 
 
 class TestLabelSlots:
@@ -418,21 +452,19 @@ class TestLabelSlots:
 
     @pytest.mark.parametrize("C, start, overwrite, raw_dim", LAYOUTS)
     def test_stream_matches_per_row_oracle(self, C, start, overwrite, raw_dim):
-        """Every batch equals the per-row reference, and both leave the
-        rng in the same state."""
+        """Every batch train_epoch trains on equals the per-row reference,
+        embedded rows and signs, and both leave the rng in the same state."""
         data = Rng(120 + C)
         n = 23
         X = data.uniform_array(n * raw_dim).reshape(n, raw_dim)
         y = np.array([data.randint(C) for _ in range(n)])
         rng, ref_rng = Rng(130), Rng(130)
-        stream = LabelSlots(C, start, overwrite).stream(X, y, rng)
-        features, signs = loop_label_stream(X, y, C, start, overwrite, ref_rng)
-        assert len(stream) == 2 * n
-        for lo in range(0, 2 * n, 7):
-            idx = list(range(lo, min(lo + 7, 2 * n)))
-            Xb, sb = stream.batch(idx)
-            np.testing.assert_array_equal(Xb, np.stack([features[i] for i in idx]))
-            np.testing.assert_array_equal(sb, [signs[i] for i in idx])
+        got = epoch_batches(X, y, LabelSlots(C, start, overwrite), 8, rng)
+        want = loop_paired_batches(X, y, C, start, overwrite, 8, ref_rng)
+        assert len(got) == len(want) == 6
+        for (Xb, sb), (features, signs) in zip(got, want):
+            np.testing.assert_array_equal(Xb, np.stack(features))
+            np.testing.assert_array_equal(sb, signs)
         assert rng.state == ref_rng.state
 
     @pytest.mark.parametrize("C", [2, 10])

@@ -38,8 +38,7 @@ def toy_task():
     net = FFNetwork(2 + X.shape[1], [16, 16], "relu", 0.03, Rng(300))
     rng = Rng(301)
     for epoch in range(12):
-        stream = BLOB.stream(X, y, rng)
-        train_epoch(net, stream, Thresholds((0.3, 0.3)), epoch, 16, rng)
+        train_epoch(net, X, y, BLOB, Thresholds((0.3, 0.3)), epoch, 16, rng)
     return X, y, net
 
 

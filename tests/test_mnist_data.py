@@ -1,4 +1,4 @@
-"""IDX parsing against hand-built fixtures, label embedding, stream building."""
+"""IDX parsing against hand-built fixtures, label embedding, epoch batches."""
 
 import gzip
 import struct
@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from fflab.errors import FormatError, UsageError
-from fflab.ffnet import Polarity
 from fflab.mnist_data import LABEL_SLOTS, parse_idx_images, parse_idx_labels
 from fflab.rng import Rng
+
+from oracles import epoch_batches
 
 
 def build_image_idx(images_u8):
@@ -121,22 +122,23 @@ class TestEmbedLabel:
 class TestMakeNegative:
     def test_never_true_label(self):
         y = np.zeros(500, dtype=int)
-        stream = LABEL_SLOTS.stream(np.zeros((500, 784)), y, Rng(7))
-        X, signs = stream.batch(np.arange(len(stream)))
-        assert np.all(np.argmax(X[signs < 0, :10], axis=1) != 0)
+        wrong = LABEL_SLOTS.wrong_labels(y, Rng(7))
+        X = LABEL_SLOTS.embed(np.zeros((500, 784)), wrong)
+        assert np.all(np.argmax(X[:, :10], axis=1) != 0)
 
     def test_polarity_and_bookkeeping(self):
-        y = np.array([4])
-        stream = LABEL_SLOTS.stream(np.zeros((1, 784)), y, Rng(8))
-        neg = stream.signs == Polarity.NEGATIVE
-        assert neg.sum() == 1
-        assert y[stream.rows[neg][0]] == 4
+        """One row gives one batch: the row with its true label (+1), then
+        the same row with a wrong label (-1)."""
+        X = Rng(8).uniform_array(784).reshape(1, 784)
+        [(feats, signs)] = epoch_batches(X, np.array([4]), LABEL_SLOTS, 128, Rng(8))
+        np.testing.assert_array_equal(signs, [1.0, -1.0])
+        assert np.argmax(feats[0, :10]) == 4 and np.argmax(feats[1, :10]) != 4
+        np.testing.assert_array_equal(feats[:, 10:], np.repeat(X[:, 10:], 2, axis=0))
 
     def test_wrong_labels_near_uniform(self):
         """Over 9000 draws each wrong label appears 1000 +- 100 times."""
         y = np.full(9000, 3)
-        stream = LABEL_SLOTS.stream(np.zeros((9000, 10)), y, Rng(9))
-        counts = np.bincount(stream.labels[stream.signs < 0], minlength=10)
+        counts = np.bincount(LABEL_SLOTS.wrong_labels(y, Rng(9)), minlength=10)
         assert counts[3] == 0
         others = np.delete(counts, 3)
         assert np.all(np.abs(others - 1000) <= 100)
@@ -177,29 +179,33 @@ class TestTrainingStream:
 
     def test_counts_and_balance(self):
         X, y = self._small_set()
-        stream = LABEL_SLOTS.stream(X, y, Rng(11))
-        assert len(stream) == 200
-        assert np.sum(stream.signs == Polarity.POSITIVE) == 100
-        assert np.sum(stream.signs == Polarity.NEGATIVE) == 100
+        batches = epoch_batches(X, y, LABEL_SLOTS, 32, Rng(11))
+        signs = np.concatenate([s for _, s in batches])
+        assert len(signs) == 200
+        assert np.sum(signs > 0) == 100
+        assert np.sum(signs < 0) == 100
 
     def test_deterministic_order(self):
         X, y = self._small_set()
-        s1 = LABEL_SLOTS.stream(X, y, Rng(12))
-        s2 = LABEL_SLOTS.stream(X, y, Rng(12))
-        idx = np.arange(len(s1))
-        for a, b in zip(s1.batch(idx), s2.batch(idx)):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(s1.rows, s2.rows)
+        b1 = epoch_batches(X, y, LABEL_SLOTS, 32, Rng(12))
+        b2 = epoch_batches(X, y, LABEL_SLOTS, 32, Rng(12))
+        assert len(b1) == len(b2) == 7
+        for (X1, s1), (X2, s2) in zip(b1, b2):
+            np.testing.assert_array_equal(X1, X2)
+            np.testing.assert_array_equal(s1, s2)
 
     def test_positive_samples_carry_true_label(self):
+        """Every embedded row is a raw row; positives carry its true label,
+        negatives any other."""
         X, y = self._small_set()
-        stream = LABEL_SLOTS.stream(X, y, Rng(13))
-        feats, signs = stream.batch(np.arange(len(stream)))
-        pos = signs == Polarity.POSITIVE
-        np.testing.assert_array_equal(
-            np.argmax(feats[pos, :10], axis=1), y[stream.rows[pos]]
-        )
+        seen = 0
+        for feats, signs in epoch_batches(X, y, LABEL_SLOTS, 32, Rng(13)):
+            for f, s in zip(feats, signs):
+                [row] = np.flatnonzero(np.all(X[:, 10:] == f[10:], axis=1))
+                assert (np.argmax(f[:10]) == y[row]) == (s > 0)
+                seen += 1
+        assert seen == 200
 
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
-            LABEL_SLOTS.stream(np.empty((0, 784)), np.empty(0), Rng(1))
+            epoch_batches(np.empty((0, 784)), np.empty(0), LABEL_SLOTS, 32, Rng(1))

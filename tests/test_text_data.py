@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fflab.errors import FormatError, UsageError
-from fflab.ffnet import Polarity
 from fflab.porter import stem
 from fflab.rng import Rng
 from fflab.text_data import (
@@ -25,7 +24,7 @@ from fflab.text_data import (
     vectorize_review,
 )
 
-from oracles import central_diff_grad, rel_err, sgns_pair_grads
+from oracles import central_diff_grad, epoch_batches, rel_err, sgns_pair_grads
 
 
 def make_clique_corpus(n_reviews=300, per_clique=6, length=10, seed=55):
@@ -229,23 +228,22 @@ class TestVectorize:
 
 
 class TestSentimentLabels:
-    def _one_review_stream(self, label):
+    def _one_review_batch(self, label):
         X = np.array([[0.1, 0.2]])
-        stream = label_slots(2).stream(X, np.array([label]), Rng(1))
-        feats, signs = stream.batch(np.arange(2))
-        return stream, feats, signs
+        [(feats, signs)] = epoch_batches(X, np.array([label]), label_slots(2), 2, Rng(1))
+        return feats, signs
 
     def test_positive_suffix(self):
-        _, feats, signs = self._one_review_stream(1)
-        pos = signs == Polarity.POSITIVE
+        feats, signs = self._one_review_batch(1)
+        pos = signs > 0
         np.testing.assert_array_equal(feats[pos][0, -2:], [0.0, 1.0])
         assert pos.sum() == 1
 
     def test_negative_flips(self):
-        stream, feats, signs = self._one_review_stream(1)
-        neg = signs == Polarity.NEGATIVE
+        feats, signs = self._one_review_batch(1)
+        neg = signs < 0
         np.testing.assert_array_equal(feats[neg][0, -2:], [1.0, 0.0])
-        assert stream.rows[neg][0] == 0  # still review 0, true label 1
+        np.testing.assert_array_equal(feats[neg][0, :2], [0.1, 0.2])  # still review 0
 
     def test_feature_part_untouched(self):
         feats = np.array([0.5, -0.25, 3.0])
@@ -260,9 +258,9 @@ class TestSentimentLabels:
     def test_stream_balance(self):
         X = Rng(3).uniform_array(20).reshape(10, 2)
         y = np.array([0, 1] * 5)
-        stream = label_slots(2).stream(X, y, Rng(4))
-        assert len(stream) == 20
-        assert np.sum(stream.signs == Polarity.POSITIVE) == 10
+        signs = np.concatenate([s for _, s in epoch_batches(X, y, label_slots(2), 4, Rng(4))])
+        assert len(signs) == 20
+        assert np.sum(signs > 0) == 10
 
 
 class TestEmbeddingCache:
