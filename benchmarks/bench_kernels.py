@@ -13,9 +13,9 @@ kernel would not beat BLAS there): one epoch at a desk shape, and eight
 batch steps at the full recipe shape, 784 -> 2000x4 with batch 128.
 Eval throughput is the label sweep's candidate rows scored per second,
 ten labels on MNIST-shaped rows at 784 -> [500, 500]; the head's
-features are timed at the same shape, with the tracemalloc peak of one
-call (numpy reports its buffers to tracemalloc), which should be F plus
-a few row-chunk-sized matrices.
+features are timed at the same shape from raw rows and MNIST's label
+slots, with the tracemalloc peak of one call (numpy reports its buffers
+to tracemalloc), which should be F plus a few row-chunk-sized matrices.
 """
 
 import argparse
@@ -29,6 +29,7 @@ from fflab.ffnet import FFNetwork, train_epoch
 from fflab.inference import features_batch, sweep_scores_batch
 from fflab.kernels import sgns_epoch
 from fflab.mnist_data import LABEL_SLOTS
+from fflab.numerics import CHUNK_ROWS
 from fflab.rng import Rng
 from fflab.synthetic import label_slots, make_blobs
 from fflab.text_data import (
@@ -148,19 +149,21 @@ def bench_sweep(rows):
 
 
 def bench_features(rows):
+    """Raw MNIST-shaped rows, neutralized one chunk at a time inside."""
     X = Rng(23).uniform_array(rows * 784).reshape(rows, 784)
     net = FFNetwork(784, [500, 500], "relu", 0.01, Rng(24))
-    features_batch(net, X[:1], (1,))  # warm-up
+    features_batch(net, X[:1], LABEL_SLOTS, (1,))  # warm-up
     t0 = time.perf_counter()
-    F_mb = features_batch(net, X, (1,)).nbytes / 1e6
+    F_mb = features_batch(net, X, LABEL_SLOTS, (1,)).nbytes / 1e6
     dt = time.perf_counter() - t0
     tracemalloc.start()
-    features_batch(net, X, (1,))
+    features_batch(net, X, LABEL_SLOTS, (1,))
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
+    chunk_mb = min(rows, CHUNK_ROWS) * 784 * 8 / 1e6
     print(f"head features (784 -> [500, 500], layer 1, {rows} rows): {dt:.2f}s  "
           f"({rows / dt:,.0f} head-feature rows/s); tracemalloc peak {peak / 1e6:.1f} MB "
-          f"(F is {F_mb:.1f} MB)")
+          f"(F is {F_mb:.1f} MB, a chunk of 784 columns {chunk_mb:.1f} MB)")
 
 
 if __name__ == "__main__":

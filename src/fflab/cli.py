@@ -128,7 +128,7 @@ def _cmd_eval(args):
     if args.mode == "head":
         if head is None:
             raise UsageError("checkpoint has no trained head section")
-        pred = predict_head_batch(net, head, bundle.slots.neutral(bundle.X_test))
+        pred = predict_head_batch(net, head, bundle.X_test, bundle.slots)
     else:
         included = None
         if head is not None:

@@ -67,8 +67,10 @@ class DatasetBundle:
 
 
 def _subset(X, y, limit):
-    if limit and limit > 0:
-        return X[:limit], y[:limit]
+    """The first ``limit`` rows (all if ``limit`` is 0 or at least n), as
+    copies: a view would keep the whole loaded split alive."""
+    if 0 < limit < len(X):
+        return X[:limit].copy(), y[:limit].copy()
     return X, y
 
 
@@ -202,9 +204,6 @@ def run_experiment(cfg):
     )
 
     slots = bundle.slots
-    X_train_neutral = slots.neutral(bundle.X_train)
-    X_test_neutral = slots.neutral(bundle.X_test)
-
     mode = cfg["inference.mode"]
     metrics_rows = []
     mode_rows = []
@@ -220,7 +219,7 @@ def run_experiment(cfg):
             cfg["batch_size"], rng_data,
         )
 
-        F = features_batch(net, X_train_neutral, included)
+        F = features_batch(net, bundle.X_train, slots, included)
         head = fit_head(
             F,
             bundle.y_train,
@@ -238,7 +237,9 @@ def run_experiment(cfg):
         errs = {}
         errs["head"] = (
             head_train_err,
-            _error_rate(predict_head_batch(net, head, X_test_neutral), bundle.y_test),
+            _error_rate(
+                predict_head_batch(net, head, bundle.X_test, slots), bundle.y_test
+            ),
         )
         # the last train-split sweep also keeps every layer's goodness for
         # goodness_hist.csv, so the finish phase forwards nothing
@@ -328,9 +329,7 @@ def run_experiment(cfg):
     )
 
     if cfg["baseline.enabled"]:
-        result.bp_checkpoint, result.bp_final_err = _run_baseline(
-            cfg, bundle, X_train_neutral, X_test_neutral, out_dir
-        )
+        result.bp_checkpoint, result.bp_final_err = _run_baseline(cfg, bundle, out_dir)
 
     _write_report(cfg, out_dir, result, included)
     return result
@@ -349,8 +348,11 @@ def write_goodness_report(cfg, bundle, net, G, out_dir):
     return report
 
 
-def _run_baseline(cfg, bundle, X_tr, X_te, out_dir):
-    """Matched-architecture backprop baseline on the label-neutral inputs."""
+def _run_baseline(cfg, bundle, out_dir):
+    """Matched-architecture backprop baseline on the label-neutral inputs,
+    built here for both whole splits and freed when it returns."""
+    X_tr = bundle.slots.neutral(bundle.X_train)
+    X_te = bundle.slots.neutral(bundle.X_test)
     rng = Rng(derive_seed(cfg.seed, _STREAM_BASELINE))
     net = BPNetwork(
         bundle.input_dim,

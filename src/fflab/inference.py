@@ -1,7 +1,8 @@
 """Both prediction routes for a trained goodness network.
 
 1. A one-layer softmax head over concatenated (per-layer normalized)
-   activations of a frozen network, fed with label-neutral inputs.
+   activations of a frozen network, fed with label-neutral inputs made
+   one row chunk at a time.
 2. Label sweep: score every candidate label written into the label
    slots, and pick the label with the largest summed goodness. Layer 0
    is shared by all candidates (one GEMM per row chunk).
@@ -41,28 +42,46 @@ def _checked_layers(included_layers, depth):
     return included
 
 
-def features_batch(net, X_neutral, included_layers):
-    """Concatenated unit-normalized activations of the included layers.
+def _checked_raw(net, X_raw, slots):
+    """``X_raw`` as a float64 matrix whose rows embed, through ``slots``,
+    to the width of the net's first layer."""
+    X_raw = np.asarray(X_raw, dtype=np.float64)
+    in_dim = net.layers[0].in_dim
+    if X_raw.ndim != 2 or slots.width(X_raw.shape[1]) != in_dim:
+        raise DimensionError(
+            f"network expects embedded rows of width {in_dim}, got raw "
+            f"input of shape {X_raw.shape} ({slots.num_classes} label slots)"
+        )
+    return X_raw
 
-    Forwards one chunk of rows (:func:`~fflab.numerics.row_chunks`) at a
-    time up to the last included layer, keeping only the current
-    activation; each included layer's directions go straight into their
-    rows and columns of F. Transients are chunk-sized whatever the split
-    size; a split of more than one chunk gets F, and so the head fitted
-    on it, in the chunk's rounding, not the whole-split GEMM's.
+
+def features_batch(net, X_raw, slots, included_layers):
+    """Concatenated unit-normalized activations of the included layers,
+    for raw rows made label-neutral.
+
+    ``slots`` is the dataset's :class:`~fflab.ffnet.LabelSlots`. One chunk
+    of rows (:func:`~fflab.numerics.row_chunks`) at a time is neutralized
+    (``slots.neutral``) and forwarded up to the last included layer,
+    keeping only the current activation. Each activation's sum of squares
+    is computed once: it gives the included layer's directions, which go
+    straight into their rows and columns of F, and normalizes the next
+    layer's input. Transients are chunk-sized whatever the split size; a
+    split of more than one chunk gets F, and so the head fitted on it, in
+    the chunk's rounding, not the whole-split GEMM's.
     """
     included = _checked_layers(included_layers, len(net.layers))
-    X = np.asarray(X_neutral, dtype=np.float64)
+    X_raw = _checked_raw(net, X_raw, slots)
     widths = [net.layers[i].out_dim for i in included]
-    F = np.empty((X.shape[0], sum(widths)))
+    F = np.empty((X_raw.shape[0], sum(widths)))
     column = dict(zip(included, np.cumsum([0] + widths)))
     layers = net.layers[: max(included) + 1]
-    for rows in row_chunks(X.shape[0]):
-        A = X[rows]
+    for rows in row_chunks(X_raw.shape[0]):
+        A, sq = slots.neutral(X_raw[rows]), None
         for i, layer in enumerate(layers):
-            _, _, A = layer.forward_batch(A)
+            A = layer.forward_batch(A, sq)[2]
+            sq = goodness(A)
             if i in column:
-                F[rows, column[i] : column[i] + layer.out_dim] = row_directions(A)
+                F[rows, column[i] : column[i] + layer.out_dim] = row_directions(A, sq=sq)
     return F
 
 
@@ -118,9 +137,13 @@ def fit_head(F, labels, num_classes, included_layers, epochs=8, batch_size=128, 
     return ClassifierHead(W, b, tuple(included_layers))
 
 
-def predict_head_batch(net, head, X_neutral):
-    """Head predictions for neutral-encoded rows; ties go to the lower index."""
-    return predict_head_features(head, features_batch(net, X_neutral, head.included_layers))
+def predict_head_batch(net, head, X_raw, slots):
+    """Head predictions for raw rows, neutralized through ``slots`` one
+    chunk at a time (see :func:`features_batch`); ties go to the lower
+    index."""
+    return predict_head_features(
+        head, features_batch(net, X_raw, slots, head.included_layers)
+    )
 
 
 def predict_head_features(head, F):
@@ -144,7 +167,10 @@ def sweep_scores_batch(net, X_raw, num_classes, slots, included_layers=None,
     has squared norm ||x0||^2 + 1 and layer 0 is
     ``(x0 @ W.T + W[:, start + c]) / sqrt(||x0||^2 + 1) + b``: one GEMM
     per row chunk for every label. Later layers run per candidate, up
-    to the last included layer, and only the summed goodness is kept.
+    to the last included layer, keeping only the current activation and
+    the summed goodness. Each activation's sum of squares is computed
+    once: it is the layer's goodness and normalizes the next layer's
+    input.
 
     ``layer_goodness``, an (n, num_classes, depth) float64 array, is
     filled with every layer's goodness of every candidate, layer 0
@@ -158,24 +184,17 @@ def sweep_scores_batch(net, X_raw, num_classes, slots, included_layers=None,
     if included_layers is None:
         included_layers = default_included_layers(depth)
     included = _checked_layers(included_layers, depth)
-    X_raw = np.asarray(X_raw, dtype=np.float64)
-    first = net.layers[0]
-    if X_raw.ndim != 2 or slots.width(X_raw.shape[1]) != first.in_dim:
-        raise DimensionError(
-            f"network expects embedded rows of width {first.in_dim}, got raw "
-            f"input of shape {X_raw.shape} ({slots.num_classes} label slots)"
-        )
-    if layer_goodness is None:
-        kept = included
-    else:
+    X_raw = _checked_raw(net, X_raw, slots)
+    if layer_goodness is not None:
         shape = (X_raw.shape[0], num_classes, depth)
         if layer_goodness.shape != shape or layer_goodness.dtype != np.float64:
             raise UsageError(
                 f"layer_goodness must be a float64 array of shape {shape}, got "
                 f"{layer_goodness.dtype} {layer_goodness.shape}"
             )
-        kept = range(depth)
-    layers = net.layers[: max(kept) + 1]
+    last = depth if layer_goodness is not None else max(included) + 1
+    layers = net.layers[:last]
+    first = layers[0]
     # one contiguous row per candidate: a column of W has a stride of in_dim
     slot_cols = np.ascontiguousarray(first.W[:, slots.start : slots.start + num_classes].T)
     scores = np.zeros((X_raw.shape[0], num_classes))
@@ -184,21 +203,22 @@ def sweep_scores_batch(net, X_raw, num_classes, slots, included_layers=None,
         # >= 1, so the eps floor of row_directions never applies
         norms = np.sqrt(np.sum(x0 * x0, axis=1, keepdims=True) + 1.0)
         shared = x0 @ first.W.T
+        del x0
         out = scores[rows]
         for c in range(num_classes):
             Z = shared + slot_cols[c]
             Z /= norms
             Z += first.b
             A = first.act.fn(Z)
+            del Z
             for i, layer in enumerate(layers):
                 if i:
-                    _, _, A = layer.forward_batch(A)
-                if i in kept:
-                    g = goodness(A)
-                    if i in included:
-                        out[:, c] += g
-                    if layer_goodness is not None:
-                        layer_goodness[rows, c, i] = g
+                    A = layer.forward_batch(A, g)[2]
+                g = goodness(A)
+                if i in included:
+                    out[:, c] += g
+                if layer_goodness is not None:
+                    layer_goodness[rows, c, i] = g
     return scores
 
 

@@ -28,15 +28,21 @@ def row_chunks(n):
         yield slice(lo, min(lo + CHUNK_ROWS, n))
 
 
-def row_directions(X, eps=1e-8):
+def row_directions(X, eps=1e-8, sq=None):
     """Each row of X divided by max(||row||_2, eps): exactly scale-free away
     from zero, and zero-safe.
 
     Layers normalize their inputs with this form; dividing by
     ``norm + eps`` would leak the input magnitude back in at small scales.
+
+    ``sq``, if given, holds the rows' sums of squares, one per row, as
+    ``ffnet.goodness(X)`` computes them: the same reduction as here, so
+    the result has the same bits and X is not squared a second time.
     """
     X = np.asarray(X, dtype=np.float64)
-    norms = np.sqrt(np.sum(X * X, axis=1, keepdims=True))
+    if sq is None:
+        sq = np.sum(X * X, axis=1)
+    norms = np.sqrt(sq)[:, None]
     return X / np.maximum(norms, eps)
 
 

@@ -443,13 +443,13 @@ def sgns_pair_grads(v_center, v_context, v_negatives):
     return d_center, d_context, d_negatives, loss
 
 
-def frozen_head(net, X_neutral, labels, num_classes, epochs=8, batch_size=128, lr=1e-3,
+def frozen_head(net, X_raw, slots, labels, num_classes, epochs=8, batch_size=128, lr=1e-3,
                 rng=None, included_layers=None):
     """The head ``run_experiment`` fits, from features of the frozen ``net``."""
     if included_layers is None:
         included_layers = default_included_layers(len(net.layers))
     included_layers = tuple(sorted(included_layers))
-    F = features_batch(net, X_neutral, included_layers)
+    F = features_batch(net, X_raw, slots, included_layers)
     return fit_head(F, labels, num_classes, included_layers, epochs, batch_size, lr, rng)
 
 
@@ -474,9 +474,9 @@ def epoch_batches(X_raw, y, slots, batch_size, rng):
     return [tuple(batch) for batch in seen]
 
 
-def head_loss(net, head, X_neutral, labels):
+def head_loss(net, head, X_raw, slots, labels):
     """Mean cross-entropy of the head; used by the gradient checks."""
-    F = features_batch(net, X_neutral, head.included_layers)
+    F = features_batch(net, X_raw, slots, head.included_layers)
     P = softmax(F @ head.W.T + head.b)
     n = F.shape[0]
     return float(-np.mean(np.log(P[np.arange(n), labels] + 1e-300)))

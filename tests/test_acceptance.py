@@ -18,7 +18,7 @@ from fflab.bp_baseline import BPNetwork, bp_predict_batch, bp_train_epoch, softm
 from fflab.checkpoint import load_network, network_bytes, save_network
 from fflab.config import parse_config
 from fflab.experiment import build_bundle, run_experiment
-from fflab.ffnet import FFLayer, FFNetwork, train_epoch
+from fflab.ffnet import FFLayer, FFNetwork, LabelSlots, train_epoch
 from fflab.inference import (
     ClassifierHead,
     default_included_layers,
@@ -94,7 +94,8 @@ def test_c1_gradient_oracles():
     yb = np.array([int(rng.randint(3)) for _ in range(16)])
     W0 = (rng.uniform_array(3 * 16).reshape(3, 16) - 0.5) * 0.4
     b0 = rng.uniform_array(3) - 0.5
-    F = features_batch(net, Xn, (0, 1))
+    # the first three columns are label slots, zeroed as the head sees them
+    F = features_batch(net, Xn, LabelSlots(3, 0, True), (0, 1))
 
     def head_ce(W, b):
         P = softmax(F @ W.T + b)
@@ -211,14 +212,15 @@ def desk_ff_run(strategy_key, strategy, seed):
         )
     head = frozen_head(
         net,
-        bundle.slots.neutral(bundle.X_train),
+        bundle.X_train,
+        bundle.slots,
         bundle.y_train,
         bundle.num_classes,
         rng=Rng(derive_seed(seed, 2)),
     )
     err = float(
         np.mean(
-            predict_head_batch(net, head, bundle.slots.neutral(bundle.X_test))
+            predict_head_batch(net, head, bundle.X_test, bundle.slots)
             != bundle.y_test
         )
     )
@@ -364,14 +366,15 @@ def test_c7_imdb_desk():
         )
     head = frozen_head(
         net,
-        bundle.slots.neutral(bundle.X_train),
+        bundle.X_train,
+        bundle.slots,
         bundle.y_train,
         bundle.num_classes,
         rng=Rng(derive_seed(cfg.seed, 2)),
     )
     acc = float(
         np.mean(
-            predict_head_batch(net, head, bundle.slots.neutral(bundle.X_test))
+            predict_head_batch(net, head, bundle.X_test, bundle.slots)
             == bundle.y_test
         )
     )

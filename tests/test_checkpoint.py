@@ -36,9 +36,9 @@ def test_ff_roundtrip_bit_exact(tmp_path, ff_net):
 
 def test_ff_roundtrip_with_head(tmp_path, ff_net):
     X, y, _ = two_blob_toy()
-    Xn = label_slots(2).neutral(X)
-    net = FFNetwork(Xn.shape[1], [8, 6], "relu", 0.01, Rng(6))
-    head = frozen_head(net, Xn, y, 2, epochs=1, rng=Rng(7))
+    slots = label_slots(2)
+    net = FFNetwork(slots.width(X.shape[1]), [8, 6], "relu", 0.01, Rng(6))
+    head = frozen_head(net, X, slots, y, 2, epochs=1, rng=Rng(7))
     path = tmp_path / "net.ffn1"
     save_network(path, net, head)
     loaded, head2 = load_network(path)
@@ -128,9 +128,9 @@ def _layout_bytes(magic, layers, head=None):
 
 def test_saved_ffn1_with_head_is_the_documented_layout(tmp_path):
     X, y, _ = two_blob_toy()
-    Xn = label_slots(2).neutral(X)
-    net = FFNetwork(Xn.shape[1], [8, 6], "gelu", 0.01, Rng(10))
-    head = frozen_head(net, Xn, y, 2, epochs=1, rng=Rng(11), included_layers=(0, 1))
+    slots = label_slots(2)
+    net = FFNetwork(slots.width(X.shape[1]), [8, 6], "gelu", 0.01, Rng(10))
+    head = frozen_head(net, X, slots, y, 2, epochs=1, rng=Rng(11), included_layers=(0, 1))
     path = tmp_path / "net.ffn1"
     save_network(path, net, head)
     want = _layout_bytes(b"FFN1", [(x.W, x.b, x.act.tag) for x in net.layers], head)

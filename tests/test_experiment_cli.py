@@ -8,11 +8,11 @@ import pytest
 
 from fflab.checkpoint import load_network, network_bytes
 from fflab.cli import main
-from fflab import experiment, inference
+from fflab import experiment, inference, numerics
 from fflab.config import parse_config
 from fflab.errors import FFLabError
 from fflab.experiment import build_bundle, run_experiment
-from fflab.ffnet import FFLayer, FFNetwork
+from fflab.ffnet import FFLayer, FFNetwork, LabelSlots
 from fflab.rng import Rng
 
 from oracles import hidden_widths
@@ -141,9 +141,9 @@ class TestRunExperiment:
         seen = []
         real = inference.features_batch
 
-        def counted(net, X, included):
+        def counted(net, X, slots, included):
             seen.append(X.shape[0])
-            return real(net, X, included)
+            return real(net, X, slots, included)
 
         monkeypatch.setattr(inference, "features_batch", counted)
         monkeypatch.setattr(experiment, "features_batch", counted)
@@ -158,9 +158,9 @@ class TestRunExperiment:
         forward = FFLayer.forward_batch
         sweep = experiment.predict_sweep_batch
 
-        def counted_forward(layer, X):
+        def counted_forward(layer, X, sq=None):
             events.append("forward")
-            return forward(layer, X)
+            return forward(layer, X, sq)
 
         def counted_sweep(*args, **kwargs):
             out = sweep(*args, **kwargs)
@@ -173,6 +173,23 @@ class TestRunExperiment:
         assert events.count("sweep") == 4
         assert events[-1] == "sweep"
         assert "forward" in events
+
+    def test_neutral_rows_are_chunk_sized(self, tmp_path, monkeypatch):
+        """With the baseline off, the head route neutralizes one chunk at a
+        time: no whole-split label-neutral copy. 300 train rows, chunks of
+        32, and training embeds batches of 32."""
+        monkeypatch.setattr(numerics, "CHUNK_ROWS", 32)
+        seen = []
+        neutral = LabelSlots.neutral
+
+        def counted(slots, X_raw):
+            seen.append(np.shape(X_raw)[0])
+            return neutral(slots, X_raw)
+
+        monkeypatch.setattr(LabelSlots, "neutral", counted)
+        run_experiment(parse_config(None, fast_overrides(
+            tmp_path / "run", **{"baseline.enabled": "false"})))
+        assert seen and max(seen) <= numerics.CHUNK_ROWS
 
 
 class TestCli:

@@ -8,7 +8,7 @@ import pytest
 from fflab.activations import softmax
 from fflab.checkpoint import network_bytes
 from fflab.errors import DimensionError, UsageError
-from fflab.ffnet import FFNetwork, train_epoch
+from fflab.ffnet import FFNetwork, LabelSlots, train_epoch
 from fflab.mnist_data import LABEL_SLOTS
 from fflab import numerics
 from fflab.inference import (
@@ -47,18 +47,18 @@ class TestTrainHead:
         """The detachment contract: head training leaves the net bit-identical."""
         X, y, net = toy_task
         before = network_bytes(net)
-        frozen_head(net, BLOB.neutral(X), y, 2, epochs=3, rng=Rng(5))
+        frozen_head(net, X, BLOB, y, 2, epochs=3, rng=Rng(5))
         assert network_bytes(net) == before
 
     def test_empty_data_rejected(self, toy_task):
-        _, _, net = toy_task
+        X, _, net = toy_task
         with pytest.raises(UsageError):
-            frozen_head(net, np.empty((0, 18)), np.empty(0, dtype=int), 2, rng=Rng(1))
+            frozen_head(net, X[:0], BLOB, np.empty(0, dtype=int), 2, rng=Rng(1))
 
     def test_gradient_matches_finite_differences(self, toy_task):
         """Cross-entropy gradient of the head weights vs central differences."""
         X, y, net = toy_task
-        Xn = BLOB.neutral(X)[:16]
+        Xb = X[:16]
         yb = y[:16]
         rng = Rng(40)
         W0 = (rng.uniform_array(2 * 32).reshape(2, 32) - 0.5) * 0.4
@@ -68,7 +68,7 @@ class TestTrainHead:
             b=b0.copy(),
             included_layers=(0, 1),
         )
-        F = features_batch(net, Xn, head.included_layers)
+        F = features_batch(net, Xb, BLOB, head.included_layers)
         P = softmax(F @ head.W.T + head.b)
         dlogits = P.copy()
         dlogits[np.arange(len(yb)), yb] -= 1.0
@@ -78,20 +78,19 @@ class TestTrainHead:
 
         def loss_at_W(W):
             h = ClassifierHead(W, b0, (0, 1))
-            return head_loss(net, h, Xn, yb)
+            return head_loss(net, h, Xb, BLOB, yb)
 
         def loss_at_b(b):
             h = ClassifierHead(W0, b, (0, 1))
-            return head_loss(net, h, Xn, yb)
+            return head_loss(net, h, Xb, BLOB, yb)
 
         assert rel_err(analytic_W, central_diff_grad(loss_at_W, W0.copy())) < 1e-4
         assert rel_err(analytic_b, central_diff_grad(loss_at_b, b0.copy())) < 1e-4
 
     def test_learns_the_toy_task(self, toy_task):
         X, y, net = toy_task
-        Xn = BLOB.neutral(X)
-        head = frozen_head(net, Xn, y, 2, epochs=8, rng=Rng(41))
-        acc = float(np.mean(predict_head_batch(net, head, Xn) == y))
+        head = frozen_head(net, X, BLOB, y, 2, epochs=8, rng=Rng(41))
+        acc = float(np.mean(predict_head_batch(net, head, X, BLOB) == y))
         assert acc > 0.9
 
 
@@ -106,7 +105,7 @@ class TestPredictHead:
     def test_equal_logits_tie_to_class_zero(self, toy_task):
         X, _, net = toy_task
         head = self._constant_head(net, 16)
-        assert predict_head_batch(net, head, BLOB.neutral(X[:1]))[0] == 0
+        assert predict_head_batch(net, head, X[:1], BLOB)[0] == 0
 
     def test_softmax_shift_invariance(self):
         logits = np.array([[1.0, 2.0, 3.0]])
@@ -115,17 +114,17 @@ class TestPredictHead:
 
     def test_hand_set_two_class_head(self, toy_task):
         X, _, net = toy_task
-        x = BLOB.neutral(X[:1])
-        F = features_batch(net, x, (1,))[0]
+        x = X[:1]
+        F = features_batch(net, x, BLOB, (1,))[0]
         W = np.vstack([F, -F])  # logit0 = ||F||^2 > logit1
         head = ClassifierHead(
             W=W,
             b=np.zeros(2),
             included_layers=(1,),
         )
-        assert predict_head_batch(net, head, x)[0] == 0
+        assert predict_head_batch(net, head, x, BLOB)[0] == 0
         head.W = -W
-        assert predict_head_batch(net, head, x)[0] == 1
+        assert predict_head_batch(net, head, x, BLOB)[0] == 1
 
 
 class TestPredictSweep:
@@ -144,8 +143,8 @@ class TestPredictSweep:
     def test_agrees_with_head_on_toy_task(self, toy_task):
         """Both routes solve the separable toy; they agree on >= 90% of points."""
         X, y, net = toy_task
-        head = frozen_head(net, BLOB.neutral(X), y, 2, epochs=8, rng=Rng(42))
-        head_pred = predict_head_batch(net, head, BLOB.neutral(X))
+        head = frozen_head(net, X, BLOB, y, 2, epochs=8, rng=Rng(42))
+        head_pred = predict_head_batch(net, head, X, BLOB)
         sweep_pred = predict_sweep_batch(net, X, 2, BLOB)
         agreement = float(np.mean(head_pred == sweep_pred))
         assert agreement >= 0.9
@@ -263,7 +262,7 @@ class TestIncludedLayersChecked:
     def test_features(self, included):
         slots, X, net = _layout_case("insert@0 C=4", 3)
         with pytest.raises(UsageError, match="included"):
-            features_batch(net, slots.neutral(X), included)
+            features_batch(net, X, slots, included)
 
     def test_sweep(self, included):
         slots, X, net = _layout_case("insert@0 C=4", 3)
@@ -284,18 +283,25 @@ def test_features_equal_the_stage_list_expression(monkeypatch, included):
         for lo in range(0, n, 8):
             stages = net.forward_batch(Xn[lo : lo + 8])
             want.append(np.concatenate([row_directions(stages[i][2]) for i in included], axis=1))
-        np.testing.assert_array_equal(features_batch(net, Xn, included), np.concatenate(want))
+        got = features_batch(net, X[:n], slots, included)
+        np.testing.assert_array_equal(got, np.concatenate(want))
+
+
+def _traced_peak(fn):
+    """(fn(), tracemalloc peak while fn ran above what was live before)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def _features_peak(net, n):
     """(tracemalloc peak of features_batch above what was live before, F bytes)."""
     X = Rng(90).uniform_array(n * 784).reshape(n, 784)
-    tracemalloc.start()
-    try:
-        F = features_batch(net, X, (1,))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    F, peak = _traced_peak(lambda: features_batch(net, X, LABEL_SLOTS, (1,)))
     return peak, F.nbytes
 
 
@@ -309,3 +315,49 @@ def test_features_memory_is_chunk_sized():
     peak8, F8 = _features_peak(net, 8 * numerics.CHUNK_ROWS)
     assert peak4 < F4 + 3 * chunk_bytes
     assert peak8 - peak4 < (F8 - F4) + chunk_bytes // 2
+
+
+class TestChunkPeak:
+    """On a 3-chunk split whose raw rows and layers are all D wide, each
+    route's peak is its output plus a stated number of CHUNK_ROWS x D
+    matrices, plus an eighth of one for per-row vectors."""
+
+    D = 128
+    SLOTS = LabelSlots(4, 0, True)  # overwrite: embedded rows are D wide too
+
+    def _case(self):
+        n = 3 * numerics.CHUNK_ROWS
+        X = Rng(95).uniform_array(n * self.D).reshape(n, self.D)
+        net = FFNetwork(self.D, [self.D] * 3, "relu", 0.01, Rng(96))
+        return X, net, numerics.CHUNK_ROWS * self.D * 8
+
+    def test_features(self):
+        """4 beside F: a layer's input, its direction, Z and the new
+        activation; Z and the direction are gone before the next layer."""
+        X, net, chunk = self._case()
+        F, peak = _traced_peak(lambda: features_batch(net, X, self.SLOTS, (1, 2)))
+        assert peak <= F.nbytes + 4 * chunk + chunk // 8
+
+    def test_sweep(self):
+        """5 beside the scores and layer_goodness: the shared layer-0
+        product, and a layer's input, its direction, Z and the new
+        activation."""
+        X, net, chunk = self._case()
+        G_bytes = X.shape[0] * 4 * 3 * 8
+        scores, peak = _traced_peak(
+            lambda: sweep_scores_batch(
+                net, X, 4, self.SLOTS, layer_goodness=np.empty((X.shape[0], 4, 3))
+            )
+        )
+        assert peak <= scores.nbytes + G_bytes + 5 * chunk + chunk // 8
+
+
+@pytest.mark.parametrize("shape", [(3, 7), (3, 5), (6,)])
+def test_head_route_wrong_width_is_a_dimension_error(shape):
+    """Raw rows that do not embed to the net's input width."""
+    slots, _, net = _layout_case("insert@0 C=4", 3)
+    head = ClassifierHead(np.zeros((4, 18)), np.zeros(4), (1, 2))
+    with pytest.raises(DimensionError):
+        features_batch(net, np.zeros(shape), slots, (1, 2))
+    with pytest.raises(DimensionError):
+        predict_head_batch(net, head, np.zeros(shape), slots)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fflab import numerics
 from fflab.errors import DimensionError
+from fflab.ffnet import goodness
 from fflab.numerics import AdamState, adam_step, row_directions
 from fflab.rng import Rng
 
@@ -60,6 +61,17 @@ class TestL2Normalize:
         rows = row_directions(X)
         for i in range(3):
             np.testing.assert_allclose(rows[i], loop_direction(X[i]), rtol=1e-15)
+
+    def test_given_sums_of_squares_change_no_bit(self):
+        """``sq=goodness(X)``, as the layers pass it on, is the same
+        reduction: the same bits, all-zero rows (the eps floor) and rows
+        below the floor included."""
+        X = Rng(4).uniform_array(40 * 9).reshape(40, 9) - 0.5
+        X[::7] = 0.0
+        X[3] *= 1e-12
+        X[5] *= 1e6
+        np.testing.assert_array_equal(row_directions(X, sq=goodness(X)), row_directions(X))
+        assert not row_directions(X, sq=goodness(X))[0].any()
 
 
 class TestAdam:

@@ -227,7 +227,7 @@ class TestImdbPipeline:
         cfg, result = run
         bundle = build_bundle(cfg)
         net, head = load_network(result.checkpoint)
-        head_pred = predict_head_batch(net, head, bundle.slots.neutral(bundle.X_test))
+        head_pred = predict_head_batch(net, head, bundle.X_test, bundle.slots)
         sweep_pred = predict_sweep_batch(
             net, bundle.X_test, 2, bundle.slots, head.included_layers
         )
@@ -315,7 +315,8 @@ def test_untrained_net_head_floor_on_real_mnist():
     net = FFNetwork(bundle.input_dim, [500, 500], "relu", 0.01, Rng(123))
     head = frozen_head(
         net,
-        bundle.slots.neutral(bundle.X_train),
+        bundle.X_train,
+        bundle.slots,
         bundle.y_train,
         bundle.num_classes,
         epochs=20,
@@ -324,7 +325,7 @@ def test_untrained_net_head_floor_on_real_mnist():
     )
     acc = float(
         np.mean(
-            predict_head_batch(net, head, bundle.slots.neutral(bundle.X_test))
+            predict_head_batch(net, head, bundle.X_test, bundle.slots)
             == bundle.y_test
         )
     )
