@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Benchmark the @njit kernels against their pure-numpy twins.
+"""Time the SGNS kernel, the layer-training path and the eval paths.
 
 Run:  python benchmarks/bench_kernels.py [--pairs N]
 
-The skip-gram trainer is the python-bound hot loop and is where the JIT
-pays off. It is timed on two corpora, each cut so one SGNS epoch visits
+The skip-gram trainer (``kernels.sgns_epoch``) is the python-bound hot
+loop. It is timed on two corpora, each cut so one SGNS epoch visits
 about N pairs (the real count is printed): 60-token documents at window
 5, and 6-token reviews at window 2 shaped like the imdb-text benchmark,
 capped at that benchmark's 47k pairs. The layer-training path is
@@ -24,7 +24,6 @@ import tracemalloc
 
 import numpy as np
 
-from fflab.backend import NUMBA_ENABLED
 from fflab.ffnet import FFNetwork, train_epoch
 from fflab.inference import features_batch, sweep_scores_batch
 from fflab.kernels import sgns_epoch
@@ -60,7 +59,7 @@ def synth_corpus(n_docs, doc_len, vocab_size, seed=1):
 # (name, tokens per document, window, vocabulary, pair cap): long documents,
 # where the per-pair work dominates, and short reviews shaped like the
 # imdb-text benchmark's one SGNS epoch (about 47k pairs), where the
-# numpy twin's per-review set-up shows as well
+# kernel's per-review set-up shows as well
 SGNS_CORPORA = (
     ("60-token docs", 60, 5, 2000, None),
     ("6-token reviews", 6, 2, 600, 47_000),
@@ -85,29 +84,13 @@ def _bench_sgns_corpus(name, target_pairs, doc_len, window, vocab_size):
           f"window {window}, {per_epoch} pairs/epoch (asked for {target_pairs}), "
           f"dim 100, 5 negatives")
 
-    results = {}
-    for label, use_numba in (("numba @njit", True), ("numpy twin", False)):
-        if use_numba and not NUMBA_ENABLED:
-            print(f"{label:12s}  unavailable (numba not installed, or FFLAB_NUMBA=0)")
-            continue
-        win, wout = init_embeddings(len(vocab), 100, Rng(7))
-        if use_numba:  # compile outside the timed region
-            sgns_epoch(
-                tokens[: offsets[1]], offsets[:2].copy(), win, wout, cdf,
-                window, 5, 0.025, 2.5e-6, 0, per_epoch, 3, use_numba=True,
-            )
-            win, wout = init_embeddings(len(vocab), 100, Rng(7))
-        t0 = time.perf_counter()
-        _, done, _ = sgns_epoch(
-            tokens, offsets, win, wout, cdf,
-            window, 5, 0.025, 2.5e-6, 0, per_epoch, 3, use_numba=use_numba,
-        )
-        dt = time.perf_counter() - t0
-        rate = done / dt
-        results[label] = rate
-        print(f"{label:12s}  {done:>9d} pairs in {dt:7.2f}s   {rate:>12,.0f} pairs/s")
-    if len(results) == 2:
-        print(f"speedup: {results['numba @njit'] / results['numpy twin']:.1f}x")
+    win, wout = init_embeddings(len(vocab), 100, Rng(7))
+    t0 = time.perf_counter()
+    _, done, _ = sgns_epoch(
+        tokens, offsets, win, wout, cdf, window, 5, 0.025, 2.5e-6, 0, per_epoch, 3
+    )
+    dt = time.perf_counter() - t0
+    print(f"sgns_epoch  {done:>9d} pairs in {dt:7.2f}s   {done / dt:>12,.0f} pairs/s")
 
 
 def bench_ff_epoch():
@@ -169,7 +152,7 @@ def bench_features(rows):
 if __name__ == "__main__":
     parser = argparse.ArgumentParser()
     parser.add_argument("--pairs", type=int, default=300_000,
-                        help="about this many pair updates per backend (one SGNS epoch)")
+                        help="about this many pair updates (one SGNS epoch)")
     args = parser.parse_args()
     bench_sgns(args.pairs)
     bench_ff_epoch()

@@ -22,7 +22,6 @@ class Activation:
     tag: int
     fn: callable
     deriv: callable
-    bounded: bool
 
 
 def _relu(z):
@@ -92,11 +91,11 @@ def _gelu_deriv(z):
 DEFAULT_LEAKY_SLOPE = 0.01
 _leaky_fn, _leaky_deriv = _make_leaky(DEFAULT_LEAKY_SLOPE)
 
-RELU = Activation("relu", 0, _relu, _relu_deriv, bounded=False)
-LEAKY_RELU = Activation("leaky_relu", 1, _leaky_fn, _leaky_deriv, bounded=False)
-TANH = Activation("tanh", 2, _tanh, _tanh_deriv, bounded=True)
-SIGMOID = Activation("sigmoid", 3, stable_sigmoid, _sigmoid_deriv, bounded=True)
-GELU = Activation("gelu", 4, _gelu, _gelu_deriv, bounded=False)
+RELU = Activation("relu", 0, _relu, _relu_deriv)
+LEAKY_RELU = Activation("leaky_relu", 1, _leaky_fn, _leaky_deriv)
+TANH = Activation("tanh", 2, _tanh, _tanh_deriv)
+SIGMOID = Activation("sigmoid", 3, stable_sigmoid, _sigmoid_deriv)
+GELU = Activation("gelu", 4, _gelu, _gelu_deriv)
 
 ACTIVATIONS = {a.name: a for a in (RELU, LEAKY_RELU, TANH, SIGMOID, GELU)}
 _BY_TAG = {a.tag: a for a in ACTIVATIONS.values()}

@@ -1,29 +1,9 @@
-"""Kernel backend selection.
+"""Run provenance: whether the optional JIT package is installed.
 
-Hot inner loops ship in two forms: an ``@njit`` kernel and a pure-numpy
-twin. ``FFLAB_NUMBA=0`` (or numba being absent) selects the numpy path.
-The flag is read once at import time so a process uses one backend
-throughout; results are deterministic under either.
+No code path depends on it: the SGNS kernel is numpy only (see
+:mod:`fflab.kernels`). The package is looked up, never imported.
 """
 
-import os
+import importlib.util
 
-_flag = os.environ.get("FFLAB_NUMBA", "1").strip().lower()
-_wanted = _flag not in ("0", "false", "off", "no")
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only on numba-less installs
-    njit = None
-    HAVE_NUMBA = False
-
-NUMBA_ENABLED = _wanted and HAVE_NUMBA
-
-
-def jit_kernel(func):
-    """Compile ``func`` with numba when the numba backend is active."""
-    if NUMBA_ENABLED:
-        return njit(cache=True)(func)
-    return func
+HAVE_NUMBA = importlib.util.find_spec("numba") is not None

@@ -89,7 +89,6 @@ class BPNetwork:
 @dataclass
 class BpEpochMetrics:
     mean_loss: float
-    n_samples: int
 
 
 def bp_train_epoch(net, X, y, batch_size, rng):
@@ -141,7 +140,7 @@ def bp_train_epoch(net, X, y, batch_size, rng):
         adam_step(net.out_layer.adam_W, net.out_layer.W, dW_out)
         adam_step(net.out_layer.adam_b, net.out_layer.b, db_out)
 
-    return BpEpochMetrics(mean_loss=loss_sum / n, n_samples=n)
+    return BpEpochMetrics(mean_loss=loss_sum / n)
 
 
 def bp_predict_batch(net, X):

@@ -50,7 +50,6 @@ _STREAM_ANALYSIS = 5
 class DatasetBundle:
     """A task adapter: raw features plus where the label slots go."""
 
-    name: str
     slots: LabelSlots
     X_train: np.ndarray
     y_train: np.ndarray
@@ -66,14 +65,6 @@ class DatasetBundle:
         return self.slots.width(self.X_train.shape[1])
 
 
-def _subset(X, y, limit):
-    """The first ``limit`` rows (all if ``limit`` is 0 or at least n), as
-    copies: a view would keep the whole loaded split alive."""
-    if 0 < limit < len(X):
-        return X[:limit].copy(), y[:limit].copy()
-    return X, y
-
-
 def build_bundle(cfg):
     """Load and adapt the configured dataset."""
     name = cfg["dataset"]
@@ -81,10 +72,10 @@ def build_bundle(cfg):
     if name == "synthetic":
         return _blob_bundle(cfg, seed)
     if name == "mnist":
-        X_tr, y_tr, X_te, y_te = mnist_data.load_mnist(cfg["data.mnist_dir"])
-        X_tr, y_tr = _subset(X_tr, y_tr, cfg["data.train_subset"])
-        X_te, y_te = _subset(X_te, y_te, cfg["data.test_subset"])
-        return DatasetBundle("mnist", mnist_data.LABEL_SLOTS, X_tr, y_tr, X_te, y_te)
+        splits = mnist_data.load_mnist(
+            cfg["data.mnist_dir"], cfg["data.train_subset"], cfg["data.test_subset"]
+        )
+        return DatasetBundle(mnist_data.LABEL_SLOTS, *splits)
     if name == "imdb":
         return _imdb_bundle(cfg)
     raise DataError(f"unknown dataset {name!r}")
@@ -103,7 +94,6 @@ def _blob_bundle(cfg, seed):
     X = X.reshape(C, n_train + n_test, dim)
     y = y.reshape(C, n_train + n_test)
     return DatasetBundle(
-        "synthetic",
         synthetic.label_slots(C),
         X[:, :n_train].reshape(-1, dim),
         y[:, :n_train].reshape(-1),
@@ -161,7 +151,7 @@ def _imdb_bundle(cfg):
     X_tr = np.stack([text_data.vectorize_review(t, vocab, table) for t in corpus_tr])
     X_te = np.stack([text_data.vectorize_review(t, vocab, table) for t in corpus_te])
     slots = text_data.label_slots(X_tr.shape[1])
-    return DatasetBundle("imdb", slots, X_tr, y_tr, X_te, y_te)
+    return DatasetBundle(slots, X_tr, y_tr, X_te, y_te)
 
 
 def _error_rate(pred, truth):

@@ -1,41 +1,27 @@
-"""Hot inner loops, in two interchangeable forms.
+"""The skip-gram negative-sampling (SGNS) epoch kernel.
 
-The skip-gram negative-sampling trainer walks tens of millions of
-(center, context) pairs doing d-length dot products and rank-1 updates;
-that loop is python-bound without JIT. ``sgns_epoch`` dispatches to an
-``@njit`` kernel when the numba backend is active (see
-:mod:`fflab.backend`) and to a numpy twin otherwise. Both consume the
-identical splitmix64 draw stream and implement the identical per-pair
-sequential algorithm: every target of a pair is scored against the
-center's pre-pair row, each target's row is updated before the next
-copy of it is read, and the center's row is updated last. The numba
-kernel runs it one draw at a time. The numpy twin prepares a block of
-reviews at a time: it lists the block's pairs, draws all their
-negatives in bulk and computes their masks and learning rates at once.
-It then scores each pair's distinct targets with one gather and one
-matvec into reused scratch; a pair whose targets repeat falls back to
-the per-draw loop. So the twins differ only by float summation order.
+The trainer walks every (center, context) pair of the corpus doing
+d-length dot products and rank-1 updates, a python-bound loop. The
+algorithm is sequential per pair: every target of a pair is scored
+against the center's pre-pair row, each target's row is updated before
+the next copy of it is read, and the center's row is updated last.
+:func:`sgns_epoch` prepares a block of reviews at a time: it lists the
+block's pairs, draws all their negatives in bulk from the splitmix64
+stream and computes their masks and learning rates at once. It then
+scores each pair's distinct targets with one gather and one matvec into
+reused scratch; a pair whose targets repeat falls back to the per-draw
+loop. ``tests/oracles.py`` keeps the per-draw and per-sentence forms it
+must match.
 
-``benchmarks/bench_kernels.py`` times the two paths side by side.
+``benchmarks/bench_kernels.py`` times the kernel.
 """
 
 import numpy as np
 
-from .backend import NUMBA_ENABLED, jit_kernel
 from .errors import UsageError
-from .rng import (
-    _GOLDEN_U64,
-    _INV53,
-    _MIX1_U64,
-    _MIX2_U64,
-    _U64_11,
-    _U64_27,
-    _U64_30,
-    _U64_31,
-    Rng,
-)
+from .rng import Rng
 
-# the numpy twin prepares reviews in blocks of at least this many pairs
+# the kernel prepares reviews in blocks of at least this many pairs
 _BLOCK_PAIRS = 4096
 
 
@@ -99,9 +85,12 @@ def negative_targets(rng, cdf, n):
     return np.searchsorted(cdf, rng.uniform_array(n), side="right")
 
 
-def _sgns_epoch_numpy(tokens, offsets, win, wout, cdf, window, neg_k,
-                      lr0, lr_min, pairs_done, total_pairs, state):
-    """Pure-numpy twin: same pair order, same rng stream, same updates.
+def sgns_epoch(tokens, offsets, win, wout, cdf, window, neg_k,
+               lr0, lr_min, pairs_done, total_pairs, state):
+    """One pass over the encoded corpus; updates win/wout in place.
+
+    Returns (rng state, pairs processed so far, summed pair loss). A
+    negative ``neg_k`` raises :class:`UsageError`.
 
     Per block of reviews (see :func:`_review_blocks`), the pairs are
     listed, every negative is drawn and every pair's learning rate is
@@ -112,6 +101,8 @@ def _sgns_epoch_numpy(tokens, offsets, win, wout, cdf, window, neg_k,
     a time, so a second copy sees the first copy's update. The loss is
     summed per review, in pair order.
     """
+    if neg_k < 0:
+        raise UsageError(f"neg_k must be >= 0, got {neg_k}")
     rng = Rng(state)
     width = 1 + neg_k
     dim = win.shape[1]
@@ -193,114 +184,3 @@ def _sgns_epoch_numpy(tokens, offsets, win, wout, cdf, window, neg_k,
             if n:
                 loss_sum += float(loss[end - n : end].sum())
     return rng.state, pairs_done, loss_sum
-
-
-def _sgns_epoch_jit_impl(tokens, offsets, win, wout, cdf, window, neg_k,
-                         lr0, lr_min, pairs_done, total_pairs, state):
-    d = win.shape[1]
-    V = cdf.shape[0]
-    loss_sum = 0.0
-    grad_c = np.zeros(d)
-    n_sent = offsets.shape[0] - 1
-    for s in range(n_sent):
-        lo = int(offsets[s])
-        hi = int(offsets[s + 1])
-        for i in range(lo, hi):
-            c = int(tokens[i])
-            j_lo = i - window
-            if j_lo < lo:
-                j_lo = lo
-            j_hi = i + window
-            if j_hi > hi - 1:
-                j_hi = hi - 1
-            for j in range(j_lo, j_hi + 1):
-                if j == i:
-                    continue
-                o = int(tokens[j])
-                lr = lr0 * (1.0 - pairs_done / total_pairs)
-                if lr < lr_min:
-                    lr = lr_min
-                pairs_done += 1
-
-                for k in range(d):
-                    grad_c[k] = 0.0
-                u = 0.0
-                for k in range(d):
-                    u += win[c, k] * wout[o, k]
-                uc = min(max(u, -40.0), 40.0)
-                f = 1.0 / (1.0 + np.exp(-uc))
-                g = (1.0 - f) * lr
-                loss_sum += np.log1p(np.exp(-uc))
-                for k in range(d):
-                    grad_c[k] += g * wout[o, k]
-                    wout[o, k] += g * win[c, k]
-
-                for _ in range(neg_k):
-                    state = state + _GOLDEN_U64
-                    z = state
-                    z = (z ^ (z >> _U64_30)) * _MIX1_U64
-                    z = (z ^ (z >> _U64_27)) * _MIX2_U64
-                    z = z ^ (z >> _U64_31)
-                    udraw = np.float64(z >> _U64_11) * _INV53
-                    t_lo = 0
-                    t_hi = V
-                    while t_lo < t_hi:
-                        mid = (t_lo + t_hi) // 2
-                        if cdf[mid] > udraw:
-                            t_hi = mid
-                        else:
-                            t_lo = mid + 1
-                    t = t_lo
-                    if t == o:
-                        continue
-                    u = 0.0
-                    for k in range(d):
-                        u += win[c, k] * wout[t, k]
-                    uc = min(max(u, -40.0), 40.0)
-                    f = 1.0 / (1.0 + np.exp(-uc))
-                    g = (0.0 - f) * lr
-                    loss_sum += np.log1p(np.exp(uc))
-                    for k in range(d):
-                        grad_c[k] += g * wout[t, k]
-                        wout[t, k] += g * win[c, k]
-
-                for k in range(d):
-                    win[c, k] += grad_c[k]
-    return state, pairs_done, loss_sum
-
-
-_sgns_epoch_jit = jit_kernel(_sgns_epoch_jit_impl)
-
-
-def sgns_epoch(tokens, offsets, win, wout, cdf, window, neg_k,
-               lr0, lr_min, pairs_done, total_pairs, state,
-               use_numba=NUMBA_ENABLED):
-    """One pass over the encoded corpus; updates win/wout in place.
-
-    ``use_numba`` picks the backend; the default is the active one (see
-    :mod:`fflab.backend`). Asking for numba while its backend is inactive
-    raises :class:`UsageError`: the uncompiled kernel body would run in
-    the interpreter, slower than the numpy twin. A negative ``neg_k``
-    raises :class:`UsageError`. Returns (rng state, pairs processed so
-    far, summed pair loss).
-    """
-    if neg_k < 0:
-        raise UsageError(f"neg_k must be >= 0, got {neg_k}")
-    if use_numba:
-        if not NUMBA_ENABLED:
-            raise UsageError(
-                "use_numba=True but the numba backend is inactive "
-                "(numba is not installed, or FFLAB_NUMBA=0)"
-            )
-        new_state, done, loss = _sgns_epoch_jit(
-            tokens, offsets, win, wout, cdf,
-            np.int64(window), np.int64(neg_k),
-            np.float64(lr0), np.float64(lr_min),
-            np.int64(pairs_done), np.int64(total_pairs),
-            np.uint64(state),
-        )
-        return int(new_state), int(done), float(loss)
-    return _sgns_epoch_numpy(
-        tokens, offsets, win, wout, cdf, int(window), int(neg_k),
-        float(lr0), float(lr_min), int(pairs_done), int(total_pairs), int(state),
-    )

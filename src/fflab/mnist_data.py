@@ -33,8 +33,9 @@ def _maybe_gunzip(data):
         raise FormatError(f"corrupt gzip data: {e}") from None
 
 
-def parse_idx_images(data):
-    """(n, 784) float64 matrix scaled to [0, 1] from raw IDX bytes."""
+def _image_bytes(data):
+    """(n, 784) uint8 pixels of a whole IDX image file, header and
+    payload length checked."""
     data = _maybe_gunzip(data)
     if len(data) < 16:
         raise FormatError("image file shorter than its 16-byte header", offset=len(data))
@@ -49,12 +50,12 @@ def parse_idx_images(data):
             f"payload holds {len(data) - 16} bytes, expected {expected}",
             offset=16 + min(len(data) - 16, expected),
         )
-    pixels = np.frombuffer(data, dtype=np.uint8, offset=16)
-    return pixels.reshape(count, IMAGE_SIZE).astype(np.float64) / 255.0
+    return np.frombuffer(data, dtype=np.uint8, offset=16).reshape(count, IMAGE_SIZE)
 
 
-def parse_idx_labels(data):
-    """(n,) int64 label vector from raw IDX bytes."""
+def _label_bytes(data):
+    """(n,) uint8 labels of a whole IDX label file, header, payload
+    length and every label checked."""
     data = _maybe_gunzip(data)
     if len(data) < 8:
         raise FormatError("label file shorter than its 8-byte header", offset=len(data))
@@ -66,10 +67,24 @@ def parse_idx_labels(data):
             f"payload holds {len(data) - 8} labels, expected {count}",
             offset=8 + min(len(data) - 8, count),
         )
-    labels = np.frombuffer(data, dtype=np.uint8, offset=8).astype(np.int64)
+    labels = np.frombuffer(data, dtype=np.uint8, offset=8)
     if labels.size and labels.max() > 9:
         raise FormatError(f"label {labels.max()} out of range 0-9", offset=8)
     return labels
+
+
+def _pixels(images):
+    return images.astype(np.float64) / 255.0
+
+
+def parse_idx_images(data):
+    """(n, 784) float64 matrix scaled to [0, 1] from raw IDX bytes."""
+    return _pixels(_image_bytes(data))
+
+
+def parse_idx_labels(data):
+    """(n,) int64 label vector from raw IDX bytes."""
+    return _label_bytes(data).astype(np.int64)
 
 
 _CANDIDATE_NAMES = {
@@ -91,28 +106,37 @@ def _find_file(directory, names):
     )
 
 
-def load_mnist(directory):
-    """(X_train, y_train, X_test, y_test) from the standard four files."""
-    out = []
-    for key, parser in (
-        ("train_images", parse_idx_images),
-        ("train_labels", parse_idx_labels),
-        ("test_images", parse_idx_images),
-        ("test_labels", parse_idx_labels),
+def load_mnist(directory, train_limit=0, test_limit=0):
+    """(X_train, y_train, X_test, y_test) from the standard four files.
+
+    Every file is checked whole, but only the first ``train_limit`` and
+    ``test_limit`` rows of each split are converted (all of them when the
+    limit is 0 or at least the split's size).
+    """
+    raw = []
+    for key, check in (
+        ("train_images", _image_bytes),
+        ("train_labels", _label_bytes),
+        ("test_images", _image_bytes),
+        ("test_labels", _label_bytes),
     ):
         path = _find_file(directory, _CANDIDATE_NAMES[key])
         with open(path, "rb") as f:
             data = f.read()
         try:
-            out.append(parser(data))
+            raw.append(check(data))
         except FormatError as e:
             located = FormatError(f"{path}: {e}")
             located.offset = e.offset
             raise located from None
-    x_tr, y_tr, x_te, y_te = out
+    x_tr, y_tr, x_te, y_te = raw
     if x_tr.shape[0] != y_tr.shape[0] or x_te.shape[0] != y_te.shape[0]:
         raise DataError(
             f"image/label counts disagree: train {x_tr.shape[0]}/{y_tr.shape[0]}, "
             f"test {x_te.shape[0]}/{y_te.shape[0]}"
         )
-    return x_tr, y_tr, x_te, y_te
+    tr, te = slice(train_limit or None), slice(test_limit or None)
+    return (
+        _pixels(x_tr[tr]), y_tr[tr].astype(np.int64),
+        _pixels(x_te[te]), y_te[te].astype(np.int64),
+    )

@@ -81,7 +81,6 @@ class Vocab:
     tokens: list
     index: dict
     counts: np.ndarray
-    min_count: int
 
     def __len__(self):
         return len(self.tokens)
@@ -101,7 +100,6 @@ def build_vocab(corpus, min_count=5):
         tokens=kept,
         index={t: i for i, t in enumerate(kept)},
         counts=np.array([counts[t] for t in kept], dtype=np.float64),
-        min_count=min_count,
     )
 
 

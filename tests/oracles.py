@@ -330,11 +330,11 @@ def _sentence_pairs(n, window):
 
 def sentence_sgns_epoch(tokens, offsets, win, wout, cdf, window, neg_k,
                         lr0, lr_min, pairs_done, total_pairs, state):
-    """The numpy SGNS twin as it was before block preparation: pairs,
+    """The SGNS kernel as it was before block preparation: pairs,
     negatives, masks and rates prepared one sentence at a time.
 
-    The block twin must match it bit for bit: same tables, rng state,
-    pair count and loss.
+    ``kernels.sgns_epoch`` must match it bit for bit: same tables, rng
+    state, pair count and loss.
     """
     rng = Rng(state)
     width = 1 + neg_k
@@ -533,7 +533,7 @@ def leaky_relu(slope):
     if slope == DEFAULT_LEAKY_SLOPE:
         return LEAKY_RELU
     fn, deriv = _make_leaky(slope)
-    return Activation(f"leaky_relu[{slope:g}]", 1, fn, deriv, bounded=False)
+    return Activation(f"leaky_relu[{slope:g}]", 1, fn, deriv)
 
 
 def ks_2sample(a, b):

@@ -21,12 +21,6 @@ def test_deriv_matches_finite_difference(name):
     np.testing.assert_allclose(act.deriv(z), numeric, atol=1e-6)
 
 
-def test_bounded_flags():
-    assert ACTIVATIONS["tanh"].bounded and ACTIVATIONS["sigmoid"].bounded
-    assert not ACTIVATIONS["relu"].bounded
-    assert not ACTIVATIONS["gelu"].bounded
-
-
 def test_relu_dead_at_zero():
     act = ACTIVATIONS["relu"]
     assert act.fn(np.array([0.0]))[0] == 0.0

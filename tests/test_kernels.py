@@ -1,4 +1,4 @@
-"""The @njit kernel and its pure-numpy twin must be interchangeable."""
+"""The SGNS kernel against its per-draw and per-sentence oracles."""
 
 import importlib.util
 import tracemalloc
@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from fflab import kernels
-from fflab.backend import HAVE_NUMBA, NUMBA_ENABLED
 from fflab.errors import UsageError
 from fflab.kernels import negative_targets, pairs_per_sentence, sgns_epoch
 from fflab.rng import Rng
@@ -35,27 +34,6 @@ def _setup(seed=5, dim=16):
     return tokens, offsets, win, wout, cdf, total
 
 
-@pytest.mark.skipif(not NUMBA_ENABLED, reason="numba backend not active")
-def test_jit_and_numpy_twins_agree():
-    """Same rng stream, same pair order; floats agree to summation order."""
-    tokens, offsets, win1, wout1, cdf, total = _setup()
-    _, _, win2, wout2, _, _ = _setup()
-
-    s1, d1, l1 = sgns_epoch(
-        tokens, offsets, win1, wout1, cdf, 3, 5, 0.025, 2.5e-6, 0, total, 424242,
-        use_numba=True,
-    )
-    s2, d2, l2 = sgns_epoch(
-        tokens, offsets, win2, wout2, cdf, 3, 5, 0.025, 2.5e-6, 0, total, 424242,
-        use_numba=False,
-    )
-    assert s1 == s2, "rng streams diverged between backends"
-    assert d1 == d2
-    assert abs(l1 - l2) < 1e-8 * max(1.0, abs(l1))
-    np.testing.assert_allclose(win1, win2, rtol=1e-10, atol=1e-13)
-    np.testing.assert_allclose(wout1, wout2, rtol=1e-10, atol=1e-13)
-
-
 def test_dispatcher_runs_and_updates_in_place():
     tokens, offsets, win, wout, cdf, total = _setup()
     before = win.copy()
@@ -77,11 +55,6 @@ def test_epoch_is_deterministic():
     np.testing.assert_array_equal(wout1, wout2)
 
 
-def test_numba_importable_matches_flag():
-    # the backend flag can only be on when numba imports
-    assert not (NUMBA_ENABLED and not HAVE_NUMBA)
-
-
 def test_bench_kernels_script_runs(capsys):
     """benchmarks/bench_kernels.py still runs against the package API."""
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
@@ -92,7 +65,7 @@ def test_bench_kernels_script_runs(capsys):
     bench.bench_sweep(20)
     bench.bench_features(20)
     out = capsys.readouterr().out
-    assert "numpy twin" in out and "pairs/s" in out
+    assert "sgns_epoch" in out and "pairs/s" in out
     assert "candidate rows/s" in out
     assert "head-feature rows/s" in out and "tracemalloc peak" in out
 
@@ -101,17 +74,6 @@ def test_negative_neg_k_rejected():
     tokens, offsets, win, wout, cdf, total = _setup()
     with pytest.raises(UsageError, match="neg_k"):
         sgns_epoch(tokens, offsets, win, wout, cdf, 3, -1, 0.025, 2.5e-6, 0, total, 7)
-
-
-def test_numba_request_without_backend_raises(monkeypatch):
-    """use_numba=True must not fall back to the uncompiled kernel body."""
-    monkeypatch.setattr(kernels, "NUMBA_ENABLED", False)
-    tokens, offsets, win, wout, cdf, total = _setup()
-    with pytest.raises(UsageError, match="FFLAB_NUMBA"):
-        sgns_epoch(
-            tokens, offsets, win, wout, cdf, 3, 5, 0.025, 2.5e-6, 0, total, 7,
-            use_numba=True,
-        )
 
 
 def _brute_pairs(length, window):
@@ -177,7 +139,7 @@ def test_numpy_twin_matches_per_draw_oracle(case):
     total = count_pairs(offsets, window) // 3
     args = (cdf, window, neg_k, 0.05, 1e-3, 4, total, 2024)
 
-    s1, d1, l1 = sgns_epoch(tokens, offsets, win1, wout1, *args, use_numba=False)
+    s1, d1, l1 = sgns_epoch(tokens, offsets, win1, wout1, *args)
     s2, d2, l2 = loop_sgns_epoch(tokens, offsets, win2, wout2, *args)
     assert s1 == s2
     assert d1 == d2 == 4 + count_pairs(offsets, window)
@@ -186,7 +148,7 @@ def test_numpy_twin_matches_per_draw_oracle(case):
     np.testing.assert_allclose(wout1, wout2, rtol=1e-10, atol=1e-13)
 
 
-# Corpora the block twin must match the per-sentence twin on, bit for bit:
+# Corpora the kernel must match the per-sentence oracle on, bit for bit:
 # (vocab size, neg_k, window, review lengths).
 BLOCK_CASES = {
     **{name: (*ORACLE_CASES[name], [6, 0, 1, 9, 1, 0, 14, 2, 5]) for name in ORACLE_CASES},
@@ -198,21 +160,17 @@ BLOCK_CASES = {
 }
 
 
-def _epochs(twin, case, n_epochs):
+def _epochs(epoch, case, n_epochs):
     vocab_size, neg_k, window, lengths = BLOCK_CASES[case]
     tokens, offsets, win, wout, cdf = _tiny_corpus(vocab_size, lengths, seed=8)
     total = count_pairs(offsets, window) * n_epochs // 2
     state, done, losses = 2024, 4, []
     for _ in range(n_epochs):
-        state, done, loss = twin(
+        state, done, loss = epoch(
             tokens, offsets, win, wout, cdf, window, neg_k, 0.05, 1e-3, done, total, state
         )
         losses.append(loss)
     return win, wout, state, done, losses
-
-
-def _block_twin(*args):
-    return sgns_epoch(*args, use_numba=False)
 
 
 @pytest.mark.parametrize("block", [1, 7, 8, None])
@@ -221,10 +179,10 @@ def _block_twin(*args):
 def test_block_twin_matches_sentence_twin_bit_for_bit(monkeypatch, case, n_epochs, block):
     """Preparing per block of reviews changes no bit: the tables, the rng
     state, the pair count and each epoch's loss equal the per-sentence
-    twin's, whatever the block size; a second epoch carries pairs_done."""
+    oracle's, whatever the block size; a second epoch carries pairs_done."""
     if block is not None:
         monkeypatch.setattr(kernels, "_BLOCK_PAIRS", block)
-    win1, wout1, *rest1 = _epochs(_block_twin, case, n_epochs)
+    win1, wout1, *rest1 = _epochs(sgns_epoch, case, n_epochs)
     win2, wout2, *rest2 = _epochs(sentence_sgns_epoch, case, n_epochs)
     assert np.array_equal(win1, win2)
     assert np.array_equal(wout1, wout2)
@@ -275,8 +233,7 @@ def test_epoch_scratch_does_not_grow_with_corpus_length(monkeypatch):
         tokens, offsets, win, wout, cdf = _tiny_corpus(50, lengths, seed=3)
         total = count_pairs(offsets, 2)
         tracemalloc.start()
-        sgns_epoch(tokens, offsets, win, wout, cdf, 2, 5, 0.05, 1e-3, 0, total, 9,
-                   use_numba=False)
+        sgns_epoch(tokens, offsets, win, wout, cdf, 2, 5, 0.05, 1e-3, 0, total, 9)
         _, top = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         return top

@@ -1,16 +1,18 @@
 """IDX parsing against hand-built fixtures, label embedding, epoch batches."""
 
 import gzip
+import os
 import struct
 
 import numpy as np
 import pytest
 
 from fflab.errors import FormatError, UsageError
-from fflab.mnist_data import LABEL_SLOTS, parse_idx_images, parse_idx_labels
+from fflab.mnist_data import LABEL_SLOTS, load_mnist, parse_idx_images, parse_idx_labels
 from fflab.rng import Rng
 
 from oracles import epoch_batches
+from test_pipelines import write_idx_dir
 
 
 def build_image_idx(images_u8):
@@ -168,6 +170,50 @@ class TestParserTotality:
                 parse_idx_images(good[:cut])
             except FormatError:
                 pass
+
+
+class TestLoadLimits:
+    """load_mnist converts only the kept rows but checks each whole file."""
+
+    @pytest.mark.parametrize(
+        "train_limit, test_limit", [(0, 0), (7, 3), (1, 0), (20, 10), (25, 99)]
+    )
+    def test_limited_load_is_the_first_rows_of_a_full_load(
+        self, tmp_path, train_limit, test_limit
+    ):
+        write_idx_dir(str(tmp_path), n_train=20, n_test=10)
+        full = load_mnist(str(tmp_path))
+        kept = load_mnist(str(tmp_path), train_limit, test_limit)
+        limits = (train_limit, train_limit, test_limit, test_limit)
+        for got, whole, limit in zip(kept, full, limits):
+            want = whole[:limit] if limit else whole
+            assert got.dtype == whole.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert got.base is None  # no view keeps the whole split alive
+
+    def test_payload_truncated_after_the_kept_rows_is_located(self, tmp_path):
+        write_idx_dir(str(tmp_path), n_train=20, n_test=10)
+        path = os.path.join(str(tmp_path), "train-images-idx3-ubyte")
+        with open(path, "rb") as f:
+            data = f.read()
+        with open(path, "wb") as f:
+            f.write(data[: 16 + 15 * 784 + 100])
+        with pytest.raises(FormatError, match="payload") as exc:
+            load_mnist(str(tmp_path), train_limit=2)
+        assert str(exc.value).startswith(f"{path}: ")
+        assert exc.value.offset == 16 + 15 * 784 + 100
+
+    def test_label_out_of_range_after_the_kept_rows_is_located(self, tmp_path):
+        write_idx_dir(str(tmp_path), n_train=20, n_test=10)
+        path = os.path.join(str(tmp_path), "train-labels-idx1-ubyte.gz")
+        with gzip.open(path, "rb") as f:
+            data = bytearray(f.read())
+        data[8 + 17] = 10
+        with gzip.open(path, "wb") as f:
+            f.write(bytes(data))
+        with pytest.raises(FormatError, match="out of range") as exc:
+            load_mnist(str(tmp_path), train_limit=2)
+        assert str(exc.value).startswith(f"{path}: ")
 
 
 class TestTrainingStream:
