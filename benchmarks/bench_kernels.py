@@ -38,7 +38,6 @@ from fflab.text_data import (
     init_embeddings,
     noise_cdf,
 )
-from fflab.thresholds import Thresholds
 
 
 def synth_corpus(n_docs, doc_len, vocab_size, seed=1):
@@ -99,7 +98,7 @@ def bench_ff_epoch():
     net = FFNetwork(30, [500, 500], "relu", 0.01, Rng(12))
     samples = 2 * X.shape[0]  # each row gives a positive and a negative
     t0 = time.perf_counter()
-    train_epoch(net, X, y, label_slots(10), Thresholds((0.5, 0.5)), 0, 128, Rng(14))
+    train_epoch(net, X, y, label_slots(10), [0.5 * 500] * 2, 0, 128, Rng(14))
     dt = time.perf_counter() - t0
     print(f"\nlayer-training epoch ({samples} samples, arch [500, 500], "
           f"numpy/BLAS): {dt:.2f}s  ({samples / dt:,.0f} samples/s)")
@@ -110,11 +109,11 @@ def bench_ff_epoch():
     X = Rng(15).uniform_array(rows * 784).reshape(rows, 784)
     y = np.arange(rows) % 10
     net = FFNetwork(784, [2000] * 4, "relu", 0.01, Rng(16))
-    thresholds = Thresholds((0.005,) * 4)
+    thetas = [0.005 * 2000] * 4
     half = batch // 2
-    train_epoch(net, X[:half], y[:half], LABEL_SLOTS, thresholds, 0, batch, Rng(17))
+    train_epoch(net, X[:half], y[:half], LABEL_SLOTS, thetas, 0, batch, Rng(17))
     t0 = time.perf_counter()
-    train_epoch(net, X, y, LABEL_SLOTS, thresholds, 0, batch, Rng(18))
+    train_epoch(net, X, y, LABEL_SLOTS, thetas, 0, batch, Rng(18))
     dt = time.perf_counter() - t0
     print(f"full-recipe steps (784 -> 2000x4, batch {batch}, {FULL_STEPS} steps): "
           f"{dt / FULL_STEPS * 1e3:.0f} ms/step")

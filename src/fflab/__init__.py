@@ -1,7 +1,7 @@
 """Forward-Forward training lab.
 
 Layer-local goodness optimization with no cross-layer gradients, the
-data pipelines and threshold strategies around it, both inference
+data pipelines and loss thresholds around it, both inference
 routes, a matched backprop baseline, and weight/goodness analysis.
 """
 
@@ -12,7 +12,6 @@ from .ffnet import FFNetwork, LabelSlots, ff_loss, goodness, train_epoch
 from .inference import predict_head_batch, predict_sweep_batch
 from .numerics import AdamState, adam_step
 from .rng import Rng
-from .thresholds import Thresholds
 
 __all__ = [
     "ACTIVATIONS",
@@ -20,7 +19,6 @@ __all__ = [
     "FFNetwork",
     "LabelSlots",
     "Rng",
-    "Thresholds",
     "adam_step",
     "ff_loss",
     "get_activation",

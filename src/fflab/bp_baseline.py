@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import get_activation, softmax
-from .errors import DimensionError, UsageError
+from .errors import DimensionError, DivergenceError, UsageError
 from .numerics import AdamState, adam_step, fan_in_uniform, row_chunks
 
 
@@ -92,7 +92,12 @@ class BpEpochMetrics:
 
 
 def bp_train_epoch(net, X, y, batch_size, rng):
-    """One backprop epoch: shuffled minibatches, Adam updates per layer."""
+    """One backprop epoch: shuffled minibatches, Adam updates per layer.
+
+    Raises :class:`DivergenceError` naming the first layer (the output
+    layer is last) whose weights left the finite range. NaN and inf are
+    absorbing under Adam, so one check at the end of the epoch finds them.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.shape[0] == 0:
@@ -140,6 +145,11 @@ def bp_train_epoch(net, X, y, batch_size, rng):
         adam_step(net.out_layer.adam_W, net.out_layer.W, dW_out)
         adam_step(net.out_layer.adam_b, net.out_layer.b, db_out)
 
+    for li, layer in enumerate(net.layers + [net.out_layer]):
+        # min/max propagate NaN and expose +-inf without a boolean mask
+        for P in (layer.W, layer.b):
+            if not (np.isfinite(P.min()) and np.isfinite(P.max())):
+                raise DivergenceError("weights left the finite range after an update", layer=li)
     return BpEpochMetrics(mean_loss=loss_sum / n)
 
 

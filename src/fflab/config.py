@@ -9,8 +9,9 @@ import math
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigError
-from .thresholds import Thresholds
 
 
 def _parse_bool(s):
@@ -84,6 +85,7 @@ _AT_LEAST = {
     "sgns.window": 1,
     "sgns.neg_k": 0,
     "sgns.epochs": 0,
+    "synthetic.classes": 2,
     "synthetic.dim": 1,
     "synthetic.train_per_class": 1,
     "synthetic.test_per_class": 1,
@@ -95,15 +97,12 @@ _DESK_SUBSET = {"mnist": 10000, "imdb": 5000, "synthetic": 0}
 
 @dataclass
 class ExperimentConfig:
-    """Fully-resolved run description; attribute names use _ for dots."""
+    """Fully-resolved run description."""
 
     values: dict = field(default_factory=dict)
 
     def __getitem__(self, key):
         return self.values[key]
-
-    def get(self, key, default=None):
-        return self.values.get(key, default)
 
     @property
     def seed(self):
@@ -196,16 +195,26 @@ def _validate(values):
         values["data.train_subset"] = _DESK_SUBSET[values["dataset"]]
 
 
-def threshold_strategy(cfg, depth):
-    """The configured :class:`Thresholds`: a single ``threshold.k`` is
-    broadcast to ``depth`` layers, a per-layer list must match it."""
+def thetas(cfg, widths, epoch):
+    """The loss threshold of every layer at one epoch, as float64:
+
+        theta_l(e) = ramp(e) * (k_l * width_l)
+        ramp(e)    = k_start + (k_end - k_start) * (min(e, R) / R)
+
+    with ``threshold.k`` (one k broadcast to every layer, or one per layer),
+    ``threshold.k_start``, ``threshold.k_end`` and ``threshold.ramp_epochs``
+    = R. With the default ramp (k_start = k_end = 1) ramp is exactly 1.0, so
+    theta is ``k_l * width_l`` to the bit. A per-layer list must match the
+    depth: ``ff-lab analyze --config`` can meet a checkpoint of another one.
+    """
     ks = cfg["threshold.k"]
-    ks = ks * depth if len(ks) == 1 else ks
-    if len(ks) != depth:
-        raise ConfigError(f"threshold.k has {len(ks)} entries for a depth-{depth} network")
-    return Thresholds(
-        tuple(ks), cfg["threshold.k_start"], cfg["threshold.k_end"], cfg["threshold.ramp_epochs"]
-    )
+    ks = ks * len(widths) if len(ks) == 1 else ks
+    if len(ks) != len(widths):
+        raise ConfigError(f"threshold.k has {len(ks)} entries for a depth-{len(widths)} network")
+    R = cfg["threshold.ramp_epochs"]
+    k_start, k_end = cfg["threshold.k_start"], cfg["threshold.k_end"]
+    ramp = k_start + (k_end - k_start) * (min(epoch, R) / R)
+    return ramp * (np.array(ks, np.float64) * np.array(widths, np.float64))
 
 
 def echo_config(cfg):

@@ -10,15 +10,15 @@ measured time and therefore exempt from byte-identity.
 import csv
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import mnist_data, synthetic, text_data
 from .bp_baseline import BPNetwork, bp_predict_batch, bp_train_epoch
 from .checkpoint import save_network
-from .config import parse_config, threshold_strategy
-from .errors import DataError, UsageError
+from .config import parse_config, thetas
+from .errors import DataError, DivergenceError, UsageError
 from .ffnet import FFNetwork, LabelSlots, train_epoch
 from .analysis import (
     export_heatmap,
@@ -188,7 +188,6 @@ def run_experiment(cfg):
     rng_head = Rng(derive_seed(seed, _STREAM_HEAD))
 
     net = FFNetwork(bundle.input_dim, cfg["arch"], cfg["activation"], cfg["lr"], rng_net)
-    strategy = threshold_strategy(cfg, len(net.layers))
     included = default_included_layers(
         len(net.layers), skip_first=cfg["inference.skip_first_layer"]
     )
@@ -204,8 +203,9 @@ def run_experiment(cfg):
 
     for epoch in range(cfg["epochs"]):
         t0 = time.perf_counter()
+        theta = thetas(cfg, net.widths, epoch)
         em = train_epoch(
-            net, bundle.X_train, bundle.y_train, slots, strategy, epoch,
+            net, bundle.X_train, bundle.y_train, slots, theta, epoch,
             cfg["batch_size"], rng_data,
         )
 
@@ -265,7 +265,7 @@ def run_experiment(cfg):
                     _fmt(em.mean_loss[li]),
                     _fmt(em.mean_g_pos[li]),
                     _fmt(em.mean_g_neg[li]),
-                    _fmt(em.thetas[li]),
+                    _fmt(theta[li]),
                     _fmt(errs[mode][0]),
                     _fmt(errs[mode][1]),
                     f"{seconds:.3f}",
@@ -332,8 +332,7 @@ def write_goodness_report(cfg, bundle, net, G, out_dir):
     ``ff-lab analyze`` on its checkpoint write the same bytes."""
     rng = Rng(derive_seed(cfg.seed, _STREAM_ANALYSIS))
     wrong = bundle.slots.wrong_labels(bundle.y_train, rng)
-    thetas = threshold_strategy(cfg, len(net.layers)).thetas(net.widths, cfg["epochs"] - 1)
-    report = goodness_report(G, bundle.y_train, wrong, thetas)
+    report = goodness_report(G, bundle.y_train, wrong, thetas(cfg, net.widths, cfg["epochs"] - 1))
     write_goodness_csv(os.path.join(out_dir, "goodness_hist.csv"), report)
     return report
 
@@ -357,7 +356,11 @@ def _run_baseline(cfg, bundle, out_dir):
     final = ()
     for epoch in range(epochs):
         t0 = time.perf_counter()
-        em = bp_train_epoch(net, X_tr, bundle.y_train, cfg["batch_size"], rng)
+        try:
+            em = bp_train_epoch(net, X_tr, bundle.y_train, cfg["batch_size"], rng)
+        except DivergenceError as e:
+            e.epoch = epoch
+            raise
         tr = _error_rate(bp_predict_batch(net, X_tr), bundle.y_train)
         te = _error_rate(bp_predict_batch(net, X_te), bundle.y_test)
         rows.append([epoch, _fmt(em.mean_loss), _fmt(tr), _fmt(te),

@@ -218,10 +218,9 @@ class EpochMetrics:
     mean_loss: np.ndarray      # per layer
     mean_g_pos: np.ndarray     # per layer
     mean_g_neg: np.ndarray     # per layer
-    thetas: np.ndarray         # per layer
 
 
-def train_epoch(net, X_raw, y, slots, strategy, epoch, batch_size, rng):
+def train_epoch(net, X_raw, y, slots, thetas, epoch, batch_size, rng):
     """One pass over the n raw rows, each seen once as a positive and once
     as a negative.
 
@@ -234,7 +233,8 @@ def train_epoch(net, X_raw, y, slots, strategy, epoch, batch_size, rng):
 
     Every batch is forwarded once with the pre-update weights; each
     layer then computes its local gradients from its own stored input
-    and theta(layer, epoch), and takes one Adam step. All layers update
+    and its threshold ``thetas[layer]`` (see ``config.thetas``), and takes
+    one Adam step; ``epoch`` locates a divergence. All layers update
     in the same pass.
 
     The layers update one after another on the calling thread. Running
@@ -248,6 +248,9 @@ def train_epoch(net, X_raw, y, slots, strategy, epoch, batch_size, rng):
             f"batch_size must be even and >= 2 (a row's positive and negative "
             f"share a batch), got {batch_size}"
         )
+    depth = len(net.layers)
+    if len(thetas) != depth:
+        raise UsageError(f"{len(thetas)} thresholds for a depth-{depth} network")
     n = X_raw.shape[0]
     if n == 0:
         raise UsageError("cannot train on zero rows")
@@ -255,8 +258,6 @@ def train_epoch(net, X_raw, y, slots, strategy, epoch, batch_size, rng):
     wrong = slots.wrong_labels(y, rng)
     order = np.array(rng.shuffle(list(range(n))))
 
-    depth = len(net.layers)
-    thetas = strategy.thetas(net.widths, epoch)
     loss_sum = np.zeros(depth)
     g_pos_sum = np.zeros(depth)
     g_neg_sum = np.zeros(depth)
@@ -287,5 +288,4 @@ def train_epoch(net, X_raw, y, slots, strategy, epoch, batch_size, rng):
         mean_loss=loss_sum / (2 * n),
         mean_g_pos=g_pos_sum / n,
         mean_g_neg=g_neg_sum / n,
-        thetas=thetas,
     )

@@ -17,7 +17,6 @@ from fflab.inference import default_included_layers, features_batch, fit_head
 from fflab.kernels import negative_targets, pairs_per_sentence
 from fflab.rng import GOLDEN, MASK64, _INV53, Rng, derive_seed, mix64
 from fflab.synthetic import make_blobs
-from fflab.thresholds import Thresholds
 
 
 def central_diff_grad(f, x, h=1e-5):
@@ -470,7 +469,7 @@ def epoch_batches(X_raw, y, slots, batch_size, rng):
         return grads(Xhat, Z, A, signs, theta)
 
     layer.forward_batch, layer.grads_batch = record_forward, record_grads
-    train_epoch(net, X_raw, y, slots, Thresholds((1.0,)), 0, batch_size, rng)
+    train_epoch(net, X_raw, y, slots, [1.0], 0, batch_size, rng)
     return [tuple(batch) for batch in seen]
 
 

@@ -30,7 +30,6 @@ from fflab.inference import (
 from fflab.mnist_data import parse_idx_images, parse_idx_labels
 from fflab.rng import Rng, derive_seed
 from fflab.synthetic import label_slots
-from fflab.thresholds import Thresholds
 
 from conftest import IMDB_DIR, MNIST_DIR, requires_imdb, requires_mnist
 from oracles import (
@@ -198,17 +197,18 @@ def mnist_bundle():
     return _mnist_bundle_cache["b"]
 
 
-def desk_ff_run(strategy_key, strategy, seed):
-    """Train the desk-scale configuration once per (strategy, seed)."""
-    key = (strategy_key, seed)
+def desk_ff_run(ks, seed):
+    """Train the desk-scale configuration once per (per-layer k, seed)."""
+    key = (ks, seed)
     if key in _ff_run_cache:
         return _ff_run_cache[key]
     bundle = mnist_bundle()
     net = FFNetwork(bundle.input_dim, DESK_ARCH, "relu", DESK_LR, Rng(derive_seed(seed, 0)))
     rng = Rng(derive_seed(seed, 1))
+    thetas = [k * w for k, w in zip(ks, DESK_ARCH)]
     for epoch in range(DESK_EPOCHS):
         train_epoch(
-            net, bundle.X_train, bundle.y_train, bundle.slots, strategy, epoch, DESK_BATCH, rng
+            net, bundle.X_train, bundle.y_train, bundle.slots, thetas, epoch, DESK_BATCH, rng
         )
     head = frozen_head(
         net,
@@ -261,7 +261,7 @@ def test_c3_desk_mnist():
     gate is the automated bound.
     """
     t0 = time.perf_counter()
-    _, err = desk_ff_run("k0.5", Thresholds((0.5, 0.5)), DESK_SEEDS[0])
+    _, err = desk_ff_run((0.5, 0.5), DESK_SEEDS[0])
     elapsed = time.perf_counter() - t0
     assert err <= 0.08, f"desk head error {err:.4f}"
     assert elapsed < 600.0, f"desk run took {elapsed:.0f}s"
@@ -274,15 +274,15 @@ def test_c3_desk_mnist():
 def test_c4_threshold_ordering():
     """Direction only: pyramidal-increasing < pyramidal-decreasing, and
     k=0.5 <= the k=1 baseline, mean over three seeds at the desk budget."""
-    strategies = {
-        "pyr_inc": Thresholds((0.3, 0.5)),
-        "pyr_dec": Thresholds((0.5, 0.3)),
-        "k0.5": Thresholds((0.5, 0.5)),
-        "k1": Thresholds((1.0, 1.0)),
+    per_layer_k = {
+        "pyr_inc": (0.3, 0.5),
+        "pyr_dec": (0.5, 0.3),
+        "k0.5": (0.5, 0.5),
+        "k1": (1.0, 1.0),
     }
     means = {}
-    for name, strat in strategies.items():
-        errs = [desk_ff_run(name, strat, s)[1] for s in DESK_SEEDS]
+    for name, ks in per_layer_k.items():
+        errs = [desk_ff_run(ks, s)[1] for s in DESK_SEEDS]
         means[name] = float(np.mean(errs))
     assert means["pyr_inc"] < means["pyr_dec"], means
     assert means["k0.5"] <= means["k1"], means
@@ -303,7 +303,7 @@ def test_c5_bounded_activation_failure():
         rng = Rng(2)
         for epoch in range(80):
             train_epoch(
-                net, bundle.X_train, bundle.y_train, bundle.slots, Thresholds((2.0, 2.0)),
+                net, bundle.X_train, bundle.y_train, bundle.slots, [2.0 * 100] * 2,
                 epoch, 128, rng,
             )
         pred = predict_sweep_batch(
@@ -321,7 +321,7 @@ def test_c5_bounded_activation_failure():
 def test_c6_weight_range_and_spike():
     ff_ranges, bp_ranges = [], []
     for seed in DESK_SEEDS:
-        ff_net, _ = desk_ff_run("k0.5", Thresholds((0.5, 0.5)), seed)
+        ff_net, _ = desk_ff_run((0.5, 0.5), seed)
         bp_net, _ = desk_bp_run(seed)
         ff_s = weight_stats(ff_net)[0]
         bp_s = weight_stats(bp_net)[0]
@@ -331,7 +331,7 @@ def test_c6_weight_range_and_spike():
     assert factor >= 3.0, (ff_ranges, bp_ranges)
 
     # first-layer weights spike on the ten label pixels
-    ff_net, _ = desk_ff_run("k0.5", Thresholds((0.5, 0.5)), DESK_SEEDS[0])
+    ff_net, _ = desk_ff_run((0.5, 0.5), DESK_SEEDS[0])
     spike, rest = label_pixel_spike(ff_net.layers[0].W, 10)
     assert spike > rest, (spike, rest)
 
@@ -361,7 +361,7 @@ def test_c7_imdb_desk():
     rng = Rng(derive_seed(cfg.seed, 1))
     for epoch in range(6):
         train_epoch(
-            net, bundle.X_train, bundle.y_train, bundle.slots, Thresholds((0.5, 0.5)),
+            net, bundle.X_train, bundle.y_train, bundle.slots, [0.5 * 500] * 2,
             epoch, 128, rng,
         )
     head = frozen_head(

@@ -15,7 +15,6 @@ from fflab.ffnet import FFNetwork, goodness, train_epoch
 from fflab.inference import sweep_scores_batch
 from fflab.rng import Rng
 from fflab.synthetic import label_slots
-from fflab.thresholds import Thresholds
 
 from oracles import ks_2sample, loop_goodness_report, read_pgm, two_blob_toy
 
@@ -28,7 +27,7 @@ def trained_toy(k=0.5, lr=0.05, epochs=40):
     net = FFNetwork(2 + X.shape[1], [32, 32], "relu", lr, Rng(100))
     rng = Rng(101)
     for epoch in range(epochs):
-        train_epoch(net, X, y, BLOB, Thresholds((k, k)), epoch, 16, rng)
+        train_epoch(net, X, y, BLOB, [k * 32] * 2, epoch, 16, rng)
     return X, y, net
 
 
@@ -108,7 +107,7 @@ def report_inputs(net, X, y, rng):
 class TestGoodnessReport:
     def test_histogram_conservation(self):
         X, y, net = trained_toy(epochs=3)
-        thetas = Thresholds((0.5, 0.5)).thetas(net.widths, 2)
+        thetas = [0.5 * w for w in net.widths]
         report = goodness_report(*report_inputs(net, X, y, Rng(7)), thetas)
         for li in range(2):
             total = report.pos_counts[li].sum() + report.neg_counts[li].sum()
@@ -131,7 +130,7 @@ class TestGoodnessReport:
         for stage_pos, stage_neg in zip(net.forward_batch(pos), net.forward_batch(neg)):
             _, p = ks_2sample(goodness(stage_pos[2]), goodness(stage_neg[2]))
             assert p < 1e-10
-        thetas = Thresholds((0.5, 0.5)).thetas(net.widths, 39)
+        thetas = [0.5 * w for w in net.widths]
         report = goodness_report(*report_inputs(net, X, y, Rng(991)), thetas)
         assert np.all(report.frac_pos_above > 0.9)
         assert np.all(report.frac_neg_below > 0.9)
@@ -143,7 +142,7 @@ class TestGoodnessReport:
         goodness."""
         X, y, net = trained_toy(epochs=2)
         G, y, wrong = report_inputs(net, X[:n], y[:n], Rng(9))
-        thetas = Thresholds((0.5, 0.5)).thetas(net.widths, 1)
+        thetas = [0.5 * w for w in net.widths]
         got = goodness_report(G, y, wrong, thetas)
         for li in range(2):
             pos = np.array([G[i, y[i], li] for i in range(n)])
@@ -169,7 +168,7 @@ class TestGoodnessReport:
             y = rng.randint_array(40, classes)
             net = FFNetwork(6 + classes, [12, 10], "relu", 0.01, rng)
         slots = label_slots(classes)
-        thetas = Thresholds((0.5, 0.5)).thetas(net.widths, 4)
+        thetas = [0.5 * w for w in net.widths]
         G = np.empty((len(y), classes, 2))
         sweep_scores_batch(net, X, classes, slots, layer_goodness=G)
         wrong = slots.wrong_labels(y, Rng(12))
@@ -185,7 +184,7 @@ class TestGoodnessReport:
 
     def test_csv_schema(self, tmp_path):
         X, y, net = trained_toy(epochs=2)
-        thetas = Thresholds((0.5, 0.5)).thetas(net.widths, 1)
+        thetas = [0.5 * w for w in net.widths]
         report = goodness_report(*report_inputs(net, X, y, Rng(8)), thetas)
         path = tmp_path / "hist.csv"
         write_goodness_csv(path, report)

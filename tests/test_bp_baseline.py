@@ -10,7 +10,7 @@ from fflab.bp_baseline import (
 )
 from fflab import numerics
 from fflab.activations import softmax
-from fflab.errors import DimensionError, UsageError
+from fflab.errors import DimensionError, DivergenceError, UsageError
 from fflab.ffnet import FFNetwork
 from fflab.rng import Rng
 from fflab.synthetic import label_slots
@@ -73,6 +73,17 @@ class TestGradients:
         bp_train_epoch(net, X, y, 8, Rng(503))
         np.testing.assert_array_equal(net.layers[0].W, before[0])
         np.testing.assert_array_equal(net.out_layer.W, before[1])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_the_layer(self):
+        """An epoch whose steps overflow the weights ends in a DivergenceError
+        naming the first non-finite layer, not in NaN weights."""
+        X, y = small_task()
+        net = BPNetwork(6, [4, 4], 3, "relu", 1e300, Rng(1))
+        with pytest.raises(DivergenceError) as info:
+            bp_train_epoch(net, X, y, 8, Rng(2))
+        assert info.value.layer == 0
+        assert str(info.value) == "layer 0: weights left the finite range after an update"
 
     def test_empty_data_rejected(self):
         net = BPNetwork(6, [4], 3, "relu", 1e-3, Rng(1))

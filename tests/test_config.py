@@ -7,9 +7,8 @@ from pathlib import Path
 import pytest
 
 from fflab.cli import _overrides
-from fflab.config import SCHEMA, echo_config, parse_config, threshold_strategy
+from fflab.config import SCHEMA, echo_config, parse_config, thetas
 from fflab.errors import ConfigError
-from fflab.thresholds import Thresholds
 
 # every key whose value is a float or a list of floats
 _FLOAT_KEYS = sorted(
@@ -71,6 +70,11 @@ class TestParsing:
         with pytest.raises(ConfigError, match="dataset"):
             parse_config(None, {"seed": "1", "dataset": "cifar"})
 
+    @pytest.mark.parametrize("arch", ["8,0", "-1", ""])
+    def test_arch_widths_checked(self, arch):
+        with pytest.raises(ConfigError, match="^arch widths must all be >= 1"):
+            parse_config(None, {"seed": "1", "arch": arch})
+
     def test_invalid_mode(self):
         with pytest.raises(ConfigError, match="inference.mode"):
             parse_config(None, {"seed": "1", "inference.mode": "vote"})
@@ -93,6 +97,9 @@ class TestParsing:
             ("sgns.neg_k", "-1"),
             ("sgns.epochs", "-1"),
             ("sgns.lr", "-1"),
+            ("synthetic.classes", "1"),
+            ("synthetic.classes", "0"),
+            ("synthetic.classes", "-3"),
             ("synthetic.dim", "0"),
             ("synthetic.train_per_class", "0"),
             ("synthetic.test_per_class", "0"),
@@ -107,7 +114,8 @@ class TestParsing:
     @pytest.mark.parametrize(
         "key, value",
         [("baseline.epochs", "0"), ("sgns.neg_k", "0"), ("sgns.epochs", "0"),
-         ("head.epochs", "1"), ("sgns.window", "1"), ("synthetic.dim", "1"),
+         ("head.epochs", "1"), ("sgns.window", "1"), ("synthetic.classes", "2"),
+         ("synthetic.dim", "1"),
          ("synthetic.train_per_class", "1"), ("synthetic.test_per_class", "1"),
          ("data.test_subset", "0"), ("batch_size", "2")],
     )
@@ -166,16 +174,15 @@ class TestParsing:
 class TestThresholdStrategy:
     def test_constant(self):
         cfg = parse_config(None, {"seed": "1", "threshold.k": "0.5"})
-        strat = threshold_strategy(cfg, 4)
-        assert strat == Thresholds((0.5,) * 4)
+        assert list(thetas(cfg, [10] * 4, 0)) == [5.0] * 4
         # one k broadcasts to any depth, such as a checkpoint's
-        assert threshold_strategy(cfg, 2) == Thresholds((0.5,) * 2)
+        assert list(thetas(cfg, [10] * 2, 0)) == [5.0] * 2
 
     def test_pyramidal_depth_checked(self):
         cfg = parse_config(None, {"seed": "1", "arch": "8,8", "threshold.k": "0.3,0.5"})
-        assert threshold_strategy(cfg, 2) == Thresholds((0.3, 0.5))
+        assert list(thetas(cfg, [10, 10], 0)) == [0.3 * 10, 0.5 * 10]
         with pytest.raises(ConfigError, match="depth-3"):
-            threshold_strategy(cfg, 3)
+            thetas(cfg, [10] * 3, 0)
 
     def test_scheduled_reproduces_worked_example(self):
         cfg = parse_config(
@@ -184,11 +191,9 @@ class TestThresholdStrategy:
              "threshold.k_start": "0.1", "threshold.k_end": "0.5",
              "threshold.ramp_epochs": "10"},
         )
-        strat = threshold_strategy(cfg, 2)
-        assert strat == Thresholds((1.0, 1.0), 0.1, 0.5, 10)
-        assert strat.thetas([100, 100], 0)[0] == pytest.approx(10.0)
-        assert strat.thetas([100, 100], 5)[0] == pytest.approx(30.0)
-        assert strat.thetas([100, 100], 12)[0] == pytest.approx(50.0)
+        assert thetas(cfg, [100, 100], 0)[0] == pytest.approx(10.0)
+        assert thetas(cfg, [100, 100], 5)[0] == pytest.approx(30.0)
+        assert thetas(cfg, [100, 100], 12)[0] == pytest.approx(50.0)
 
 
 def test_every_readme_ini_block_parses(tmp_path):

@@ -276,6 +276,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert "training diverged: epoch 0, layer 0:" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_baseline_divergence_exit_three_before_its_checkpoint(self, tmp_path, capsys):
+        args = ["train"]
+        over = fast_overrides(tmp_path / "run", **{"baseline.enabled": "true",
+                                                    "baseline.lr": "1e300"})
+        for k, v in over.items():
+            args += ["--set", f"{k}={v}"]
+        assert main(args) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["training diverged: epoch 0, layer 0: "
+                       "weights left the finite range after an update"]
+        assert not os.path.exists(tmp_path / "run" / "checkpoint.bpn1")
+
+    def test_too_few_synthetic_classes_exit_one_before_output(self, tmp_path, capsys):
+        args = ["train"]
+        for k, v in fast_overrides(tmp_path / "run", **{"synthetic.classes": 1}).items():
+            args += ["--set", f"{k}={v}"]
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: synthetic.classes must be >= 2, got 1"
+        ]
+        assert not os.path.exists(tmp_path / "run")
+
     def test_eval_on_data_of_another_width_exit_two(self, tmp_path, capsys):
         cfg = parse_config(None, fast_overrides(tmp_path / "run"))
         result = run_experiment(cfg)

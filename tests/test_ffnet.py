@@ -18,7 +18,6 @@ from fflab.ffnet import (
 )
 from fflab.rng import Rng
 from fflab.synthetic import label_slots
-from fflab.thresholds import Thresholds
 
 from oracles import (
     central_diff_grad,
@@ -285,9 +284,11 @@ def toy_rows(n=10, dim=6, seed=70):
     return X, np.arange(n) % 3
 
 
-def train_toy(net, strategy, epoch, batch_size, rng, n=10):
+def train_toy(net, k, epoch, batch_size, rng, n=10):
+    """One epoch on toy rows at theta = k * width on every layer."""
     X, y = toy_rows(n)
-    return train_epoch(net, X, y, TOY_SLOTS, strategy, epoch, batch_size, rng)
+    thetas = [k * w for w in net.widths]
+    return train_epoch(net, X, y, TOY_SLOTS, thetas, epoch, batch_size, rng)
 
 
 class TestTrainEpoch:
@@ -296,20 +297,27 @@ class TestTrainEpoch:
         with pytest.raises(UsageError, match="zero rows"):
             train_epoch(
                 net, np.empty((0, 6)), np.empty(0, dtype=np.int64), TOY_SLOTS,
-                Thresholds((0.5,)), 0, 8, Rng(2),
+                [2.0], 0, 8, Rng(2),
             )
+
+    @pytest.mark.parametrize("thetas", [[2.0], [2.0, 2.0, 2.0]])
+    def test_one_theta_per_layer_required(self, thetas):
+        net = FFNetwork(6, [4, 4], "relu", 0.01, Rng(1))
+        X, y = toy_rows()
+        with pytest.raises(UsageError, match=f"{len(thetas)} thresholds for a depth-2 network"):
+            train_epoch(net, X, y, TOY_SLOTS, thetas, 0, 8, Rng(2))
 
     @pytest.mark.parametrize("batch_size", [0, 1, 7])
     def test_odd_or_tiny_batch_size_rejected(self, batch_size):
         """A row's positive and negative never split across batches."""
         net = FFNetwork(6, [4], "relu", 0.01, Rng(1))
         with pytest.raises(UsageError, match="batch_size must be even and >= 2"):
-            train_toy(net, Thresholds((0.5,)), 0, batch_size, Rng(2))
+            train_toy(net, 0.5, 0, batch_size, Rng(2))
 
     def test_zero_lr_is_bitwise_fixed_point(self):
         net = FFNetwork(6, [5, 4], "relu", 0.0, Rng(80))
         before = [(l.W.copy(), l.b.copy()) for l in net.layers]
-        train_toy(net, Thresholds((0.5, 0.5)), 0, 8, Rng(81))
+        train_toy(net, 0.5, 0, 8, Rng(81))
         for (W0, b0), layer in zip(before, net.layers):
             np.testing.assert_array_equal(W0, layer.W)
             np.testing.assert_array_equal(b0, layer.b)
@@ -320,7 +328,7 @@ class TestTrainEpoch:
         acts = [(l.act.fn, l.act.deriv) for l in net.layers]
         thetas = [k * w for w in widths]
 
-        metrics = train_toy(net, Thresholds((k,) * len(widths)), 0, 8, Rng(seed), n=n)
+        metrics = train_toy(net, k, 0, 8, Rng(seed), n=n)
 
         X, y = toy_rows(n)
         batches = loop_paired_batches(X, y, 3, 0, True, 8, Rng(seed))
@@ -348,7 +356,7 @@ class TestTrainEpoch:
         history = []
         for epoch in range(5):
             history.append(
-                train_epoch(net, X, y, label_slots(2), Thresholds((0.1, 0.1)), epoch, 16, rng)
+                train_epoch(net, X, y, label_slots(2), [0.1 * 32] * 2, epoch, 16, rng)
             )
         assert np.all(history[4].mean_g_pos > history[0].mean_g_pos)
         assert np.all(history[4].mean_g_neg < history[0].mean_g_neg)
@@ -366,12 +374,11 @@ class TestTrainEpoch:
         net = FFNetwork(6, widths, "tanh", 0.02, Rng(94))
         serial = FFNetwork(6, widths, "tanh", 0.02, Rng(94))
         depth = len(widths)
-        strategy = Thresholds((0.3,) * depth)
+        thetas = [0.3 * w for w in widths]
         for epoch in range(3):
-            metrics = train_epoch(net, X, y, TOY_SLOTS, strategy, epoch, 8, Rng(95 + epoch))
+            metrics = train_epoch(net, X, y, TOY_SLOTS, thetas, epoch, 8, Rng(95 + epoch))
 
             batches = loop_paired_batches(X, y, 3, 0, True, 8, Rng(95 + epoch))
-            thetas = [0.3 * w for w in serial.widths]
             loss_sum, g_pos, g_neg = np.zeros(depth), np.zeros(depth), np.zeros(depth)
             for features, signs in batches:
                 signs = np.array(signs)
@@ -395,7 +402,7 @@ class TestTrainEpoch:
         net = FFNetwork(6, [7, 5, 9, 3], "relu", 0.01, Rng(96))
         net.layers[2].W[0, 0] = np.inf
         with pytest.raises(DivergenceError) as info:
-            train_toy(net, Thresholds((0.5,) * 4), 7, 8, Rng(97))
+            train_toy(net, 0.5, 7, 8, Rng(97))
         assert (info.value.layer, info.value.epoch) == (2, 7)
         assert str(info.value).startswith("epoch 7, layer 2: ")
 
@@ -413,7 +420,7 @@ class TestTrainEpoch:
 
         monkeypatch.setattr(FFLayer, "grads_batch", tracked)
         net = FFNetwork(6, [5, 4, 3], "relu", 0.01, Rng(3))
-        train_toy(net, Thresholds((0.5,) * 3), 0, 8, Rng(4))
+        train_toy(net, 0.5, 0, 8, Rng(4))
         assert live_at_call == [0] * 9  # 10 rows, 4 per batch: 3 x 3 layers
 
     def test_polarity_counts(self):
@@ -438,7 +445,7 @@ class TestTrainEpoch:
         monkeypatch.setattr(Rng, "shuffle", recorded)
         net = FFNetwork(6, [5, 4], "relu", 0.01, Rng(3))
         rng, ref = Rng(4), Rng(4)
-        train_toy(net, Thresholds((0.5, 0.5)), 0, 8, rng, n=10)
+        train_toy(net, 0.5, 0, 8, rng, n=10)
         assert lengths == [10]
         for _ in range(10 + 9):
             ref.next_u64()

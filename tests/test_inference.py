@@ -23,7 +23,6 @@ from fflab.numerics import row_directions
 from fflab.rng import Rng
 from fflab.synthetic import label_slots
 from fflab.text_data import label_slots as sentiment_slots
-from fflab.thresholds import Thresholds
 
 from oracles import (
     central_diff_grad, frozen_head, head_loss, loop_sweep, rel_err, two_blob_toy,
@@ -38,7 +37,7 @@ def toy_task():
     net = FFNetwork(2 + X.shape[1], [16, 16], "relu", 0.03, Rng(300))
     rng = Rng(301)
     for epoch in range(12):
-        train_epoch(net, X, y, BLOB, Thresholds((0.3, 0.3)), epoch, 16, rng)
+        train_epoch(net, X, y, BLOB, [0.3 * 16] * 2, epoch, 16, rng)
     return X, y, net
 
 
