@@ -10,7 +10,9 @@ about N pairs (the real count is printed): 60-token documents at window
 capped at that benchmark's 47k pairs. The layer-training path is
 BLAS-bound numpy and is timed here for context only (a hand-rolled
 kernel would not beat BLAS there): one epoch at a desk shape, and eight
-batch steps at the full recipe shape, 784 -> 2000x4 with batch 128.
+batch steps at the full recipe shape, 784 -> 2000x4 with batch 128,
+with the tracemalloc peak of a two-step epoch there: one gradient and a
+few batch matrices, since a step holds one layer's at a time.
 Eval throughput is the label sweep's candidate rows scored per second,
 ten labels on MNIST-shaped rows at 784 -> [500, 500]; the head's
 features are timed at the same shape from raw rows and MNIST's label
@@ -103,20 +105,32 @@ def bench_ff_epoch():
     print(f"\nlayer-training epoch ({samples} samples, arch [500, 500], "
           f"numpy/BLAS): {dt:.2f}s  ({samples / dt:,.0f} samples/s)")
 
-    # full recipe: one warm-up step, then FULL_STEPS timed steps
+    bench_full_steps()
+
+
+def bench_full_steps(width=2000, steps=FULL_STEPS):
+    """The full recipe, 784 -> width x4 at batch 128: one warm-up step,
+    ``steps`` timed steps, then the tracemalloc peak of a two-step epoch,
+    beside the largest gradient and one batch matrix of the widest layer."""
     batch = 128
-    rows = batch * FULL_STEPS // 2  # each row gives a positive and a negative
+    rows = batch * steps // 2  # each row gives a positive and a negative
     X = Rng(15).uniform_array(rows * 784).reshape(rows, 784)
     y = np.arange(rows) % 10
-    net = FFNetwork(784, [2000] * 4, "relu", 0.01, Rng(16))
-    thetas = [0.005 * 2000] * 4
+    net = FFNetwork(784, [width] * 4, "relu", 0.01, Rng(16))
+    thetas = [0.005 * width] * 4
     half = batch // 2
     train_epoch(net, X[:half], y[:half], LABEL_SLOTS, thetas, 0, batch, Rng(17))
     t0 = time.perf_counter()
     train_epoch(net, X, y, LABEL_SLOTS, thetas, 0, batch, Rng(18))
     dt = time.perf_counter() - t0
-    print(f"full-recipe steps (784 -> 2000x4, batch {batch}, {FULL_STEPS} steps): "
-          f"{dt / FULL_STEPS * 1e3:.0f} ms/step")
+    tracemalloc.start()
+    train_epoch(net, X[:batch], y[:batch], LABEL_SLOTS, thetas, 0, batch, Rng(19))
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    grad_mb = max(layer.W.nbytes for layer in net.layers) / 1e6
+    print(f"full-recipe steps (784 -> {width}x4, batch {batch}, {steps} steps): "
+          f"{dt / steps * 1e3:.0f} ms/step; tracemalloc peak {peak / 1e6:.1f} MB "
+          f"(a gradient is {grad_mb:.1f} MB, a batch matrix {batch * width * 8 / 1e6:.1f} MB)")
 
 
 def bench_sweep(rows):

@@ -91,12 +91,14 @@ class BpEpochMetrics:
     mean_loss: float
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def bp_train_epoch(net, X, y, batch_size, rng):
     """One backprop epoch: shuffled minibatches, Adam updates per layer.
 
     Raises :class:`DivergenceError` naming the first layer (the output
     layer is last) whose weights left the finite range. NaN and inf are
-    absorbing under Adam, so one check at the end of the epoch finds them.
+    absorbing under Adam, so one check at the end of the epoch finds them
+    (and overflow warnings are silenced).
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)

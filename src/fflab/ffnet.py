@@ -5,7 +5,7 @@ map and an activation, and is trained to push its goodness — the sum of
 squared activations — above a threshold theta for positive samples and
 below it for negative samples. Gradients are closed-form and never
 cross a layer boundary: a layer's update reads only its own input,
-pre-activation, activation, and theta.
+pre-activation, activation, and theta, so a step runs layer by layer.
 
 An epoch trains on the n raw rows, each paired with one drawn wrong
 label: a batch holds m rows embedded with their true labels (positive)
@@ -203,14 +203,14 @@ class FFNetwork:
         return [layer.out_dim for layer in self.layers]
 
     def forward_batch(self, X):
-        """Per-layer (Xhat, Z, A) triples for an (n, input_dim) batch matrix."""
+        """Each layer's (Xhat, Z, A) for an (n, input_dim) batch, lazily:
+        layer l+1 is forwarded from l's A only when asked for, so a caller
+        may update layer l in between. ``list()`` forwards every layer."""
         X = np.asarray(X, dtype=np.float64)
-        out = []
         for layer in self.layers:
-            Xhat, Z, A = layer.forward_batch(X)
-            out.append((Xhat, Z, A))
-            X = A
-        return out
+            Xhat, Z, X = layer.forward_batch(X)
+            yield Xhat, Z, X
+            del Xhat, Z  # the next forward needs only X
 
 
 @dataclass
@@ -220,6 +220,7 @@ class EpochMetrics:
     mean_g_neg: np.ndarray     # per layer
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_epoch(net, X_raw, y, slots, thetas, epoch, batch_size, rng):
     """One pass over the n raw rows, each seen once as a positive and once
     as a negative.
@@ -231,17 +232,16 @@ def train_epoch(net, X_raw, y, slots, thetas, epoch, batch_size, rng):
     first, then their m negatives in the same row order, so the first m
     embedded rows have sign +1 and the last m sign -1.
 
-    Every batch is forwarded once with the pre-update weights; each
-    layer then computes its local gradients from its own stored input
-    and its threshold ``thetas[layer]`` (see ``config.thetas``), and takes
-    one Adam step; ``epoch`` locates a divergence. All layers update
-    in the same pass.
+    Per batch, layer l is forwarded with its pre-update weights, takes
+    one Adam step on its local gradients (threshold ``thetas[l]``, see
+    ``config.thetas``) and checks it stayed finite; then layer l+1 is
+    forwarded from l's pre-step activation. So one layer's (Xhat, Z, A)
+    and one gradient are alive at a time, with the bits of forwarding
+    every layer first. The finite check is the guard, so overflow
+    warnings are silenced; ``epoch`` locates a divergence.
 
-    The layers update one after another on the calling thread. Running
-    their Adam steps on a thread pool was measured on 2 cores and was no
-    faster at 784->2000x4 and 10-15% slower on small nets, most likely
-    because the GIL changes hands at every ufunc call and BLAS threads
-    keep spinning after the gradient GEMMs.
+    The layers update on the calling thread: a thread pool for their Adam
+    steps was no faster on 2 cores (see the README, "Layer updates").
     """
     if batch_size < 2 or batch_size % 2:
         raise UsageError(
@@ -266,13 +266,12 @@ def train_epoch(net, X_raw, y, slots, thetas, epoch, batch_size, rng):
     for start in range(0, n, rows_per_batch):
         r = order[start : start + rows_per_batch]
         m = r.shape[0]
-        X = slots.embed(X_raw[np.concatenate((r, r))], np.concatenate((y[r], wrong[r])))
+        stages = net.forward_batch(
+            slots.embed(X_raw[np.concatenate((r, r))], np.concatenate((y[r], wrong[r])))
+        )
         signs = np.repeat([1.0, -1.0], m)
-
-        stages = net.forward_batch(X)
         for li, layer in enumerate(net.layers):
-            Xhat, Z, A = stages[li]
-            dW, db, losses, G = layer.grads_batch(Xhat, Z, A, signs, thetas[li])
+            dW, db, losses, G = layer.grads_batch(*next(stages), signs, thetas[li])
             try:
                 layer.apply_grads(dW, db, li)
             except DivergenceError as e:

@@ -47,14 +47,9 @@ def row_directions(X, eps=1e-8, sq=None):
 
 
 def fan_in_uniform(rng, out_dim, in_dim):
-    """Initial (out_dim, in_dim) weights uniform in +-1/sqrt(in_dim):
-    ``(u * 2.0 - 1.0) * bound`` over ``rng.uniform_array``, with the same
-    three operations done in place, so the bits are the same."""
-    W = rng.uniform_array(out_dim * in_dim).reshape(out_dim, in_dim)
-    W *= 2.0
-    W -= 1.0
-    W *= 1.0 / np.sqrt(in_dim)
-    return W
+    """Initial (out_dim, in_dim) weights uniform in +-1/sqrt(in_dim), drawn
+    straight into W as ``(u * 2.0 - 1.0) * bound`` (``rng.uniform_array``)."""
+    return rng.uniform_array(out_dim * in_dim, 1.0 / np.sqrt(in_dim)).reshape(out_dim, in_dim)
 
 
 # Adam's decay rates and denominator floor, Kingma & Ba's defaults (arXiv:1412.6980)
@@ -85,11 +80,9 @@ class AdamState:
 
 
 # Rows of a parameter that one Adam block covers hold about this many
-# elements, 512 KiB per array. A block touches six arrays, 3 MiB, more
-# than a 2 MiB per-core L2; but on such a machine (2 cores, 4 MiB of L2
-# in 2 instances) train_epoch at 784->2000x4 on 1024 stream rows took
-# 2.64 s at this size and 2.56 s at 1 << 15 (medians of 4 alternating
-# runs that spread over 2.41-3.30 s), so the size stays.
+# elements, 512 KiB per array: six arrays overflow a 2 MiB L2, but 1 << 15
+# was no faster on 2 cores (train_epoch at 784->2000x4: 2.56 s against
+# 2.64 s, medians of 4 alternating runs spread over 2.41-3.30 s).
 _ADAM_BLOCK = 1 << 16
 
 

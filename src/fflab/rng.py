@@ -123,14 +123,20 @@ class Rng:
             out[off : off + len(z)] = z
         return out
 
-    def uniform_array(self, n):
-        """n draws in [0, 1); consumes exactly n scalar draws."""
+    def uniform_array(self, n, bound=None):
+        """n draws u in [0, 1); consumes exactly n scalar draws. Given
+        ``bound``, the bits of ``(u * 2.0 - 1.0) * bound`` in one pass: with
+        k = u * 2^53 that is (k - 2^52) * (bound * 2^-52), two exact factors."""
         out = np.empty(n, dtype=np.float64)
+        scale = _INV53 if bound is None else bound * 2.0 ** -52
         for off, z in self._blocks(n):
             z >>= _U64_11
             # below 2^53, so exact as int64 and as float64; int64 converts
             # faster than uint64
-            np.multiply(z.view(np.int64), _INV53, out=out[off : off + len(z)])
+            k = z.view(np.int64)
+            if bound is not None:
+                k -= 1 << 52
+            np.multiply(k, scale, out=out[off : off + len(z)])
         return out
 
     def normal_array(self, n):

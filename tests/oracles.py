@@ -222,12 +222,24 @@ def loop_paired_batches(X_raw, y, num_classes, start, overwrite, batch_size, rng
     return batches
 
 
+def forward_stages(net, X):
+    """Every layer's (Xhat, Z, A) for a batch, all forwarded before any
+    update: the all-layers-first reference for ``train_epoch``'s
+    one-layer-at-a-time step."""
+    X = np.asarray(X, dtype=np.float64)
+    stages = []
+    for layer in net.layers:
+        stages.append(layer.forward_batch(X))
+        X = stages[-1][2]
+    return stages
+
+
 def loop_sweep(net, X_raw, num_classes, slots, included_layers):
     """Reference sweep scores: each label embedded on its own and the full
     network forwarded per label, summing the included layers' goodness."""
     scores = np.zeros((X_raw.shape[0], num_classes))
     for c in range(num_classes):
-        stages = net.forward_batch(slots.embed(X_raw, c))
+        stages = forward_stages(net, slots.embed(X_raw, c))
         for i in included_layers:
             A = stages[i][2]
             scores[:, c] += np.sum(A * A, axis=1)
@@ -245,7 +257,7 @@ def loop_goodness_report(net, positives, negatives, thetas, bins=50, batch_size=
     pos = np.arange(feats.shape[0]) < positives.shape[0]
     G = [[] for _ in net.layers]
     for start in range(0, feats.shape[0], batch_size):
-        for li, stage in enumerate(net.forward_batch(feats[start : start + batch_size])):
+        for li, stage in enumerate(forward_stages(net, feats[start : start + batch_size])):
             G[li].append(np.sum(stage[2] * stage[2], axis=1))
     out = []
     for li, parts in enumerate(G):
@@ -403,6 +415,33 @@ def whole_u64_draws(state, n):
 def whole_uniform_draws(state, n):
     """:func:`whole_u64_draws` mapped to [0, 1) as ``uniform_array`` maps them."""
     return (whole_u64_draws(state, n) >> np.uint64(11)).astype(np.float64) * _INV53
+
+
+def unmix64(z):
+    """The counter value that :func:`~fflab.rng.mix64` maps to ``z``: each
+    xorshift and odd multiply of splitmix64 undone in reverse order."""
+
+    def unshift(x, s):
+        y = x
+        for _ in range(64 // s):
+            y = x ^ (y >> s)
+        return y
+
+    z = unshift(z, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & MASK64
+    z = unshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & MASK64
+    return unshift(z, 30)
+
+
+def three_pass_fan_in(rng, out_dim, in_dim):
+    """Initial weights as ``(u * 2.0 - 1.0) * bound`` in three in-place
+    passes over ``uniform_array``: the reference for drawing into W."""
+    W = rng.uniform_array(out_dim * in_dim).reshape(out_dim, in_dim)
+    W *= 2.0
+    W -= 1.0
+    W *= 1.0 / np.sqrt(in_dim)
+    return W
 
 
 def box_muller(raw, n):

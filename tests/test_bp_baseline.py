@@ -74,7 +74,7 @@ class TestGradients:
         np.testing.assert_array_equal(net.layers[0].W, before[0])
         np.testing.assert_array_equal(net.out_layer.W, before[1])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_names_the_layer(self):
         """An epoch whose steps overflow the weights ends in a DivergenceError
         naming the first non-finite layer, not in NaN weights."""

@@ -2,10 +2,13 @@
 
 import csv
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fflab
 from fflab.checkpoint import load_network, network_bytes
 from fflab.cli import main
 from fflab import experiment, inference, numerics
@@ -267,7 +270,7 @@ class TestCli:
         assert "threshold.k must be > 0, got 0.0" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "sweepout")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_exit_three(self, tmp_path, capsys):
         args = ["train"]
         for k, v in fast_overrides(tmp_path / "run", lr="1e308").items():
@@ -276,7 +279,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert "training diverged: epoch 0, layer 0:" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_baseline_divergence_exit_three_before_its_checkpoint(self, tmp_path, capsys):
         args = ["train"]
         over = fast_overrides(tmp_path / "run", **{"baseline.enabled": "true",
@@ -288,6 +291,24 @@ class TestCli:
         assert err == ["training diverged: epoch 0, layer 0: "
                        "weights left the finite range after an update"]
         assert not os.path.exists(tmp_path / "run" / "checkpoint.bpn1")
+
+    @pytest.mark.parametrize("overrides", [
+        ["lr=1e308"], ["baseline.enabled=true", "baseline.lr=1e300"],
+    ])
+    def test_divergence_prints_one_stderr_line(self, tmp_path, overrides):
+        """Run as a command, a diverging FF net or baseline ends in exit 3
+        and one stderr line: numpy's overflow warnings stay silent."""
+        args = [sys.executable, "-m", "fflab.cli", "train", "--dataset", "synthetic",
+                "--seed", "1", "--arch", "16,16", "--epochs", "2"]
+        for setting in overrides + [f"output_dir={tmp_path / 'run'}"]:
+            args += ["--set", setting]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fflab.__file__)))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = src
+        done = subprocess.run(args, capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 3
+        assert done.stderr.splitlines() == ["training diverged: epoch 0, layer 0: "
+                                            "weights left the finite range after an update"]
 
     def test_too_few_synthetic_classes_exit_one_before_output(self, tmp_path, capsys):
         args = ["train"]

@@ -1,5 +1,6 @@
 """Forward pass, goodness, local losses, closed-form gradients, training."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -22,6 +23,7 @@ from fflab.synthetic import label_slots
 from oracles import (
     central_diff_grad,
     epoch_batches,
+    forward_stages,
     loop_goodness,
     loop_layer_forward,
     loop_layer_loss,
@@ -201,7 +203,7 @@ class TestNetworkForward:
         net = FFNetwork(4, [3], "relu", 0.01, rng)
         x = Rng(42).uniform_array(4)
         z, a = forward_one(net.layers[0], x)
-        out = net.forward_batch(x[None, :])
+        out = list(net.forward_batch(x[None, :]))
         assert len(out) == 1
         np.testing.assert_array_equal(out[0][1][0], z)
         np.testing.assert_array_equal(out[0][2][0], a)
@@ -210,7 +212,7 @@ class TestNetworkForward:
         rng = Rng(43)
         net = FFNetwork(4, [3, 2], "tanh", 0.01, rng)
         x = Rng(44).uniform_array(4)
-        out = net.forward_batch(x[None, :])
+        out = list(net.forward_batch(x[None, :]))
         z0, a0 = forward_one(net.layers[0], x)
         z1, a1 = forward_one(net.layers[1], a0)
         np.testing.assert_allclose(out[1][1][0], z1, atol=1e-15)
@@ -220,20 +222,20 @@ class TestNetworkForward:
         rng = Rng(45)
         net = FFNetwork(6, [5, 4], "relu", 0.01, rng)
         x = Rng(46).uniform_array(6) + 0.1
-        out1 = net.forward_batch(x[None, :])
-        out2 = net.forward_batch(10.0 * x[None, :])
+        out1 = list(net.forward_batch(x[None, :]))
+        out2 = list(net.forward_batch(10.0 * x[None, :]))
         np.testing.assert_allclose(out1[0][2], out2[0][2], atol=1e-12)
         np.testing.assert_allclose(out1[1][2], out2[1][2], atol=1e-12)
 
     def test_wrong_input_width(self):
         net = FFNetwork(6, [5], "relu", 0.01, Rng(1))
         with pytest.raises(DimensionError):
-            net.forward_batch(np.zeros((1, 7)))
+            list(net.forward_batch(np.zeros((1, 7))))
 
     def test_input_must_be_a_matrix(self):
         net = FFNetwork(6, [5], "relu", 0.01, Rng(1))
         with pytest.raises(DimensionError):
-            net.forward_batch(np.zeros(6))
+            list(net.forward_batch(np.zeros(6)))
 
 
 class TestLocality:
@@ -253,7 +255,7 @@ class TestLocality:
         rng = Rng(53)
         net = FFNetwork(6, [5, 4], "relu", 0.01, rng)
         x = Rng(54).uniform_array(6)
-        a0 = net.forward_batch(x[None, :])[0][2][0]
+        a0 = forward_stages(net, x[None, :])[0][2][0]
         dW1, db1, _ = grads_one(net.layers[1], a0, -1.0, 1.0)
         net.layers[0].W += 100.0  # layer 1 must not notice if its input is fixed
         dW1b, db1b, _ = grads_one(net.layers[1], a0, -1.0, 1.0)
@@ -382,7 +384,7 @@ class TestTrainEpoch:
             loss_sum, g_pos, g_neg = np.zeros(depth), np.zeros(depth), np.zeros(depth)
             for features, signs in batches:
                 signs = np.array(signs)
-                stages = serial.forward_batch(np.stack(features))
+                stages = forward_stages(serial, np.stack(features))
                 for li, layer in enumerate(serial.layers):
                     dW, db, losses, G = layer.grads_batch(*stages[li], signs, thetas[li])
                     layer.apply_grads(dW, db)
@@ -397,7 +399,7 @@ class TestTrainEpoch:
                 assert np.array_equal(layer.W, ref.W)
                 assert np.array_equal(layer.b, ref.b)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_names_layer_and_epoch(self):
         net = FFNetwork(6, [7, 5, 9, 3], "relu", 0.01, Rng(96))
         net.layers[2].W[0, 0] = np.inf
@@ -450,6 +452,33 @@ class TestTrainEpoch:
         for _ in range(10 + 9):
             ref.next_u64()
         assert rng.state == ref.state
+
+
+# Batch matrices of the widest layer that one training step may hold
+# beside its one gradient: a layer's (Xhat, Z, A), the temporaries of
+# its gradient and Adam's scratch. Forwarding every layer first holds
+# 3 x depth of them.
+STEP_BATCH_MATRICES = 8
+
+
+@pytest.mark.parametrize("widths", [[512] * 4, [256] * 3])
+def test_step_holds_one_layer(widths):
+    """The tracemalloc peak of one train_epoch (numpy reports its buffers
+    to tracemalloc) is at most the largest gradient plus
+    STEP_BATCH_MATRICES batch matrices of the widest layer."""
+    slots, raw_dim, batch = LabelSlots(10, 0, False), 20, 128
+    X = Rng(160).uniform_array(2 * batch * raw_dim).reshape(2 * batch, raw_dim)
+    y = np.arange(2 * batch) % 10
+    net = FFNetwork(slots.width(raw_dim), widths, "relu", 0.01, Rng(161))
+    tracemalloc.start()
+    try:
+        train_epoch(net, X, y, slots, [2.0] * len(widths), 0, batch, Rng(162))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    gradient = max(layer.W.nbytes for layer in net.layers)
+    matrix = batch * max(widths) * 8
+    assert peak <= gradient + STEP_BATCH_MATRICES * matrix
 
 
 class TestLabelSlots:

@@ -25,7 +25,8 @@ from fflab.synthetic import label_slots
 from fflab.text_data import label_slots as sentiment_slots
 
 from oracles import (
-    central_diff_grad, frozen_head, head_loss, loop_sweep, rel_err, two_blob_toy,
+    central_diff_grad, forward_stages, frozen_head, head_loss, loop_sweep, rel_err,
+    two_blob_toy,
 )
 
 BLOB = label_slots(2)
@@ -280,7 +281,7 @@ def test_features_equal_the_stage_list_expression(monkeypatch, included):
         Xn = slots.neutral(X[:n])
         want = []
         for lo in range(0, n, 8):
-            stages = net.forward_batch(Xn[lo : lo + 8])
+            stages = forward_stages(net, Xn[lo : lo + 8])
             want.append(np.concatenate([row_directions(stages[i][2]) for i in included], axis=1))
         got = features_batch(net, X[:n], slots, included)
         np.testing.assert_array_equal(got, np.concatenate(want))

@@ -64,10 +64,12 @@ def test_bench_kernels_script_runs(capsys):
     bench.bench_sgns(2000)
     bench.bench_sweep(20)
     bench.bench_features(20)
+    bench.bench_full_steps(width=16, steps=2)
     out = capsys.readouterr().out
     assert "sgns_epoch" in out and "pairs/s" in out
     assert "candidate rows/s" in out
     assert "head-feature rows/s" in out and "tracemalloc peak" in out
+    assert "ms/step; tracemalloc peak" in out
 
 
 def test_negative_neg_k_rejected():

@@ -8,9 +8,12 @@ import pytest
 from fflab import rng as rng_mod
 from fflab.bp_baseline import DenseLayer
 from fflab.ffnet import FFLayer
-from fflab.rng import GOLDEN, MASK64, Rng
+from fflab.numerics import fan_in_uniform
+from fflab.rng import GOLDEN, MASK64, Rng, mix64
 
-from oracles import box_muller, whole_u64_draws, whole_uniform_draws
+from oracles import (
+    box_muller, three_pass_fan_in, unmix64, whole_u64_draws, whole_uniform_draws,
+)
 
 SIZES = [0, 1, 7, 8, 9, 37]
 
@@ -109,3 +112,28 @@ def test_layer_init_equals_the_scaled_draws(layer_cls):
     layer = layer_cls(in_dim, out_dim, act, 0.01, Rng(39))
     u = Rng(39).uniform_array(out_dim * in_dim).reshape(out_dim, in_dim)
     assert np.array_equal(layer.W, (u * 2.0 - 1.0) * (1.0 / np.sqrt(in_dim)))
+
+
+# (out_dim, in_dim): fewer draws than a block, a count that is not a
+# multiple of the block, and exactly two blocks; only in_dim 1 and 4096
+# give a bound that is a power of two
+@pytest.mark.parametrize("out_dim, in_dim", [(6, 13), (1, 1), (7, 5000), (16, 4096)])
+def test_fan_in_uniform_keeps_the_three_pass_bits(out_dim, in_dim):
+    """Drawn straight into W: every bit of the three-pass expression (the
+    sign of zero too, hence the uint64 views), and the same end state."""
+    r, ref = Rng(40), Rng(40)
+    W = fan_in_uniform(r, out_dim, in_dim)
+    want = three_pass_fan_in(ref, out_dim, in_dim)
+    assert W.shape == want.shape and W.dtype == np.float64
+    np.testing.assert_array_equal(W.view(np.uint64), want.view(np.uint64))
+    assert r.state == ref.state
+
+
+def test_a_draw_of_one_half_gives_positive_zero():
+    """u = 0.5 is the one draw that lands on zero: +0.0 on both paths."""
+    assert mix64(unmix64(1 << 63)) == 1 << 63
+    state = (unmix64(1 << 63) - GOLDEN) & MASK64
+    assert Rng(state).uniform() == 0.5
+    got = Rng(state).uniform_array(1, 0.3)
+    want = (Rng(state).uniform_array(1) * 2.0 - 1.0) * 0.3
+    assert got.view(np.uint64)[0] == want.view(np.uint64)[0] == 0
