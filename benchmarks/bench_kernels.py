@@ -16,8 +16,9 @@ few batch matrices, since a step holds one layer's at a time.
 Eval throughput is the label sweep's candidate rows scored per second,
 ten labels on MNIST-shaped rows at 784 -> [500, 500]; the head's
 features are timed at the same shape from raw rows and MNIST's label
-slots, with the tracemalloc peak of one call (numpy reports its buffers
-to tracemalloc), which should be F plus a few row-chunk-sized matrices.
+slots. Both print the tracemalloc peak of one call (numpy reports its
+buffers to tracemalloc): the output plus a few row-chunk-sized matrices,
+two of them beside F for the features.
 """
 
 import argparse
@@ -94,6 +95,19 @@ def _bench_sgns_corpus(name, target_pairs, doc_len, window, vocab_size):
     print(f"sgns_epoch  {done:>9d} pairs in {dt:7.2f}s   {done / dt:>12,.0f} pairs/s")
 
 
+def _traced_peak(fn):
+    """(fn(), tracemalloc peak in MB while fn ran)."""
+    tracemalloc.start()
+    out = fn()
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return out, peak / 1e6
+
+
+def _chunk_mb(rows, width):
+    return min(rows, CHUNK_ROWS) * width * 8 / 1e6
+
+
 def bench_ff_epoch():
     rng = Rng(11)
     X, y = make_blobs(10, 20, 500, 2.0, rng)
@@ -123,43 +137,47 @@ def bench_full_steps(width=2000, steps=FULL_STEPS):
     t0 = time.perf_counter()
     train_epoch(net, X, y, LABEL_SLOTS, thetas, 0, batch, Rng(18))
     dt = time.perf_counter() - t0
-    tracemalloc.start()
-    train_epoch(net, X[:batch], y[:batch], LABEL_SLOTS, thetas, 0, batch, Rng(19))
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
+    _, peak = _traced_peak(
+        lambda: train_epoch(net, X[:batch], y[:batch], LABEL_SLOTS, thetas, 0, batch, Rng(19))
+    )
     grad_mb = max(layer.W.nbytes for layer in net.layers) / 1e6
     print(f"full-recipe steps (784 -> {width}x4, batch {batch}, {steps} steps): "
-          f"{dt / steps * 1e3:.0f} ms/step; tracemalloc peak {peak / 1e6:.1f} MB "
+          f"{dt / steps * 1e3:.0f} ms/step; tracemalloc peak {peak:.1f} MB "
           f"(a gradient is {grad_mb:.1f} MB, a batch matrix {batch * width * 8 / 1e6:.1f} MB)")
 
 
 def bench_sweep(rows):
+    """Ten labels on raw MNIST-shaped rows, then the tracemalloc peak of
+    one call: the scores, the shared layer-0 product and two more
+    chunk matrices (the input and its square, or a layer step's two)."""
     X = Rng(21).uniform_array(rows * 784).reshape(rows, 784)
     net = FFNetwork(784, [500, 500], "relu", 0.01, Rng(22))
     sweep_scores_batch(net, X[:1], 10, LABEL_SLOTS)  # warm-up
     t0 = time.perf_counter()
     sweep_scores_batch(net, X, 10, LABEL_SLOTS)
     dt = time.perf_counter() - t0
+    scores, peak = _traced_peak(lambda: sweep_scores_batch(net, X, 10, LABEL_SLOTS))
     print(f"label sweep (784 -> [500, 500], 10 labels, {rows} rows): {dt:.2f}s  "
-          f"({rows * 10 / dt:,.0f} candidate rows/s)")
+          f"({rows * 10 / dt:,.0f} candidate rows/s); tracemalloc peak {peak:.1f} MB "
+          f"(scores are {scores.nbytes / 1e6:.1f} MB, a chunk of 784 columns "
+          f"{_chunk_mb(rows, 784):.1f} MB, of 500 columns {_chunk_mb(rows, 500):.1f} MB)")
 
 
 def bench_features(rows):
-    """Raw MNIST-shaped rows, neutralized one chunk at a time inside."""
+    """Raw MNIST-shaped rows, neutralized one chunk at a time inside; the
+    peak should be F plus two chunk matrices of the 784-wide input."""
     X = Rng(23).uniform_array(rows * 784).reshape(rows, 784)
     net = FFNetwork(784, [500, 500], "relu", 0.01, Rng(24))
     features_batch(net, X[:1], LABEL_SLOTS, (1,))  # warm-up
     t0 = time.perf_counter()
-    F_mb = features_batch(net, X, LABEL_SLOTS, (1,)).nbytes / 1e6
-    dt = time.perf_counter() - t0
-    tracemalloc.start()
     features_batch(net, X, LABEL_SLOTS, (1,))
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    chunk_mb = min(rows, CHUNK_ROWS) * 784 * 8 / 1e6
+    dt = time.perf_counter() - t0
+    F, peak = _traced_peak(lambda: features_batch(net, X, LABEL_SLOTS, (1,)))
+    F_mb = F.nbytes / 1e6
     print(f"head features (784 -> [500, 500], layer 1, {rows} rows): {dt:.2f}s  "
-          f"({rows / dt:,.0f} head-feature rows/s); tracemalloc peak {peak / 1e6:.1f} MB "
-          f"(F is {F_mb:.1f} MB, a chunk of 784 columns {chunk_mb:.1f} MB)")
+          f"({rows / dt:,.0f} head-feature rows/s); tracemalloc peak {peak:.1f} MB "
+          f"(F is {F_mb:.1f} MB, F plus two chunk matrices of 784 columns "
+          f"{F_mb + 2 * _chunk_mb(rows, 784):.1f} MB)")
 
 
 if __name__ == "__main__":

@@ -39,7 +39,8 @@ class DenseLayer:
         return self.W.shape[0]
 
     def forward_batch(self, X):
-        Z = X @ self.W.T + self.b
+        Z = X @ self.W.T
+        Z += self.b
         A = self.act.fn(Z) if self.act is not None else Z
         return Z, A
 

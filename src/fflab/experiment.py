@@ -2,9 +2,11 @@
 metrics CSVs, checkpoints, and analysis artifacts.
 
 Reproducibility contract: everything an artifact contains is a pure
-function of (config, seed, code version) — with the single exception of
-the wall-clock ``seconds`` column in the metrics CSVs, which is real
-measured time and therefore exempt from byte-identity.
+function of (config, seed, code version, BLAS build, BLAS thread count),
+since a GEMM may round differently at another thread count — with the
+single exception of the wall-clock ``seconds`` column in the metrics
+CSVs, which is real measured time and therefore exempt from
+byte-identity.
 """
 
 import csv

@@ -133,19 +133,14 @@ class FFLayer:
     def out_dim(self):
         return self.W.shape[0]
 
-    def forward_batch(self, X, sq=None):
+    def forward_batch(self, X):
         """(Xhat, Z, A) for a batch matrix; each row is reduced to its
-        direction before the affine map.
-
-        ``sq`` is X's per-row sum of squares if the caller has it already,
-        e.g. the previous layer's goodness; see
-        :func:`~fflab.numerics.row_directions`.
-        """
+        direction before the affine map."""
         if X.ndim != 2 or X.shape[1] != self.in_dim:
             raise DimensionError(
                 f"layer expects input of shape (n, {self.in_dim}), got {X.shape}"
             )
-        Xhat = row_directions(X, sq=sq)
+        Xhat = row_directions(X)
         Z = Xhat @ self.W.T
         Z += self.b
         return Xhat, Z, self.act.fn(Z)

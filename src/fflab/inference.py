@@ -55,19 +55,44 @@ def _checked_raw(net, X_raw, slots):
     return X_raw
 
 
+def _forward_stages(layers, X, sq=None):
+    """Each layer's activation and its goodness, for the row chunk X
+    forwarded through ``layers``.
+
+    The walker takes X over: it scales X (whose per-row sum of squares is
+    ``sq``, if known), then each activation it yielded, in place to its
+    row directions, drops them after the layer's GEMM and Z once the
+    activation exists. A step so holds two chunk matrices, if the caller
+    drops each activation before asking for the next (a loop variable, or
+    the result tuple ``enumerate`` and ``zip`` reuse, keeps it alive
+    through the next GEMM). Training keeps
+    :meth:`~fflab.ffnet.FFLayer.forward_batch`: its gradients need both.
+    """
+    for layer in layers:
+        X = row_directions(X, sq=sq, out=X)
+        Z = X @ layer.W.T
+        del X
+        Z += layer.b
+        X = layer.act.fn(Z)
+        del Z
+        sq = goodness(X)
+        yield X, sq
+
+
 def features_batch(net, X_raw, slots, included_layers):
     """Concatenated unit-normalized activations of the included layers,
     for raw rows made label-neutral.
 
     ``slots`` is the dataset's :class:`~fflab.ffnet.LabelSlots`. One chunk
     of rows (:func:`~fflab.numerics.row_chunks`) at a time is neutralized
-    (``slots.neutral``) and forwarded up to the last included layer,
-    keeping only the current activation. Each activation's sum of squares
-    is computed once: it gives the included layer's directions, which go
-    straight into their rows and columns of F, and normalizes the next
-    layer's input. Transients are chunk-sized whatever the split size; a
-    split of more than one chunk gets F, and so the head fitted on it, in
-    the chunk's rounding, not the whole-split GEMM's.
+    (``slots.neutral``) and forwarded up to the last included layer by
+    :func:`_forward_stages`, which keeps only the current activation.
+    Each activation's sum of squares is computed once: it gives the
+    included layer's directions, written straight into their rows and
+    columns of F, and normalizes the next layer's input. Transients are
+    chunk-sized whatever the split size; a split of more than one chunk
+    gets F, and so the head fitted on it, in the chunk's rounding, not
+    the whole-split GEMM's.
     """
     included = _checked_layers(included_layers, len(net.layers))
     X_raw = _checked_raw(net, X_raw, slots)
@@ -76,12 +101,12 @@ def features_batch(net, X_raw, slots, included_layers):
     column = dict(zip(included, np.cumsum([0] + widths)))
     layers = net.layers[: max(included) + 1]
     for rows in row_chunks(X_raw.shape[0]):
-        A, sq = slots.neutral(X_raw[rows]), None
-        for i, layer in enumerate(layers):
-            A = layer.forward_batch(A, sq)[2]
-            sq = goodness(A)
+        i = 0
+        for A, sq in _forward_stages(layers, slots.neutral(X_raw[rows])):
             if i in column:
-                F[rows, column[i] : column[i] + layer.out_dim] = row_directions(A, sq=sq)
+                row_directions(A, sq=sq, out=F[rows, column[i] : column[i] + A.shape[1]])
+            del A  # the walker scales it in place next and frees it after that GEMM
+            i += 1
     return F
 
 
@@ -166,11 +191,11 @@ def sweep_scores_batch(net, X_raw, num_classes, slots, included_layers=None,
     otherwise zero, so with x0 = ``slots.neutral(X_raw)`` candidate c
     has squared norm ||x0||^2 + 1 and layer 0 is
     ``(x0 @ W.T + W[:, start + c]) / sqrt(||x0||^2 + 1) + b``: one GEMM
-    per row chunk for every label. Later layers run per candidate, up
-    to the last included layer, keeping only the current activation and
-    the summed goodness. Each activation's sum of squares is computed
-    once: it is the layer's goodness and normalizes the next layer's
-    input.
+    per row chunk for every label. Later layers run per candidate
+    through :func:`_forward_stages`, up to the last included layer,
+    keeping only the current activation and each layer's goodness. Each
+    activation's sum of squares is computed once: it is the layer's
+    goodness and normalizes the next layer's input.
 
     ``layer_goodness``, an (n, num_classes, depth) float64 array, is
     filled with every layer's goodness of every candidate, layer 0
@@ -211,10 +236,13 @@ def sweep_scores_batch(net, X_raw, num_classes, slots, included_layers=None,
             Z += first.b
             A = first.act.fn(Z)
             del Z
-            for i, layer in enumerate(layers):
-                if i:
-                    A = layer.forward_batch(A, g)[2]
-                g = goodness(A)
+            goods = [goodness(A)]
+            stages = _forward_stages(layers[1:], A, goods[0])
+            del A  # the walker takes it over and frees it after layer 1's GEMM
+            for A, g in stages:
+                del A
+                goods.append(g)
+            for i, g in enumerate(goods):
                 if i in included:
                     out[:, c] += g
                 if layer_goodness is not None:

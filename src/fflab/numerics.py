@@ -28,7 +28,7 @@ def row_chunks(n):
         yield slice(lo, min(lo + CHUNK_ROWS, n))
 
 
-def row_directions(X, eps=1e-8, sq=None):
+def row_directions(X, eps=1e-8, sq=None, out=None):
     """Each row of X divided by max(||row||_2, eps): exactly scale-free away
     from zero, and zero-safe.
 
@@ -38,12 +38,14 @@ def row_directions(X, eps=1e-8, sq=None):
     ``sq``, if given, holds the rows' sums of squares, one per row, as
     ``ffnet.goodness(X)`` computes them: the same reduction as here, so
     the result has the same bits and X is not squared a second time.
+    ``out``, if given, receives the directions (X itself scales in place);
+    the bits are the same either way.
     """
     X = np.asarray(X, dtype=np.float64)
     if sq is None:
         sq = np.sum(X * X, axis=1)
     norms = np.sqrt(sq)[:, None]
-    return X / np.maximum(norms, eps)
+    return np.divide(X, np.maximum(norms, eps), out=out)
 
 
 def fan_in_uniform(rng, out_dim, in_dim):

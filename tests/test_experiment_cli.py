@@ -156,14 +156,21 @@ class TestRunExperiment:
 
     def test_no_forward_after_the_last_sweep(self, tmp_path, monkeypatch):
         """goodness_hist.csv reads the last train-split sweep's goodness:
-        the finish phase forwards no row (the baseline is off here)."""
+        the finish phase forwards no row (the baseline is off here). A
+        training forward and each layer step of eval's walker count."""
         events = []
         forward = FFLayer.forward_batch
+        walk = inference._forward_stages
         sweep = experiment.predict_sweep_batch
 
-        def counted_forward(layer, X, sq=None):
+        def counted_forward(layer, X):
             events.append("forward")
-            return forward(layer, X, sq)
+            return forward(layer, X)
+
+        def counted_walk(layers, X, sq=None):
+            for stage in walk(layers, X, sq):
+                events.append("forward")
+                yield stage
 
         def counted_sweep(*args, **kwargs):
             out = sweep(*args, **kwargs)
@@ -171,6 +178,7 @@ class TestRunExperiment:
             return out
 
         monkeypatch.setattr(FFLayer, "forward_batch", counted_forward)
+        monkeypatch.setattr(inference, "_forward_stages", counted_walk)
         monkeypatch.setattr(experiment, "predict_sweep_batch", counted_sweep)
         run_experiment(parse_config(None, fast_overrides(tmp_path / "run")))
         assert events.count("sweep") == 4

@@ -332,16 +332,16 @@ class TestChunkPeak:
         return X, net, numerics.CHUNK_ROWS * self.D * 8
 
     def test_features(self):
-        """4 beside F: a layer's input, its direction, Z and the new
-        activation; Z and the direction are gone before the next layer."""
+        """2 beside F: a layer's input, scaled in place to its directions,
+        and Z; then Z and the new activation; then the activation and its
+        square for the goodness."""
         X, net, chunk = self._case()
         F, peak = _traced_peak(lambda: features_batch(net, X, self.SLOTS, (1, 2)))
-        assert peak <= F.nbytes + 4 * chunk + chunk // 8
+        assert peak <= F.nbytes + 2 * chunk + chunk // 8
 
     def test_sweep(self):
-        """5 beside the scores and layer_goodness: the shared layer-0
-        product, and a layer's input, its direction, Z and the new
-        activation."""
+        """3 beside the scores and layer_goodness: the shared layer-0
+        product, and the two of a layer step (see test_features)."""
         X, net, chunk = self._case()
         G_bytes = X.shape[0] * 4 * 3 * 8
         scores, peak = _traced_peak(
@@ -349,7 +349,7 @@ class TestChunkPeak:
                 net, X, 4, self.SLOTS, layer_goodness=np.empty((X.shape[0], 4, 3))
             )
         )
-        assert peak <= scores.nbytes + G_bytes + 5 * chunk + chunk // 8
+        assert peak <= scores.nbytes + G_bytes + 3 * chunk + chunk // 8
 
 
 @pytest.mark.parametrize("shape", [(3, 7), (3, 5), (6,)])
