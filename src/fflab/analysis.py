@@ -13,19 +13,11 @@ import numpy as np
 from .errors import UsageError
 
 
-def weight_matrices(net):
-    """All weight matrices in layer order (baseline nets include the output layer)."""
-    mats = [layer.W for layer in net.layers]
-    out = getattr(net, "out_layer", None)
-    if out is not None:
-        mats.append(out.W)
-    return mats
-
-
 def weight_stats(net):
-    """Per-layer {min, max, mean, var}; population variance."""
+    """Per-layer {min, max, mean, var} of the weight matrices, in layer order
+    (a baseline net's output layer last); population variance."""
     stats = []
-    for W in weight_matrices(net):
+    for W in (layer.W for layer in net.layers):
         stats.append(
             {
                 "min": float(W.min()),

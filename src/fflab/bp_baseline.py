@@ -1,78 +1,47 @@
 """Hand-rolled backpropagation MLP baseline.
 
-Same hidden geometry as the goodness-trained network plus a softmax
-output layer, trained with softmax cross-entropy and the same Adam
-implementation. Inputs are label-neutralized (zeros in the label slots)
-so the input dimensionality matches the local-learning network exactly
-and no label leaks in. No weight decay.
+One list of :class:`~fflab.numerics.DenseLayer`: the hidden geometry of
+the goodness-trained network, then a linear output layer whose
+activations are the logits. Trained with softmax cross-entropy and the
+same Adam implementation. Inputs are label-neutralized (zeros in the
+label slots) so the input dimensionality matches the local-learning
+network exactly and no label leaks in. No weight decay.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import get_activation, softmax
+from .activations import softmax
 from .errors import DimensionError, DivergenceError, UsageError
-from .numerics import AdamState, adam_step, fan_in_uniform, row_chunks
-
-
-class DenseLayer:
-    """Affine map plus optional activation (None = linear output layer)."""
-
-    def __init__(self, in_dim, out_dim, activation, lr, rng=None, W=None, b=None):
-        self.act = activation
-        if W is None:
-            W = fan_in_uniform(rng, out_dim, in_dim)
-        if b is None:
-            b = np.zeros(out_dim, dtype=np.float64)
-        self.W = np.ascontiguousarray(W, dtype=np.float64)
-        self.b = np.ascontiguousarray(b, dtype=np.float64)
-        self.adam_W = AdamState.for_param(self.W.shape, lr)
-        self.adam_b = AdamState.for_param(self.b.shape, lr)
-
-    @property
-    def in_dim(self):
-        return self.W.shape[1]
-
-    @property
-    def out_dim(self):
-        return self.W.shape[0]
-
-    def forward_batch(self, X):
-        Z = X @ self.W.T
-        Z += self.b
-        A = self.act.fn(Z) if self.act is not None else Z
-        return Z, A
+from .numerics import DenseLayer, adam_step, row_chunks
 
 
 class BPNetwork:
-    """Hidden stack + linear output head, trained end to end."""
+    """Hidden layers plus a linear output layer, one list, trained end to end."""
 
     def __init__(self, input_dim, widths, num_classes, activation, lr, rng):
-        if isinstance(activation, str):
-            activation = get_activation(activation)
         if not widths:
             raise UsageError("baseline network needs at least one hidden layer")
-        self.input_dim = int(input_dim)
-        self.num_classes = int(num_classes)
         self.layers = []
-        fan_in = self.input_dim
+        fan_in = int(input_dim)
         for w in widths:
             self.layers.append(DenseLayer(fan_in, int(w), activation, lr, rng))
             fan_in = int(w)
-        self.out_layer = DenseLayer(fan_in, self.num_classes, None, lr, rng)
+        self.layers.append(DenseLayer(fan_in, int(num_classes), None, lr, rng))
 
     @classmethod
-    def from_parts(cls, input_dim, num_classes, layers, out_layer):
+    def from_layer_list(cls, layers):
         net = object.__new__(cls)
-        net.input_dim = int(input_dim)
-        net.num_classes = int(num_classes)
-        net.layers = layers
-        net.out_layer = out_layer
+        net.layers = list(layers)
         return net
 
+    @property
+    def input_dim(self):
+        return self.layers[0].in_dim
+
     def forward_batch(self, X):
-        """Returns (per-hidden (Z, A) list, logits)."""
+        """Each layer's (Z, A); the last A is the logits."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise DimensionError(
@@ -81,10 +50,9 @@ class BPNetwork:
         stages = []
         A = X
         for layer in self.layers:
-            Z, A = layer.forward_batch(A)
+            Z, A = layer.affine(A)
             stages.append((Z, A))
-        _, logits = self.out_layer.forward_batch(A)
-        return stages, logits
+        return stages
 
 
 @dataclass
@@ -116,39 +84,30 @@ def bp_train_epoch(net, X, y, batch_size, rng):
         yb = y[idx]
         m = len(idx)
 
-        stages, logits = net.forward_batch(Xb)
-        P = softmax(logits)
+        stages = net.forward_batch(Xb)
+        P = softmax(stages[-1][1])
         loss_sum += float(-np.sum(np.log(P[np.arange(m), yb] + 1e-300)))
 
-        # output layer
-        dlogits = P.copy()
-        dlogits[np.arange(m), yb] -= 1.0
-        dlogits /= m
-        a_prev = stages[-1][1] if stages else Xb
-        dW_out = dlogits.T @ a_prev
-        db_out = dlogits.sum(axis=0)
-
-        # hidden recursion: delta_l = (delta_{l+1} @ W_{l+1}) * f'(z_l)
+        # delta at the logits, then delta_l = (delta_{l+1} @ W_{l+1}) * f'(z_l)
+        delta = P
+        delta[np.arange(m), yb] -= 1.0
+        delta /= m
         deltas = []
-        delta = dlogits @ net.out_layer.W
         for li in range(len(net.layers) - 1, -1, -1):
-            Z, _ = stages[li]
-            delta = delta * net.layers[li].act.deriv(Z)
+            layer = net.layers[li]
+            if layer.act is not None:
+                delta = delta * layer.act.deriv(stages[li][0])
             deltas.append(delta)
             if li > 0:
-                delta = deltas[-1] @ net.layers[li].W
+                delta = delta @ layer.W
         deltas.reverse()
 
         for li, layer in enumerate(net.layers):
             a_in = Xb if li == 0 else stages[li - 1][1]
-            dW = deltas[li].T @ a_in
-            db = deltas[li].sum(axis=0)
-            adam_step(layer.adam_W, layer.W, dW)
-            adam_step(layer.adam_b, layer.b, db)
-        adam_step(net.out_layer.adam_W, net.out_layer.W, dW_out)
-        adam_step(net.out_layer.adam_b, net.out_layer.b, db_out)
+            adam_step(layer.adam_W, layer.W, deltas[li].T @ a_in)
+            adam_step(layer.adam_b, layer.b, deltas[li].sum(axis=0))
 
-    for li, layer in enumerate(net.layers + [net.out_layer]):
+    for li, layer in enumerate(net.layers):
         # min/max propagate NaN and expose +-inf without a boolean mask
         for P in (layer.W, layer.b):
             if not (np.isfinite(P.min()) and np.isfinite(P.max())):
@@ -164,6 +123,6 @@ def bp_predict_batch(net, X):
         raise DimensionError(f"baseline expects a matrix of rows, got shape {X.shape}")
     pred = np.empty(X.shape[0], dtype=np.int64)
     for rows in row_chunks(X.shape[0]):
-        _, logits = net.forward_batch(X[rows])
+        logits = net.forward_batch(X[rows])[-1][1]
         pred[rows] = np.argmax(logits, axis=1)
     return pred

@@ -29,10 +29,11 @@ import struct
 import numpy as np
 
 from .activations import ACTIVATIONS, activation_by_tag
-from .bp_baseline import BPNetwork, DenseLayer
+from .bp_baseline import BPNetwork
 from .errors import FormatError, UsageError
 from .ffnet import FFLayer, FFNetwork
 from .inference import ClassifierHead
+from .numerics import DenseLayer
 
 FF_MAGIC = b"FFN1"
 BP_MAGIC = b"BPN1"
@@ -41,6 +42,9 @@ LINEAR_TAG = 255
 
 
 def _canonical_tag(act):
+    """The activation's byte tag; ``LINEAR_TAG`` for a linear layer."""
+    if act is None:
+        return LINEAR_TAG
     if act.name not in ACTIVATIONS:
         raise UsageError(
             f"checkpoints carry only the canonical activation kinds; "
@@ -58,17 +62,12 @@ def _layer_plan(net):
     """(magic, [(W, b, tag) per layer]) with every activation tag resolved,
     so a net that cannot be written is refused before any byte is."""
     if isinstance(net, FFNetwork):
-        return FF_MAGIC, [
-            (layer.W, layer.b, _canonical_tag(layer.act)) for layer in net.layers
-        ]
-    if isinstance(net, BPNetwork):
-        layers = list(net.layers) + [net.out_layer]
-        return BP_MAGIC, [
-            (layer.W, layer.b,
-             LINEAR_TAG if layer.act is None else _canonical_tag(layer.act))
-            for layer in layers
-        ]
-    raise UsageError(f"cannot checkpoint a {type(net).__name__}")
+        magic = FF_MAGIC
+    elif isinstance(net, BPNetwork):
+        magic = BP_MAGIC
+    else:
+        raise UsageError(f"cannot checkpoint a {type(net).__name__}")
+    return magic, [(layer.W, layer.b, _canonical_tag(layer.act)) for layer in net.layers]
 
 
 def _write(f, plan, head):
@@ -242,13 +241,10 @@ def load_network(path, lr=0.01):
         raise FormatError(f"bad checkpoint magic {magic!r}", offset=0)
     specs = _read_layers(r, magic)
 
-    if magic == FF_MAGIC:
-        layers = [FFLayer(i, o, act, lr, W=W, b=b) for i, o, act, W, b in specs]
-        net = FFNetwork.from_layer_list(specs[0][0], layers)
-    else:
-        hidden = [DenseLayer(i, o, act, lr, W=W, b=b) for i, o, act, W, b in specs]
-        out_layer = hidden.pop()
-        net = BPNetwork.from_parts(specs[0][0], out_layer.out_dim, hidden, out_layer)
+    net_cls, layer_cls = (FFNetwork, FFLayer) if magic == FF_MAGIC else (BPNetwork, DenseLayer)
+    net = net_cls.from_layer_list(
+        [layer_cls(i, o, act, lr, W=W, b=b) for i, o, act, W, b in specs]
+    )
 
     head = None
     if r.pos < len(data):

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .analysis import export_heatmap, weight_matrices, weight_stats, write_weight_stats_csv
+from .analysis import export_heatmap, weight_stats, write_weight_stats_csv
 from .checkpoint import load_network
 from .config import parse_config
 from .errors import (
@@ -94,8 +94,8 @@ def _cmd_analyze(args):
     os.makedirs(out_dir, exist_ok=True)
     stats = weight_stats(net)
     write_weight_stats_csv(os.path.join(out_dir, "weight_stats.csv"), stats)
-    for i, W in enumerate(weight_matrices(net)):
-        export_heatmap(W, os.path.join(out_dir, f"layer{i}_weights.pgm"))
+    for i, layer in enumerate(net.layers):
+        export_heatmap(layer.W, os.path.join(out_dir, f"layer{i}_weights.pgm"))
     for i, s in enumerate(stats):
         print(f"layer {i}: min {s['min']:.4f} max {s['max']:.4f} "
               f"mean {s['mean']:.6f} var {s['var']:.6f}")

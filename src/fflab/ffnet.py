@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import get_activation, stable_sigmoid
+from .activations import stable_sigmoid
 from .errors import DimensionError, DivergenceError, UsageError
-from .numerics import AdamState, adam_step, fan_in_uniform, row_directions
+from .numerics import DenseLayer, adam_step, row_directions
 
 
 @dataclass(frozen=True)
@@ -104,34 +104,8 @@ def _dloss_dG(G, theta, signs):
     return -signs * stable_sigmoid(signs * (theta - G))
 
 
-class FFLayer:
-    """One fully connected layer with its own Adam state and local loss."""
-
-    def __init__(self, in_dim, out_dim, activation, lr, rng=None, W=None, b=None):
-        if isinstance(activation, str):
-            activation = get_activation(activation)
-        self.act = activation
-        if W is None:
-            W = fan_in_uniform(rng, out_dim, in_dim)
-        if b is None:
-            b = np.zeros(out_dim, dtype=np.float64)
-        self.W = np.ascontiguousarray(W, dtype=np.float64)
-        self.b = np.ascontiguousarray(b, dtype=np.float64)
-        if self.W.shape != (out_dim, in_dim) or self.b.shape != (out_dim,):
-            raise DimensionError(
-                f"layer wants W {(out_dim, in_dim)} and b {(out_dim,)}, "
-                f"got {self.W.shape} and {self.b.shape}"
-            )
-        self.adam_W = AdamState.for_param(self.W.shape, lr)
-        self.adam_b = AdamState.for_param(self.b.shape, lr)
-
-    @property
-    def in_dim(self):
-        return self.W.shape[1]
-
-    @property
-    def out_dim(self):
-        return self.W.shape[0]
+class FFLayer(DenseLayer):
+    """One fully connected layer trained by its own local loss."""
 
     def forward_batch(self, X):
         """(Xhat, Z, A) for a batch matrix; each row is reduced to its
@@ -141,9 +115,7 @@ class FFLayer:
                 f"layer expects input of shape (n, {self.in_dim}), got {X.shape}"
             )
         Xhat = row_directions(X)
-        Z = Xhat @ self.W.T
-        Z += self.b
-        return Xhat, Z, self.act.fn(Z)
+        return (Xhat, *self.affine(Xhat))
 
     def grads_batch(self, Xhat, Z, A, signs, theta):
         """Mean closed-form gradients over a batch.
@@ -179,19 +151,21 @@ class FFNetwork:
     def __init__(self, input_dim, widths, activation, lr, rng):
         if not widths:
             raise UsageError("network needs at least one layer")
-        self.input_dim = int(input_dim)
         self.layers = []
-        fan_in = self.input_dim
+        fan_in = int(input_dim)
         for w in widths:
             self.layers.append(FFLayer(fan_in, int(w), activation, lr, rng))
             fan_in = int(w)
 
     @classmethod
-    def from_layer_list(cls, input_dim, layers):
+    def from_layer_list(cls, layers):
         net = object.__new__(cls)
-        net.input_dim = int(input_dim)
         net.layers = list(layers)
         return net
+
+    @property
+    def input_dim(self):
+        return self.layers[0].in_dim
 
     @property
     def widths(self):

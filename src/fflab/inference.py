@@ -18,7 +18,7 @@ import numpy as np
 from .activations import softmax
 from .errors import DimensionError, UsageError
 from .ffnet import goodness
-from .numerics import AdamState, adam_step, row_chunks, row_directions
+from .numerics import DenseLayer, adam_step, row_chunks, row_directions
 from .rng import Rng
 
 
@@ -139,10 +139,7 @@ def fit_head(F, labels, num_classes, included_layers, epochs=8, batch_size=128, 
         raise UsageError("the head needs a non-empty dataset")
     if rng is None:
         rng = Rng(0)
-    W = np.zeros((num_classes, F.shape[1]))
-    b = np.zeros(num_classes)
-    adam_W = AdamState.for_param(W.shape, lr)
-    adam_b = AdamState.for_param(b.shape, lr)
+    layer = DenseLayer(F.shape[1], num_classes, None, lr, W=np.zeros((num_classes, F.shape[1])))
 
     n = F.shape[0]
     order = list(range(n))
@@ -153,13 +150,12 @@ def fit_head(F, labels, num_classes, included_layers, epochs=8, batch_size=128, 
             Fb = F[idx]
             yb = labels[idx]
             m = len(idx)
-            P = softmax(Fb @ W.T + b)
-            dlogits = P
+            dlogits = softmax(layer.affine(Fb)[1])
             dlogits[np.arange(m), yb] -= 1.0
             dlogits /= m
-            adam_step(adam_W, W, dlogits.T @ Fb)
-            adam_step(adam_b, b, dlogits.sum(axis=0))
-    return ClassifierHead(W, b, tuple(included_layers))
+            adam_step(layer.adam_W, layer.W, dlogits.T @ Fb)
+            adam_step(layer.adam_b, layer.b, dlogits.sum(axis=0))
+    return ClassifierHead(layer.W, layer.b, tuple(included_layers))
 
 
 def predict_head_batch(net, head, X_raw, slots):
@@ -247,6 +243,7 @@ def sweep_scores_batch(net, X_raw, num_classes, slots, included_layers=None,
                     out[:, c] += g
                 if layer_goodness is not None:
                     layer_goodness[rows, c, i] = g
+        del shared  # before the next chunk's x0 and its square
     return scores
 
 

@@ -1,4 +1,5 @@
-"""Row normalization, initial weights and a hand-rolled, in-place Adam optimizer.
+"""Row normalization, initial weights, a hand-rolled, in-place Adam
+optimizer, and the dense layer every trained affine map is.
 
 Batches are float64 matrices with one sample per row; parameters are
 float64 ndarrays of any shape.
@@ -9,10 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .activations import get_activation
 from .errors import DimensionError
 
 __all__ = [
     "CHUNK_ROWS", "row_chunks", "row_directions", "fan_in_uniform", "AdamState", "adam_step",
+    "DenseLayer",
 ]
 
 # Rows per chunk of every whole-split forward pass (label sweep, head
@@ -134,3 +137,41 @@ def adam_step(state, params, grads):
         d /= s
         p -= d
     return params
+
+
+class DenseLayer:
+    """Affine map plus an activation or its name (``None``: linear), with
+    one Adam state per parameter. A W or b not given starts as
+    :func:`fan_in_uniform` draws from ``rng`` or as zeros."""
+
+    def __init__(self, in_dim, out_dim, activation, lr, rng=None, W=None, b=None):
+        if isinstance(activation, str):
+            activation = get_activation(activation)
+        self.act = activation
+        if W is None:
+            W = fan_in_uniform(rng, out_dim, in_dim)
+        if b is None:
+            b = np.zeros(out_dim, dtype=np.float64)
+        self.W = np.ascontiguousarray(W, dtype=np.float64)
+        self.b = np.ascontiguousarray(b, dtype=np.float64)
+        if self.W.shape != (out_dim, in_dim) or self.b.shape != (out_dim,):
+            raise DimensionError(
+                f"layer wants W {(out_dim, in_dim)} and b {(out_dim,)}, "
+                f"got {self.W.shape} and {self.b.shape}"
+            )
+        self.adam_W = AdamState.for_param(self.W.shape, lr)
+        self.adam_b = AdamState.for_param(self.b.shape, lr)
+
+    @property
+    def in_dim(self):
+        return self.W.shape[1]
+
+    @property
+    def out_dim(self):
+        return self.W.shape[0]
+
+    def affine(self, X):
+        """(Z, A) for a batch matrix: Z = X @ W.T + b, and A = act(Z) or Z."""
+        Z = X @ self.W.T
+        Z += self.b
+        return Z, (Z if self.act is None else self.act.fn(Z))

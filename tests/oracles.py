@@ -545,7 +545,7 @@ def read_pgm(path):
 
 def hidden_widths(bp_net):
     """Widths of a baseline's hidden layers, output layer excluded."""
-    return [layer.out_dim for layer in bp_net.layers]
+    return [layer.out_dim for layer in bp_net.layers[:-1]]
 
 
 def check_architecture_parity(bp_net, ff_net):
@@ -559,8 +559,7 @@ def check_architecture_parity(bp_net, ff_net):
 
 def bp_loss(net, X, y):
     """Mean softmax cross-entropy; the quantity backprop descends."""
-    _, logits = net.forward_batch(X)
-    P = softmax(logits)
+    P = softmax(net.forward_batch(X)[-1][1])
     n = X.shape[0]
     return float(-np.mean(np.log(P[np.arange(n), y] + 1e-300)))
 

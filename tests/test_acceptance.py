@@ -120,16 +120,16 @@ def test_c1_gradient_oracles():
     bp = BPNetwork(6, [4], 3, "tanh", 1e-3, Rng(902))
     Xb = Rng(903).uniform_array(10 * 6).reshape(10, 6) * 2 - 1
     yb = np.array([int(Rng(904 + i).randint(3)) for i in range(10)])
-    stages, logits = bp.forward_batch(Xb)
-    P = softmax(logits)
+    stages = bp.forward_batch(Xb)
+    P = softmax(stages[-1][1])
     dlogits = P.copy()
     dlogits[np.arange(10), yb] -= 1.0
     dlogits /= 10
     analytic = {
-        "out_W": (bp.out_layer.W, dlogits.T @ stages[-1][1]),
-        "out_b": (bp.out_layer.b, dlogits.sum(0)),
+        "out_W": (bp.layers[-1].W, dlogits.T @ stages[-2][1]),
+        "out_b": (bp.layers[-1].b, dlogits.sum(0)),
     }
-    delta = (dlogits @ bp.out_layer.W) * bp.layers[0].act.deriv(stages[0][0])
+    delta = (dlogits @ bp.layers[-1].W) * bp.layers[0].act.deriv(stages[0][0])
     analytic["h_W"] = (bp.layers[0].W, delta.T @ Xb)
     analytic["h_b"] = (bp.layers[0].b, delta.sum(0))
     for name, (param, grad) in analytic.items():

