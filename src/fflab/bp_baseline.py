@@ -61,8 +61,12 @@ class BpEpochMetrics:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def bp_train_epoch(net, X, y, batch_size, rng):
+def bp_train_epoch(net, X, y, batch_size, rng, order=None):
     """One backprop epoch: shuffled minibatches, Adam updates per layer.
+
+    ``order``, a list of row indices, is shuffled in place with ``rng``
+    (default: a fresh 0..n-1); :func:`~fflab.inference.fit_head` keeps
+    one list across its epochs. Each batch walks the layers once, top down.
 
     Raises :class:`DivergenceError` naming the first layer (the output
     layer is last) whose weights left the finite range. NaN and inf are
@@ -74,7 +78,8 @@ def bp_train_epoch(net, X, y, batch_size, rng):
     if X.shape[0] == 0:
         raise UsageError("bp_train_epoch needs a non-empty dataset")
     n = X.shape[0]
-    order = list(range(n))
+    if order is None:
+        order = list(range(n))
     rng.shuffle(order)
     loss_sum = 0.0
 
@@ -88,24 +93,21 @@ def bp_train_epoch(net, X, y, batch_size, rng):
         P = softmax(stages[-1][1])
         loss_sum += float(-np.sum(np.log(P[np.arange(m), yb] + 1e-300)))
 
-        # delta at the logits, then delta_l = (delta_{l+1} @ W_{l+1}) * f'(z_l)
+        # delta at the logits, then delta_l = (delta_{l+1} @ pre-step W_{l+1}) * f'(z_l)
         delta = P
         delta[np.arange(m), yb] -= 1.0
         delta /= m
-        deltas = []
         for li in range(len(net.layers) - 1, -1, -1):
             layer = net.layers[li]
             if layer.act is not None:
                 delta = delta * layer.act.deriv(stages[li][0])
-            deltas.append(delta)
+            a_in = Xb if li == 0 else stages[li - 1][1]
+            dW = delta.T @ a_in
+            db = delta.sum(axis=0)
             if li > 0:
                 delta = delta @ layer.W
-        deltas.reverse()
-
-        for li, layer in enumerate(net.layers):
-            a_in = Xb if li == 0 else stages[li - 1][1]
-            adam_step(layer.adam_W, layer.W, deltas[li].T @ a_in)
-            adam_step(layer.adam_b, layer.b, deltas[li].sum(axis=0))
+            adam_step(layer.adam_W, layer.W, dW)
+            adam_step(layer.adam_b, layer.b, db)
 
     for li, layer in enumerate(net.layers):
         # min/max propagate NaN and expose +-inf without a boolean mask

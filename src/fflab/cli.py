@@ -6,7 +6,8 @@ Exit codes:
 - 1 configuration or usage error (and any other package error)
 - 2 data error: missing, unreadable or malformed files, or data whose
   width does not fit the network
-- 3 training diverged: a layer's weights left the finite range
+- 3 training diverged: the weights of a layer, of the softmax head or of
+  the SGNS embeddings left the finite range
 """
 
 import argparse

@@ -41,16 +41,17 @@ class DataError(FFLabError):
 
 
 class DivergenceError(FFLabError):
-    """Training diverged: a layer's weights left the finite range.
+    """Training diverged: the weights of a layer, of the head or of the
+    SGNS embedding tables left the finite range.
 
     ``layer`` and ``epoch`` locate the divergence, when known; the
     training loop fills in ``epoch`` as the error passes through it.
     """
 
-    def __init__(self, message, layer=None):
+    def __init__(self, message, layer=None, epoch=None):
         super().__init__(message)
         self.layer = layer
-        self.epoch = None
+        self.epoch = epoch
 
     def __str__(self):
         where = ", ".join(

@@ -212,16 +212,20 @@ def run_experiment(cfg):
         )
 
         F = features_batch(net, bundle.X_train, slots, included)
-        head = fit_head(
-            F,
-            bundle.y_train,
-            bundle.num_classes,
-            included,
-            epochs=cfg["head.epochs"],
-            batch_size=cfg["head.batch_size"],
-            lr=cfg["head.lr"],
-            rng=rng_head,
-        )
+        try:
+            head = fit_head(
+                F,
+                bundle.y_train,
+                bundle.num_classes,
+                included,
+                epochs=cfg["head.epochs"],
+                batch_size=cfg["head.batch_size"],
+                lr=cfg["head.lr"],
+                rng=rng_head,
+            )
+        except DivergenceError as e:
+            e.epoch, e.layer = epoch, "head"
+            raise
         head_train_err = _error_rate(predict_head_features(head, F), bundle.y_train)
         # not held through the test split's features, the sweeps, the finish
         # phase and the baseline

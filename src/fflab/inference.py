@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import softmax
+from .bp_baseline import BPNetwork, bp_train_epoch
 from .errors import DimensionError, UsageError
 from .ffnet import goodness
-from .numerics import DenseLayer, adam_step, row_chunks, row_directions
-from .rng import Rng
+from .numerics import DenseLayer, row_chunks, row_directions
 
 
 def default_included_layers(depth, skip_first=True):
@@ -126,35 +125,23 @@ class ClassifierHead:
 
 
 def fit_head(F, labels, num_classes, included_layers, epochs=8, batch_size=128, lr=1e-3,
-             rng=None):
-    """Adam over shuffled minibatches of the feature rows ``F``, which
-    ``features_batch`` computed from ``included_layers``.
+             *, rng):
+    """The softmax head on the feature rows ``F``, which ``features_batch``
+    computed from ``included_layers``: a zero-initialized linear
+    :class:`~fflab.numerics.DenseLayer`, fitted as a one-layer baseline
+    network by :func:`~fflab.bp_baseline.bp_train_epoch` once per head
+    epoch, with one row order reshuffled each epoch. Only F is read,
+    never the network, so the network stays frozen.
 
-    Gradient of the cross-entropy for one sample is
-    (softmax(logits) - onehot) outer features. Only F is read, never the
-    network, so the network stays frozen.
+    ``bp_train_epoch``'s errors pass through: a ``UsageError`` for an
+    empty F, a ``DivergenceError`` (``layer`` 0) for a head whose weights
+    left the finite range.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    if F.shape[0] == 0:
-        raise UsageError("the head needs a non-empty dataset")
-    if rng is None:
-        rng = Rng(0)
     layer = DenseLayer(F.shape[1], num_classes, None, lr, W=np.zeros((num_classes, F.shape[1])))
-
-    n = F.shape[0]
-    order = list(range(n))
+    net = BPNetwork.from_layer_list([layer])
+    order = list(range(F.shape[0]))
     for _ in range(epochs):
-        rng.shuffle(order)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            Fb = F[idx]
-            yb = labels[idx]
-            m = len(idx)
-            dlogits = softmax(layer.affine(Fb)[1])
-            dlogits[np.arange(m), yb] -= 1.0
-            dlogits /= m
-            adam_step(layer.adam_W, layer.W, dlogits.T @ Fb)
-            adam_step(layer.adam_b, layer.b, dlogits.sum(axis=0))
+        bp_train_epoch(net, F, labels, batch_size, rng, order)
     return ClassifierHead(layer.W, layer.b, tuple(included_layers))
 
 

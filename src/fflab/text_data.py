@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, FormatError, UsageError
+from .errors import DataError, DivergenceError, FormatError, UsageError
 from .ffnet import LabelSlots
 from .kernels import pairs_per_sentence, sgns_epoch
 from .porter import stem
@@ -134,6 +134,7 @@ def init_embeddings(vocab_size, dim, rng):
     return win, wout
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_sgns(corpus, vocab, dim=100, window=5, neg_k=5, epochs=5,
                rng=None, lr0=0.025):
     """Train the embedding table on tokenized reviews. Returns (V, dim).
@@ -142,6 +143,9 @@ def train_sgns(corpus, vocab, dim=100, window=5, neg_k=5, epochs=5,
     linearly per pair from lr0 to lr0*1e-4 across all epochs. Negative
     targets come from the unigram^0.75 distribution; a draw that hits
     the context word is skipped (the draw still advances the stream).
+
+    Raises :class:`DivergenceError` naming the first epoch after which
+    either table left the finite range (overflow warnings are silenced).
     """
     if not corpus or len(vocab) == 0:
         raise UsageError("train_sgns needs a non-empty corpus and vocabulary")
@@ -158,11 +162,15 @@ def train_sgns(corpus, vocab, dim=100, window=5, neg_k=5, epochs=5,
     total_pairs = per_epoch * epochs
     state = rng.next_u64()  # decorrelated in-kernel draw stream
     done = 0
-    for _ in range(epochs):
+    for epoch in range(epochs):
         state, done, _ = sgns_epoch(
             tokens, offsets, win, wout, cdf, window, neg_k,
             lr0, lr0 * 1e-4, done, total_pairs, state,
         )
+        # min/max propagate NaN and expose +-inf without a boolean mask
+        for table in (win, wout):
+            if not (np.isfinite(table.min()) and np.isfinite(table.max())):
+                raise DivergenceError("SGNS embeddings left the finite range", epoch=epoch)
     return win
 
 

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written the dumb way — plain loops,
 scalar recursions — and stays independent of the code paths it judges.
-The last section holds helpers that only the tests use: closed-form
+The head's own minibatch loop and the baseline's two-pass backward step
+are kept as the trainers that ``fit_head`` and ``bp_train_epoch`` must
+match bit for bit. The last section holds helpers that only the tests use: closed-form
 gradients, the head fit on a frozen net, the batches an epoch trains
 on, a PGM reader, a shape check, the baseline's loss, a leaky relu of
 any slope, a two-sample KS test and the two-blob toy task.
@@ -15,6 +17,7 @@ from fflab.errors import UsageError
 from fflab.ffnet import FFNetwork, train_epoch
 from fflab.inference import default_included_layers, features_batch, fit_head
 from fflab.kernels import negative_targets, pairs_per_sentence
+from fflab.numerics import AdamState, adam_step
 from fflab.rng import GOLDEN, MASK64, _INV53, Rng, derive_seed, mix64
 from fflab.synthetic import make_blobs
 
@@ -456,6 +459,66 @@ def box_muller(raw, n):
     return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
 
 
+def loop_fit_head(F, labels, num_classes, epochs, batch_size, lr, rng):
+    """(W, b) of the softmax head fitted by a plain minibatch loop: zero
+    init, softmax cross-entropy under Adam, one row order reshuffled
+    each epoch."""
+    labels = np.asarray(labels, dtype=np.int64)
+    W = np.zeros((num_classes, F.shape[1]))
+    b = np.zeros(num_classes)
+    adam_W, adam_b = AdamState.for_param(W.shape, lr), AdamState.for_param(b.shape, lr)
+    n = F.shape[0]
+    order = list(range(n))
+    for _ in range(epochs):
+        rng.shuffle(order)
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            Fb = F[idx]
+            yb = labels[idx]
+            m = len(idx)
+            Z = Fb @ W.T
+            Z += b
+            dlogits = softmax(Z)
+            dlogits[np.arange(m), yb] -= 1.0
+            dlogits /= m
+            adam_step(adam_W, W, dlogits.T @ Fb)
+            adam_step(adam_b, b, dlogits.sum(axis=0))
+    return W, b
+
+
+def two_pass_bp_epoch(net, X, y, batch_size, rng):
+    """One backprop epoch in two passes per batch: every layer's delta top
+    down, then every layer's Adam steps bottom up; updates ``net`` in
+    place."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n = X.shape[0]
+    order = list(range(n))
+    rng.shuffle(order)
+    for start in range(0, n, batch_size):
+        idx = order[start : start + batch_size]
+        Xb = X[idx]
+        yb = y[idx]
+        m = len(idx)
+        stages = net.forward_batch(Xb)
+        delta = softmax(stages[-1][1])
+        delta[np.arange(m), yb] -= 1.0
+        delta /= m
+        deltas = []
+        for li in range(len(net.layers) - 1, -1, -1):
+            layer = net.layers[li]
+            if layer.act is not None:
+                delta = delta * layer.act.deriv(stages[li][0])
+            deltas.append(delta)
+            if li > 0:
+                delta = delta @ layer.W
+        deltas.reverse()
+        for li, layer in enumerate(net.layers):
+            a_in = Xb if li == 0 else stages[li - 1][1]
+            adam_step(layer.adam_W, layer.W, deltas[li].T @ a_in)
+            adam_step(layer.adam_b, layer.b, deltas[li].sum(axis=0))
+
+
 # ---------------------------------------------------------------------------
 # helpers only the tests use
 
@@ -482,13 +545,13 @@ def sgns_pair_grads(v_center, v_context, v_negatives):
 
 
 def frozen_head(net, X_raw, slots, labels, num_classes, epochs=8, batch_size=128, lr=1e-3,
-                rng=None, included_layers=None):
+                *, rng, included_layers=None):
     """The head ``run_experiment`` fits, from features of the frozen ``net``."""
     if included_layers is None:
         included_layers = default_included_layers(len(net.layers))
     included_layers = tuple(sorted(included_layers))
     F = features_batch(net, X_raw, slots, included_layers)
-    return fit_head(F, labels, num_classes, included_layers, epochs, batch_size, lr, rng)
+    return fit_head(F, labels, num_classes, included_layers, epochs, batch_size, lr, rng=rng)
 
 
 def epoch_batches(X_raw, y, slots, batch_size, rng):

@@ -8,6 +8,7 @@ import csv
 import os
 import struct
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -434,11 +435,11 @@ def test_c8_determinism(tmp_path):
     )
     for name in ("eval_modes.csv", "goodness_hist.csv", "weight_stats.csv",
                  "bp_weight_stats.csv", "config_echo.txt"):
-        a = open(os.path.join(r1.out_dir, name), "rb").read()
-        b = open(os.path.join(r2.out_dir, name), "rb").read()
+        a = Path(r1.out_dir, name).read_bytes()
+        b = Path(r2.out_dir, name).read_bytes()
         assert a == b, name
-    assert open(r1.checkpoint, "rb").read() == open(r2.checkpoint, "rb").read()
-    assert open(r1.bp_checkpoint, "rb").read() == open(r2.bp_checkpoint, "rb").read()
+    assert Path(r1.checkpoint).read_bytes() == Path(r2.checkpoint).read_bytes()
+    assert Path(r1.bp_checkpoint).read_bytes() == Path(r2.bp_checkpoint).read_bytes()
 
 
 @pytest.mark.acceptance("C9 format round-trips bit-exact")

@@ -17,6 +17,7 @@ from fflab.synthetic import label_slots
 
 from oracles import (
     bp_loss, central_diff_grad, check_architecture_parity, rel_err, two_blob_toy,
+    two_pass_bp_epoch,
 )
 
 
@@ -83,6 +84,21 @@ class TestGradients:
             bp_train_epoch(net, X, y, 8, Rng(2))
         assert info.value.layer == 0
         assert str(info.value) == "layer 0: weights left the finite range after an update"
+
+    @pytest.mark.parametrize("widths, activation", [([5], "tanh"), ([5, 4, 3], "relu")])
+    def test_same_bits_as_the_two_pass_step(self, widths, activation):
+        """The one-walk backward loop keeps the bits of the two-pass step
+        (every delta, then every Adam step) over several epochs, with a
+        batch size that does not divide n."""
+        X, y = small_task(n=30)
+        net = BPNetwork(6, widths, 3, activation, 1e-2, Rng(510))
+        ref = BPNetwork(6, widths, 3, activation, 1e-2, Rng(510))
+        rng, rng_ref = Rng(511), Rng(511)
+        for _ in range(3):
+            bp_train_epoch(net, X, y, 8, rng)
+            two_pass_bp_epoch(ref, X, y, 8, rng_ref)
+        for layer, expected in zip(net.layers, ref.layers, strict=True):
+            assert np.array_equal(layer.W, expected.W) and np.array_equal(layer.b, expected.b)
 
     def test_empty_data_rejected(self):
         net = BPNetwork(6, [4], 3, "relu", 1e-3, Rng(1))

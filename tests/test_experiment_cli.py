@@ -4,6 +4,7 @@ import csv
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,10 +90,8 @@ class TestRunExperiment:
         with open(r1.checkpoint, "rb") as f1, open(r2.checkpoint, "rb") as f2:
             assert f1.read() == f2.read()
         for name in ("eval_modes.csv", "goodness_hist.csv", "weight_stats.csv"):
-            assert (
-                open(os.path.join(r1.out_dir, name)).read()
-                == open(os.path.join(r2.out_dir, name)).read()
-            ), name
+            a, b = (Path(r.out_dir, name).read_text() for r in (r1, r2))
+            assert a == b, name
 
     def test_baseline_artifacts(self, tmp_path):
         cfg = parse_config(
@@ -300,10 +299,14 @@ class TestCli:
 
     @pytest.mark.parametrize("overrides", [
         ["lr=1e308"], ["baseline.enabled=true", "baseline.lr=1e300"],
+        ["head.lr=1e307", "head.batch_size=32"],
     ])
     def test_divergence_prints_one_stderr_line(self, tmp_path, overrides):
-        """Run as a command, a diverging FF net or baseline ends in exit 3
-        and one stderr line: numpy's overflow warnings stay silent."""
+        """Run as a command, a diverging FF net, baseline or head ends in
+        exit 3 and one stderr line, before the diverged net's checkpoint is
+        written: numpy's overflow warnings stay silent."""
+        layer = "head" if overrides[0].startswith("head.") else "0"
+        checkpoint = "checkpoint.bpn1" if "baseline.enabled=true" in overrides else "checkpoint.ffn1"
         args = [sys.executable, "-m", "fflab.cli", "train", "--dataset", "synthetic",
                 "--seed", "1", "--arch", "16,16", "--epochs", "2"]
         for setting in overrides + [f"output_dir={tmp_path / 'run'}"]:
@@ -313,8 +316,9 @@ class TestCli:
         env["PYTHONPATH"] = src
         done = subprocess.run(args, capture_output=True, text=True, env=env, timeout=300)
         assert done.returncode == 3
-        assert done.stderr.splitlines() == ["training diverged: epoch 0, layer 0: "
+        assert done.stderr.splitlines() == [f"training diverged: epoch 0, layer {layer}: "
                                             "weights left the finite range after an update"]
+        assert not os.path.exists(tmp_path / "run" / checkpoint)
 
     def test_too_few_synthetic_classes_exit_one_before_output(self, tmp_path, capsys):
         args = ["train"]

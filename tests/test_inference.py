@@ -15,6 +15,7 @@ from fflab.inference import (
     ClassifierHead,
     default_included_layers,
     features_batch,
+    fit_head,
     predict_head_batch,
     predict_sweep_batch,
     sweep_scores_batch,
@@ -25,8 +26,8 @@ from fflab.synthetic import label_slots
 from fflab.text_data import label_slots as sentiment_slots
 
 from oracles import (
-    central_diff_grad, forward_stages, frozen_head, head_loss, loop_sweep, rel_err,
-    two_blob_toy,
+    central_diff_grad, forward_stages, frozen_head, head_loss, loop_fit_head, loop_sweep,
+    rel_err, two_blob_toy,
 )
 
 BLOB = label_slots(2)
@@ -86,6 +87,18 @@ class TestTrainHead:
 
         assert rel_err(analytic_W, central_diff_grad(loss_at_W, W0.copy())) < 1e-4
         assert rel_err(analytic_b, central_diff_grad(loss_at_b, b0.copy())) < 1e-4
+
+    @pytest.mark.parametrize("batch_size", [16, 128])
+    def test_same_bits_as_the_head_loop(self, batch_size):
+        """Fitted through bp_train_epoch, the head has the bits of a plain
+        minibatch loop, over several epochs, whether or not the batch size
+        divides n."""
+        rng = Rng(60)
+        F = rng.uniform_array(103 * 24).reshape(103, 24)
+        y = np.array([rng.randint(5) for _ in range(103)])
+        head = fit_head(F, y, 5, (1,), epochs=4, batch_size=batch_size, lr=1e-2, rng=Rng(61))
+        W, b = loop_fit_head(F, y, 5, 4, batch_size, 1e-2, Rng(61))
+        assert np.array_equal(head.W, W) and np.array_equal(head.b, b)
 
     def test_learns_the_toy_task(self, toy_task):
         X, y, net = toy_task

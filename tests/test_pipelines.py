@@ -252,6 +252,25 @@ class TestImdbPipeline:
         assert os.path.exists(result.checkpoint)
 
 
+def test_sgns_divergence_exit_three_before_the_cache(tmp_path, capsys):
+    """Diverging SGNS embeddings end in exit 3 and one stderr line naming
+    SGNS and its epoch, before the embedding cache is written."""
+    root = tmp_path / "imdb"
+    write_imdb_tree(root, n_per=4)
+    cache = tmp_path / "emb.txt"
+    code = main(
+        ["train", "--dataset", "imdb", "--seed", "1", "--arch", "16,16", "--epochs", "1",
+         "--set", f"data.imdb_dir={root}", "--set", "sgns.dim=16", "--set", "sgns.min_count=1",
+         "--set", "sgns.lr=1e300", "--set", f"data.embedding_cache={cache}",
+         "--output", str(tmp_path / "run")]
+    )
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "training diverged: epoch 0: SGNS embeddings left the finite range"
+    ]
+    assert not os.path.exists(cache) and not os.path.exists(f"{cache}.meta.json")
+
+
 def test_negative_test_subset_exits_one_before_output(tmp_path, capsys):
     """A negative cap would cut reviews off the test split; it is refused
     at parse time, before anything is written."""
