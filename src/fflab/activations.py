@@ -12,7 +12,8 @@ import numpy as np
 
 from .errors import UsageError
 
-_SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
+# Python floats, so a float32 input stays float32 (NEP 50); same values as np.sqrt
+_SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 _GELU_C = 0.044715
 
 
@@ -52,8 +53,11 @@ def _tanh_deriv(z):
 
 
 def stable_sigmoid(u):
-    """Overflow-safe logistic function, scalar or array."""
-    u = np.asarray(u, dtype=np.float64)
+    """Overflow-safe logistic function, scalar or array; float32 in,
+    float32 out, anything else in float64."""
+    u = np.asarray(u)
+    if u.dtype != np.float32:
+        u = u.astype(np.float64, copy=False)
     out = np.empty_like(u)
     pos = u >= 0.0
     out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))

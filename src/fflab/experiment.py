@@ -6,7 +6,10 @@ function of (config, seed, code version, BLAS build, BLAS thread count),
 since a GEMM may round differently at another thread count — with the
 single exception of the wall-clock ``seconds`` column in the metrics
 CSVs, which is real measured time and therefore exempt from
-byte-identity.
+byte-identity. The label sweep scores in float32
+(``inference.SWEEP_DTYPE``), so ``goodness_hist.csv`` and the sweep
+error columns carry float32 rounding; weights, checkpoints and the
+head's features and errors are float64.
 """
 
 import csv
@@ -174,8 +177,13 @@ def _fmt(x):
     return repr(float(x))
 
 
-def run_experiment(cfg):
-    """Train, evaluate both inference routes each epoch, write artifacts."""
+def run_experiment(cfg, bundle=None):
+    """Train, evaluate both inference routes each epoch, write artifacts.
+
+    ``bundle``, if given, is ``build_bundle(cfg)``'s result, which runs
+    that differ only in keys ``build_bundle`` does not read may share
+    (``run_sweep``); nothing here writes to it.
+    """
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config_echo.txt"), "w", encoding="utf-8") as f:
@@ -183,7 +191,8 @@ def run_experiment(cfg):
 
         f.write(echo_config(cfg))
 
-    bundle = build_bundle(cfg)
+    if bundle is None:
+        bundle = build_bundle(cfg)
     seed = cfg.seed
     rng_net = Rng(derive_seed(seed, _STREAM_NET))
     rng_data = Rng(derive_seed(seed, _STREAM_DATA) ^ 0x5EED)
@@ -212,6 +221,7 @@ def run_experiment(cfg):
         )
 
         F = features_batch(net, bundle.X_train, slots, included)
+        # a head whose weights or logits leave the finite range ends the run
         try:
             head = fit_head(
                 F,
@@ -223,39 +233,40 @@ def run_experiment(cfg):
                 lr=cfg["head.lr"],
                 rng=rng_head,
             )
+            head_train_err = _error_rate(predict_head_features(head, F), bundle.y_train)
+            # not held through the test split's features, the sweeps, the
+            # finish phase and the baseline
+            del F
+            head_test_err = _error_rate(
+                predict_head_batch(net, head, bundle.X_test, slots), bundle.y_test
+            )
         except DivergenceError as e:
             e.epoch, e.layer = epoch, "head"
             raise
-        head_train_err = _error_rate(predict_head_features(head, F), bundle.y_train)
-        # not held through the test split's features, the sweeps, the finish
-        # phase and the baseline
-        del F
-        errs = {}
-        errs["head"] = (
-            head_train_err,
-            _error_rate(
-                predict_head_batch(net, head, bundle.X_test, slots), bundle.y_test
-            ),
-        )
+        errs = {"head": (head_train_err, head_test_err)}
         # the last train-split sweep also keeps every layer's goodness for
         # goodness_hist.csv, so the finish phase forwards nothing
         if epoch == cfg["epochs"] - 1:
             G = np.empty((len(bundle.y_train), bundle.num_classes, len(net.layers)))
-        errs["sweep"] = (
-            _error_rate(
-                predict_sweep_batch(
-                    net, bundle.X_train, bundle.num_classes, slots, included,
-                    layer_goodness=G,
+        try:
+            errs["sweep"] = (
+                _error_rate(
+                    predict_sweep_batch(
+                        net, bundle.X_train, bundle.num_classes, slots, included,
+                        layer_goodness=G,
+                    ),
+                    bundle.y_train,
                 ),
-                bundle.y_train,
-            ),
-            _error_rate(
-                predict_sweep_batch(
-                    net, bundle.X_test, bundle.num_classes, slots, included
+                _error_rate(
+                    predict_sweep_batch(
+                        net, bundle.X_test, bundle.num_classes, slots, included
+                    ),
+                    bundle.y_test,
                 ),
-                bundle.y_test,
-            ),
-        )
+            )
+        except DivergenceError as e:
+            e.epoch = epoch
+            raise
         seconds = time.perf_counter() - t0
 
         for m in ("head", "sweep"):
@@ -415,7 +426,10 @@ def run_sweep(cfg, key, raw_values):
     """One run per value of ``key``; returns rows for the summary table.
 
     Every value is checked, as ``parse_config`` checks ``threshold.k``,
-    before the first run starts.
+    before the first run starts. The dataset bundle is built once, before
+    the first run, and shared by every run: ``build_bundle`` reads no
+    threshold key, so each run writes what a run of its own config alone
+    writes.
     """
     if key not in ("threshold.k", "k"):
         raise UsageError(f"sweep supports threshold.k, got {key!r}")
@@ -427,9 +441,10 @@ def run_sweep(cfg, key, raw_values):
         sub["output_dir"] = os.path.join(root, f"k_{raw}")
         runs.append((raw, parse_config(None, sub)))
     os.makedirs(root, exist_ok=True)
+    bundle = build_bundle(cfg)
     rows = []
     for raw, sub_cfg in runs:
-        result = run_experiment(sub_cfg)
+        result = run_experiment(sub_cfg, bundle)
         mode = cfg["inference.mode"]
         rows.append(
             [

@@ -5,7 +5,8 @@
    one row chunk at a time.
 2. Label sweep: score every candidate label written into the label
    slots, and pick the label with the largest summed goodness. Layer 0
-   is shared by all candidates (one GEMM per row chunk).
+   is shared by all candidates (one GEMM per row chunk), and every
+   candidate's activations and goodness are float32.
 
 By default both routes read every layer except the first, whose units
 see the label slots directly and would leak.
@@ -16,9 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bp_baseline import BPNetwork, bp_train_epoch
-from .errors import DimensionError, UsageError
+from .errors import DimensionError, DivergenceError, UsageError
 from .ffnet import goodness
 from .numerics import DenseLayer, row_chunks, row_directions
+
+
+# the label sweep's activations and goodness; weights, checkpoints, the
+# head's features and training stay float64
+SWEEP_DTYPE = np.float32
 
 
 def default_included_layers(depth, skip_first=True):
@@ -66,12 +72,17 @@ def _forward_stages(layers, X, sq=None):
     the result tuple ``enumerate`` and ``zip`` reuse, keeps it alive
     through the next GEMM). Training keeps
     :meth:`~fflab.ffnet.FFLayer.forward_batch`: its gradients need both.
+
+    The walk runs in X's dtype: each layer's W and b are cast to it with
+    ``copy=False``, so a float64 chunk uses them as they are, bit for
+    bit, and a float32 chunk holds one layer's float32 copy at a time.
     """
     for layer in layers:
         X = row_directions(X, sq=sq, out=X)
-        Z = X @ layer.W.T
-        del X
-        Z += layer.b
+        W = layer.W.astype(X.dtype, copy=False)
+        Z = X @ W.T
+        del X, W
+        Z += layer.b.astype(Z.dtype, copy=False)
         X = layer.act.fn(Z)
         del Z
         sq = goodness(X)
@@ -154,19 +165,32 @@ def predict_head_batch(net, head, X_raw, slots):
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def predict_head_features(head, F):
-    """Head predictions for rows of ``F`` from :func:`features_batch`."""
+    """Head predictions for rows of ``F`` from :func:`features_batch`.
+
+    A head whose weights are finite but so large that a logit overflows
+    raises :class:`DivergenceError` (``layer`` ``"head"``) instead of
+    ranking infinities; the finite check is the guard, so numpy's
+    overflow warnings are silenced.
+    """
     if F.shape[1] != head.concat_width:
         raise DimensionError(
             f"head expects {head.concat_width} features, got {F.shape[1]}"
         )
-    logits = F @ head.W.T + head.b
+    logits = F @ head.W.T
+    logits += head.b
+    # min/max propagate NaN and expose +-inf without a boolean mask
+    if logits.size and not (np.isfinite(logits.min()) and np.isfinite(logits.max())):
+        raise DivergenceError("logits left the finite range", layer="head")
     return np.argmax(logits, axis=1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sweep_scores_batch(net, X_raw, num_classes, slots, included_layers=None,
                        layer_goodness=None):
-    """(n, num_classes) matrix of summed goodness per candidate label.
+    """(n, num_classes) float64 matrix of summed goodness per candidate
+    label, scored in float32.
 
     ``slots`` is the dataset's :class:`~fflab.ffnet.LabelSlots`; the
     candidates are labels 0..num_classes-1 written into them. They
@@ -174,11 +198,23 @@ def sweep_scores_batch(net, X_raw, num_classes, slots, included_layers=None,
     otherwise zero, so with x0 = ``slots.neutral(X_raw)`` candidate c
     has squared norm ||x0||^2 + 1 and layer 0 is
     ``(x0 @ W.T + W[:, start + c]) / sqrt(||x0||^2 + 1) + b``: one GEMM
-    per row chunk for every label. Later layers run per candidate
-    through :func:`_forward_stages`, up to the last included layer,
+    per row chunk for every label. A chunk of ``CHUNK_ROWS //
+    num_classes`` rows (:func:`~fflab.numerics.row_chunks`) stacks its
+    candidates, candidate c's rows after candidate c-1's, into one matrix
+    of about ``CHUNK_ROWS`` rows, which :func:`_forward_stages` walks
+    once through the later layers, up to the last included layer,
     keeping only the current activation and each layer's goodness. Each
     activation's sum of squares is computed once: it is the layer's
     goodness and normalizes the next layer's input.
+
+    Every activation and goodness is float32 (``SWEEP_DTYPE``): the
+    neutralized chunk, layer 0's shared product, slot columns and bias,
+    and each later layer's W and b, cast for one chunk and one layer at
+    a time. The weights stay float64; the scores are float64 sums of the
+    float32 goodness, within a few float32 eps of a float64 forward. A
+    goodness that leaves the float32 range (weights near 1e19 and up)
+    raises :class:`DivergenceError` naming the first such layer; the
+    check is the guard, so numpy's overflow warnings are silenced.
 
     ``layer_goodness``, an (n, num_classes, depth) float64 array, is
     filled with every layer's goodness of every candidate, layer 0
@@ -204,33 +240,41 @@ def sweep_scores_batch(net, X_raw, num_classes, slots, included_layers=None,
     layers = net.layers[:last]
     first = layers[0]
     # one contiguous row per candidate: a column of W has a stride of in_dim
-    slot_cols = np.ascontiguousarray(first.W[:, slots.start : slots.start + num_classes].T)
+    slot_cols = np.ascontiguousarray(
+        first.W[:, slots.start : slots.start + num_classes].T, dtype=SWEEP_DTYPE
+    )
+    b0 = first.b.astype(SWEEP_DTYPE)
     scores = np.zeros((X_raw.shape[0], num_classes))
-    for rows in row_chunks(X_raw.shape[0]):
-        x0 = slots.neutral(X_raw[rows])
+    for rows in row_chunks(X_raw.shape[0], num_classes):
+        x0 = slots.neutral(X_raw[rows]).astype(SWEEP_DTYPE)
         # >= 1, so the eps floor of row_directions never applies
         norms = np.sqrt(np.sum(x0 * x0, axis=1, keepdims=True) + 1.0)
-        shared = x0 @ first.W.T
-        del x0
-        out = scores[rows]
-        for c in range(num_classes):
-            Z = shared + slot_cols[c]
-            Z /= norms
-            Z += first.b
-            A = first.act.fn(Z)
-            del Z
-            goods = [goodness(A)]
-            stages = _forward_stages(layers[1:], A, goods[0])
-            del A  # the walker takes it over and frees it after layer 1's GEMM
-            for A, g in stages:
-                del A
-                goods.append(g)
-            for i, g in enumerate(goods):
-                if i in included:
-                    out[:, c] += g
-                if layer_goodness is not None:
-                    layer_goodness[rows, c, i] = g
-        del shared  # before the next chunk's x0 and its square
+        W0 = first.W.astype(SWEEP_DTYPE)
+        shared = x0 @ W0.T
+        del x0, W0
+        Z = shared + slot_cols[:, None, :]  # (num_classes, rows, width)
+        del shared
+        Z /= norms
+        Z += b0
+        A = first.act.fn(Z.reshape(-1, Z.shape[2]))
+        del Z
+        goods = [goodness(A)]
+        stages = _forward_stages(layers[1:], A, goods[0])
+        del A  # the walker takes it over and frees it after layer 1's GEMM
+        for A, g in stages:
+            del A
+            goods.append(g)
+        for i, g in enumerate(goods):
+            # max propagates NaN, and goodness is never negative
+            if not np.isfinite(g.max()):
+                raise DivergenceError(
+                    "goodness left the float32 range of the label sweep", layer=i
+                )
+            g = g.reshape(num_classes, -1).T  # (rows, num_classes)
+            if i in included:
+                scores[rows] += g
+            if layer_goodness is not None:
+                layer_goodness[rows, :, i] = g
     return scores
 
 

@@ -1,8 +1,8 @@
 """Row normalization, initial weights, a hand-rolled, in-place Adam
 optimizer, and the dense layer every trained affine map is.
 
-Batches are float64 matrices with one sample per row; parameters are
-float64 ndarrays of any shape.
+Batches are float64 matrices with one sample per row (the label sweep
+forwards float32 ones); parameters are float64 ndarrays of any shape.
 """
 
 import math
@@ -25,10 +25,14 @@ __all__ = [
 CHUNK_ROWS = 1024
 
 
-def row_chunks(n):
-    """Slices covering rows 0..n-1 in order, ``CHUNK_ROWS`` at a time."""
-    for lo in range(0, n, CHUNK_ROWS):
-        yield slice(lo, min(lo + CHUNK_ROWS, n))
+def row_chunks(n, copies=1):
+    """Slices covering rows 0..n-1 in order, ``CHUNK_ROWS // copies`` (at
+    least one) at a time: a chunk whose rows are each stacked ``copies``
+    times, as the label sweep stacks its candidates, stays about
+    ``CHUNK_ROWS`` rows."""
+    size = max(1, CHUNK_ROWS // copies)
+    for lo in range(0, n, size):
+        yield slice(lo, min(lo + size, n))
 
 
 def row_directions(X, eps=1e-8, sq=None, out=None):
@@ -42,9 +46,12 @@ def row_directions(X, eps=1e-8, sq=None, out=None):
     ``ffnet.goodness(X)`` computes them: the same reduction as here, so
     the result has the same bits and X is not squared a second time.
     ``out``, if given, receives the directions (X itself scales in place);
-    the bits are the same either way.
+    the bits are the same either way. A float32 X gives float32
+    directions; anything else is computed in float64.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X)
+    if X.dtype != np.float32:
+        X = X.astype(np.float64, copy=False)
     if sq is None:
         sq = np.sum(X * X, axis=1)
     norms = np.sqrt(sq)[:, None]

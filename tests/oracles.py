@@ -237,6 +237,19 @@ def forward_stages(net, X):
     return stages
 
 
+# The label sweep scores in float32; its scores and goodness are held to
+# these float64 oracles within 64 float32 eps, relative.
+SWEEP_RTOL = 64 * float(np.finfo(np.float32).eps)
+
+
+def clear_rows(scores, rtol=SWEEP_RTOL):
+    """Rows of reference ``scores`` whose top-two margin exceeds ``rtol``
+    times their top score: the rows whose argmax a float32 sweep is held
+    to."""
+    top2 = np.sort(scores, axis=1)[:, -2:]
+    return top2[:, 1] - top2[:, 0] > rtol * np.abs(top2[:, 1])
+
+
 def loop_sweep(net, X_raw, num_classes, slots, included_layers):
     """Reference sweep scores: each label embedded on its own and the full
     network forwarded per label, summing the included layers' goodness."""

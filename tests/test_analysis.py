@@ -16,7 +16,7 @@ from fflab.inference import sweep_scores_batch
 from fflab.rng import Rng
 from fflab.synthetic import label_slots
 
-from oracles import ks_2sample, loop_goodness_report, read_pgm, two_blob_toy
+from oracles import SWEEP_RTOL, ks_2sample, loop_goodness_report, read_pgm, two_blob_toy
 
 BLOB = label_slots(2)
 
@@ -158,8 +158,8 @@ class TestGoodnessReport:
     def test_counts_equal_the_stream_forward_oracle(self, classes):
         """Seeded: the same counts and fractions as forwarding every row
         embedded with its true label and with the same drawn wrong label;
-        edges agree to rounding. With four classes the drawn label is not
-        implied by the true one."""
+        edges agree to the float32 sweep's tolerance. With four classes the
+        drawn label is not implied by the true one."""
         if classes == 2:
             X, y, net = trained_toy(epochs=5)
         else:
@@ -177,7 +177,7 @@ class TestGoodnessReport:
             net, slots.embed(X, y), slots.embed(X, wrong), thetas, bins=8
         )
         for li, (edges, pos, neg, frac_pos, frac_neg) in enumerate(want):
-            np.testing.assert_allclose(got.bin_edges[li], edges, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(got.bin_edges[li], edges, rtol=SWEEP_RTOL, atol=0)
             np.testing.assert_array_equal(got.pos_counts[li], pos)
             np.testing.assert_array_equal(got.neg_counts[li], neg)
             assert (got.frac_pos_above[li], got.frac_neg_below[li]) == (frac_pos, frac_neg)

@@ -15,7 +15,7 @@ from fflab.cli import main
 from fflab import experiment, inference, numerics
 from fflab.config import parse_config
 from fflab.errors import FFLabError
-from fflab.experiment import build_bundle, run_experiment
+from fflab.experiment import build_bundle, run_experiment, run_sweep
 from fflab.ffnet import FFLayer, FFNetwork, LabelSlots
 from fflab.rng import Rng
 
@@ -50,6 +50,19 @@ def drop_seconds(rows):
     header, *body = rows
     i = header.index("seconds")
     return [header[:i] + header[i + 1 :]] + [r[:i] + r[i + 1 :] for r in body]
+
+
+def masked_artifacts(out):
+    """Every artifact in ``out``: CSVs as rows without their ``seconds``
+    column, other files as bytes with the output path masked."""
+    arts = {}
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".csv":
+            rows = read_rows(path)
+            arts[path.name] = drop_seconds(rows) if "seconds" in rows[0] else rows
+        else:
+            arts[path.name] = path.read_bytes().replace(str(out).encode(), b"<out>")
+    return arts
 
 
 class TestRunExperiment:
@@ -297,14 +310,21 @@ class TestCli:
                        "weights left the finite range after an update"]
         assert not os.path.exists(tmp_path / "run" / "checkpoint.bpn1")
 
-    @pytest.mark.parametrize("overrides", [
-        ["lr=1e308"], ["baseline.enabled=true", "baseline.lr=1e300"],
-        ["head.lr=1e307", "head.batch_size=32"],
-    ])
-    def test_divergence_prints_one_stderr_line(self, tmp_path, overrides):
+    WEIGHTS = "weights left the finite range after an update"
+
+    @pytest.mark.parametrize("overrides, message", [
+        (["lr=1e308"], WEIGHTS),
+        (["baseline.enabled=true", "baseline.lr=1e300"], WEIGHTS),
+        (["head.lr=1e307", "head.batch_size=32"], WEIGHTS),
+        (["head.lr=1e307"], "logits left the finite range"),
+        (["lr=1e20"], "goodness left the float32 range of the label sweep"),
+    ], ids=[f"overrides{i}" for i in range(5)])
+    def test_divergence_prints_one_stderr_line(self, tmp_path, overrides, message):
         """Run as a command, a diverging FF net, baseline or head ends in
         exit 3 and one stderr line, before the diverged net's checkpoint is
-        written: numpy's overflow warnings stay silent."""
+        written: numpy's overflow warnings stay silent. At the default head
+        batch size the head's weights stay finite but its logits overflow;
+        at lr 1e20 the net's do, but its goodness overflows float32."""
         layer = "head" if overrides[0].startswith("head.") else "0"
         checkpoint = "checkpoint.bpn1" if "baseline.enabled=true" in overrides else "checkpoint.ffn1"
         args = [sys.executable, "-m", "fflab.cli", "train", "--dataset", "synthetic",
@@ -316,8 +336,9 @@ class TestCli:
         env["PYTHONPATH"] = src
         done = subprocess.run(args, capture_output=True, text=True, env=env, timeout=300)
         assert done.returncode == 3
-        assert done.stderr.splitlines() == [f"training diverged: epoch 0, layer {layer}: "
-                                            "weights left the finite range after an update"]
+        assert done.stderr.splitlines() == [
+            f"training diverged: epoch 0, layer {layer}: {message}"
+        ]
         assert not os.path.exists(tmp_path / "run" / checkpoint)
 
     def test_too_few_synthetic_classes_exit_one_before_output(self, tmp_path, capsys):
@@ -362,6 +383,27 @@ class TestCli:
         rows = read_rows(tmp_path / "sweepout" / "sweep_summary.csv")
         assert rows[0] == ["k", "final_test_err", "best_test_err", "best_epoch"]
         assert len(rows) == 3
+
+    def test_sweep_builds_the_bundle_once(self, tmp_path, monkeypatch):
+        """Three k values, one build_bundle call; each k's artifacts, seconds
+        masked, equal those of a standalone run of the same config."""
+        calls = []
+        build = experiment.build_bundle
+
+        def counted(cfg):
+            calls.append(1)
+            return build(cfg)
+
+        monkeypatch.setattr(experiment, "build_bundle", counted)
+        ks = ["0.3", "0.6", "1.2"]
+        run_sweep(parse_config(None, fast_overrides(tmp_path / "sweepout")), "k", ks)
+        assert len(calls) == 1
+        for k in ks:
+            out = tmp_path / "sweepout" / f"k_{k}"
+            swept = masked_artifacts(out)
+            run_experiment(parse_config(None, fast_overrides(out, **{"threshold.k": k})))
+            assert masked_artifacts(out) == swept, k
+        assert len(calls) == 1 + len(ks)
 
     def test_analyze_checkpoint(self, tmp_path, capsys):
         cfg = parse_config(None, fast_overrides(tmp_path / "run"))
@@ -522,8 +564,7 @@ BLAS_THREAD_DEPENDENT = {"checkpoint.ffn1", "weight_stats.csv", "goodness_hist.c
 
 def _artifacts_at(out, threads):
     """Every artifact of one synthetic 784->[512,512] run made as a command
-    under ``threads`` BLAS threads: CSVs as rows without their ``seconds``
-    column, other files as bytes with the output path masked."""
+    under ``threads`` BLAS threads, as :func:`masked_artifacts` reads them."""
     args = [sys.executable, "-m", "fflab.cli", "train", "--dataset", "synthetic",
             "--seed", "7", "--arch", "512,512", "--epochs", "2"]
     for setting in ("synthetic.dim=774", "threshold.k=0.5", f"output_dir={out}"):
@@ -534,14 +575,7 @@ def _artifacts_at(out, threads):
         env[var] = str(threads)
     done = subprocess.run(args, capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
-    arts = {}
-    for path in sorted(out.iterdir()):
-        if path.suffix == ".csv":
-            rows = read_rows(path)
-            arts[path.name] = drop_seconds(rows) if "seconds" in rows[0] else rows
-        else:
-            arts[path.name] = path.read_bytes().replace(str(out).encode(), b"<out>")
-    return arts
+    return masked_artifacts(out)
 
 
 def test_bytes_depend_on_the_blas_thread_count_only_where_stated(tmp_path):
