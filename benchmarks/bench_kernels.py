@@ -114,7 +114,7 @@ def bench_ff_epoch():
     net = FFNetwork(30, [500, 500], "relu", 0.01, Rng(12))
     samples = 2 * X.shape[0]  # each row gives a positive and a negative
     t0 = time.perf_counter()
-    train_epoch(net, X, y, label_slots(10), [0.5 * 500] * 2, 0, 128, Rng(14))
+    train_epoch(net, X, y, label_slots(10), [0.5 * 500] * 2, 128, Rng(14))
     dt = time.perf_counter() - t0
     print(f"\nlayer-training epoch ({samples} samples, arch [500, 500], "
           f"numpy/BLAS): {dt:.2f}s  ({samples / dt:,.0f} samples/s)")
@@ -133,12 +133,12 @@ def bench_full_steps(width=2000, steps=FULL_STEPS):
     net = FFNetwork(784, [width] * 4, "relu", 0.01, Rng(16))
     thetas = [0.005 * width] * 4
     half = batch // 2
-    train_epoch(net, X[:half], y[:half], LABEL_SLOTS, thetas, 0, batch, Rng(17))
+    train_epoch(net, X[:half], y[:half], LABEL_SLOTS, thetas, batch, Rng(17))
     t0 = time.perf_counter()
-    train_epoch(net, X, y, LABEL_SLOTS, thetas, 0, batch, Rng(18))
+    train_epoch(net, X, y, LABEL_SLOTS, thetas, batch, Rng(18))
     dt = time.perf_counter() - t0
     _, peak = _traced_peak(
-        lambda: train_epoch(net, X[:batch], y[:batch], LABEL_SLOTS, thetas, 0, batch, Rng(19))
+        lambda: train_epoch(net, X[:batch], y[:batch], LABEL_SLOTS, thetas, batch, Rng(19))
     )
     grad_mb = max(layer.W.nbytes for layer in net.layers) / 1e6
     print(f"full-recipe steps (784 -> {width}x4, batch {batch}, {steps} steps): "

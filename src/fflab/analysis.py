@@ -43,9 +43,10 @@ def export_heatmap(W, path):
     A constant matrix maps to mid-gray 128.
     """
     W = np.asarray(W, dtype=np.float64)
-    if not np.all(np.isfinite(W)):
-        raise UsageError("heatmap export needs finite weights")
+    # min/max propagate NaN and expose +-inf without a boolean mask
     lo, hi = float(W.min()), float(W.max())
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise UsageError("heatmap export needs finite weights")
     if hi == lo:
         bytes_ = np.full(W.shape, 128, dtype=np.uint8)
     else:

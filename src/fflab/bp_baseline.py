@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import softmax
-from .errors import DimensionError, DivergenceError, UsageError
-from .numerics import DenseLayer, adam_step, row_chunks
+from .errors import DimensionError, UsageError
+from .numerics import DenseLayer, adam_step, require_finite, row_chunks
 
 
 class BPNetwork:
@@ -69,9 +69,9 @@ def bp_train_epoch(net, X, y, batch_size, rng, order=None):
     one list across its epochs. Each batch walks the layers once, top down.
 
     Raises :class:`DivergenceError` naming the first layer (the output
-    layer is last) whose weights left the finite range. NaN and inf are
-    absorbing under Adam, so one check at the end of the epoch finds them
-    (and overflow warnings are silenced).
+    layer is last) whose weights left the finite range; the caller stamps
+    the epoch. NaN and inf are absorbing under Adam, so one check at the
+    end of the epoch finds them (and overflow warnings are silenced).
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -110,10 +110,8 @@ def bp_train_epoch(net, X, y, batch_size, rng, order=None):
             adam_step(layer.adam_b, layer.b, db)
 
     for li, layer in enumerate(net.layers):
-        # min/max propagate NaN and expose +-inf without a boolean mask
-        for P in (layer.W, layer.b):
-            if not (np.isfinite(P.min()) and np.isfinite(P.max())):
-                raise DivergenceError("weights left the finite range after an update", layer=li)
+        require_finite("weights left the finite range after an update",
+                       layer.W, layer.b, layer=li)
     return BpEpochMetrics(mean_loss=loss_sum / n)
 
 

@@ -44,8 +44,8 @@ class DivergenceError(FFLabError):
     """Training diverged: the weights of a layer, of the head or of the
     SGNS embedding tables left the finite range.
 
-    ``layer`` and ``epoch`` locate the divergence, when known; the
-    training loop fills in ``epoch`` as the error passes through it.
+    ``layer`` and ``epoch`` locate the divergence, when known; the loop
+    that owns the epoch fills in ``epoch`` as the error passes through it.
     """
 
     def __init__(self, message, layer=None, epoch=None):

@@ -215,14 +215,14 @@ def run_experiment(cfg, bundle=None):
     for epoch in range(cfg["epochs"]):
         t0 = time.perf_counter()
         theta = thetas(cfg, net.widths, epoch)
-        em = train_epoch(
-            net, bundle.X_train, bundle.y_train, slots, theta, epoch,
-            cfg["batch_size"], rng_data,
-        )
-
-        F = features_batch(net, bundle.X_train, slots, included)
-        # a head whose weights or logits leave the finite range ends the run
+        # a layer, head or sweep leaving the finite range ends the run here
         try:
+            em = train_epoch(
+                net, bundle.X_train, bundle.y_train, slots, theta,
+                cfg["batch_size"], rng_data,
+            )
+
+            F = features_batch(net, bundle.X_train, slots, included)
             head = fit_head(
                 F,
                 bundle.y_train,
@@ -240,15 +240,11 @@ def run_experiment(cfg, bundle=None):
             head_test_err = _error_rate(
                 predict_head_batch(net, head, bundle.X_test, slots), bundle.y_test
             )
-        except DivergenceError as e:
-            e.epoch, e.layer = epoch, "head"
-            raise
-        errs = {"head": (head_train_err, head_test_err)}
-        # the last train-split sweep also keeps every layer's goodness for
-        # goodness_hist.csv, so the finish phase forwards nothing
-        if epoch == cfg["epochs"] - 1:
-            G = np.empty((len(bundle.y_train), bundle.num_classes, len(net.layers)))
-        try:
+            errs = {"head": (head_train_err, head_test_err)}
+            # the last train-split sweep also keeps every layer's goodness for
+            # goodness_hist.csv, so the finish phase forwards nothing
+            if epoch == cfg["epochs"] - 1:
+                G = np.empty((len(bundle.y_train), bundle.num_classes, len(net.layers)))
             errs["sweep"] = (
                 _error_rate(
                     predict_sweep_batch(
@@ -376,7 +372,7 @@ def _run_baseline(cfg, bundle, out_dir):
         try:
             em = bp_train_epoch(net, X_tr, bundle.y_train, cfg["batch_size"], rng)
         except DivergenceError as e:
-            e.epoch = epoch
+            e.epoch, e.layer = epoch, f"baseline {e.layer}"
             raise
         tr = _error_rate(bp_predict_batch(net, X_tr), bundle.y_train)
         te = _error_rate(bp_predict_batch(net, X_te), bundle.y_test)

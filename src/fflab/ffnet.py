@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import stable_sigmoid
-from .errors import DimensionError, DivergenceError, UsageError
-from .numerics import DenseLayer, adam_step, row_directions
+from .errors import DimensionError, UsageError
+from .numerics import DenseLayer, adam_step, require_finite, row_directions
 
 
 @dataclass(frozen=True)
@@ -133,16 +133,10 @@ class FFLayer(DenseLayer):
         db = dZ.mean(axis=0)
         return dW, db, losses, G
 
-    def apply_grads(self, dW, db, index=None):
-        """One Adam step on W and b; ``index`` names the layer in errors."""
+    def apply_grads(self, dW, db):
+        """One Adam step on W and b."""
         adam_step(self.adam_W, self.W, dW)
         adam_step(self.adam_b, self.b, db)
-        # min/max propagate NaN and expose +-inf without a boolean mask
-        for P in (self.W, self.b):
-            if not (np.isfinite(P.min()) and np.isfinite(P.max())):
-                raise DivergenceError(
-                    "weights left the finite range after an update", layer=index
-                )
 
 
 class FFNetwork:
@@ -190,7 +184,7 @@ class EpochMetrics:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def train_epoch(net, X_raw, y, slots, thetas, epoch, batch_size, rng):
+def train_epoch(net, X_raw, y, slots, thetas, batch_size, rng):
     """One pass over the n raw rows, each seen once as a positive and once
     as a negative.
 
@@ -201,13 +195,16 @@ def train_epoch(net, X_raw, y, slots, thetas, epoch, batch_size, rng):
     first, then their m negatives in the same row order, so the first m
     embedded rows have sign +1 and the last m sign -1.
 
-    Per batch, layer l is forwarded with its pre-update weights, takes
+    Per batch, layer l is forwarded with its pre-update weights and takes
     one Adam step on its local gradients (threshold ``thetas[l]``, see
-    ``config.thetas``) and checks it stayed finite; then layer l+1 is
-    forwarded from l's pre-step activation. So one layer's (Xhat, Z, A)
-    and one gradient are alive at a time, with the bits of forwarding
-    every layer first. The finite check is the guard, so overflow
-    warnings are silenced; ``epoch`` locates a divergence.
+    ``config.thetas``); then layer l+1 is forwarded from l's pre-step
+    activation. So one layer's (Xhat, Z, A) and one gradient are alive at
+    a time, with the bits of forwarding every layer first.
+
+    After the last batch every layer is checked once (NaN and inf are
+    absorbing under Adam): a :class:`DivergenceError` names the lowest
+    non-finite layer, which diverged by itself, and the caller stamps
+    its epoch. The check is the guard, so overflow warnings are silenced.
 
     The layers update on the calling thread: a thread pool for their Adam
     steps was no faster on 2 cores (see the README, "Layer updates").
@@ -241,17 +238,16 @@ def train_epoch(net, X_raw, y, slots, thetas, epoch, batch_size, rng):
         signs = np.repeat([1.0, -1.0], m)
         for li, layer in enumerate(net.layers):
             dW, db, losses, G = layer.grads_batch(*next(stages), signs, thetas[li])
-            try:
-                layer.apply_grads(dW, db, li)
-            except DivergenceError as e:
-                e.epoch = epoch
-                raise
+            layer.apply_grads(dW, db)
             # one live gradient at a time: free it before the next layer's
             del dW, db
             loss_sum[li] += losses.sum()
             g_pos_sum[li] += G[:m].sum()
             g_neg_sum[li] += G[m:].sum()
 
+    for li, layer in enumerate(net.layers):
+        require_finite("weights left the finite range after an update",
+                       layer.W, layer.b, layer=li)
     return EpochMetrics(
         mean_loss=loss_sum / (2 * n),
         mean_g_pos=g_pos_sum / n,

@@ -19,7 +19,7 @@ import numpy as np
 from .bp_baseline import BPNetwork, bp_train_epoch
 from .errors import DimensionError, DivergenceError, UsageError
 from .ffnet import goodness
-from .numerics import DenseLayer, row_chunks, row_directions
+from .numerics import DenseLayer, require_finite, row_chunks, row_directions
 
 
 # the label sweep's activations and goodness; weights, checkpoints, the
@@ -145,14 +145,18 @@ def fit_head(F, labels, num_classes, included_layers, epochs=8, batch_size=128, 
     never the network, so the network stays frozen.
 
     ``bp_train_epoch``'s errors pass through: a ``UsageError`` for an
-    empty F, a ``DivergenceError`` (``layer`` 0) for a head whose weights
-    left the finite range.
+    empty F, and a ``DivergenceError`` for a head whose weights left the
+    finite range, its ``layer`` renamed ``"head"``.
     """
     layer = DenseLayer(F.shape[1], num_classes, None, lr, W=np.zeros((num_classes, F.shape[1])))
     net = BPNetwork.from_layer_list([layer])
     order = list(range(F.shape[0]))
-    for _ in range(epochs):
-        bp_train_epoch(net, F, labels, batch_size, rng, order)
+    try:
+        for _ in range(epochs):
+            bp_train_epoch(net, F, labels, batch_size, rng, order)
+    except DivergenceError as e:
+        e.layer = "head"
+        raise
     return ClassifierHead(layer.W, layer.b, tuple(included_layers))
 
 
@@ -180,9 +184,7 @@ def predict_head_features(head, F):
         )
     logits = F @ head.W.T
     logits += head.b
-    # min/max propagate NaN and expose +-inf without a boolean mask
-    if logits.size and not (np.isfinite(logits.min()) and np.isfinite(logits.max())):
-        raise DivergenceError("logits left the finite range", layer="head")
+    require_finite("logits left the finite range", logits, layer="head")
     return np.argmax(logits, axis=1)
 
 
@@ -265,11 +267,7 @@ def sweep_scores_batch(net, X_raw, num_classes, slots, included_layers=None,
             del A
             goods.append(g)
         for i, g in enumerate(goods):
-            # max propagates NaN, and goodness is never negative
-            if not np.isfinite(g.max()):
-                raise DivergenceError(
-                    "goodness left the float32 range of the label sweep", layer=i
-                )
+            require_finite("goodness left the float32 range of the label sweep", g, layer=i)
             g = g.reshape(num_classes, -1).T  # (rows, num_classes)
             if i in included:
                 scores[rows] += g

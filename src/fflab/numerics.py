@@ -1,5 +1,6 @@
 """Row normalization, initial weights, a hand-rolled, in-place Adam
-optimizer, and the dense layer every trained affine map is.
+optimizer, the dense layer every trained affine map is, and the finite
+check that guards every trainer.
 
 Batches are float64 matrices with one sample per row (the label sweep
 forwards float32 ones); parameters are float64 ndarrays of any shape.
@@ -11,11 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import get_activation
-from .errors import DimensionError
+from .errors import DimensionError, DivergenceError
 
 __all__ = [
     "CHUNK_ROWS", "row_chunks", "row_directions", "fan_in_uniform", "AdamState", "adam_step",
-    "DenseLayer",
+    "DenseLayer", "require_finite",
 ]
 
 # Rows per chunk of every whole-split forward pass (label sweep, head
@@ -182,3 +183,13 @@ class DenseLayer:
         Z = X @ self.W.T
         Z += self.b
         return Z, (Z if self.act is None else self.act.fn(Z))
+
+
+def require_finite(message, *arrays, **where):
+    """Raise ``DivergenceError(message, **where)`` unless every element of
+    ``arrays`` is finite. NaN and inf are absorbing under Adam, so a
+    trainer checks its weights once, after its epoch."""
+    for a in arrays:
+        # min/max propagate NaN and expose +-inf without a boolean mask
+        if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+            raise DivergenceError(message, **where)

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DivergenceError, FormatError, UsageError
+from .errors import DataError, FormatError, UsageError
 from .ffnet import LabelSlots
 from .kernels import pairs_per_sentence, sgns_epoch
+from .numerics import require_finite
 from .porter import stem
 from .rng import Rng
 
@@ -167,10 +168,7 @@ def train_sgns(corpus, vocab, dim=100, window=5, neg_k=5, epochs=5,
             tokens, offsets, win, wout, cdf, window, neg_k,
             lr0, lr0 * 1e-4, done, total_pairs, state,
         )
-        # min/max propagate NaN and expose +-inf without a boolean mask
-        for table in (win, wout):
-            if not (np.isfinite(table.min()) and np.isfinite(table.max())):
-                raise DivergenceError("SGNS embeddings left the finite range", epoch=epoch)
+        require_finite("SGNS embeddings left the finite range", win, wout, epoch=epoch)
     return win
 
 

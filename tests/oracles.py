@@ -584,7 +584,7 @@ def epoch_batches(X_raw, y, slots, batch_size, rng):
         return grads(Xhat, Z, A, signs, theta)
 
     layer.forward_batch, layer.grads_batch = record_forward, record_grads
-    train_epoch(net, X_raw, y, slots, [1.0], 0, batch_size, rng)
+    train_epoch(net, X_raw, y, slots, [1.0], batch_size, rng)
     return [tuple(batch) for batch in seen]
 
 

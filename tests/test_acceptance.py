@@ -207,9 +207,9 @@ def desk_ff_run(ks, seed):
     net = FFNetwork(bundle.input_dim, DESK_ARCH, "relu", DESK_LR, Rng(derive_seed(seed, 0)))
     rng = Rng(derive_seed(seed, 1))
     thetas = [k * w for k, w in zip(ks, DESK_ARCH)]
-    for epoch in range(DESK_EPOCHS):
+    for _ in range(DESK_EPOCHS):
         train_epoch(
-            net, bundle.X_train, bundle.y_train, bundle.slots, thetas, epoch, DESK_BATCH, rng
+            net, bundle.X_train, bundle.y_train, bundle.slots, thetas, DESK_BATCH, rng
         )
     head = frozen_head(
         net,
@@ -302,10 +302,9 @@ def test_c5_bounded_activation_failure():
     for act in ("relu", "sigmoid"):
         net = FFNetwork(bundle.input_dim, [100, 100], act, 0.01, Rng(1))
         rng = Rng(2)
-        for epoch in range(80):
+        for _ in range(80):
             train_epoch(
-                net, bundle.X_train, bundle.y_train, bundle.slots, [2.0 * 100] * 2,
-                epoch, 128, rng,
+                net, bundle.X_train, bundle.y_train, bundle.slots, [2.0 * 100] * 2, 128, rng
             )
         pred = predict_sweep_batch(
             net, bundle.X_test, bundle.num_classes, bundle.slots
@@ -360,10 +359,9 @@ def test_c7_imdb_desk():
     bundle = build_bundle(cfg)
     net = FFNetwork(bundle.input_dim, [500, 500], "relu", 0.01, Rng(derive_seed(cfg.seed, 0)))
     rng = Rng(derive_seed(cfg.seed, 1))
-    for epoch in range(6):
+    for _ in range(6):
         train_epoch(
-            net, bundle.X_train, bundle.y_train, bundle.slots, [0.5 * 500] * 2,
-            epoch, 128, rng,
+            net, bundle.X_train, bundle.y_train, bundle.slots, [0.5 * 500] * 2, 128, rng
         )
     head = frozen_head(
         net,

@@ -11,6 +11,7 @@ from fflab.analysis import (
     write_goodness_csv,
     write_weight_stats_csv,
 )
+from fflab.errors import UsageError
 from fflab.ffnet import FFNetwork, goodness, train_epoch
 from fflab.inference import sweep_scores_batch
 from fflab.rng import Rng
@@ -26,8 +27,8 @@ def trained_toy(k=0.5, lr=0.05, epochs=40):
     X, y, _ = two_blob_toy(n_per_class=60, separation=6.0)
     net = FFNetwork(2 + X.shape[1], [32, 32], "relu", lr, Rng(100))
     rng = Rng(101)
-    for epoch in range(epochs):
-        train_epoch(net, X, y, BLOB, [k * 32] * 2, epoch, 16, rng)
+    for _ in range(epochs):
+        train_epoch(net, X, y, BLOB, [k * 32] * 2, 16, rng)
     return X, y, net
 
 
@@ -88,6 +89,15 @@ class TestHeatmap:
         export_heatmap(W, p1)
         export_heatmap(W, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, tmp_path, bad):
+        W = np.ones((3, 4))
+        W[1, 2] = bad
+        path = tmp_path / "bad.pgm"
+        with pytest.raises(UsageError, match="finite weights"):
+            export_heatmap(W, path)
+        assert not path.exists()
 
     def test_label_pixel_spike_helper(self):
         W = np.ones((4, 20)) * 0.1

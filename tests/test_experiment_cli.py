@@ -14,7 +14,7 @@ from fflab.checkpoint import load_network, network_bytes
 from fflab.cli import main
 from fflab import experiment, inference, numerics
 from fflab.config import parse_config
-from fflab.errors import FFLabError
+from fflab.errors import DivergenceError, FFLabError
 from fflab.experiment import build_bundle, run_experiment, run_sweep
 from fflab.ffnet import FFLayer, FFNetwork, LabelSlots
 from fflab.rng import Rng
@@ -306,7 +306,7 @@ class TestCli:
             args += ["--set", f"{k}={v}"]
         assert main(args) == 3
         err = capsys.readouterr().err.splitlines()
-        assert err == ["training diverged: epoch 0, layer 0: "
+        assert err == ["training diverged: epoch 0, layer baseline 0: "
                        "weights left the finite range after an update"]
         assert not os.path.exists(tmp_path / "run" / "checkpoint.bpn1")
 
@@ -325,8 +325,9 @@ class TestCli:
         written: numpy's overflow warnings stay silent. At the default head
         batch size the head's weights stay finite but its logits overflow;
         at lr 1e20 the net's do, but its goodness overflows float32."""
-        layer = "head" if overrides[0].startswith("head.") else "0"
-        checkpoint = "checkpoint.bpn1" if "baseline.enabled=true" in overrides else "checkpoint.ffn1"
+        baseline = "baseline.enabled=true" in overrides
+        layer = "head" if overrides[0].startswith("head.") else "baseline 0" if baseline else "0"
+        checkpoint = "checkpoint.bpn1" if baseline else "checkpoint.ffn1"
         args = [sys.executable, "-m", "fflab.cli", "train", "--dataset", "synthetic",
                 "--seed", "1", "--arch", "16,16", "--epochs", "2"]
         for setting in overrides + [f"output_dir={tmp_path / 'run'}"]:
@@ -340,6 +341,29 @@ class TestCli:
             f"training diverged: epoch 0, layer {layer}: {message}"
         ]
         assert not os.path.exists(tmp_path / "run" / checkpoint)
+
+    def test_divergence_after_epoch_zero_names_its_epoch(self, tmp_path, monkeypatch):
+        """run_experiment stamps the epoch it is in: layer 1 poisoned on the
+        second train_epoch call diverges in epoch 1, before any checkpoint."""
+        train_epoch = experiment.train_epoch
+        calls = []
+
+        def poisoned(net, *args):
+            calls.append(net)
+            if len(calls) == 2:
+                net.layers[1].W[0, 0] = np.nan
+            return train_epoch(net, *args)
+
+        monkeypatch.setattr(experiment, "train_epoch", poisoned)
+        cfg = parse_config(None, fast_overrides(tmp_path / "run", epochs=3))
+        with pytest.raises(DivergenceError) as info:
+            run_experiment(cfg)
+        assert (info.value.epoch, info.value.layer) == (1, 1)
+        assert str(info.value) == (
+            "epoch 1, layer 1: weights left the finite range after an update"
+        )
+        assert len(calls) == 2
+        assert not os.path.exists(tmp_path / "run" / "checkpoint.ffn1")
 
     def test_too_few_synthetic_classes_exit_one_before_output(self, tmp_path, capsys):
         args = ["train"]

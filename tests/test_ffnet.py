@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from fflab import ffnet
 from fflab.activations import ACTIVATIONS
 from fflab.errors import DimensionError, DivergenceError, UsageError
 from fflab.ffnet import (
@@ -17,6 +18,7 @@ from fflab.ffnet import (
     softplus,
     train_epoch,
 )
+from fflab.numerics import require_finite
 from fflab.rng import Rng
 from fflab.synthetic import label_slots
 
@@ -286,11 +288,11 @@ def toy_rows(n=10, dim=6, seed=70):
     return X, np.arange(n) % 3
 
 
-def train_toy(net, k, epoch, batch_size, rng, n=10):
+def train_toy(net, k, batch_size, rng, n=10):
     """One epoch on toy rows at theta = k * width on every layer."""
     X, y = toy_rows(n)
     thetas = [k * w for w in net.widths]
-    return train_epoch(net, X, y, TOY_SLOTS, thetas, epoch, batch_size, rng)
+    return train_epoch(net, X, y, TOY_SLOTS, thetas, batch_size, rng)
 
 
 class TestTrainEpoch:
@@ -299,7 +301,7 @@ class TestTrainEpoch:
         with pytest.raises(UsageError, match="zero rows"):
             train_epoch(
                 net, np.empty((0, 6)), np.empty(0, dtype=np.int64), TOY_SLOTS,
-                [2.0], 0, 8, Rng(2),
+                [2.0], 8, Rng(2),
             )
 
     @pytest.mark.parametrize("thetas", [[2.0], [2.0, 2.0, 2.0]])
@@ -307,19 +309,19 @@ class TestTrainEpoch:
         net = FFNetwork(6, [4, 4], "relu", 0.01, Rng(1))
         X, y = toy_rows()
         with pytest.raises(UsageError, match=f"{len(thetas)} thresholds for a depth-2 network"):
-            train_epoch(net, X, y, TOY_SLOTS, thetas, 0, 8, Rng(2))
+            train_epoch(net, X, y, TOY_SLOTS, thetas, 8, Rng(2))
 
     @pytest.mark.parametrize("batch_size", [0, 1, 7])
     def test_odd_or_tiny_batch_size_rejected(self, batch_size):
         """A row's positive and negative never split across batches."""
         net = FFNetwork(6, [4], "relu", 0.01, Rng(1))
         with pytest.raises(UsageError, match="batch_size must be even and >= 2"):
-            train_toy(net, 0.5, 0, batch_size, Rng(2))
+            train_toy(net, 0.5, batch_size, Rng(2))
 
     def test_zero_lr_is_bitwise_fixed_point(self):
         net = FFNetwork(6, [5, 4], "relu", 0.0, Rng(80))
         before = [(l.W.copy(), l.b.copy()) for l in net.layers]
-        train_toy(net, 0.5, 0, 8, Rng(81))
+        train_toy(net, 0.5, 8, Rng(81))
         for (W0, b0), layer in zip(before, net.layers):
             np.testing.assert_array_equal(W0, layer.W)
             np.testing.assert_array_equal(b0, layer.b)
@@ -330,7 +332,7 @@ class TestTrainEpoch:
         acts = [(l.act.fn, l.act.deriv) for l in net.layers]
         thetas = [k * w for w in widths]
 
-        metrics = train_toy(net, k, 0, 8, Rng(seed), n=n)
+        metrics = train_toy(net, k, 8, Rng(seed), n=n)
 
         X, y = toy_rows(n)
         batches = loop_paired_batches(X, y, 3, 0, True, 8, Rng(seed))
@@ -356,9 +358,9 @@ class TestTrainEpoch:
         net = FFNetwork(2 + X.shape[1], [32, 32], "relu", 0.05, Rng(100))
         rng = Rng(101)
         history = []
-        for epoch in range(5):
+        for _ in range(5):
             history.append(
-                train_epoch(net, X, y, label_slots(2), [0.1 * 32] * 2, epoch, 16, rng)
+                train_epoch(net, X, y, label_slots(2), [0.1 * 32] * 2, 16, rng)
             )
         assert np.all(history[4].mean_g_pos > history[0].mean_g_pos)
         assert np.all(history[4].mean_g_neg < history[0].mean_g_neg)
@@ -378,7 +380,7 @@ class TestTrainEpoch:
         depth = len(widths)
         thetas = [0.3 * w for w in widths]
         for epoch in range(3):
-            metrics = train_epoch(net, X, y, TOY_SLOTS, thetas, epoch, 8, Rng(95 + epoch))
+            metrics = train_epoch(net, X, y, TOY_SLOTS, thetas, 8, Rng(95 + epoch))
 
             batches = loop_paired_batches(X, y, 3, 0, True, 8, Rng(95 + epoch))
             loss_sum, g_pos, g_neg = np.zeros(depth), np.zeros(depth), np.zeros(depth)
@@ -400,12 +402,14 @@ class TestTrainEpoch:
                 assert np.array_equal(layer.b, ref.b)
 
     def test_divergence_names_layer_and_epoch(self):
+        """train_epoch names the layer; the epoch is left to the loop that
+        owns it (see test_experiment_cli's divergence after epoch 0)."""
         net = FFNetwork(6, [7, 5, 9, 3], "relu", 0.01, Rng(96))
         net.layers[2].W[0, 0] = np.inf
         with pytest.raises(DivergenceError) as info:
-            train_toy(net, 0.5, 7, 8, Rng(97))
-        assert (info.value.layer, info.value.epoch) == (2, 7)
-        assert str(info.value).startswith("epoch 7, layer 2: ")
+            train_toy(net, 0.5, 8, Rng(97))
+        assert (info.value.layer, info.value.epoch) == (2, None)
+        assert str(info.value).startswith("layer 2: ")
 
     def test_each_gradient_is_freed_before_the_next_is_computed(self, monkeypatch):
         """Only one layer's dW is alive at a time: the 3-layer 784->2000 net
@@ -421,7 +425,7 @@ class TestTrainEpoch:
 
         monkeypatch.setattr(FFLayer, "grads_batch", tracked)
         net = FFNetwork(6, [5, 4, 3], "relu", 0.01, Rng(3))
-        train_toy(net, 0.5, 0, 8, Rng(4))
+        train_toy(net, 0.5, 8, Rng(4))
         assert live_at_call == [0] * 9  # 10 rows, 4 per batch: 3 x 3 layers
 
     def test_polarity_counts(self):
@@ -446,7 +450,7 @@ class TestTrainEpoch:
         monkeypatch.setattr(Rng, "shuffle", recorded)
         net = FFNetwork(6, [5, 4], "relu", 0.01, Rng(3))
         rng, ref = Rng(4), Rng(4)
-        train_toy(net, 0.5, 0, 8, rng, n=10)
+        train_toy(net, 0.5, 8, rng, n=10)
         assert lengths == [10]
         for _ in range(10 + 9):
             ref.next_u64()
@@ -471,7 +475,7 @@ def test_step_holds_one_layer(widths):
     net = FFNetwork(slots.width(raw_dim), widths, "relu", 0.01, Rng(161))
     tracemalloc.start()
     try:
-        train_epoch(net, X, y, slots, [2.0] * len(widths), 0, batch, Rng(162))
+        train_epoch(net, X, y, slots, [2.0] * len(widths), batch, Rng(162))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -545,22 +549,51 @@ class TestLabelSlots:
 
 
 class TestFiniteCheck:
+    """train_epoch checks every layer once, after its last batch, and names
+    the lowest-index non-finite layer: the one that diverged by itself."""
+
+    WIDTHS = [7, 5, 9, 3]
+
+    def _diverges_at_layer_two(self, net):
+        with pytest.raises(DivergenceError) as info:
+            train_toy(net, 0.5, 8, Rng(113))
+        assert info.value.layer == 2
+        assert str(info.value) == "layer 2: weights left the finite range after an update"
+        for layer in net.layers[:2]:
+            assert np.all(np.isfinite(layer.W)) and np.all(np.isfinite(layer.b))
+
     @pytest.mark.parametrize("param", ["W", "b"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weight_raises_divergence(self, param, bad):
-        layer = make_layer(Rng(110), 4, 3)
-        getattr(layer, param)[-1] = bad
-        with pytest.raises(DivergenceError) as info:
-            layer.apply_grads(np.zeros((3, 4)), np.zeros(3), index=5)
-        assert info.value.layer == 5
-        assert "layer 5" in str(info.value)
+        net = FFNetwork(6, self.WIDTHS, "relu", 0.01, Rng(110))
+        getattr(net.layers[2], param)[-1] = bad
+        self._diverges_at_layer_two(net)
 
     def test_nan_gradient_raises_divergence(self):
-        layer = make_layer(Rng(111), 4, 3)
-        dW = np.zeros((3, 4))
-        dW[1, 2] = np.nan
-        with pytest.raises(DivergenceError):
-            layer.apply_grads(dW, np.zeros(3))
+        """A NaN in one step's gradient of layer 2 is found at the epoch's end."""
+        net = FFNetwork(6, self.WIDTHS, "relu", 0.01, Rng(111))
+        layer = net.layers[2]
+
+        def poisoned(*args):
+            dW, db, losses, G = FFLayer.grads_batch(layer, *args)
+            dW[1, 2] = np.nan
+            return dW, db, losses, G
+
+        layer.grads_batch = poisoned
+        self._diverges_at_layer_two(net)
+
+    def test_one_check_per_layer_per_epoch(self, monkeypatch):
+        """Three batches, four layers: four checks, not twelve."""
+        checked = []
+
+        def counting(message, *arrays, **where):
+            checked.append(where["layer"])
+            return require_finite(message, *arrays, **where)
+
+        monkeypatch.setattr(ffnet, "require_finite", counting)
+        net = FFNetwork(6, self.WIDTHS, "relu", 0.01, Rng(114))
+        train_toy(net, 0.5, 8, Rng(115))
+        assert checked == [0, 1, 2, 3]
 
     def test_finite_update_passes(self):
         layer = make_layer(Rng(112), 4, 3)

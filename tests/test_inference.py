@@ -38,8 +38,8 @@ def toy_task():
     X, y, _ = two_blob_toy(separation=4.0)
     net = FFNetwork(2 + X.shape[1], [16, 16], "relu", 0.03, Rng(300))
     rng = Rng(301)
-    for epoch in range(12):
-        train_epoch(net, X, y, BLOB, [0.3 * 16] * 2, epoch, 16, rng)
+    for _ in range(12):
+        train_epoch(net, X, y, BLOB, [0.3 * 16] * 2, 16, rng)
     return X, y, net
 
 
@@ -366,8 +366,10 @@ class TestChunkPeak:
         assert peak <= F.nbytes + 2 * chunk + chunk // 8
 
     def test_sweep(self):
-        """3 beside the scores and layer_goodness: the shared layer-0
-        product, and the two of a layer step (see test_features)."""
+        """Beside the scores and layer_goodness, 2 float32 matrices of a
+        stacked chunk (about CHUNK_ROWS rows, candidates after one
+        another): the two of a layer step (see test_features), in the
+        sweep's float32. A float64 sweep would hold 2 float64 ones."""
         X, net, chunk = self._case()
         G_bytes = X.shape[0] * 4 * 3 * 8
         scores, peak = _traced_peak(
@@ -375,7 +377,7 @@ class TestChunkPeak:
                 net, X, 4, self.SLOTS, layer_goodness=np.empty((X.shape[0], 4, 3))
             )
         )
-        assert peak <= scores.nbytes + G_bytes + 3 * chunk + chunk // 8
+        assert peak <= scores.nbytes + G_bytes + 2 * (chunk // 2) + chunk // 8
 
     def test_sweep_wide_rows(self):
         """Raw rows 4D wide: 2 raw-row chunk matrices beside the scores, a
