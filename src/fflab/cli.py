@@ -8,11 +8,13 @@ Exit codes:
   width does not fit the network
 - 3 training diverged: the weights of a layer, of the softmax head or of
   the SGNS embeddings left the finite range
+- 4 out of memory: the line names the phase and the innermost package function
 """
 
 import argparse
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -185,6 +187,12 @@ def main(argv=None):
     except FFLabError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:
+        fns = [f"{os.path.basename(f.filename)[:-3]}.{f.name}" for f in traceback.extract_tb(
+            e.__traceback__) if os.path.dirname(f.filename) == os.path.dirname(__file__)]
+        phase = next((fn for fn in fns if not fn.startswith(("cli.", "experiment."))), fns[-1])
+        print(f"out of memory in {phase}" + (phase != fns[-1]) * f", at {fns[-1]}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -204,10 +204,7 @@ def train_epoch(net, X_raw, y, slots, thetas, batch_size, rng):
     After the last batch every layer is checked once (NaN and inf are
     absorbing under Adam): a :class:`DivergenceError` names the lowest
     non-finite layer, which diverged by itself, and the caller stamps
-    its epoch. The check is the guard, so overflow warnings are silenced.
-
-    The layers update on the calling thread: a thread pool for their Adam
-    steps was no faster on 2 cores (see the README, "Layer updates").
+    its epoch. The check is the guard, so overflow warnings are silenced, in Adam's pool too.
     """
     if batch_size < 2 or batch_size % 2:
         raise UsageError(

@@ -6,7 +6,11 @@ Batches are float64 matrices with one sample per row (the label sweep
 forwards float32 ones); parameters are float64 ndarrays of any shape.
 """
 
+import ctypes
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,42 +97,54 @@ class AdamState:
 
 
 # Rows of a parameter that one Adam block covers hold about this many
-# elements, 512 KiB per array: six arrays overflow a 2 MiB L2, but 1 << 15
-# was no faster on 2 cores (train_epoch at 784->2000x4: 2.56 s against
-# 2.64 s, medians of 4 alternating runs spread over 2.41-3.30 s).
+# elements; a thread works through them half a block (256 KiB an array) at
+# a time, as fast on 2 cores as whole blocks (train_epoch at 784->2000x4:
+# 2.56 s against 2.64 s, medians of 4 alternating runs, spread 2.41-3.30 s).
 _ADAM_BLOCK = 1 << 16
 
+# Threads that share a step of two or more blocks: OpenBLAS's thread count, at most 2 (measured)
+_ADAM_WORKERS = None
+_adam_pool = None  # _ADAM_WORKERS - 1 threads from the first split step on
+_adam_work = threading.local()  # each thread's two work arrays, kept across steps
+os.register_at_fork(after_in_child=lambda: globals().update(_adam_pool=None))
 
-def adam_step(state, params, grads):
-    """One Adam update, in place. Returns ``params``.
 
-    m <- b1*m + (1-b1)*g ; v <- b2*v + (1-b2)*g^2 ;
-    params <- params - lr * m_hat / (sqrt(v_hat) + eps) with the usual
-    bias-corrected m_hat, v_hat (eps sits outside the square root).
+def _split_pool():
+    """The pool of a step that splits; None (one worker from then on) where OpenBLAS has one
+    thread or is not mapped. Unless OPENBLAS_THREAD_TIMEOUT is set, OpenBLAS first restarts its
+    threads with the shortest spin after a GEMM (2^4 cycles, not 2^28), so idle ones sleep."""
+    global _ADAM_WORKERS, _adam_pool
+    if _adam_pool is None and _ADAM_WORKERS != 1:
+        try:
+            with open("/proc/self/maps") as f:
+                lib = ctypes.CDLL(next(ln[ln.index("/"):-1] for ln in f if "openblas64_" in ln))
+            count, *restart = [getattr(lib, name) for name in ("scipy_openblas_get_num_threads64_",
+                               "openblas_read_env", "blas_thread_shutdown_", "blas_thread_init")]
+            _ADAM_WORKERS = _ADAM_WORKERS or min(2, count())
+        except (OSError, StopIteration, AttributeError):
+            _ADAM_WORKERS = 1
+        if _ADAM_WORKERS > 1 and "OPENBLAS_THREAD_TIMEOUT" not in os.environ:
+            os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
+            for call in restart:
+                call()
+            del os.environ["OPENBLAS_THREAD_TIMEOUT"]
+        _adam_pool = ThreadPoolExecutor(_ADAM_WORKERS - 1) if _ADAM_WORKERS > 1 else None
+    return _adam_pool
 
-    The update runs over blocks of rows, writing into one scratch and one
-    step array allocated per call, with the operations in the order of the
-    textbook expression; every operation is elementwise, so the result is
-    bit-identical to evaluating it whole with temporaries.
-    """
-    if params.shape != grads.shape or params.shape != state.m.shape:
-        raise DimensionError(
-            f"adam_step shape mismatch: params {params.shape}, "
-            f"grads {grads.shape}, moments {state.m.shape}"
-        )
-    state.t += 1
+
+def _adam_rows(lo, hi, rows, P, G, M, V, m_scale, v_scale, lr):
+    """Adam over rows lo..hi, ``rows`` at a time, in this thread's work arrays."""
+    shape = (min(rows, hi - lo),) + P.shape[1:]
+    size = math.prod(shape)
+    work = getattr(_adam_work, "arrays", None)
+    if work is None or work.shape[1] < size:
+        work = _adam_work.arrays = np.empty((2, size))
+    scratch, step = (w[:size].reshape(shape) for w in work)
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    m_scale = 1.0 - b1 ** state.t
-    v_scale = 1.0 - b2 ** state.t
-    P, G, M, V = params, grads, state.m, state.v
-    if P.ndim == 0:
-        P, G, M, V = P[None], G[None], M[None], V[None]
-    rows = max(1, _ADAM_BLOCK // max(1, math.prod(P.shape[1:])))
-    scratch = np.empty((min(rows, len(P)),) + P.shape[1:])
-    step = np.empty_like(scratch)
-    for i in range(0, len(P), rows):
-        p, g, m, v = P[i : i + rows], G[i : i + rows], M[i : i + rows], V[i : i + rows]
-        s, d = scratch[: len(p)], step[: len(p)]
+    for i in range(lo, hi, rows):
+        j = min(i + rows, hi)
+        p, g, m, v = P[i:j], G[i:j], M[i:j], V[i:j]
+        s, d = scratch[: j - i], step[: j - i]
         np.multiply(g, 1.0 - b1, out=s)
         m *= b1
         m += s
@@ -141,9 +157,48 @@ def adam_step(state, params, grads):
         np.sqrt(s, out=s)
         s += ADAM_EPS
         np.divide(m, m_scale, out=d)
-        d *= state.lr
+        d *= lr
         d /= s
         p -= d
+
+
+def adam_step(state, params, grads):
+    """One Adam update, in place. Returns ``params``.
+
+    m <- b1*m + (1-b1)*g ; v <- b2*v + (1-b2)*g^2 ;
+    params <- params - lr * m_hat / (sqrt(v_hat) + eps) with the usual
+    bias-corrected m_hat, v_hat (eps sits outside the square root).
+
+    The update runs over blocks of rows in the textbook's order; a parameter
+    of two or more blocks is dealt out in whole blocks to the caller and a
+    private pool (``_split_pool``). Every operation is elementwise, so the
+    result is bit-identical to the whole expression on any number of threads.
+    """
+    if params.shape != grads.shape or params.shape != state.m.shape:
+        raise DimensionError(
+            f"adam_step shape mismatch: params {params.shape}, "
+            f"grads {grads.shape}, moments {state.m.shape}"
+        )
+    state.t += 1
+    P, G, M, V = params, grads, state.m, state.v
+    if P.ndim == 0:
+        P, G, M, V = P[None], G[None], M[None], V[None]
+    rows = max(1, _ADAM_BLOCK // max(1, math.prod(P.shape[1:])))
+    args = (max(1, rows // 2), P, G, M, V, 1.0 - ADAM_BETA1 ** state.t,
+            1.0 - ADAM_BETA2 ** state.t, state.lr)
+    if len(P) <= rows or _split_pool() is None:
+        _adam_rows(0, len(P), *args)
+        return params
+    blocks = -(-len(P) // rows)
+    workers = min(_ADAM_WORKERS, blocks)
+    ends = [min(len(P), blocks * k // workers * rows) for k in range(workers + 1)]
+    pooled = np.errstate(**np.geterr())(_adam_rows)  # the error state is per thread
+    shares = [_adam_pool.submit(pooled, lo, hi, *args) for lo, hi in zip(ends[1:-1], ends[2:])]
+    try:
+        _adam_rows(0, ends[1], *args)
+    finally:
+        for done in wait(shares).done:
+            done.result()
     return params
 
 

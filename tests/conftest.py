@@ -4,6 +4,8 @@ import os
 
 import pytest
 
+from fflab import numerics
+
 MNIST_DIR = os.environ.get("FFLAB_MNIST_DIR", os.path.join("data", "mnist"))
 IMDB_DIR = os.environ.get("FFLAB_IMDB_DIR", os.path.join("data", "aclImdb"))
 
@@ -30,6 +32,27 @@ requires_imdb = pytest.mark.skipif(
     reason=f"aclImdb directory not found at {IMDB_DIR!r} "
     "(set FFLAB_IMDB_DIR to the extracted dataset root)",
 )
+
+
+@pytest.fixture
+def adam_workers(monkeypatch):
+    """Call with n to run every later ``adam_step`` on n threads, each count
+    with a pool of its own. The count follows OpenBLAS's thread count and is
+    no knob, so it is set through the module's private attribute; the pools
+    made here are shut down before the next count and at the end."""
+    used = []
+
+    def use(n):
+        if used and numerics._adam_pool is not None:
+            numerics._adam_pool.shutdown()
+        used.append(n)
+        monkeypatch.setattr(numerics, "_ADAM_WORKERS", n)
+        monkeypatch.setattr(numerics, "_adam_pool", None)
+
+    yield use
+    if used and numerics._adam_pool is not None:
+        numerics._adam_pool.shutdown()
+
 
 _acceptance_results = []
 

@@ -4,6 +4,7 @@ import csv
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,22 @@ def fast_overrides(out_dir, **extra):
     d["output_dir"] = str(out_dir)
     d.update({k: str(v) for k, v in extra.items()})
     return d
+
+
+class FailingEmpty:
+    """numpy as one module sees it, except that ``empty`` raises
+    MemoryError, as a failed allocation does, wherever ``fails()`` holds."""
+
+    def __init__(self, fails):
+        self.fails = fails
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, *args, **kwargs):
+        if self.fails():
+            raise MemoryError
+        return np.empty(*args, **kwargs)
 
 
 def read_rows(path):
@@ -364,6 +381,36 @@ class TestCli:
         )
         assert len(calls) == 2
         assert not os.path.exists(tmp_path / "run" / "checkpoint.ffn1")
+
+    def test_out_of_memory_exit_four_names_the_phase(self, tmp_path, capsys, monkeypatch):
+        """An allocation that fails ends in exit 4 and one stderr line that
+        names the phase, here the head features, and no traceback."""
+        monkeypatch.setattr(inference, "np", FailingEmpty(lambda: True))
+        args = ["train"]
+        for k, v in fast_overrides(tmp_path / "run").items():
+            args += ["--set", f"{k}={v}"]
+        assert main(args) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "out of memory in inference.features_batch"
+        ]
+
+    def test_out_of_memory_in_an_adam_worker_exit_four(
+        self, tmp_path, capsys, monkeypatch, adam_workers
+    ):
+        """A work array that a pooled share of an Adam step cannot allocate
+        reaches the command as the same one line, naming the training phase
+        and the share's function."""
+        monkeypatch.setattr(numerics, "_ADAM_BLOCK", 16)
+        adam_workers(2)
+        monkeypatch.setattr(numerics, "np", FailingEmpty(
+            lambda: threading.current_thread() is not threading.main_thread()))
+        args = ["train"]
+        for k, v in fast_overrides(tmp_path / "run").items():
+            args += ["--set", f"{k}={v}"]
+        assert main(args) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "out of memory in ffnet.train_epoch, at numerics._adam_rows"
+        ]
 
     def test_too_few_synthetic_classes_exit_one_before_output(self, tmp_path, capsys):
         args = ["train"]

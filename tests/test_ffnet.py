@@ -1,12 +1,13 @@
 """Forward pass, goodness, local losses, closed-form gradients, training."""
 
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
-from fflab import ffnet
+from fflab import ffnet, numerics
 from fflab.activations import ACTIVATIONS
 from fflab.errors import DimensionError, DivergenceError, UsageError
 from fflab.ffnet import (
@@ -594,6 +595,20 @@ class TestFiniteCheck:
         net = FFNetwork(6, self.WIDTHS, "relu", 0.01, Rng(114))
         train_toy(net, 0.5, 8, Rng(115))
         assert checked == [0, 1, 2, 3]
+
+    def test_split_adam_steps_diverge_without_a_warning(self, monkeypatch, adam_workers):
+        """At 16 elements a block, both layers of a 16,16 net split their W
+        over two threads. At lr 1e300 they overflow on both, and the pool's
+        share runs under train_epoch's silenced error state: the
+        DivergenceError names layer 0 and no RuntimeWarning escapes."""
+        monkeypatch.setattr(numerics, "_ADAM_BLOCK", 16)
+        adam_workers(2)
+        net = FFNetwork(6, [16, 16], "relu", 1e300, Rng(116))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as info:
+                train_toy(net, 0.5, 8, Rng(117))
+        assert str(info.value) == "layer 0: weights left the finite range after an update"
 
     def test_finite_update_passes(self):
         layer = make_layer(Rng(112), 4, 3)

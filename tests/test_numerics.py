@@ -1,5 +1,12 @@
 """Row normalization and the Adam recursion against independent oracles."""
 
+import os
+import subprocess
+import sys
+import threading
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,44 +143,198 @@ def _textbook_adam(state, params, grads):
     params -= state.lr * m_hat / (np.sqrt(v_hat) + numerics.ADAM_EPS)
 
 
+# Adam's worker counts under test: inline only, an even and an uneven split
+ADAM_WORKERS = (1, 2, 3)
+
+
 class TestAdamInPlace:
+    """The blocked, in-place step equals the textbook expression bit for bit
+    on every worker count in ADAM_WORKERS, looped inside each case."""
+
     @pytest.mark.parametrize("block", [numerics._ADAM_BLOCK, 40])
     @pytest.mark.parametrize("shape", [(37, 11), (53,)])
-    def test_bit_identical_to_textbook_expression(self, monkeypatch, block, shape):
-        """Block 40 splits (37, 11) into 3-row blocks with a ragged tail."""
+    def test_bit_identical_to_textbook_expression(self, monkeypatch, adam_workers, block, shape):
+        """Block 40 splits (37, 11) into 13 3-row blocks, the last of one
+        row, which 2 and 3 workers share unevenly, and (53,) into 2 blocks."""
         monkeypatch.setattr(numerics, "_ADAM_BLOCK", block)
-        r = np.random.default_rng(5)
-        p = r.standard_normal(shape)
-        p_ref = p.copy()
-        st_ = AdamState.for_param(shape, lr=0.003)
-        st_ref = AdamState.for_param(shape, lr=0.003)
-        for _ in range(60):
-            g = r.standard_normal(shape) * r.choice([1e-6, 1.0, 1e3])
-            assert adam_step(st_, p, g) is p
-            _textbook_adam(st_ref, p_ref, g)
-            assert np.array_equal(p, p_ref)
-        assert np.array_equal(st_.m, st_ref.m) and np.array_equal(st_.v, st_ref.v)
-        assert st_.t == st_ref.t == 60
+        for workers in ADAM_WORKERS:
+            adam_workers(workers)
+            r = np.random.default_rng(5)
+            p = r.standard_normal(shape)
+            p_ref = p.copy()
+            st_ = AdamState.for_param(shape, lr=0.003)
+            st_ref = AdamState.for_param(shape, lr=0.003)
+            for _ in range(60):
+                g = r.standard_normal(shape) * r.choice([1e-6, 1.0, 1e3])
+                assert adam_step(st_, p, g) is p
+                _textbook_adam(st_ref, p_ref, g)
+                assert np.array_equal(p, p_ref), workers
+            assert np.array_equal(st_.m, st_ref.m) and np.array_equal(st_.v, st_ref.v)
+            assert st_.t == st_ref.t == 60
 
-    def test_non_contiguous_params_updated_in_place(self, monkeypatch):
+    def test_non_contiguous_params_updated_in_place(self, monkeypatch, adam_workers):
         monkeypatch.setattr(numerics, "_ADAM_BLOCK", 16)
-        r = np.random.default_rng(6)
-        base = r.standard_normal((9, 7))
-        p = base.T  # a strided view; the update must land in ``base``
-        p_ref = p.copy()
-        st_ = AdamState.for_param(p.shape, lr=0.01)
-        st_ref = AdamState.for_param(p.shape, lr=0.01)
-        for _ in range(5):
-            g = r.standard_normal(p.shape)
+        for workers in ADAM_WORKERS:
+            adam_workers(workers)
+            r = np.random.default_rng(6)
+            base = r.standard_normal((9, 7))
+            p = base.T  # a strided view of 7 one-row blocks; the update must land in ``base``
+            p_ref = p.copy()
+            st_ = AdamState.for_param(p.shape, lr=0.01)
+            st_ref = AdamState.for_param(p.shape, lr=0.01)
+            for _ in range(60):
+                g = r.standard_normal(p.shape)
+                adam_step(st_, p, g)
+                _textbook_adam(st_ref, p_ref, g)
+            assert np.array_equal(base.T, p_ref), workers
+
+    def test_zero_dim_param(self, adam_workers):
+        for workers in ADAM_WORKERS:
+            adam_workers(workers)
+            p, p_ref = np.array(0.5), np.array(0.5)
+            st_ = AdamState.for_param((), lr=0.01)
+            st_ref = AdamState.for_param((), lr=0.01)
+            for g in np.random.default_rng(7).standard_normal(60):
+                adam_step(st_, p, np.array(g))
+                _textbook_adam(st_ref, p_ref, np.array(g))
+            assert p == p_ref, workers
+
+
+class TestAdamThreads:
+    """How a step of two or more blocks is shared, and what crosses threads."""
+
+    def test_shares_are_contiguous_runs_of_whole_blocks(self, monkeypatch, adam_workers):
+        """13 blocks of 3 rows on 3 workers: the caller takes the first
+        share of 4 blocks, the pool the other two, of 4 and 5 blocks."""
+        monkeypatch.setattr(numerics, "_ADAM_BLOCK", 40)
+        adam_workers(3)
+        shares = []
+        adam_rows = numerics._adam_rows
+
+        def recorded(lo, hi, *args):
+            shares.append((lo, hi, threading.get_ident()))
+            adam_rows(lo, hi, *args)
+
+        monkeypatch.setattr(numerics, "_adam_rows", recorded)
+        adam_step(AdamState.for_param((37, 11), 0.01), np.zeros((37, 11)), np.ones((37, 11)))
+        assert sorted(share[:2] for share in shares) == [(0, 12), (12, 24), (24, 37)]
+        caller = threading.get_ident()
+        assert [share[:2] for share in shares if share[2] == caller] == [(0, 12)]
+
+    @pytest.mark.parametrize("workers, shape", [(1, (16, 4096)), (2, (32, 4096))])
+    def test_work_arrays_are_kept_across_calls(self, adam_workers, workers, shape):
+        """After a warm-up step, a step allocates less than one row block:
+        every thread keeps its two work arrays (a fresh pair per call
+        costs about 220 page faults). (16, 4096) is one block, run inline;
+        (32, 4096) is two, one per thread."""
+        adam_workers(workers)
+        r = np.random.default_rng(8)
+        p, g = r.standard_normal(shape), r.standard_normal(shape)
+        st_ = AdamState.for_param(shape, lr=0.01)
+        adam_step(st_, p, g)
+        tracemalloc.start()
+        try:
+            adam_step(st_, p, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < numerics._ADAM_BLOCK * 8
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch, adam_workers):
+        """An error in a pooled share is raised by adam_step once every share
+        has finished, and the next step runs and keeps the bits."""
+        monkeypatch.setattr(numerics, "_ADAM_BLOCK", 40)
+        adam_workers(2)
+        adam_rows = numerics._adam_rows
+
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise ValueError("share failed")
+            adam_rows(*args)
+
+        monkeypatch.setattr(numerics, "_adam_rows", failing)
+        with pytest.raises(ValueError, match="share failed"):
+            adam_step(AdamState.for_param((37, 11), 0.01), np.zeros((37, 11)), np.ones((37, 11)))
+        monkeypatch.setattr(numerics, "_adam_rows", adam_rows)
+        p, p_ref = np.zeros((37, 11)), np.zeros((37, 11))
+        st_, st_ref = AdamState.for_param(p.shape, 0.01), AdamState.for_param(p.shape, 0.01)
+        for g in np.random.default_rng(9).standard_normal((5, 37, 11)):
             adam_step(st_, p, g)
             _textbook_adam(st_ref, p_ref, g)
-        assert np.array_equal(base.T, p_ref)
+        assert np.array_equal(p, p_ref)
 
-    def test_zero_dim_param(self):
-        p, p_ref = np.array(0.5), np.array(0.5)
-        st_ = AdamState.for_param((), lr=0.01)
-        st_ref = AdamState.for_param((), lr=0.01)
-        for g in (1.0, -2.0, 0.25):
-            adam_step(st_, p, np.array(g))
-            _textbook_adam(st_ref, p_ref, np.array(g))
-        assert p == p_ref
+    def test_shares_run_under_the_callers_error_state(self, monkeypatch, adam_workers):
+        """numpy's error state is per thread: an overflow the caller ignores
+        is ignored in the pool too, and one it raises is raised there too.
+        Only rows 12 on, the pool's shares, overflow (lr * m_hat)."""
+        monkeypatch.setattr(numerics, "_ADAM_BLOCK", 40)
+        adam_workers(2)
+        g = np.ones((37, 11))
+        g[12:] = 1e10
+        p = np.zeros((37, 11))
+        with warnings.catch_warnings(record=True) as caught, np.errstate(over="ignore"):
+            warnings.simplefilter("always")
+            adam_step(AdamState.for_param(p.shape, 1e300), p, g)
+        assert caught == []
+        assert np.all(np.isfinite(p[:12])) and np.all(np.isneginf(p[12:]))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            adam_step(AdamState.for_param(p.shape, 1e300), np.zeros((37, 11)), g)
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                        reason="OpenBLAS caps its thread count at the CPU count")
+    @pytest.mark.parametrize("blas_threads, timeout", [("1", None), ("2", None), ("2", "7")])
+    def test_worker_count_follows_the_blas_thread_count(self, blas_threads, timeout):
+        """In a fresh process, the first step of two blocks reads OpenBLAS's
+        thread count. One thread: no pool, and OpenBLAS keeps its threads.
+        Two: two workers; OpenBLAS restarted with the shortest spin (4) and
+        ``OPENBLAS_THREAD_TIMEOUT`` left unset, or, where the variable is
+        set, OpenBLAS and the variable as they were."""
+        script = (
+            "import ctypes, os, numpy as np\n"
+            "from fflab import numerics\n"
+            "assert numerics._ADAM_WORKERS is None and numerics._adam_pool is None\n"
+            "p = np.zeros((300, 300))\n"
+            "numerics.adam_step(numerics.AdamState.for_param(p.shape, 0.01), p, np.ones_like(p))\n"
+            "path = next(ln.split(maxsplit=5)[5].strip() for ln in open('/proc/self/maps')\n"
+            "            if 'libscipy_openblas64_' in ln)\n"
+            "spin = ctypes.CDLL(path).openblas_thread_timeout()\n"
+            "print(numerics._ADAM_WORKERS, numerics._adam_pool is not None, spin,\n"
+            "      os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(numerics.__file__))
+        if timeout is not None:
+            env["OPENBLAS_THREAD_TIMEOUT"] = timeout
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        spin = timeout or (0 if blas_threads == "1" else 4)
+        expected = f"{blas_threads} {blas_threads == '2'} {spin} {timeout}"
+        assert done.stdout.split() == expected.split()
+
+    def test_forked_child_makes_a_pool_of_its_own(self):
+        """A forked child has none of its parent's pool threads: it drops
+        the pool and its split steps keep the bits."""
+        script = (
+            "import os, numpy as np\n"
+            "from fflab import numerics\n"
+            "numerics._ADAM_WORKERS, numerics._ADAM_BLOCK = 2, 40\n"
+            "def run():\n"
+            "    p, st = np.zeros((37, 11)), numerics.AdamState.for_param((37, 11), 0.01)\n"
+            "    for g in np.random.default_rng(10).standard_normal((5, 37, 11)):\n"
+            "        numerics.adam_step(st, p, g)\n"
+            "    return p\n"
+            "parent = run()\n"
+            "assert numerics._adam_pool is not None\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    fresh = numerics._adam_pool is None\n"
+            "    os._exit(0 if fresh and np.array_equal(run(), parent) else 1)\n"
+            "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(numerics.__file__)))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0"]
