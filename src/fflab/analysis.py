@@ -1,4 +1,5 @@
-"""Weight statistics, PGM heatmap export, and goodness diagnostics.
+"""Weight statistics, PGM heatmap export, goodness diagnostics, and the
+one CSV writer every artifact table goes through.
 
 Everything here is a pure function of a checkpoint (plus, for the
 goodness report, the label sweep's per-layer goodness): re-running on
@@ -6,11 +7,41 @@ the same inputs is bit-identical.
 """
 
 import csv
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bp_baseline import BPNetwork
 from .errors import UsageError
+
+
+def write_csv(path, header, rows):
+    """One header row, then ``rows``, each a list of cells already formatted."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def artifact_names(net):
+    """(checkpoint, weight statistics, layer-i heatmap format) file names of
+    a trained network, by its kind. The baseline's carry a ``bp_`` prefix,
+    so it and its FF run share a directory without overwriting each other."""
+    if isinstance(net, BPNetwork):
+        return "checkpoint.bpn1", "bp_weight_stats.csv", "bp_layer{}_weights.pgm"
+    return "checkpoint.ffn1", "weight_stats.csv", "layer{}_weights.pgm"
+
+
+def write_weight_artifacts(out_dir, net, heatmap_layers):
+    """The weight statistics CSV and the heatmaps of ``heatmap_layers``
+    under ``net``'s names (:func:`artifact_names`); returns the statistics."""
+    _, stats_name, heatmap_name = artifact_names(net)
+    stats = weight_stats(net)
+    write_weight_stats_csv(os.path.join(out_dir, stats_name), stats)
+    for i in heatmap_layers:
+        export_heatmap(net.layers[i].W, os.path.join(out_dir, heatmap_name.format(i)))
+    return stats
 
 
 def weight_stats(net):
@@ -30,11 +61,9 @@ def weight_stats(net):
 
 
 def write_weight_stats_csv(path, stats):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["layer", "min", "max", "mean", "var"])
-        for i, s in enumerate(stats):
-            w.writerow([i, repr(s["min"]), repr(s["max"]), repr(s["mean"]), repr(s["var"])])
+    write_csv(path, ["layer", "min", "max", "mean", "var"],
+              ([i, repr(s["min"]), repr(s["max"]), repr(s["mean"]), repr(s["var"])]
+               for i, s in enumerate(stats)))
 
 
 def export_heatmap(W, path):
@@ -104,18 +133,7 @@ def goodness_report(G, y, wrong, thetas, bins=50):
 
 
 def write_goodness_csv(path, report):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["layer", "bin_lo", "bin_hi", "pos_count", "neg_count"])
-        for li, edges in enumerate(report.bin_edges):
-            for b in range(len(edges) - 1):
-                w.writerow(
-                    [
-                        li,
-                        repr(float(edges[b])),
-                        repr(float(edges[b + 1])),
-                        int(report.pos_counts[li][b]),
-                        int(report.neg_counts[li][b]),
-                    ]
-                )
-
+    write_csv(path, ["layer", "bin_lo", "bin_hi", "pos_count", "neg_count"],
+              ([li, repr(float(e[b])), repr(float(e[b + 1])),
+                int(report.pos_counts[li][b]), int(report.neg_counts[li][b])]
+               for li, e in enumerate(report.bin_edges) for b in range(len(e) - 1)))

@@ -18,7 +18,7 @@ import traceback
 
 import numpy as np
 
-from .analysis import export_heatmap, weight_stats, write_weight_stats_csv
+from .analysis import write_weight_artifacts
 from .checkpoint import load_network
 from .config import parse_config
 from .errors import (
@@ -95,10 +95,7 @@ def _cmd_analyze(args):
     net, _ = load_network(args.checkpoint)
     out_dir = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
     os.makedirs(out_dir, exist_ok=True)
-    stats = weight_stats(net)
-    write_weight_stats_csv(os.path.join(out_dir, "weight_stats.csv"), stats)
-    for i, layer in enumerate(net.layers):
-        export_heatmap(layer.W, os.path.join(out_dir, f"layer{i}_weights.pgm"))
+    stats = write_weight_artifacts(out_dir, net, range(len(net.layers)))
     for i, s in enumerate(stats):
         print(f"layer {i}: min {s['min']:.4f} max {s['max']:.4f} "
               f"mean {s['mean']:.6f} var {s['var']:.6f}")

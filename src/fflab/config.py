@@ -73,13 +73,15 @@ SCHEMA = {
 }
 
 _DATASETS = ("mnist", "imdb", "synthetic")
-# numeric keys with a lower bound; baseline.epochs = 0 means "same as epochs"
+# numeric keys with a lower bound; baseline.epochs = 0 means "same as epochs",
+# data.train_subset = -1 "the dataset's desk cap"
 _AT_LEAST = {
     "epochs": 1,
     "batch_size": 2,
     "head.epochs": 1,
     "head.batch_size": 1,
     "baseline.epochs": 0,
+    "data.train_subset": -1,
     "data.test_subset": 0,
     "sgns.dim": 1,
     "sgns.window": 1,

@@ -1,6 +1,14 @@
 """Experiment runner: datasets, training loops, per-epoch evaluation,
 metrics CSVs, checkpoints, and analysis artifacts.
 
+Each trainer loop (the FF run in ``run_experiment``, the backprop
+baseline in ``_run_baseline``) appends one :class:`Epoch` record per
+epoch and nothing else. Once its loop ends, the records become the
+metrics CSVs (through ``analysis.write_csv``), and :class:`RunResult`
+derives the final and best errors from them for ``final_report.txt`` and
+``sweep_summary.csv``. A trained network's checkpoint, weight statistics
+and heatmaps take the names of its kind (``analysis.artifact_names``).
+
 Reproducibility contract: everything an artifact contains is a pure
 function of (config, seed, code version, BLAS build, BLAS thread count),
 since a GEMM may round differently at another thread count — with the
@@ -12,25 +20,25 @@ error columns carry float32 rounding; weights, checkpoints and the
 head's features and errors are float64.
 """
 
-import csv
 import os
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import mnist_data, synthetic, text_data
 from .bp_baseline import BPNetwork, bp_predict_batch, bp_train_epoch
 from .checkpoint import save_network
-from .config import parse_config, thetas
+from .config import echo_config, parse_config, thetas
 from .errors import DataError, DivergenceError, UsageError
 from .ffnet import FFNetwork, LabelSlots, train_epoch
 from .analysis import (
-    export_heatmap,
+    artifact_names,
     goodness_report,
-    weight_stats,
+    write_csv,
     write_goodness_csv,
-    write_weight_stats_csv,
+    write_weight_artifacts,
 )
 from .inference import (
     default_included_layers,
@@ -117,39 +125,26 @@ def _imdb_bundle(cfg):
 
     corpus_tr = [text_data.preprocess(t) for t in texts_tr]
     corpus_te = [text_data.preprocess(t) for t in texts_te]
-    vocab = text_data.build_vocab(corpus_tr, min_count=cfg["sgns.min_count"])
+    min_count = cfg["sgns.min_count"]
+    vocab = text_data.build_vocab(corpus_tr, min_count=min_count)
     if len(vocab) == 0:
         raise DataError("IMDb vocabulary is empty at this min_count")
 
+    # train_sgns's keywords; with min_count and the seed, the cache's key
+    sgns = {k: cfg[f"sgns.{k}"] for k in ("dim", "window", "neg_k", "epochs", "lr")}
     cache = cfg["data.embedding_cache"]
     table = None
     if cache:
-        params = {
-            "dim": cfg["sgns.dim"],
-            "window": cfg["sgns.window"],
-            "neg_k": cfg["sgns.neg_k"],
-            "epochs": cfg["sgns.epochs"],
-            "min_count": cfg["sgns.min_count"],
-            "lr": cfg["sgns.lr"],
-            "seed": cfg.seed,
-        }
         # the whole training corpus is hashed, so only for the cache
-        fingerprint = text_data.corpus_fingerprint(corpus_tr, params)
+        fingerprint = text_data.corpus_fingerprint(
+            corpus_tr, dict(sgns, min_count=min_count, seed=cfg.seed)
+        )
         hit = text_data.load_cached_embeddings(cache, fingerprint)
         if hit is not None and hit[0] == vocab.tokens:
             table = hit[1]
     if table is None:
         rng = Rng(derive_seed(cfg.seed, _STREAM_EMBED))
-        table = text_data.train_sgns(
-            corpus_tr,
-            vocab,
-            dim=cfg["sgns.dim"],
-            window=cfg["sgns.window"],
-            neg_k=cfg["sgns.neg_k"],
-            epochs=cfg["sgns.epochs"],
-            rng=rng,
-            lr0=cfg["sgns.lr"],
-        )
+        table = text_data.train_sgns(corpus_tr, vocab, rng=rng, **sgns)
         if cache:
             text_data.save_embeddings(cache, vocab, table, fingerprint)
 
@@ -163,14 +158,33 @@ def _error_rate(pred, truth):
     return float(np.mean(pred != truth))
 
 
+class Epoch(NamedTuple):
+    """One epoch of a trainer loop, as its CSVs, report and summary read it."""
+
+    metrics: object      # the trainer's epoch metrics (``mean_loss``, ...)
+    errs: object         # FF: route -> (train_err, test_err); baseline: the pair
+    seconds: float       # wall clock of the epoch, training to last error
+    theta: object = None  # FF: every layer's threshold
+
+
 @dataclass
 class RunResult:
     out_dir: str
-    final_err: dict            # mode -> (train_err, test_err)
-    best_err: dict             # mode -> (test_err, epoch)
     checkpoint: str
+    epochs: list                # the FF loop's Epoch records
     bp_checkpoint: str = ""
-    bp_final_err: tuple = ()
+    bp_epochs: list = ()        # the baseline loop's, if it ran
+
+    @property
+    def final_err(self):
+        """route -> (train_err, test_err) at the last epoch"""
+        return self.epochs[-1].errs
+
+    @property
+    def best_err(self):
+        """route -> (test_err, epoch) of the first epoch at the lowest test error"""
+        return {m: min((r.errs[m][1], i) for i, r in enumerate(self.epochs))
+                for m in self.final_err}
 
 
 def _fmt(x):
@@ -187,8 +201,6 @@ def run_experiment(cfg, bundle=None):
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config_echo.txt"), "w", encoding="utf-8") as f:
-        from .config import echo_config
-
         f.write(echo_config(cfg))
 
     if bundle is None:
@@ -204,19 +216,13 @@ def run_experiment(cfg, bundle=None):
     )
 
     slots = bundle.slots
-    mode = cfg["inference.mode"]
-    metrics_rows = []
-    mode_rows = []
-    best = {"head": (np.inf, -1), "sweep": (np.inf, -1)}
-    final = {}
-    head = None
+    epochs = []
     G = None
-
-    for epoch in range(cfg["epochs"]):
-        t0 = time.perf_counter()
-        theta = thetas(cfg, net.widths, epoch)
-        # a layer, head or sweep leaving the finite range ends the run here
-        try:
+    # a layer, head or sweep leaving the finite range ends the run at its epoch
+    try:
+        for epoch in range(cfg["epochs"]):
+            t0 = time.perf_counter()
+            theta = thetas(cfg, net.widths, epoch)
             em = train_epoch(
                 net, bundle.X_train, bundle.y_train, slots, theta,
                 cfg["batch_size"], rng_data,
@@ -260,82 +266,46 @@ def run_experiment(cfg, bundle=None):
                     bundle.y_test,
                 ),
             )
-        except DivergenceError as e:
-            e.epoch = epoch
-            raise
-        seconds = time.perf_counter() - t0
+            epochs.append(Epoch(em, errs, time.perf_counter() - t0, theta))
+    except DivergenceError as e:
+        e.epoch = epoch
+        raise
 
-        for m in ("head", "sweep"):
-            if errs[m][1] < best[m][0]:
-                best[m] = (errs[m][1], epoch)
-        final = errs
-
-        for li in range(len(net.layers)):
-            metrics_rows.append(
-                [
-                    epoch,
-                    li,
-                    _fmt(em.mean_loss[li]),
-                    _fmt(em.mean_g_pos[li]),
-                    _fmt(em.mean_g_neg[li]),
-                    _fmt(theta[li]),
-                    _fmt(errs[mode][0]),
-                    _fmt(errs[mode][1]),
-                    f"{seconds:.3f}",
-                ]
-            )
-        mode_rows.append(
-            [
-                epoch,
-                _fmt(errs["head"][0]),
-                _fmt(errs["head"][1]),
-                _fmt(errs["sweep"][0]),
-                _fmt(errs["sweep"][1]),
-            ]
-        )
-
-    with open(os.path.join(out_dir, "metrics.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(
-            [
-                "epoch",
-                "layer",
-                "mean_loss",
-                "mean_G_pos",
-                "mean_G_neg",
-                "theta",
-                "train_err",
-                "test_err",
-                "seconds",
-            ]
-        )
-        w.writerows(metrics_rows)
-    with open(os.path.join(out_dir, "eval_modes.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(
-            ["epoch", "head_train_err", "head_test_err", "sweep_train_err", "sweep_test_err"]
-        )
-        w.writerows(mode_rows)
-
-    ckpt = os.path.join(out_dir, "checkpoint.ffn1")
-    save_network(ckpt, net, head)
-
-    write_weight_stats_csv(os.path.join(out_dir, "weight_stats.csv"), weight_stats(net))
-    export_heatmap(net.layers[0].W, os.path.join(out_dir, "layer0_weights.pgm"))
+    mode = cfg["inference.mode"]
+    write_csv(
+        os.path.join(out_dir, "metrics.csv"),
+        ["epoch", "layer", "mean_loss", "mean_G_pos", "mean_G_neg", "theta",
+         "train_err", "test_err", "seconds"],
+        (
+            [i, li, *map(_fmt, (r.metrics.mean_loss[li], r.metrics.mean_g_pos[li],
+                                r.metrics.mean_g_neg[li], r.theta[li], *r.errs[mode])),
+             f"{r.seconds:.3f}"]
+            for i, r in enumerate(epochs)
+            for li in range(len(net.layers))
+        ),
+    )
+    write_csv(
+        os.path.join(out_dir, "eval_modes.csv"),
+        ["epoch", "head_train_err", "head_test_err", "sweep_train_err", "sweep_test_err"],
+        ([i, *map(_fmt, r.errs["head"] + r.errs["sweep"])] for i, r in enumerate(epochs)),
+    )
+    result = RunResult(out_dir, _save_trained(out_dir, net, head, heatmap_layers=[0]), epochs)
     write_goodness_report(cfg, bundle, net, G, out_dir)
 
-    result = RunResult(
-        out_dir=out_dir,
-        final_err=final,
-        best_err={m: best[m] for m in best},
-        checkpoint=ckpt,
-    )
-
     if cfg["baseline.enabled"]:
-        result.bp_checkpoint, result.bp_final_err = _run_baseline(cfg, bundle, out_dir)
+        result.bp_checkpoint, result.bp_epochs = _run_baseline(cfg, bundle, out_dir)
 
     _write_report(cfg, out_dir, result, included)
     return result
+
+
+def _save_trained(out_dir, net, head=None, heatmap_layers=()):
+    """Checkpoint, weight statistics and heatmaps of a trained network under
+    its kind's names (``analysis.artifact_names``); returns the checkpoint path."""
+    path = os.path.join(out_dir, artifact_names(net)[0])
+    save_network(path, net, head)
+    write_weight_artifacts(out_dir, net, heatmap_layers)
+    return path
 
 
 def write_goodness_report(cfg, bundle, net, G, out_dir):
@@ -352,7 +322,8 @@ def write_goodness_report(cfg, bundle, net, G, out_dir):
 
 def _run_baseline(cfg, bundle, out_dir):
     """Matched-architecture backprop baseline on the label-neutral inputs,
-    built here for both whole splits and freed when it returns."""
+    built here for both whole splits and freed when it returns. Returns
+    its checkpoint path and its Epoch records."""
     X_tr = bundle.slots.neutral(bundle.X_train)
     X_te = bundle.slots.neutral(bundle.X_test)
     rng = Rng(derive_seed(cfg.seed, _STREAM_BASELINE))
@@ -364,29 +335,24 @@ def _run_baseline(cfg, bundle, out_dir):
         cfg["baseline.lr"],
         rng,
     )
-    epochs = cfg["baseline.epochs"] or cfg["epochs"]
-    rows = []
-    final = ()
-    for epoch in range(epochs):
-        t0 = time.perf_counter()
-        try:
+    epochs = []
+    try:
+        for epoch in range(cfg["baseline.epochs"] or cfg["epochs"]):
+            t0 = time.perf_counter()
             em = bp_train_epoch(net, X_tr, bundle.y_train, cfg["batch_size"], rng)
-        except DivergenceError as e:
-            e.epoch, e.layer = epoch, f"baseline {e.layer}"
-            raise
-        tr = _error_rate(bp_predict_batch(net, X_tr), bundle.y_train)
-        te = _error_rate(bp_predict_batch(net, X_te), bundle.y_test)
-        rows.append([epoch, _fmt(em.mean_loss), _fmt(tr), _fmt(te),
-                     f"{time.perf_counter() - t0:.3f}"])
-        final = (tr, te)
-    with open(os.path.join(out_dir, "bp_metrics.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "mean_loss", "train_err", "test_err", "seconds"])
-        w.writerows(rows)
-    ckpt = os.path.join(out_dir, "checkpoint.bpn1")
-    save_network(ckpt, net)
-    write_weight_stats_csv(os.path.join(out_dir, "bp_weight_stats.csv"), weight_stats(net))
-    return ckpt, final
+            errs = (_error_rate(bp_predict_batch(net, X_tr), bundle.y_train),
+                    _error_rate(bp_predict_batch(net, X_te), bundle.y_test))
+            epochs.append(Epoch(em, errs, time.perf_counter() - t0))
+    except DivergenceError as e:
+        e.epoch, e.layer = epoch, f"baseline {e.layer}"
+        raise
+    write_csv(
+        os.path.join(out_dir, "bp_metrics.csv"),
+        ["epoch", "mean_loss", "train_err", "test_err", "seconds"],
+        ([i, *map(_fmt, (r.metrics.mean_loss, *r.errs)), f"{r.seconds:.3f}"]
+         for i, r in enumerate(epochs)),
+    )
+    return _save_trained(out_dir, net), epochs
 
 
 def _write_report(cfg, out_dir, result, included):
@@ -398,19 +364,16 @@ def _write_report(cfg, out_dir, result, included):
         f"{cfg['threshold.ramp_epochs']} epochs",
         f"inference mode for metrics.csv: {cfg['inference.mode']}",
         f"layers scored at inference (0-based): {list(included)}",
-        f"final head error: train {result.final_err['head'][0]:.4f}, "
-        f"test {result.final_err['head'][1]:.4f}",
-        f"final sweep error: train {result.final_err['sweep'][0]:.4f}, "
-        f"test {result.final_err['sweep'][1]:.4f}",
-        f"best head test error: {result.best_err['head'][0]:.4f} "
-        f"(epoch {result.best_err['head'][1]})",
-        f"best sweep test error: {result.best_err['sweep'][0]:.4f} "
-        f"(epoch {result.best_err['sweep'][1]})",
     ]
-    if result.bp_final_err:
+    final, best = result.final_err, result.best_err
+    for m in ("head", "sweep"):
+        lines.append(f"final {m} error: train {final[m][0]:.4f}, test {final[m][1]:.4f}")
+    for m in ("head", "sweep"):
+        lines.append(f"best {m} test error: {best[m][0]:.4f} (epoch {best[m][1]})")
+    if result.bp_epochs:
+        tr, te = result.bp_epochs[-1].errs
         lines.append(
-            f"baseline (lr={cfg['baseline.lr']}) final error: "
-            f"train {result.bp_final_err[0]:.4f}, test {result.bp_final_err[1]:.4f}"
+            f"baseline (lr={cfg['baseline.lr']}) final error: train {tr:.4f}, test {te:.4f}"
         )
     text = "\n".join(lines) + "\n"
     with open(os.path.join(out_dir, "final_report.txt"), "w", encoding="utf-8") as f:
@@ -438,20 +401,12 @@ def run_sweep(cfg, key, raw_values):
         runs.append((raw, parse_config(None, sub)))
     os.makedirs(root, exist_ok=True)
     bundle = build_bundle(cfg)
+    mode = cfg["inference.mode"]
     rows = []
     for raw, sub_cfg in runs:
         result = run_experiment(sub_cfg, bundle)
-        mode = cfg["inference.mode"]
-        rows.append(
-            [
-                raw,
-                _fmt(result.final_err[mode][1]),
-                _fmt(result.best_err[mode][0]),
-                result.best_err[mode][1],
-            ]
-        )
-    with open(os.path.join(root, "sweep_summary.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["k", "final_test_err", "best_test_err", "best_epoch"])
-        w.writerows(rows)
+        best_err, best_epoch = result.best_err[mode]
+        rows.append([raw, _fmt(result.final_err[mode][1]), _fmt(best_err), best_epoch])
+    write_csv(os.path.join(root, "sweep_summary.csv"),
+              ["k", "final_test_err", "best_test_err", "best_epoch"], rows)
     return rows

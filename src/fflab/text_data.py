@@ -137,11 +137,11 @@ def init_embeddings(vocab_size, dim, rng):
 
 @np.errstate(over="ignore", invalid="ignore")
 def train_sgns(corpus, vocab, dim=100, window=5, neg_k=5, epochs=5,
-               rng=None, lr0=0.025):
+               rng=None, lr=0.025):
     """Train the embedding table on tokenized reviews. Returns (V, dim).
 
     Sequential per-pair updates in corpus order; learning rate decays
-    linearly per pair from lr0 to lr0*1e-4 across all epochs. Negative
+    linearly per pair from lr to lr*1e-4 across all epochs. Negative
     targets come from the unigram^0.75 distribution; a draw that hits
     the context word is skipped (the draw still advances the stream).
 
@@ -166,7 +166,7 @@ def train_sgns(corpus, vocab, dim=100, window=5, neg_k=5, epochs=5,
     for epoch in range(epochs):
         state, done, _ = sgns_epoch(
             tokens, offsets, win, wout, cdf, window, neg_k,
-            lr0, lr0 * 1e-4, done, total_pairs, state,
+            lr, lr * 1e-4, done, total_pairs, state,
         )
         require_finite("SGNS embeddings left the finite range", win, wout, epoch=epoch)
     return win

@@ -105,6 +105,7 @@ class TestParsing:
             ("synthetic.test_per_class", "0"),
             ("synthetic.test_per_class", "-3"),
             ("data.test_subset", "-2"),
+            ("data.train_subset", "-7"),
         ],
     )
     def test_out_of_range_value_names_key(self, key, value):

@@ -476,6 +476,42 @@ class TestCli:
             assert masked_artifacts(out) == swept, k
         assert len(calls) == 1 + len(ks)
 
+    def test_best_epoch_is_the_first_at_the_lowest_test_error(self, tmp_path, monkeypatch):
+        """A test error that returns to its minimum keeps the first epoch
+        at it, in the result, the final report and the sweep summary."""
+        overrides = fast_overrides(tmp_path / "sweepout", epochs=4, **{"inference.mode": "sweep"})
+        y_test = build_bundle(parse_config(None, overrides)).y_test
+        wrong = [len(y_test) * f // 20 for f in (10, 5, 5, 8)]  # test errors per epoch
+        sweep = experiment.predict_sweep_batch
+        calls = []
+
+        def scripted(net, X, *args, **kwargs):
+            pred = sweep(net, X, *args, **kwargs)
+            calls.append(1)
+            if len(calls) % 2:  # each epoch's first sweep is the train split's
+                return pred
+            pred = y_test.copy()
+            pred[: wrong[len(calls) // 2 - 1]] += 1
+            return pred
+
+        results = []
+        run = experiment.run_experiment
+
+        def kept(*args):
+            results.append(run(*args))
+            return results[-1]
+
+        monkeypatch.setattr(experiment, "predict_sweep_batch", scripted)
+        monkeypatch.setattr(experiment, "run_experiment", kept)
+        run_sweep(parse_config(None, overrides), "k", ["0.3"])
+        assert results[0].best_err["sweep"] == (0.25, 1)
+        assert results[0].final_err["sweep"][1] == 0.4
+        with open(tmp_path / "sweepout" / "k_0.3" / "final_report.txt", encoding="utf-8") as f:
+            assert "best sweep test error: 0.2500 (epoch 1)\n" in f.read()
+        assert read_rows(tmp_path / "sweepout" / "sweep_summary.csv")[1:] == [
+            ["0.3", "0.4", "0.25", "1"]
+        ]
+
     def test_analyze_checkpoint(self, tmp_path, capsys):
         cfg = parse_config(None, fast_overrides(tmp_path / "run"))
         result = run_experiment(cfg)
@@ -484,6 +520,21 @@ class TestCli:
         assert os.path.exists(out / "weight_stats.csv")
         assert os.path.exists(out / "layer0_weights.pgm")
         assert os.path.exists(out / "layer1_weights.pgm")
+
+    def test_analyze_baseline_checkpoint_keeps_the_ff_artifacts(self, tmp_path, capsys):
+        """Next to its run, a baseline checkpoint's analysis writes the ``bp_``
+        names and leaves the FF run's weight statistics and heatmap alone."""
+        result = run_experiment(parse_config(
+            None, fast_overrides(tmp_path / "run", **{"baseline.enabled": "true"})
+        ))
+        run = tmp_path / "run"
+        before = {name: (run / name).read_bytes()
+                  for name in ("weight_stats.csv", "layer0_weights.pgm", "bp_weight_stats.csv")}
+        assert main(["analyze", "--checkpoint", result.bp_checkpoint]) == 0
+        for name, data in before.items():
+            assert (run / name).read_bytes() == data, name
+        assert (run / "bp_layer0_weights.pgm").exists()
+        assert not (run / "layer1_weights.pgm").exists()
 
     def test_analyze_with_config_adds_goodness_report(self, tmp_path, capsys):
         cfg = parse_config(None, fast_overrides(tmp_path / "run"))

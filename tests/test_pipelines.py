@@ -252,6 +252,32 @@ class TestImdbPipeline:
         assert os.path.exists(result.checkpoint)
 
 
+def test_embedding_cache_fingerprint_is_pinned(tmp_path, monkeypatch):
+    """A cache written under the default ``sgns.*`` config of a fixed corpus
+    carries this fingerprint; a later version must still hit it."""
+    root = tmp_path / "imdb"
+    write_imdb_tree(root, n_per=4)
+    cache = str(tmp_path / "emb.txt")
+    cfg = parse_config(None, {"seed": "1", "dataset": "imdb", "data.imdb_dir": str(root),
+                              "data.embedding_cache": cache})
+    texts, _ = text_data.load_imdb_split(str(root), "train", limit=cfg["data.train_subset"])
+    corpus = [text_data.preprocess(t) for t in texts]
+    vocab = text_data.build_vocab(corpus, min_count=cfg["sgns.min_count"])
+    table = np.arange(len(vocab) * cfg["sgns.dim"], dtype=np.float64).reshape(len(vocab), -1)
+    text_data.save_embeddings(
+        cache, vocab, table, "0807cf7d2b76f0dd2f973cb45111b001eabf673626476bdf6ed49192ccc474de"
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the embedding cache missed")
+
+    monkeypatch.setattr(text_data, "train_sgns", refuse)
+    bundle = build_bundle(cfg)
+    np.testing.assert_array_equal(
+        bundle.X_train, np.stack([text_data.vectorize_review(t, vocab, table) for t in corpus])
+    )
+
+
 def test_sgns_divergence_exit_three_before_the_cache(tmp_path, capsys):
     """Diverging SGNS embeddings end in exit 3 and one stderr line naming
     SGNS and its epoch, before the embedding cache is written."""
