@@ -20,7 +20,7 @@ import numpy as np
 
 from .analysis import write_weight_artifacts
 from .checkpoint import load_network
-from .config import parse_config
+from .config import SCHEMA, parse_config
 from .errors import (
     ConfigError,
     DataError,
@@ -34,18 +34,20 @@ from .ffnet import FFNetwork
 from .inference import predict_head_batch, predict_sweep_batch, sweep_scores_batch
 
 
+# shortcut flag -> the config key it sets; --set reaches every key
+_FLAGS = {"--dataset": "dataset", "--arch": "arch", "--activation": "activation",
+          "--lr": "lr", "--epochs": "epochs", "--batch-size": "batch_size",
+          "--seed": "seed", "--output": "output_dir"}
+
+
 def _add_common(p):
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override any config key (repeatable)")
-    p.add_argument("--dataset", help="mnist | imdb | synthetic")
-    p.add_argument("--arch", help="comma-separated layer widths")
-    p.add_argument("--activation")
-    p.add_argument("--lr")
-    p.add_argument("--epochs")
-    p.add_argument("--batch-size", dest="batch_size")
-    p.add_argument("--seed")
-    p.add_argument("--output", dest="output_dir", help="output directory")
+    for flag, key in _FLAGS.items():
+        rule = SCHEMA[key][2]
+        choices = f": {' | '.join(rule)}" if isinstance(rule, tuple) else ""
+        p.add_argument(flag, dest=key, help=f"sets {key}{choices}")
     p.add_argument("--full", action="store_true",
                    help="lift the desk-scale training subset caps (data.train_subset=0)")
 
@@ -57,8 +59,7 @@ def _overrides(args):
             raise ConfigError(f"--set expects KEY=VALUE, got {kv!r}")
         k, _, v = kv.partition("=")
         out[k.strip()] = v.strip()
-    for key in ("dataset", "arch", "activation", "lr", "epochs",
-                "batch_size", "seed", "output_dir"):
+    for key in _FLAGS.values():
         v = getattr(args, key, None)
         if v is not None:
             out[key] = v

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .activations import ACTIVATIONS
 from .errors import ConfigError
 
 
@@ -31,69 +32,50 @@ def _parse_float_list(s):
     return [float(x) for x in s.replace("[", "").replace("]", "").split(",") if x.strip()]
 
 
-# key -> (parser, default). None defaults mean "must come from file/flags
-# or stay None"; seed is the one genuinely required key.
-SCHEMA = {
-    "dataset": (str, "synthetic"),
-    "arch": (_parse_int_list, [2000, 2000, 2000, 2000]),
-    "activation": (str, "relu"),
-    "lr": (float, 0.01),
-    "epochs": (int, 100),
-    "batch_size": (int, 128),
-    "seed": (int, None),
-    "output_dir": (str, "runs/latest"),
-    "data.mnist_dir": (str, "data/mnist"),
-    "data.imdb_dir": (str, "data/aclImdb"),
-    "data.embedding_cache": (str, ""),
-    "data.train_subset": (int, -1),   # -1: dataset default cap; 0: everything
-    "data.test_subset": (int, 0),
-    "threshold.k": (_parse_float_list, [0.005]),  # one k, or one per layer
-    "threshold.k_start": (float, 1.0),
-    "threshold.k_end": (float, 1.0),
-    "threshold.ramp_epochs": (int, 1),
-    "inference.mode": (str, "head"),
-    "inference.skip_first_layer": (_parse_bool, True),
-    "head.epochs": (int, 8),
-    "head.lr": (float, 1e-3),
-    "head.batch_size": (int, 128),
-    "baseline.enabled": (_parse_bool, False),
-    "baseline.lr": (float, 1e-3),
-    "baseline.epochs": (int, 0),      # 0: same as epochs
-    "sgns.dim": (int, 100),
-    "sgns.window": (int, 5),
-    "sgns.neg_k": (int, 5),
-    "sgns.epochs": (int, 5),
-    "sgns.min_count": (int, 5),
-    "sgns.lr": (float, 0.025),
-    "synthetic.classes": (int, 10),
-    "synthetic.dim": (int, 20),
-    "synthetic.train_per_class": (int, 200),
-    "synthetic.test_per_class": (int, 50),
-    "synthetic.separation": (float, 2.0),
-}
+POSITIVE = "> 0"
 
-_DATASETS = ("mnist", "imdb", "synthetic")
-# numeric keys with a lower bound; baseline.epochs = 0 means "same as epochs",
-# data.train_subset = -1 "the dataset's desk cap"
-_AT_LEAST = {
-    "epochs": 1,
-    "batch_size": 2,
-    "head.epochs": 1,
-    "head.batch_size": 1,
-    "baseline.epochs": 0,
-    "data.train_subset": -1,
-    "data.test_subset": 0,
-    "sgns.dim": 1,
-    "sgns.window": 1,
-    "sgns.neg_k": 0,
-    "sgns.epochs": 0,
-    "synthetic.classes": 2,
-    "synthetic.dim": 1,
-    "synthetic.train_per_class": 1,
-    "synthetic.test_per_class": 1,
-    "threshold.ramp_epochs": 1,
+# key -> (parser, default, rule). A rule is None, an inclusive lower bound,
+# POSITIVE, or a tuple of the allowed values; a list value meets it entry by
+# entry. Every float is also finite. A None default means "must come from
+# file/flags"; seed is the one such key.
+SCHEMA = {
+    "dataset": (str, "synthetic", ("mnist", "imdb", "synthetic")),
+    "arch": (_parse_int_list, [2000, 2000, 2000, 2000], None),
+    "activation": (str, "relu", tuple(ACTIVATIONS)),
+    "lr": (float, 0.01, POSITIVE),
+    "epochs": (int, 100, 1),
+    "batch_size": (int, 128, 2),
+    "seed": (int, None, None),
+    "output_dir": (str, "runs/latest", None),
+    "data.mnist_dir": (str, "data/mnist", None),
+    "data.imdb_dir": (str, "data/aclImdb", None),
+    "data.embedding_cache": (str, "", None),
+    "data.train_subset": (int, -1, -1),   # -1: dataset default cap; 0: everything
+    "data.test_subset": (int, 0, 0),
+    "threshold.k": (_parse_float_list, [0.005], POSITIVE),  # one k, or one per layer
+    "threshold.k_start": (float, 1.0, POSITIVE),
+    "threshold.k_end": (float, 1.0, POSITIVE),
+    "threshold.ramp_epochs": (int, 1, 1),
+    "inference.mode": (str, "head", ("head", "sweep")),
+    "inference.skip_first_layer": (_parse_bool, True, None),
+    "head.epochs": (int, 8, 1),
+    "head.lr": (float, 1e-3, POSITIVE),
+    "head.batch_size": (int, 128, 1),
+    "baseline.enabled": (_parse_bool, False, None),
+    "baseline.lr": (float, 1e-3, POSITIVE),
+    "baseline.epochs": (int, 0, 0),      # 0: same as epochs
+    "sgns.dim": (int, 100, 1),
+    "sgns.window": (int, 5, 1),
+    "sgns.neg_k": (int, 5, 0),
+    "sgns.epochs": (int, 5, 0),
+    "sgns.min_count": (int, 5, None),
+    "sgns.lr": (float, 0.025, POSITIVE),
+    "synthetic.classes": (int, 10, 2),
+    "synthetic.dim": (int, 20, 1),
+    "synthetic.train_per_class": (int, 200, 1),
+    "synthetic.test_per_class": (int, 50, 1),
+    "synthetic.separation": (float, 2.0, None),
 }
-_POSITIVE = ("lr", "head.lr", "baseline.lr", "sgns.lr", "threshold.k_start", "threshold.k_end")
 _DESK_SUBSET = {"mnist": 10000, "imdb": 5000, "synthetic": 0}
 
 
@@ -114,7 +96,7 @@ class ExperimentConfig:
 def _set_value(values, key, raw, line=None):
     if key not in SCHEMA:
         raise ConfigError(f"unknown config key {key!r}", line=line)
-    parser, _ = SCHEMA[key]
+    parser = SCHEMA[key][0]
     try:
         values[key] = parser(raw) if isinstance(raw, str) else raw
     except (ValueError, TypeError):
@@ -148,36 +130,41 @@ def parse_config(path=None, overrides=None):
     for key, raw in (overrides or {}).items():
         _set_value(values, key, raw)
 
-    for key, (_, default) in SCHEMA.items():
+    for key, (_, default, _) in SCHEMA.items():
         values.setdefault(key, default)
 
     _validate(values)
     return ExperimentConfig(values)
 
 
+def _broken(key, x, rule):
+    """The error message if value ``x`` of ``key`` breaks ``rule``, else None."""
+    if rule is None:
+        return None
+    if isinstance(rule, tuple):
+        return None if x in rule else f"{key} must be one of {rule}, got {x!r}"
+    if rule == POSITIVE:
+        return None if x > 0 else f"{key} must be > 0, got {x}"
+    return None if x >= rule else f"{key} must be >= {rule}, got {x}"
+
+
 def _validate(values):
     if values["seed"] is None:
         raise ConfigError("seed is required (no wall-clock seeding); pass seed=<int>")
-    if values["dataset"] not in _DATASETS:
-        raise ConfigError(
-            f"dataset must be one of {_DATASETS}, got {values['dataset']!r}"
-        )
-    for key, (parser, _) in SCHEMA.items():
-        if parser in (float, _parse_float_list):
-            xs = values[key] if parser is _parse_float_list else [values[key]]
-            if not all(math.isfinite(x) for x in xs):
-                raise ConfigError(f"{key} must be finite, got {values[key]}")
-    for key, low in _AT_LEAST.items():
-        if values[key] < low:
-            raise ConfigError(f"{key} must be >= {low}, got {values[key]}")
+    for key, (parser, _, rule) in SCHEMA.items():
+        v = values[key]
+        xs = v if isinstance(v, list) else [v]
+        if parser in (float, _parse_float_list) and not all(math.isfinite(x) for x in xs):
+            raise ConfigError(f"{key} must be finite, got {v}")
+        for x in xs:
+            message = _broken(key, x, rule)
+            if message:
+                raise ConfigError(message)
     if values["batch_size"] % 2:
         raise ConfigError(
             f"batch_size must be even (a row's positive and negative share a "
             f"batch), got {values['batch_size']}"
         )
-    for key in _POSITIVE:
-        if not values[key] > 0:
-            raise ConfigError(f"{key} must be > 0, got {values[key]}")
     arch, ks = values["arch"], values["threshold.k"]
     if not arch or any(w < 1 for w in arch):
         raise ConfigError(f"arch widths must all be >= 1, got {arch}")
@@ -185,13 +172,6 @@ def _validate(values):
         raise ConfigError(
             f"threshold.k has {len(ks)} entries for the {len(arch)} layers of arch "
             f"{arch}; give one k or one per layer"
-        )
-    for k in ks:
-        if not k > 0:
-            raise ConfigError(f"threshold.k must be > 0, got {k}")
-    if values["inference.mode"] not in ("head", "sweep"):
-        raise ConfigError(
-            f"inference.mode must be head or sweep, got {values['inference.mode']!r}"
         )
     if values["data.train_subset"] < 0:
         values["data.train_subset"] = _DESK_SUBSET[values["dataset"]]

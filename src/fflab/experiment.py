@@ -31,7 +31,7 @@ from . import mnist_data, synthetic, text_data
 from .bp_baseline import BPNetwork, bp_predict_batch, bp_train_epoch
 from .checkpoint import save_network
 from .config import echo_config, parse_config, thetas
-from .errors import DataError, DivergenceError, UsageError
+from .errors import ConfigError, DataError, DivergenceError, UsageError
 from .ffnet import FFNetwork, LabelSlots, train_epoch
 from .analysis import (
     artifact_names,
@@ -79,7 +79,7 @@ class DatasetBundle:
 
 
 def build_bundle(cfg):
-    """Load and adapt the configured dataset."""
+    """Load and adapt the configured dataset (``parse_config`` allows three)."""
     name = cfg["dataset"]
     seed = cfg.seed
     if name == "synthetic":
@@ -89,9 +89,7 @@ def build_bundle(cfg):
             cfg["data.mnist_dir"], cfg["data.train_subset"], cfg["data.test_subset"]
         )
         return DatasetBundle(mnist_data.LABEL_SLOTS, *splits)
-    if name == "imdb":
-        return _imdb_bundle(cfg)
-    raise DataError(f"unknown dataset {name!r}")
+    return _imdb_bundle(cfg)
 
 
 def _blob_bundle(cfg, seed):
@@ -385,10 +383,11 @@ def run_sweep(cfg, key, raw_values):
     """One run per value of ``key``; returns rows for the summary table.
 
     Every value is checked, as ``parse_config`` checks ``threshold.k``,
-    before the first run starts. The dataset bundle is built once, before
-    the first run, and shared by every run: ``build_bundle`` reads no
-    threshold key, so each run writes what a run of its own config alone
-    writes.
+    before the first run starts; a k listed twice (compared as parsed, so
+    ``0.1`` and ``1e-1`` are one k) is a config error. The dataset bundle
+    is built once, before the first run, and shared by every run:
+    ``build_bundle`` reads no threshold key, so each run writes what a run
+    of its own config alone writes.
     """
     if key not in ("threshold.k", "k"):
         raise UsageError(f"sweep supports threshold.k, got {key!r}")
@@ -398,7 +397,11 @@ def run_sweep(cfg, key, raw_values):
         sub = dict(cfg.values)
         sub["threshold.k"] = raw
         sub["output_dir"] = os.path.join(root, f"k_{raw}")
-        runs.append((raw, parse_config(None, sub)))
+        sub_cfg = parse_config(None, sub)
+        twin = next((r for r, c in runs if c["threshold.k"] == sub_cfg["threshold.k"]), None)
+        if twin is not None:
+            raise ConfigError(f"--sweep lists one k twice: {twin!r} and {raw!r}")
+        runs.append((raw, sub_cfg))
     os.makedirs(root, exist_ok=True)
     bundle = build_bundle(cfg)
     mode = cfg["inference.mode"]

@@ -7,12 +7,12 @@ from pathlib import Path
 import pytest
 
 from fflab.cli import _overrides
-from fflab.config import SCHEMA, echo_config, parse_config, thetas
+from fflab.config import POSITIVE, SCHEMA, _broken, echo_config, parse_config, thetas
 from fflab.errors import ConfigError
 
 # every key whose value is a float or a list of floats
 _FLOAT_KEYS = sorted(
-    key for key, (_, default) in SCHEMA.items()
+    key for key, (_, default, _) in SCHEMA.items()
     if isinstance(default, float) or isinstance(default, list) and isinstance(default[0], float)
 )
 
@@ -106,6 +106,9 @@ class TestParsing:
             ("synthetic.test_per_class", "-3"),
             ("data.test_subset", "-2"),
             ("data.train_subset", "-7"),
+            ("activation", "relux"),
+            ("dataset", "csv"),
+            ("inference.mode", "vote"),
         ],
     )
     def test_out_of_range_value_names_key(self, key, value):
@@ -118,10 +121,23 @@ class TestParsing:
          ("head.epochs", "1"), ("sgns.window", "1"), ("synthetic.classes", "2"),
          ("synthetic.dim", "1"),
          ("synthetic.train_per_class", "1"), ("synthetic.test_per_class", "1"),
-         ("data.test_subset", "0"), ("batch_size", "2")],
+         ("data.test_subset", "0"), ("batch_size", "2"), ("data.train_subset", "-1"),
+         ("threshold.ramp_epochs", "1")],
     )
     def test_lowest_allowed_value_parses(self, key, value):
-        assert parse_config(None, {"seed": "1", key: value})[key] == int(value)
+        # data.train_subset = -1 stands for the dataset's desk cap: 0 for synthetic
+        want = {"data.train_subset": 0}.get(key, int(value))
+        assert parse_config(None, {"seed": "1", key: value})[key] == want
+
+    @pytest.mark.parametrize("key", sorted(SCHEMA))
+    def test_every_default_meets_its_own_rule(self, key):
+        _, default, rule = SCHEMA[key]
+        assert rule is None or rule == POSITIVE or isinstance(rule, (int, float, tuple))
+        if default is None:
+            assert key == "seed"
+            return
+        for x in default if isinstance(default, list) else [default]:
+            assert _broken(key, x, rule) is None
 
     def test_full_clears_subset_cap(self):
         """``--full`` is ``data.train_subset = 0``: no subset cap."""
@@ -204,3 +220,29 @@ def test_every_readme_ini_block_parses(tmp_path):
     assert blocks
     for block in blocks:
         parse_config(write(tmp_path, block + "seed = 1\n"))
+
+
+def _readme_rule(cell):
+    if cell == "—":
+        return None
+    if cell == "> 0":
+        return POSITIVE
+    if cell.startswith("one of "):
+        return tuple(re.findall(r"`([^`]*)`", cell))
+    assert cell.startswith("≥ "), cell
+    return float(cell[2:])
+
+
+def test_readme_key_table_matches_schema():
+    """The README's key table lists every SCHEMA key once, with its default
+    and its rule."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    table = readme.read_text(encoding="utf-8").split("| key | default | rule |\n|---|---|---|\n")[1]
+    rows = re.findall(r"^\| `([^`]+)` \| (.*?) \| (.*?) \|$", table.split("\n\n")[0], flags=re.M)
+    keys = [key for key, _, _ in rows]
+    assert sorted(keys) == sorted(SCHEMA) and len(set(keys)) == len(keys)
+    for key, default, rule in rows:
+        parser, want_default, want_rule = SCHEMA[key]
+        text = {"required": None, "(empty)": ""}.get(default, default.strip("`"))
+        assert (text if text is None else parser(text)) == want_default, key
+        assert _readme_rule(rule) == want_rule, key

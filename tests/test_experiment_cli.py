@@ -15,7 +15,7 @@ from fflab.checkpoint import load_network, network_bytes
 from fflab.cli import main
 from fflab import experiment, inference, numerics
 from fflab.config import parse_config
-from fflab.errors import DivergenceError, FFLabError
+from fflab.errors import ConfigError, DivergenceError, FFLabError
 from fflab.experiment import build_bundle, run_experiment, run_sweep
 from fflab.ffnet import FFLayer, FFNetwork, LabelSlots
 from fflab.rng import Rng
@@ -305,6 +305,23 @@ class TestCli:
             args += ["--set", f"{k}={v}"]
         assert main(args) == 1
         assert "threshold.k must be > 0, got 0.0" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "sweepout")
+
+    @pytest.mark.parametrize("command", [["train"], ["sweep", "--sweep", "k=0.3,0.6"]])
+    def test_misspelled_activation_exit_one_before_any_work(self, tmp_path, capsys, command):
+        out = tmp_path / "run"
+        args = command + ["--dataset", "synthetic", "--seed", "1", "--arch", "16,16",
+                          "--set", "activation=relux", "--output", str(out)]
+        assert main(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: activation must be one of (")
+        assert not os.path.exists(out)
+
+    def test_sweep_refuses_a_k_listed_twice_before_the_first_run(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiment, "run_experiment", lambda *a: pytest.fail("ran"))
+        cfg = parse_config(None, fast_overrides(tmp_path / "sweepout"))
+        with pytest.raises(ConfigError, match="lists one k twice: '0.1' and '1e-1'"):
+            run_sweep(cfg, "k", ["0.1", "0.3", "1e-1"])
         assert not os.path.exists(tmp_path / "sweepout")
 
     def test_divergence_exit_three(self, tmp_path, capsys):
