@@ -86,10 +86,13 @@ def export_heatmap(W, path):
         f.write(header + bytes_.tobytes())
 
 
-def label_pixel_spike(W, num_label_cols=10):
-    """(mean |w| over label columns, mean |w| over the rest) of one matrix."""
+def label_pixel_spike(W, slots):
+    """(mean |w| over the label slot columns, mean |w| over the rest) of a
+    first-layer matrix over rows embedded by ``slots`` (a ``LabelSlots``)."""
     A = np.abs(np.asarray(W, dtype=np.float64))
-    return float(A[:, :num_label_cols].mean()), float(A[:, num_label_cols:].mean())
+    label = np.zeros(A.shape[1], dtype=bool)
+    label[slots.start : slots.start + slots.num_classes] = True
+    return float(A[:, label].mean()), float(A[:, ~label].mean())
 
 
 @dataclass

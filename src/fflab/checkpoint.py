@@ -188,7 +188,7 @@ def _read_layers(r, magic):
 
 def _read_head(r, widths):
     """The head section: at least one class, read from at least one existing
-    layer, at the included layers' total width."""
+    layer, each once, at the included layers' total width."""
     at = r.pos
     num_classes = r.u32("head num_classes")
     if num_classes == 0:
@@ -209,6 +209,8 @@ def _read_head(r, widths):
                 f"head includes layer {li}, but the network has {len(widths)} layers",
                 offset=inc_at + 4 * k,
             )
+        if li in included[:k]:
+            raise FormatError(f"head includes layer {li} twice", offset=inc_at + 4 * k)
     expected = sum(widths[li] for li in included)
     if concat_width != expected:
         raise FormatError(
@@ -231,7 +233,8 @@ def load_network(path, lr=0.01):
     :class:`FormatError` with the byte offset of the offending field:
     no layers, a zero width, an unknown activation tag, widths that do
     not chain, non-finite weights, or a head with no classes or one
-    that reads no layers, missing layers or the wrong width.
+    that does not read one or more existing layers, each once, at their
+    total width.
     """
     with open(path, "rb") as f:
         data = f.read()

@@ -71,22 +71,19 @@ def _overrides(args):
 def _cmd_train(args):
     from .experiment import run_experiment
 
-    cfg = parse_config(args.config, _overrides(args))
-    result = run_experiment(cfg)
-    mode = cfg["inference.mode"]
-    print(f"final {mode} test error: {result.final_err[mode][1]:.4f}")
+    run_experiment(parse_config(args.config, _overrides(args)))
     return 0
 
 
 def _cmd_sweep(args):
-    from .experiment import run_sweep
+    from .experiment import SWEEP_SUMMARY_HEADER, run_sweep
 
     cfg = parse_config(args.config, _overrides(args))
     key, _, values = args.sweep.partition("=")
     if not values:
         raise ConfigError("--sweep expects k=v1,v2,... (e.g. k=0.1,0.5,1)")
     rows = run_sweep(cfg, key.strip(), [v.strip() for v in values.split(",") if v.strip()])
-    print("k,final_test_err,best_test_err,best_epoch")
+    print(",".join(SWEEP_SUMMARY_HEADER))
     for row in rows:
         print(",".join(str(x) for x in row))
     return 0

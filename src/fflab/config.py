@@ -7,7 +7,6 @@ Command-line overrides use the same dotted keys and win over the file.
 
 import math
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,7 +55,6 @@ SCHEMA = {
     "threshold.k_start": (float, 1.0, POSITIVE),
     "threshold.k_end": (float, 1.0, POSITIVE),
     "threshold.ramp_epochs": (int, 1, 1),
-    "inference.mode": (str, "head", ("head", "sweep")),
     "inference.skip_first_layer": (_parse_bool, True, None),
     "head.epochs": (int, 8, 1),
     "head.lr": (float, 1e-3, POSITIVE),
@@ -79,20 +77,6 @@ SCHEMA = {
 _DESK_SUBSET = {"mnist": 10000, "imdb": 5000, "synthetic": 0}
 
 
-@dataclass
-class ExperimentConfig:
-    """Fully-resolved run description."""
-
-    values: dict = field(default_factory=dict)
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-    @property
-    def seed(self):
-        return self.values["seed"]
-
-
 def _set_value(values, key, raw, line=None):
     if key not in SCHEMA:
         raise ConfigError(f"unknown config key {key!r}", line=line)
@@ -107,7 +91,8 @@ def _set_value(values, key, raw, line=None):
 
 
 def parse_config(path=None, overrides=None):
-    """Resolve file + overrides + defaults into an ExperimentConfig."""
+    """Resolve file + overrides + defaults into the validated dict of every
+    ``SCHEMA`` key."""
     values = {}
     if path is not None:
         if not os.path.isfile(path):
@@ -134,7 +119,7 @@ def parse_config(path=None, overrides=None):
         values.setdefault(key, default)
 
     _validate(values)
-    return ExperimentConfig(values)
+    return values
 
 
 def _broken(key, x, rule):
@@ -202,8 +187,8 @@ def thetas(cfg, widths, epoch):
 def echo_config(cfg):
     """Canonical provenance text: every key, sorted, one per line."""
     lines = []
-    for key in sorted(cfg.values):
-        v = cfg.values[key]
+    for key in sorted(cfg):
+        v = cfg[key]
         if isinstance(v, list):
             v = ",".join(str(x) for x in v)
         lines.append(f"{key} = {v}")

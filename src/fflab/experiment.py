@@ -9,6 +9,11 @@ derives the final and best errors from them for ``final_report.txt`` and
 ``sweep_summary.csv``. A trained network's checkpoint, weight statistics
 and heatmaps take the names of its kind (``analysis.artifact_names``).
 
+Every FF epoch evaluates both inference routes (``ROUTES``): the softmax
+head and the label sweep. ``eval_modes.csv``, ``final_report.txt`` and
+``sweep_summary.csv`` give both; ``metrics.csv``'s error columns give the
+head's.
+
 Reproducibility contract: everything an artifact contains is a pure
 function of (config, seed, code version, BLAS build, BLAS thread count),
 since a GEMM may round differently at another thread count — with the
@@ -58,6 +63,12 @@ _STREAM_BASELINE = 3
 _STREAM_EMBED = 4
 _STREAM_ANALYSIS = 5
 
+# the two inference routes every epoch evaluates, in artifact column order
+ROUTES = ("head", "sweep")
+# sweep_summary.csv's header, which ``ff-lab sweep`` prints too
+SWEEP_SUMMARY_HEADER = ["k"] + [f"{m}_{c}" for m in ROUTES
+                                for c in ("final_test_err", "best_test_err", "best_epoch")]
+
 
 @dataclass
 class DatasetBundle:
@@ -81,7 +92,7 @@ class DatasetBundle:
 def build_bundle(cfg):
     """Load and adapt the configured dataset (``parse_config`` allows three)."""
     name = cfg["dataset"]
-    seed = cfg.seed
+    seed = cfg["seed"]
     if name == "synthetic":
         return _blob_bundle(cfg, seed)
     if name == "mnist":
@@ -135,13 +146,13 @@ def _imdb_bundle(cfg):
     if cache:
         # the whole training corpus is hashed, so only for the cache
         fingerprint = text_data.corpus_fingerprint(
-            corpus_tr, dict(sgns, min_count=min_count, seed=cfg.seed)
+            corpus_tr, dict(sgns, min_count=min_count, seed=cfg["seed"])
         )
         hit = text_data.load_cached_embeddings(cache, fingerprint)
         if hit is not None and hit[0] == vocab.tokens:
             table = hit[1]
     if table is None:
-        rng = Rng(derive_seed(cfg.seed, _STREAM_EMBED))
+        rng = Rng(derive_seed(cfg["seed"], _STREAM_EMBED))
         table = text_data.train_sgns(corpus_tr, vocab, rng=rng, **sgns)
         if cache:
             text_data.save_embeddings(cache, vocab, table, fingerprint)
@@ -203,7 +214,7 @@ def run_experiment(cfg, bundle=None):
 
     if bundle is None:
         bundle = build_bundle(cfg)
-    seed = cfg.seed
+    seed = cfg["seed"]
     rng_net = Rng(derive_seed(seed, _STREAM_NET))
     rng_data = Rng(derive_seed(seed, _STREAM_DATA) ^ 0x5EED)
     rng_head = Rng(derive_seed(seed, _STREAM_HEAD))
@@ -269,14 +280,13 @@ def run_experiment(cfg, bundle=None):
         e.epoch = epoch
         raise
 
-    mode = cfg["inference.mode"]
     write_csv(
         os.path.join(out_dir, "metrics.csv"),
         ["epoch", "layer", "mean_loss", "mean_G_pos", "mean_G_neg", "theta",
          "train_err", "test_err", "seconds"],
         (
             [i, li, *map(_fmt, (r.metrics.mean_loss[li], r.metrics.mean_g_pos[li],
-                                r.metrics.mean_g_neg[li], r.theta[li], *r.errs[mode])),
+                                r.metrics.mean_g_neg[li], r.theta[li], *r.errs["head"])),
              f"{r.seconds:.3f}"]
             for i, r in enumerate(epochs)
             for li in range(len(net.layers))
@@ -311,7 +321,7 @@ def write_goodness_report(cfg, bundle, net, G, out_dir):
     over ``G``, the train split's per-layer sweep goodness. Each row's
     negative label is drawn from its own seed stream, so a run and
     ``ff-lab analyze`` on its checkpoint write the same bytes."""
-    rng = Rng(derive_seed(cfg.seed, _STREAM_ANALYSIS))
+    rng = Rng(derive_seed(cfg["seed"], _STREAM_ANALYSIS))
     wrong = bundle.slots.wrong_labels(bundle.y_train, rng)
     report = goodness_report(G, bundle.y_train, wrong, thetas(cfg, net.widths, cfg["epochs"] - 1))
     write_goodness_csv(os.path.join(out_dir, "goodness_hist.csv"), report)
@@ -324,7 +334,7 @@ def _run_baseline(cfg, bundle, out_dir):
     its checkpoint path and its Epoch records."""
     X_tr = bundle.slots.neutral(bundle.X_train)
     X_te = bundle.slots.neutral(bundle.X_test)
-    rng = Rng(derive_seed(cfg.seed, _STREAM_BASELINE))
+    rng = Rng(derive_seed(cfg["seed"], _STREAM_BASELINE))
     net = BPNetwork(
         bundle.input_dim,
         cfg["arch"],
@@ -360,13 +370,12 @@ def _write_report(cfg, out_dir, result, included):
         f"threshold: k = {','.join(map(str, cfg['threshold.k']))}, ramp "
         f"{cfg['threshold.k_start']} -> {cfg['threshold.k_end']} over "
         f"{cfg['threshold.ramp_epochs']} epochs",
-        f"inference mode for metrics.csv: {cfg['inference.mode']}",
         f"layers scored at inference (0-based): {list(included)}",
     ]
     final, best = result.final_err, result.best_err
-    for m in ("head", "sweep"):
+    for m in ROUTES:
         lines.append(f"final {m} error: train {final[m][0]:.4f}, test {final[m][1]:.4f}")
-    for m in ("head", "sweep"):
+    for m in ROUTES:
         lines.append(f"best {m} test error: {best[m][0]:.4f} (epoch {best[m][1]})")
     if result.bp_epochs:
         tr, te = result.bp_epochs[-1].errs
@@ -394,7 +403,7 @@ def run_sweep(cfg, key, raw_values):
     root = cfg["output_dir"]
     runs = []
     for raw in raw_values:
-        sub = dict(cfg.values)
+        sub = dict(cfg)
         sub["threshold.k"] = raw
         sub["output_dir"] = os.path.join(root, f"k_{raw}")
         sub_cfg = parse_config(None, sub)
@@ -404,12 +413,13 @@ def run_sweep(cfg, key, raw_values):
         runs.append((raw, sub_cfg))
     os.makedirs(root, exist_ok=True)
     bundle = build_bundle(cfg)
-    mode = cfg["inference.mode"]
     rows = []
     for raw, sub_cfg in runs:
         result = run_experiment(sub_cfg, bundle)
-        best_err, best_epoch = result.best_err[mode]
-        rows.append([raw, _fmt(result.final_err[mode][1]), _fmt(best_err), best_epoch])
-    write_csv(os.path.join(root, "sweep_summary.csv"),
-              ["k", "final_test_err", "best_test_err", "best_epoch"], rows)
+        final, best = result.final_err, result.best_err
+        row = [raw]
+        for m in ROUTES:
+            row += [_fmt(final[m][1]), _fmt(best[m][0]), best[m][1]]
+        rows.append(row)
+    write_csv(os.path.join(root, "sweep_summary.csv"), SWEEP_SUMMARY_HEADER, rows)
     return rows

@@ -158,10 +158,6 @@ class FFNetwork:
         return net
 
     @property
-    def input_dim(self):
-        return self.layers[0].in_dim
-
-    @property
     def widths(self):
         return [layer.out_dim for layer in self.layers]
 

@@ -22,7 +22,6 @@ from .ffnet import LabelSlots
 from .kernels import pairs_per_sentence, sgns_epoch
 from .numerics import require_finite
 from .porter import stem
-from .rng import Rng
 
 # Fixed ~150-word stop list, committed for reproducibility. Negations
 # (not/no/nor/never) are deliberately kept out: this feeds a sentiment
@@ -136,8 +135,7 @@ def init_embeddings(vocab_size, dim, rng):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def train_sgns(corpus, vocab, dim=100, window=5, neg_k=5, epochs=5,
-               rng=None, lr=0.025):
+def train_sgns(corpus, vocab, *, rng, dim=100, window=5, neg_k=5, epochs=5, lr=0.025):
     """Train the embedding table on tokenized reviews. Returns (V, dim).
 
     Sequential per-pair updates in corpus order; learning rate decays
@@ -150,8 +148,6 @@ def train_sgns(corpus, vocab, dim=100, window=5, neg_k=5, epochs=5,
     """
     if not corpus or len(vocab) == 0:
         raise UsageError("train_sgns needs a non-empty corpus and vocabulary")
-    if rng is None:
-        rng = Rng(0)
     tokens, offsets = encode_corpus(corpus, vocab)
     win, wout = init_embeddings(len(vocab), dim, rng)
     if epochs == 0:

@@ -28,7 +28,7 @@ from fflab.inference import (
     predict_sweep_batch,
     sweep_scores_batch,
 )
-from fflab.mnist_data import parse_idx_images, parse_idx_labels
+from fflab.mnist_data import LABEL_SLOTS, parse_idx_images, parse_idx_labels
 from fflab.rng import Rng, derive_seed
 from fflab.synthetic import label_slots
 
@@ -332,7 +332,7 @@ def test_c6_weight_range_and_spike():
 
     # first-layer weights spike on the ten label pixels
     ff_net, _ = desk_ff_run((0.5, 0.5), DESK_SEEDS[0])
-    spike, rest = label_pixel_spike(ff_net.layers[0].W, 10)
+    spike, rest = label_pixel_spike(ff_net.layers[0].W, LABEL_SLOTS)
     assert spike > rest, (spike, rest)
 
 
@@ -357,8 +357,8 @@ def test_c7_imdb_desk():
         },
     )
     bundle = build_bundle(cfg)
-    net = FFNetwork(bundle.input_dim, [500, 500], "relu", 0.01, Rng(derive_seed(cfg.seed, 0)))
-    rng = Rng(derive_seed(cfg.seed, 1))
+    net = FFNetwork(bundle.input_dim, [500, 500], "relu", 0.01, Rng(derive_seed(cfg["seed"], 0)))
+    rng = Rng(derive_seed(cfg["seed"], 1))
     for _ in range(6):
         train_epoch(
             net, bundle.X_train, bundle.y_train, bundle.slots, [0.5 * 500] * 2, 128, rng
@@ -369,7 +369,7 @@ def test_c7_imdb_desk():
         bundle.slots,
         bundle.y_train,
         bundle.num_classes,
-        rng=Rng(derive_seed(cfg.seed, 2)),
+        rng=Rng(derive_seed(cfg["seed"], 2)),
     )
     acc = float(
         np.mean(

@@ -11,6 +11,7 @@ from fflab.analysis import (
     write_goodness_csv,
     write_weight_stats_csv,
 )
+from fflab import mnist_data, text_data
 from fflab.errors import UsageError
 from fflab.ffnet import FFNetwork, goodness, train_epoch
 from fflab.inference import sweep_scores_batch
@@ -102,8 +103,15 @@ class TestHeatmap:
     def test_label_pixel_spike_helper(self):
         W = np.ones((4, 20)) * 0.1
         W[:, :10] = 2.0
-        spike, rest = label_pixel_spike(W, 10)
+        spike, rest = label_pixel_spike(W, mnist_data.LABEL_SLOTS)
         assert spike > rest
+
+    def test_label_pixel_spike_reads_the_slots_where_the_dataset_puts_them(self):
+        # IMDb appends its two sentiment slots after the review features
+        W = np.full((4, 12), 0.1)
+        W[:, 10:] = -2.0
+        spike, rest = label_pixel_spike(W, text_data.label_slots(10))
+        assert spike == 2.0 and rest == pytest.approx(0.1)
 
 
 def report_inputs(net, X, y, rng):

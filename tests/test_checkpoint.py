@@ -198,6 +198,10 @@ MALFORMED = {
         _TOP + _L0 + _L1 + _head(2, [1, 2]),
         len(_TOP + _L0 + _L1) + 4 + 12 + 4,
     ),
+    "head names a layer twice": (
+        _TOP + _L0 + _L1 + _head(4, [1, 1]),
+        len(_TOP + _L0 + _L1) + 4 + 12 + 4,
+    ),
     "head width mismatch": (_TOP + _L0 + _L1 + _head(3, [1]), len(_TOP + _L0 + _L1) + 8),
     "zero-width layer": (_TOP + _layer(4, 0) + _layer(0, 2), len(_TOP) + 4),
     "head with no classes": (

@@ -136,15 +136,16 @@ class TestRunExperiment:
         net, _ = load_network(result.bp_checkpoint)
         assert hidden_widths(net) == [16, 16]
 
-    def test_sweep_mode_fills_metrics_error_columns(self, tmp_path):
-        cfg = parse_config(
-            None, fast_overrides(tmp_path / "run", **{"inference.mode": "sweep"})
-        )
+    def test_metrics_error_columns_are_the_head_route(self, tmp_path):
+        cfg = parse_config(None, fast_overrides(tmp_path / "run"))
         result = run_experiment(cfg)
         metrics = read_rows(os.path.join(result.out_dir, "metrics.csv"))
         modes = read_rows(os.path.join(result.out_dir, "eval_modes.csv"))
-        # the last epoch's metrics rows carry the sweep errors
-        assert metrics[-1][7] == modes[-1][4]
+        assert metrics[0][6:8] == ["train_err", "test_err"]
+        # every layer's row of an epoch carries that epoch's head errors
+        assert len(metrics) == 1 + 2 * (len(modes) - 1)
+        for row in metrics[1:]:
+            assert row[6:8] == modes[1 + int(row[0])][1:3], row
 
     def test_skip_first_layer_false_scores_all_layers(self, tmp_path):
         cfg = parse_config(
@@ -238,8 +239,10 @@ class TestCli:
         for k, v in fast_overrides(tmp_path / "run").items():
             args += ["--set", f"{k}={v}"]
         assert main(args) == 0
-        out = capsys.readouterr().out
-        assert "final head test error" in out
+        # the final report, which gives both routes, and nothing after it
+        report = (tmp_path / "run" / "final_report.txt").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == report
+        assert "final head error" in report and "final sweep error" in report
 
     def test_bad_config_key_exit_one(self, tmp_path, capsys):
         assert main(["train", "--set", "no.such.key=1", "--seed", "1"]) == 1
@@ -469,8 +472,25 @@ class TestCli:
         assert os.path.exists(tmp_path / "sweepout" / "k_0.3" / "metrics.csv")
         assert os.path.exists(tmp_path / "sweepout" / "k_0.6" / "metrics.csv")
         rows = read_rows(tmp_path / "sweepout" / "sweep_summary.csv")
-        assert rows[0] == ["k", "final_test_err", "best_test_err", "best_epoch"]
+        assert rows[0] == [
+            "k",
+            "head_final_test_err", "head_best_test_err", "head_best_epoch",
+            "sweep_final_test_err", "sweep_best_test_err", "sweep_best_epoch",
+        ]
         assert len(rows) == 3
+        # per route, the last epoch's test error and the first epoch at the
+        # lowest, as the k's eval_modes.csv has them
+        for row in rows[1:]:
+            modes = read_rows(tmp_path / "sweepout" / f"k_{row[0]}" / "eval_modes.csv")[1:]
+            expected = [row[0]]
+            for col in (2, 4):
+                errs = [float(r[col]) for r in modes]
+                best = errs.index(min(errs))
+                expected += [modes[-1][col], modes[best][col], str(best)]
+            assert row == expected
+        # ff-lab sweep prints the summary's header and rows last
+        printed = capsys.readouterr().out.splitlines()[-3:]
+        assert printed == [",".join(row) for row in rows]
 
     def test_sweep_builds_the_bundle_once(self, tmp_path, monkeypatch):
         """Three k values, one build_bundle call; each k's artifacts, seconds
@@ -496,7 +516,7 @@ class TestCli:
     def test_best_epoch_is_the_first_at_the_lowest_test_error(self, tmp_path, monkeypatch):
         """A test error that returns to its minimum keeps the first epoch
         at it, in the result, the final report and the sweep summary."""
-        overrides = fast_overrides(tmp_path / "sweepout", epochs=4, **{"inference.mode": "sweep"})
+        overrides = fast_overrides(tmp_path / "sweepout", epochs=4)
         y_test = build_bundle(parse_config(None, overrides)).y_test
         wrong = [len(y_test) * f // 20 for f in (10, 5, 5, 8)]  # test errors per epoch
         sweep = experiment.predict_sweep_batch
@@ -525,8 +545,10 @@ class TestCli:
         assert results[0].final_err["sweep"][1] == 0.4
         with open(tmp_path / "sweepout" / "k_0.3" / "final_report.txt", encoding="utf-8") as f:
             assert "best sweep test error: 0.2500 (epoch 1)\n" in f.read()
+        head_final = results[0].final_err["head"][1]
+        head_best, head_epoch = results[0].best_err["head"]
         assert read_rows(tmp_path / "sweepout" / "sweep_summary.csv")[1:] == [
-            ["0.3", "0.4", "0.25", "1"]
+            ["0.3", repr(head_final), repr(head_best), str(head_epoch), "0.4", "0.25", "1"]
         ]
 
     def test_analyze_checkpoint(self, tmp_path, capsys):
@@ -674,6 +696,10 @@ MALFORMED = {
         lambda t: ["train", "--output", str(t / "run"), "--config", _write(
             t / "old.cfg", b"seed = 1\narch = 4\nepochs = 1\nthreshold.strategy = pyramidal\n")],
         1, "config error: line 4: unknown config key 'threshold.strategy'"),
+    "removed-mode-key": (
+        lambda t: ["train", "--seed", "1", "--arch", "4", "--epochs", "1",
+                   "--output", str(t / "run"), "--set", "inference.mode=head"],
+        1, "config error: unknown config key 'inference.mode'"),
     "non-finite-lr": (
         lambda t: ["train", "--seed", "1", "--arch", "4", "--epochs", "1",
                    "--output", str(t / "run"), "--set", "head.lr=inf"],

@@ -1,5 +1,6 @@
 """Row normalization and the Adam recursion against independent oracles."""
 
+import io
 import os
 import subprocess
 import sys
@@ -312,6 +313,37 @@ class TestAdamThreads:
         spin = timeout or (0 if blas_threads == "1" else 4)
         expected = f"{blas_threads} {blas_threads == '2'} {spin} {timeout}"
         assert done.stdout.split() == expected.split()
+
+    @pytest.mark.parametrize("maps", [None, "7f00-7f01 r--p 0 00:00 0 /usr/lib/libc.so.6\n"],
+                             ids=["unreadable", "no-openblas"])
+    def test_step_runs_on_the_caller_without_openblas(self, monkeypatch, adam_workers, maps):
+        """Where /proc/self/maps cannot be read (None) or maps no OpenBLAS,
+        the first split step settles on one worker: no pool, no restart of
+        OpenBLAS (``OPENBLAS_THREAD_TIMEOUT`` stays unset), the textbook bits.
+        ``open`` is shadowed in the module alone, so no real library is touched."""
+        monkeypatch.setattr(numerics, "_ADAM_BLOCK", 16)
+        adam_workers(None)
+        monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+        opened = []
+
+        def fake_open(path, *args, **kwargs):
+            opened.append(path)
+            if maps is None:
+                raise OSError("no maps")
+            return io.StringIO(maps)
+
+        monkeypatch.setattr(numerics, "open", fake_open, raising=False)
+        r = np.random.default_rng(11)
+        p = r.standard_normal((9, 7))  # five 2-row blocks
+        p_ref = p.copy()
+        st_, st_ref = AdamState.for_param(p.shape, 0.01), AdamState.for_param(p.shape, 0.01)
+        for g in r.standard_normal((5, 9, 7)):
+            adam_step(st_, p, g)
+            _textbook_adam(st_ref, p_ref, g)
+        assert opened == ["/proc/self/maps"]  # looked up once, at the first step
+        assert numerics._ADAM_WORKERS == 1 and numerics._adam_pool is None
+        assert "OPENBLAS_THREAD_TIMEOUT" not in os.environ
+        assert np.array_equal(p, p_ref)
 
     def test_forked_child_makes_a_pool_of_its_own(self):
         """A forked child has none of its parent's pool threads: it drops

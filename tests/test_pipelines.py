@@ -22,7 +22,7 @@ from fflab.experiment import build_bundle, run_experiment
 from fflab.inference import predict_head_batch
 from fflab.ffnet import FFNetwork
 from fflab.rng import Rng
-from fflab import text_data
+from fflab import mnist_data, text_data
 
 from conftest import MNIST_DIR, requires_mnist
 from oracles import frozen_head
@@ -148,13 +148,13 @@ class TestMnistPipeline:
     def test_label_pixel_spike_direction(self, run):
         _, result = run
         ff, _ = load_network(result.checkpoint)
-        spike, rest = label_pixel_spike(ff.layers[0].W, 10)
+        spike, rest = label_pixel_spike(ff.layers[0].W, mnist_data.LABEL_SLOTS)
         assert spike > 2.0 * rest
 
     def test_eval_cli_on_checkpoint(self, run, capsys):
         cfg, result = run
         args = ["eval", "--checkpoint", result.checkpoint, "--mode", "head"]
-        for k, v in cfg.values.items():
+        for k, v in cfg.items():
             if v is None or isinstance(v, list):
                 continue
             args += ["--set", f"{k}={v}"]
@@ -187,7 +187,7 @@ class TestImdbPipeline:
         rerun_cfg = parse_config(
             None,
             {k: str(v) if not isinstance(v, list) else ",".join(map(str, v))
-             for k, v in cfg.values.items() if v is not None}
+             for k, v in cfg.items() if v is not None}
             | {"output_dir": str(tmp_path / "rerun")},
         )
         result2 = run_experiment(rerun_cfg)
@@ -204,7 +204,7 @@ class TestImdbPipeline:
         cache.write_text("".join(lines[:3]), encoding="utf-8")
         shutil.copy(cfg["data.embedding_cache"] + ".meta.json", str(cache) + ".meta.json")
         args = ["train"]
-        for k, v in cfg.values.items():
+        for k, v in cfg.items():
             if v is None or isinstance(v, list):
                 continue
             args += ["--set", f"{k}={v}"]
@@ -245,7 +245,7 @@ class TestImdbPipeline:
         uncached = parse_config(
             None,
             {k: str(v) if not isinstance(v, list) else ",".join(map(str, v))
-             for k, v in cfg.values.items() if v is not None}
+             for k, v in cfg.items() if v is not None}
             | {"data.embedding_cache": "", "epochs": "1", "output_dir": str(tmp_path / "run")},
         )
         result = run_experiment(uncached)
