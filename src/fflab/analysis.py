@@ -3,7 +3,8 @@ one CSV writer every artifact table goes through.
 
 Everything here is a pure function of a checkpoint (plus, for the
 goodness report, the label sweep's per-layer goodness): re-running on
-the same inputs is bit-identical.
+the same inputs is bit-identical. The passes over whole weight matrices
+(statistics, heatmaps) are dealt across threads with the same bits.
 """
 
 import csv
@@ -14,6 +15,7 @@ import numpy as np
 
 from .bp_baseline import BPNetwork
 from .errors import UsageError
+from .numerics import _block_rows, _min_max, _split
 
 
 def write_csv(path, header, rows):
@@ -46,18 +48,36 @@ def write_weight_artifacts(out_dir, net, heatmap_layers):
 
 def weight_stats(net):
     """Per-layer {min, max, mean, var} of the weight matrices, in layer order
-    (a baseline net's output layer last); population variance."""
+    (a baseline net's output layer last); population variance.
+
+    Each value has the bits of numpy's ``W.min()``, ``W.max()``,
+    ``W.mean()`` and ``W.var()``. The min/max and the squared deviations
+    from the mean go through :func:`~fflab.numerics._split`; each sum is
+    one whole-array reduction, whose order numpy picks by the array's
+    shape, so the squared deviations fill a C-contiguous temporary of W's
+    shape (one buffer, reused across layers).
+    """
     stats = []
+    buf = np.empty(max(layer.W.size for layer in net.layers))
     for W in (layer.W for layer in net.layers):
+        lo, hi = _min_max(W)
+        mean = W.mean()
+        sq = buf[: W.size].reshape(W.shape)
+        _split(_squared_deviation_rows, W, mean, sq)
         stats.append(
             {
-                "min": float(W.min()),
-                "max": float(W.max()),
-                "mean": float(W.mean()),
-                "var": float(W.var()),
+                "min": float(lo),
+                "max": float(hi),
+                "mean": float(mean),
+                "var": float(np.sum(sq) / W.size),
             }
         )
     return stats
+
+
+def _squared_deviation_rows(lo, hi, W, mean, out):
+    x = np.subtract(W[lo:hi], mean, out=out[lo:hi])
+    np.multiply(x, x, out=x)
 
 
 def write_weight_stats_csv(path, stats):
@@ -67,23 +87,40 @@ def write_weight_stats_csv(path, stats):
 
 
 def export_heatmap(W, path):
-    """Write W as a binary PGM (P5, maxval 255), min->0 and max->255.
+    """Write W as a binary PGM (P5, maxval 255), min->0 and max->255:
+    ``clip(rint((W - min) / (max - min) * 255.0), 0, 255)`` as bytes, made
+    by :func:`~fflab.numerics._split` a few rows at a time.
 
     A constant matrix maps to mid-gray 128.
     """
     W = np.asarray(W, dtype=np.float64)
     # min/max propagate NaN and expose +-inf without a boolean mask
-    lo, hi = float(W.min()), float(W.max())
+    lo, hi = (float(v) for v in _min_max(W))
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise UsageError("heatmap export needs finite weights")
     if hi == lo:
         bytes_ = np.full(W.shape, 128, dtype=np.uint8)
     else:
-        scaled = np.rint((W - lo) / (hi - lo) * 255.0)
-        bytes_ = np.clip(scaled, 0, 255).astype(np.uint8)
+        bytes_ = np.empty(W.shape, dtype=np.uint8)
+        _split(_heatmap_rows, W, lo, hi - lo, bytes_)
     header = f"P5\n{W.shape[1]} {W.shape[0]}\n255\n".encode("ascii")
     with open(path, "wb") as f:
         f.write(header + bytes_.tobytes())
+
+
+def _heatmap_rows(lo, hi, W, w_min, span, out):
+    """Rows lo..hi of the heatmap, half a block of rows at a time in one
+    scratch array."""
+    rows = max(1, _block_rows(W) // 2)
+    scratch = np.empty((min(rows, hi - lo),) + W.shape[1:])
+    for i in range(lo, hi, rows):
+        s = scratch[: min(rows, hi - i)]
+        np.subtract(W[i : i + len(s)], w_min, out=s)
+        s /= span
+        s *= 255.0
+        np.rint(s, out=s)
+        np.clip(s, 0, 255, out=s)
+        out[i : i + len(s)] = s
 
 
 def label_pixel_spike(W, slots):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .activations import stable_sigmoid
 from .errors import DimensionError, UsageError
-from .numerics import DenseLayer, adam_step, require_finite, row_directions
+from .numerics import DenseLayer, _divide, adam_step, require_finite, row_directions
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ class FFLayer(DenseLayer):
         dZ = (dG[:, None] * 2.0 * A) * self.act.deriv(Z)
         n = Xhat.shape[0]
         dW = dZ.T @ Xhat
-        dW /= n
+        _divide(dW, n)
         db = dZ.mean(axis=0)
         return dW, db, losses, G
 
@@ -200,7 +200,7 @@ def train_epoch(net, X_raw, y, slots, thetas, batch_size, rng):
     After the last batch every layer is checked once (NaN and inf are
     absorbing under Adam): a :class:`DivergenceError` names the lowest
     non-finite layer, which diverged by itself, and the caller stamps
-    its epoch. The check is the guard, so overflow warnings are silenced, in Adam's pool too.
+    its epoch. The check is the guard, so overflow warnings are silenced, in the split's pool too.
     """
     if batch_size < 2 or batch_size % 2:
         raise UsageError(

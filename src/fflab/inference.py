@@ -19,7 +19,7 @@ import numpy as np
 from .bp_baseline import BPNetwork, bp_train_epoch
 from .errors import DimensionError, DivergenceError, UsageError
 from .ffnet import goodness
-from .numerics import DenseLayer, require_finite, row_chunks, row_directions
+from .numerics import DenseLayer, _cast, require_finite, row_chunks, row_directions
 
 
 # the label sweep's activations and goodness; weights, checkpoints, the
@@ -75,11 +75,12 @@ def _forward_stages(layers, X, sq=None):
 
     The walk runs in X's dtype: each layer's W and b are cast to it with
     ``copy=False``, so a float64 chunk uses them as they are, bit for
-    bit, and a float32 chunk holds one layer's float32 copy at a time.
+    bit, and a float32 chunk holds one layer's float32 copy at a time
+    (W's copied by :func:`~fflab.numerics._split`).
     """
     for layer in layers:
         X = row_directions(X, sq=sq, out=X)
-        W = layer.W.astype(X.dtype, copy=False)
+        W = _cast(layer.W, X.dtype)
         Z = X @ W.T
         del X, W
         Z += layer.b.astype(Z.dtype, copy=False)
@@ -251,7 +252,7 @@ def sweep_scores_batch(net, X_raw, num_classes, slots, included_layers=None,
         x0 = slots.neutral(X_raw[rows]).astype(SWEEP_DTYPE)
         # >= 1, so the eps floor of row_directions never applies
         norms = np.sqrt(np.sum(x0 * x0, axis=1, keepdims=True) + 1.0)
-        W0 = first.W.astype(SWEEP_DTYPE)
+        W0 = _cast(first.W, SWEEP_DTYPE)
         shared = x0 @ W0.T
         del x0, W0
         Z = shared + slot_cols[:, None, :]  # (num_classes, rows, width)

@@ -4,6 +4,11 @@ check that guards every trainer.
 
 Batches are float64 matrices with one sample per row (the label sweep
 forwards float32 ones); parameters are float64 ndarrays of any shape.
+
+Every pass over a weight-sized array (Adam steps, bulk draws, the sweep's
+float32 copies, the gradient's 1/n, finite checks, weight statistics)
+is dealt across the BLAS threads' cores by one private helper,
+:func:`_split`, with the bits of the whole-array pass.
 """
 
 import ctypes
@@ -12,6 +17,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -96,44 +102,115 @@ class AdamState:
         )
 
 
-# Rows of a parameter that one Adam block covers hold about this many
-# elements; a thread works through them half a block (256 KiB an array) at
-# a time, as fast on 2 cores as whole blocks (train_epoch at 784->2000x4:
-# 2.56 s against 2.64 s, medians of 4 alternating runs, spread 2.41-3.30 s).
-_ADAM_BLOCK = 1 << 16
+# A split block: about this many elements of an array, in whole rows. A pass
+# over an array of two or more blocks is dealt out across threads
+# (:func:`_split`). Adam works through its rows half a block (256 KiB an
+# array) at a time, as fast on 2 cores as whole blocks (train_epoch at
+# 784->2000x4: 2.56 s against 2.64 s, medians of 4 alternating runs,
+# spread 2.41-3.30 s).
+_SPLIT_BLOCK = 1 << 16
 
-# Threads that share a step of two or more blocks: OpenBLAS's thread count, at most 2 (measured)
-_ADAM_WORKERS = None
-_adam_pool = None  # _ADAM_WORKERS - 1 threads from the first split step on
+# Threads that share a pass of two or more blocks: OpenBLAS's thread count, at most 2 (measured)
+_SPLIT_WORKERS = None
+_pool = None  # _SPLIT_WORKERS - 1 threads from the first split pass on
 _adam_work = threading.local()  # each thread's two work arrays, kept across steps
-os.register_at_fork(after_in_child=lambda: globals().update(_adam_pool=None))
+os.register_at_fork(after_in_child=lambda: globals().update(_pool=None))
 
 
 def _split_pool():
-    """The pool of a step that splits; None (one worker from then on) where OpenBLAS has one
+    """The pool of a pass that splits; None (one worker from then on) where OpenBLAS has one
     thread or is not mapped. Unless OPENBLAS_THREAD_TIMEOUT is set, OpenBLAS first restarts its
     threads with the shortest spin after a GEMM (2^4 cycles, not 2^28), so idle ones sleep."""
-    global _ADAM_WORKERS, _adam_pool
-    if _adam_pool is None and _ADAM_WORKERS != 1:
+    global _SPLIT_WORKERS, _pool
+    if _pool is None and _SPLIT_WORKERS != 1:
         try:
             with open("/proc/self/maps") as f:
                 lib = ctypes.CDLL(next(ln[ln.index("/"):-1] for ln in f if "openblas64_" in ln))
             count, *restart = [getattr(lib, name) for name in ("scipy_openblas_get_num_threads64_",
                                "openblas_read_env", "blas_thread_shutdown_", "blas_thread_init")]
-            _ADAM_WORKERS = _ADAM_WORKERS or min(2, count())
+            _SPLIT_WORKERS = _SPLIT_WORKERS or min(2, count())
         except (OSError, StopIteration, AttributeError):
-            _ADAM_WORKERS = 1
-        if _ADAM_WORKERS > 1 and "OPENBLAS_THREAD_TIMEOUT" not in os.environ:
+            _SPLIT_WORKERS = 1
+        if _SPLIT_WORKERS > 1 and "OPENBLAS_THREAD_TIMEOUT" not in os.environ:
             os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
             for call in restart:
                 call()
             del os.environ["OPENBLAS_THREAD_TIMEOUT"]
-        _adam_pool = ThreadPoolExecutor(_ADAM_WORKERS - 1) if _ADAM_WORKERS > 1 else None
-    return _adam_pool
+        _pool = ThreadPoolExecutor(_SPLIT_WORKERS - 1) if _SPLIT_WORKERS > 1 else None
+    return _pool
 
 
-def _adam_rows(lo, hi, rows, P, G, M, V, m_scale, v_scale, lr):
-    """Adam over rows lo..hi, ``rows`` at a time, in this thread's work arrays."""
+def _block_rows(a):
+    """Rows of ``a`` in one split block: ``_SPLIT_BLOCK`` elements, at least one row."""
+    return max(1, _SPLIT_BLOCK // max(1, math.prod(a.shape[1:])))
+
+
+def _split(share, a, *args):
+    """``share(lo, hi, a, *args)`` over rows 0..len(a) of array ``a``, in
+    contiguous shares lo..hi; returns the shares' results in row order.
+
+    An ``a`` of at most one block (:func:`_block_rows`) is one share on the
+    caller. A larger one is dealt out in whole blocks to the caller, which
+    runs the first share, and the private pool (:func:`_split_pool`). The
+    shares run under the caller's ``np.geterr()``, and an exception in one
+    is raised once every share has finished. A share that runs the same
+    elementwise operations on its rows as a whole pass would gives the
+    same bits on any number of threads. Shares run no public function of
+    the package, so a single-threaded tracer of those still sees every call,
+    and never split again: a pool thread would wait on its own queue.
+    """
+    rows = _block_rows(a)
+    if len(a) <= rows or _split_pool() is None:
+        return [share(0, len(a), a, *args)]
+    blocks = -(-len(a) // rows)
+    workers = min(_SPLIT_WORKERS, blocks)
+    ends = [min(len(a), blocks * k // workers * rows) for k in range(workers + 1)]
+    pooled = np.errstate(**np.geterr())(share)  # the error state is per thread
+    futures = [_pool.submit(pooled, lo, hi, a, *args) for lo, hi in zip(ends[1:-1], ends[2:])]
+    try:
+        first = share(0, ends[1], a, *args)
+    finally:
+        wait(futures)
+    return [first] + [f.result() for f in futures]
+
+
+def _min_max_rows(lo, hi, a):
+    return a[lo:hi].min(), a[lo:hi].max()
+
+
+def _min_max(a):
+    """(min, max) of a non-empty array, by :func:`_split`: exact in any order,
+    and a NaN anywhere gives NaN, as ``a.min()`` and ``a.max()`` do."""
+    mins, maxs = zip(*_split(_min_max_rows, np.atleast_1d(a)))
+    return reduce(np.minimum, mins), reduce(np.maximum, maxs)
+
+
+def _cast_rows(lo, hi, a, out):
+    out[lo:hi] = a[lo:hi]
+
+
+def _cast(a, dtype):
+    """``a.astype(dtype, copy=False)``: ``a`` itself if it has that dtype,
+    else a new C-contiguous copy made by :func:`_split`."""
+    if a.dtype == dtype:
+        return a
+    out = np.empty(a.shape, dtype)
+    _split(_cast_rows, a, out)
+    return out
+
+
+def _divide_rows(lo, hi, a, d):
+    a[lo:hi] /= d
+
+
+def _divide(a, d):
+    """``a /= d`` in place, by :func:`_split`."""
+    _split(_divide_rows, a, d)
+
+
+def _adam_rows(lo, hi, P, G, M, V, m_scale, v_scale, lr):
+    """Adam over rows lo..hi, half a block at a time, in this thread's work arrays."""
+    rows = max(1, _block_rows(P) // 2)
     shape = (min(rows, hi - lo),) + P.shape[1:]
     size = math.prod(shape)
     work = getattr(_adam_work, "arrays", None)
@@ -169,10 +246,10 @@ def adam_step(state, params, grads):
     params <- params - lr * m_hat / (sqrt(v_hat) + eps) with the usual
     bias-corrected m_hat, v_hat (eps sits outside the square root).
 
-    The update runs over blocks of rows in the textbook's order; a parameter
-    of two or more blocks is dealt out in whole blocks to the caller and a
-    private pool (``_split_pool``). Every operation is elementwise, so the
-    result is bit-identical to the whole expression on any number of threads.
+    The update runs over blocks of rows in the textbook's order, dealt
+    out across threads by :func:`_split`. Every operation is elementwise,
+    so the result is bit-identical to the whole expression on any number
+    of threads.
     """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise DimensionError(
@@ -183,22 +260,8 @@ def adam_step(state, params, grads):
     P, G, M, V = params, grads, state.m, state.v
     if P.ndim == 0:
         P, G, M, V = P[None], G[None], M[None], V[None]
-    rows = max(1, _ADAM_BLOCK // max(1, math.prod(P.shape[1:])))
-    args = (max(1, rows // 2), P, G, M, V, 1.0 - ADAM_BETA1 ** state.t,
-            1.0 - ADAM_BETA2 ** state.t, state.lr)
-    if len(P) <= rows or _split_pool() is None:
-        _adam_rows(0, len(P), *args)
-        return params
-    blocks = -(-len(P) // rows)
-    workers = min(_ADAM_WORKERS, blocks)
-    ends = [min(len(P), blocks * k // workers * rows) for k in range(workers + 1)]
-    pooled = np.errstate(**np.geterr())(_adam_rows)  # the error state is per thread
-    shares = [_adam_pool.submit(pooled, lo, hi, *args) for lo, hi in zip(ends[1:-1], ends[2:])]
-    try:
-        _adam_rows(0, ends[1], *args)
-    finally:
-        for done in wait(shares).done:
-            done.result()
+    _split(_adam_rows, P, G, M, V, 1.0 - ADAM_BETA1 ** state.t,
+           1.0 - ADAM_BETA2 ** state.t, state.lr)
     return params
 
 
@@ -246,5 +309,7 @@ def require_finite(message, *arrays, **where):
     trainer checks its weights once, after its epoch."""
     for a in arrays:
         # min/max propagate NaN and expose +-inf without a boolean mask
-        if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
-            raise DivergenceError(message, **where)
+        if a.size:
+            lo, hi = _min_max(a)
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise DivergenceError(message, **where)

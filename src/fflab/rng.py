@@ -6,11 +6,16 @@ on every machine. splitmix64 is counter-based — after n draws the state
 is ``seed + n*GOLDEN mod 2^64`` — so bulk draws vectorize exactly: the
 numpy uint64 path and the scalar python-int path produce the same bits.
 Any block of the stream can be computed on its own, so bulk draws are
-made ``_DRAW_BLOCK`` counters at a time in two reusable scratch arrays
-and written straight into their output.
+made ``_DRAW_BLOCK`` counters at a time, mixed in place in their own part
+of the output with one reusable scratch array. A bulk draw of two or more split
+blocks is dealt across threads by :func:`~fflab.numerics._split`, each
+share starting at its own counter: the same bits and end state on any
+number of threads.
 """
 
 import numpy as np
+
+from .numerics import _split
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -26,8 +31,9 @@ _U64_31 = np.uint64(31)
 _U64_11 = np.uint64(11)
 _INV53 = 2.0 ** -53
 
-# Draws per block of a bulk draw: its two uint64 scratch arrays and the
-# counter steps (256 KiB each) stay in a 2 MiB per-core L2.
+# Draws per block of a bulk draw: its part of the output, its uint64
+# scratch array and the counter steps (256 KiB each) stay in a 2 MiB
+# per-core L2.
 _DRAW_BLOCK = 1 << 15
 # GOLDEN * (1, 2, ...): draw i of a block sits at its base state + _STEPS[i]
 _STEPS = np.arange(1, _DRAW_BLOCK + 1, dtype=np.uint64) * _GOLDEN_U64
@@ -61,16 +67,32 @@ def _mix_array(z, t):
     return z
 
 
-def _mixed_blocks(state, n):
-    """(offset, z) for draws offset+1.. of the stream at ``state``: z holds
-    the next ``len(z)`` outputs and is overwritten by the next block."""
-    z = np.empty(min(n, _DRAW_BLOCK), dtype=np.uint64)
-    t = np.empty_like(z)
-    for off in range(0, n, _DRAW_BLOCK):
-        if n - off < len(z):
-            z, t = z[: n - off], t[: n - off]
+def _draw_rows(lo, hi, out, state, fill, *args):
+    """Draws lo+1..hi of the stream at ``state`` into ``out[lo:hi]``, whose
+    items are 8 bytes, ``_DRAW_BLOCK`` at a time: each block's counters are
+    mixed in its own part of ``out``, seen as uint64 z, with one scratch
+    array t, and ``fill(part, z, t, *args)``, if given, turns z into
+    ``part``'s values by way of t."""
+    t = np.empty(min(hi - lo, _DRAW_BLOCK), dtype=np.uint64)
+    for off in range(lo, hi, _DRAW_BLOCK):
+        part = out[off : min(off + _DRAW_BLOCK, hi)]
+        z, s = part.view(np.uint64), t[: len(part)]
         np.add(_STEPS[: len(z)], np.uint64((state + off * GOLDEN) & MASK64), out=z)
-        yield off, _mix_array(z, t)
+        _mix_array(z, s)
+        if fill is not None:
+            fill(part, z, s, *args)
+
+
+def _uniform_fill(part, z, t, offset, scale):
+    # below 2^53, so exact as int64 and as float64; int64 converts faster than uint64
+    k = np.right_shift(z, _U64_11, out=t).view(np.int64)
+    if offset:
+        k -= offset
+    np.multiply(k, scale, out=part)
+
+
+def _remainder_fill(part, z, t, k):
+    part[...] = np.remainder(z, k, out=t).view(np.int64)
 
 
 class Rng:
@@ -102,42 +124,31 @@ class Rng:
         :meth:`randint` calls."""
         if k <= 0:
             raise ValueError("randint_array needs k >= 1")
-        out = np.empty(n, dtype=np.int64)
-        k = np.uint64(k)
-        for off, z in self._blocks(n):
-            z %= k
-            out[off : off + len(z)] = z
-        return out
+        return self._draws(np.empty(n, dtype=np.int64), _remainder_fill, np.uint64(k))
 
-    def _blocks(self, n):
-        """The next n draws as (offset, block) pairs, in order; advances the
-        state past all n at once. Each block is scratch that the next
-        one overwrites."""
+    def _draws(self, out, fill, *args):
+        """The next len(out) draws written into ``out`` by ``fill`` (see
+        :func:`_draw_rows`), in shares that :func:`~fflab.numerics._split`
+        deals across threads: the stream is counter-based, so a share
+        starts at its own draw. Advances the state past all of them at
+        once; returns ``out``."""
         state = self._state
-        self._state = (state + n * GOLDEN) & MASK64
-        return _mixed_blocks(state, n)
+        self._state = (state + len(out) * GOLDEN) & MASK64
+        _split(_draw_rows, out, state, fill, *args)
+        return out
 
     def _u64_array(self, n):
-        out = np.empty(n, dtype=np.uint64)
-        for off, z in self._blocks(n):
-            out[off : off + len(z)] = z
-        return out
+        return self._draws(np.empty(n, dtype=np.uint64), None)
 
     def uniform_array(self, n, bound=None):
         """n draws u in [0, 1); consumes exactly n scalar draws. Given
         ``bound``, the bits of ``(u * 2.0 - 1.0) * bound`` in one pass: with
         k = u * 2^53 that is (k - 2^52) * (bound * 2^-52), two exact factors."""
-        out = np.empty(n, dtype=np.float64)
-        scale = _INV53 if bound is None else bound * 2.0 ** -52
-        for off, z in self._blocks(n):
-            z >>= _U64_11
-            # below 2^53, so exact as int64 and as float64; int64 converts
-            # faster than uint64
-            k = z.view(np.int64)
-            if bound is not None:
-                k -= 1 << 52
-            np.multiply(k, scale, out=out[off : off + len(z)])
-        return out
+        if bound is None:
+            offset, scale = 0, _INV53
+        else:
+            offset, scale = 1 << 52, bound * 2.0 ** -52
+        return self._draws(np.empty(n, dtype=np.float64), _uniform_fill, offset, scale)
 
     def normal_array(self, n):
         """n standard-normal draws via Box-Muller; consumes 2*ceil(n/2) draws."""

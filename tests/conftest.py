@@ -35,23 +35,24 @@ requires_imdb = pytest.mark.skipif(
 
 
 @pytest.fixture
-def adam_workers(monkeypatch):
-    """Call with n to run every later ``adam_step`` on n threads, each count
-    with a pool of its own. The count follows OpenBLAS's thread count and is
+def split_workers(monkeypatch):
+    """Call with n to run every later split pass (``numerics._split``: Adam
+    steps, bulk draws, weight passes) on n threads, each count with a pool
+    of its own. The count follows OpenBLAS's thread count and is
     no knob, so it is set through the module's private attribute; the pools
     made here are shut down before the next count and at the end."""
     used = []
 
     def use(n):
-        if used and numerics._adam_pool is not None:
-            numerics._adam_pool.shutdown()
+        if used and numerics._pool is not None:
+            numerics._pool.shutdown()
         used.append(n)
-        monkeypatch.setattr(numerics, "_ADAM_WORKERS", n)
-        monkeypatch.setattr(numerics, "_adam_pool", None)
+        monkeypatch.setattr(numerics, "_SPLIT_WORKERS", n)
+        monkeypatch.setattr(numerics, "_pool", None)
 
     yield use
-    if used and numerics._adam_pool is not None:
-        numerics._adam_pool.shutdown()
+    if used and numerics._pool is not None:
+        numerics._pool.shutdown()
 
 
 _acceptance_results = []

@@ -11,9 +11,10 @@ from fflab.analysis import (
     write_goodness_csv,
     write_weight_stats_csv,
 )
-from fflab import mnist_data, text_data
+from fflab import analysis, mnist_data, text_data
 from fflab.errors import UsageError
 from fflab.ffnet import FFNetwork, goodness, train_epoch
+from fflab.numerics import DenseLayer
 from fflab.inference import sweep_scores_batch
 from fflab.rng import Rng
 from fflab.synthetic import label_slots
@@ -120,6 +121,63 @@ def report_inputs(net, X, y, rng):
     G = np.empty((len(y), 2, len(net.layers)))
     sweep_scores_batch(net, X, 2, BLOB, layer_goodness=G)
     return G, y, BLOB.wrong_labels(y, rng)
+
+
+class RecordingSum:
+    """numpy as ``analysis`` sees it, except that ``sum`` records the shape,
+    dtype and C-contiguity of each array it reduces."""
+
+    def __init__(self):
+        self.seen = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sum(self, a, *args, **kwargs):
+        self.seen.append((a.shape, a.dtype, a.flags.c_contiguous))
+        return np.sum(a, *args, **kwargs)
+
+
+class TestSplitWeightPasses:
+    """Statistics and heatmaps of full-recipe, desk and head-sized weights
+    keep numpy's bits on 1, 2 and 3 workers (one split block is 64 Ki
+    elements, so (10, 500) runs inline and the others split)."""
+
+    SHAPES = [(2000, 784), (2000, 2000), (500, 784), (10, 500)]
+
+    @staticmethod
+    def weights(shape):
+        """Drawn in [-0.04, 0.06), so the mean is away from zero."""
+        return Rng(7).uniform_array(shape[0] * shape[1], 0.05).reshape(shape) + 0.01
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_weight_stats_keep_numpys_bits(self, monkeypatch, split_workers, shape):
+        """Each value equals numpy's whole-array result, and the variance's
+        sum reads a C-contiguous float64 array of W's shape: the bits of a
+        sum depend on its order (adding up the sums of 64 Ki-element row
+        blocks gives numpy's at (2000, 784), not at (2000, 2000)), so the
+        squared deviations are summed whole, laid out as numpy lays them."""
+        W = self.weights(shape)
+        net = FFNetwork.from_layer_list([DenseLayer(shape[1], shape[0], "relu", 0.01, W=W)])
+        want = [{"min": float(W.min()), "max": float(W.max()),
+                 "mean": float(W.mean()), "var": float(W.var())}]
+        for workers in (1, 2, 3):
+            split_workers(workers)
+            sums = RecordingSum()
+            monkeypatch.setattr(analysis, "np", sums)
+            assert weight_stats(net) == want, workers
+            assert sums.seen == [(shape, np.float64, True)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_heatmap_keeps_the_whole_array_bytes(self, tmp_path, split_workers, shape):
+        W = self.weights(shape)
+        lo, hi = W.min(), W.max()
+        want = np.clip(np.rint((W - lo) / (hi - lo) * 255.0), 0, 255).astype(np.uint8)
+        for workers in (1, 2, 3):
+            split_workers(workers)
+            path = tmp_path / f"w{workers}.pgm"
+            export_heatmap(W, path)
+            assert np.array_equal(read_pgm(path), want), workers
 
 
 class TestGoodnessReport:

@@ -14,6 +14,7 @@ import fflab
 from fflab.checkpoint import load_network, network_bytes
 from fflab.cli import main
 from fflab import experiment, inference, numerics
+from fflab import rng as rng_mod
 from fflab.config import parse_config
 from fflab.errors import ConfigError, DivergenceError, FFLabError
 from fflab.experiment import build_bundle, run_experiment, run_sweep
@@ -415,13 +416,13 @@ class TestCli:
         ]
 
     def test_out_of_memory_in_an_adam_worker_exit_four(
-        self, tmp_path, capsys, monkeypatch, adam_workers
+        self, tmp_path, capsys, monkeypatch, split_workers
     ):
         """A work array that a pooled share of an Adam step cannot allocate
         reaches the command as the same one line, naming the training phase
         and the share's function."""
-        monkeypatch.setattr(numerics, "_ADAM_BLOCK", 16)
-        adam_workers(2)
+        monkeypatch.setattr(numerics, "_SPLIT_BLOCK", 16)
+        split_workers(2)
         monkeypatch.setattr(numerics, "np", FailingEmpty(
             lambda: threading.current_thread() is not threading.main_thread()))
         args = ["train"]
@@ -431,6 +432,26 @@ class TestCli:
         assert capsys.readouterr().err.splitlines() == [
             "out of memory in ffnet.train_epoch, at numerics._adam_rows"
         ]
+
+    def test_out_of_memory_in_a_draw_share_exit_four(
+        self, tmp_path, capsys, monkeypatch, split_workers
+    ):
+        """A draw block that a pooled share of a bulk draw cannot allocate,
+        at the first draw that splits (the synthetic data, during set-up),
+        reaches the command as the same one line, naming the set-up call
+        and the share's function."""
+        monkeypatch.setattr(numerics, "_SPLIT_BLOCK", 16)
+        split_workers(2)
+        monkeypatch.setattr(rng_mod, "np", FailingEmpty(
+            lambda: threading.current_thread() is not threading.main_thread()))
+        args = ["train"]
+        for k, v in fast_overrides(tmp_path / "run").items():
+            args += ["--set", f"{k}={v}"]
+        assert main(args) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "out of memory in synthetic.make_blobs, at rng._draw_rows"
+        ]
+        assert not os.path.exists(tmp_path / "run" / "checkpoint.ffn1")
 
     def test_too_few_synthetic_classes_exit_one_before_output(self, tmp_path, capsys):
         args = ["train"]

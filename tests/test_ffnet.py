@@ -596,13 +596,13 @@ class TestFiniteCheck:
         train_toy(net, 0.5, 8, Rng(115))
         assert checked == [0, 1, 2, 3]
 
-    def test_split_adam_steps_diverge_without_a_warning(self, monkeypatch, adam_workers):
+    def test_split_adam_steps_diverge_without_a_warning(self, monkeypatch, split_workers):
         """At 16 elements a block, both layers of a 16,16 net split their W
         over two threads. At lr 1e300 they overflow on both, and the pool's
         share runs under train_epoch's silenced error state: the
         DivergenceError names layer 0 and no RuntimeWarning escapes."""
-        monkeypatch.setattr(numerics, "_ADAM_BLOCK", 16)
-        adam_workers(2)
+        monkeypatch.setattr(numerics, "_SPLIT_BLOCK", 16)
+        split_workers(2)
         net = FFNetwork(6, [16, 16], "relu", 1e300, Rng(116))
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -1,10 +1,12 @@
 """Bulk draws made in blocks: the same stream as the scalar draws."""
 
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from fflab import numerics
 from fflab import rng as rng_mod
 from fflab.ffnet import FFLayer
 from fflab.numerics import DenseLayer, fan_in_uniform
@@ -74,6 +76,83 @@ class TestBlocksEqualScalarDraws:
             b = r.randint(a + 1)
             order[a], order[b] = order[b], order[a]
         assert got == order
+
+
+# split blocks of 16 draws (two draw blocks of 8): below, at and just above
+# one and two split blocks, and odd sizes that 2 and 3 workers share unevenly
+SPLIT_SIZES = [15, 16, 17, 31, 32, 33, 81]
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestSplitDrawsEqualOneCoreDraws:
+    """A bulk draw of two or more split blocks is dealt across threads, each
+    share starting at its own counter: on 1, 2 and 3 workers the values
+    (every bit, the sign of zero too) and the end state of the scalar draws."""
+
+    @pytest.fixture(autouse=True)
+    def small_split_blocks(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_SPLIT_BLOCK", 16)
+
+    @staticmethod
+    def check(split_workers, draw, want, state):
+        for workers in (1, 2, 3):
+            split_workers(workers)
+            r = Rng(42)
+            got = draw(r)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert r.state == state, workers
+
+    @pytest.mark.parametrize("bound", [None, 0.3])
+    @pytest.mark.parametrize("n", SPLIT_SIZES)
+    def test_uniform_array(self, split_workers, n, bound):
+        want, state = _scalar(42, n, Rng.uniform)
+        want = np.array(want, dtype=np.float64)
+        if bound is not None:
+            want = (want * 2.0 - 1.0) * bound
+        self.check(split_workers, lambda r: r.uniform_array(n, bound), want, state)
+
+    @pytest.mark.parametrize("n", SPLIT_SIZES)
+    def test_randint_array(self, split_workers, n):
+        want, state = _scalar(42, n, lambda s: s.randint(9))
+        self.check(split_workers, lambda r: r.randint_array(n, 9),
+                   np.array(want, dtype=np.int64), state)
+
+    @pytest.mark.parametrize("n", SPLIT_SIZES)
+    def test_u64_array(self, split_workers, n):
+        want, state = _scalar(42, n, Rng.next_u64)
+        self.check(split_workers, lambda r: r._u64_array(n), np.array(want, dtype=np.uint64), state)
+
+    @pytest.mark.parametrize("n", SPLIT_SIZES)
+    def test_normal_array(self, split_workers, n):
+        raw, state = _scalar(42, 2 * ((n + 1) // 2), Rng.next_u64)
+        self.check(split_workers, lambda r: r.normal_array(n), box_muller(raw, n), state)
+
+    def test_shuffle(self, split_workers):
+        order = list(range(81))
+        r = Rng(42)
+        for a in range(80, 0, -1):
+            b = r.randint(a + 1)
+            order[a], order[b] = order[b], order[a]
+        self.check(split_workers, lambda r: np.array(r.shuffle(list(range(81)))),
+                   np.array(order), r.state)
+
+    def test_shares_start_at_their_own_draw(self, monkeypatch, split_workers):
+        """81 draws are 6 split blocks: on 3 workers the caller draws 0..31
+        and the pool 32..63 and 64..80."""
+        split_workers(3)
+        shares = []
+        draw_rows = rng_mod._draw_rows
+
+        def recorded(lo, hi, *args):
+            shares.append((lo, hi, threading.get_ident()))
+            draw_rows(lo, hi, *args)
+
+        monkeypatch.setattr(rng_mod, "_draw_rows", recorded)
+        Rng(42).uniform_array(81)
+        assert sorted(share[:2] for share in shares) == [(0, 32), (32, 64), (64, 81)]
+        caller = threading.get_ident()
+        assert [share[:2] for share in shares if share[2] == caller] == [(0, 32)]
 
 
 def test_several_full_blocks_equal_one_whole_expression():
