@@ -147,7 +147,7 @@ def goodness_report(G, y, wrong, thetas, bins=50):
     fraction of positives above theta and of negatives below it.
 
     ``G`` is the (n, C, depth) per-layer goodness that the label sweep
-    writes (:func:`~fflab.inference.sweep_scores_batch`). Row i's
+    returns (:func:`~fflab.inference.sweep_scores_batch`). Row i's
     positive is ``G[i, y[i]]`` and its negative ``G[i, wrong[i]]``; no
     row is forwarded here.
     """

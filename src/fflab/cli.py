@@ -31,7 +31,12 @@ from .errors import (
     UsageError,
 )
 from .ffnet import FFNetwork
-from .inference import predict_head_batch, predict_sweep_batch, sweep_scores_batch
+from .inference import (
+    default_included_layers,
+    predict_head_batch,
+    predict_sweep_batch,
+    sweep_scores_batch,
+)
 
 
 # shortcut flag -> the config key it sets; --set reaches every key
@@ -104,10 +109,7 @@ def _cmd_analyze(args):
         cfg = parse_config(args.config, _overrides(args))
         bundle = build_bundle(cfg)
         # the run's last train-split sweep, whose goodness the report reads
-        G = np.empty((len(bundle.y_train), bundle.num_classes, len(net.layers)))
-        sweep_scores_batch(
-            net, bundle.X_train, bundle.num_classes, bundle.slots, layer_goodness=G
-        )
+        G = sweep_scores_batch(net, bundle.X_train, bundle.num_classes, bundle.slots)
         report = write_goodness_report(cfg, bundle, net, G, out_dir)
         for li in range(len(net.layers)):
             print(f"layer {li}: pos>theta {report.frac_pos_above[li]:.3f}, "
@@ -128,12 +130,11 @@ def _cmd_eval(args):
             raise UsageError("checkpoint has no trained head section")
         pred = predict_head_batch(net, head, bundle.X_test, bundle.slots)
     else:
-        included = None
+        included = default_included_layers(len(net.layers))
         if head is not None:
             included = head.included_layers
-        pred = predict_sweep_batch(
-            net, bundle.X_test, bundle.num_classes, bundle.slots, included
-        )
+        G = sweep_scores_batch(net, bundle.X_test, bundle.num_classes, bundle.slots)
+        pred = predict_sweep_batch(included, G)
     err = float(np.mean(pred != bundle.y_test))
     print(f"{args.mode} test error: {err:.4f}")
     return 0

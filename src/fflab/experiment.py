@@ -10,9 +10,12 @@ derives the final and best errors from them for ``final_report.txt`` and
 and heatmaps take the names of its kind (``analysis.artifact_names``).
 
 Every FF epoch evaluates both inference routes (``ROUTES``): the softmax
-head and the label sweep. ``eval_modes.csv``, ``final_report.txt`` and
-``sweep_summary.csv`` give both; ``metrics.csv``'s error columns give the
-head's.
+head and the label sweep. The sweep runs once per split and returns
+every layer's goodness (``inference.sweep_scores_batch``), which
+``predict_sweep_batch`` scores; the last epoch's train-split goodness
+also feeds ``goodness_hist.csv``. ``eval_modes.csv``,
+``final_report.txt`` and ``sweep_summary.csv`` give both routes;
+``metrics.csv``'s error columns give the head's.
 
 Reproducibility contract: everything an artifact contains is a pure
 function of (config, seed, code version, BLAS build, BLAS thread count),
@@ -52,6 +55,7 @@ from .inference import (
     predict_head_batch,
     predict_head_features,
     predict_sweep_batch,
+    sweep_scores_batch,
 )
 from .rng import Rng, derive_seed
 
@@ -226,7 +230,6 @@ def run_experiment(cfg, bundle=None):
 
     slots = bundle.slots
     epochs = []
-    G = None
     # a layer, head or sweep leaving the finite range ends the run at its epoch
     try:
         for epoch in range(cfg["epochs"]):
@@ -255,26 +258,21 @@ def run_experiment(cfg, bundle=None):
             head_test_err = _error_rate(
                 predict_head_batch(net, head, bundle.X_test, slots), bundle.y_test
             )
-            errs = {"head": (head_train_err, head_test_err)}
-            # the last train-split sweep also keeps every layer's goodness for
+            # the train split's per-layer goodness; the last epoch's feeds
             # goodness_hist.csv, so the finish phase forwards nothing
-            if epoch == cfg["epochs"] - 1:
-                G = np.empty((len(bundle.y_train), bundle.num_classes, len(net.layers)))
-            errs["sweep"] = (
-                _error_rate(
-                    predict_sweep_batch(
-                        net, bundle.X_train, bundle.num_classes, slots, included,
-                        layer_goodness=G,
+            G = sweep_scores_batch(net, bundle.X_train, bundle.num_classes, slots)
+            errs = {
+                "head": (head_train_err, head_test_err),
+                "sweep": (
+                    _error_rate(predict_sweep_batch(included, G), bundle.y_train),
+                    _error_rate(
+                        predict_sweep_batch(included, sweep_scores_batch(
+                            net, bundle.X_test, bundle.num_classes, slots
+                        )),
+                        bundle.y_test,
                     ),
-                    bundle.y_train,
                 ),
-                _error_rate(
-                    predict_sweep_batch(
-                        net, bundle.X_test, bundle.num_classes, slots, included
-                    ),
-                    bundle.y_test,
-                ),
-            )
+            }
             epochs.append(Epoch(em, errs, time.perf_counter() - t0, theta))
     except DivergenceError as e:
         e.epoch = epoch

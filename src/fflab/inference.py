@@ -3,10 +3,12 @@
 1. A one-layer softmax head over concatenated (per-layer normalized)
    activations of a frozen network, fed with label-neutral inputs made
    one row chunk at a time.
-2. Label sweep: score every candidate label written into the label
-   slots, and pick the label with the largest summed goodness. Layer 0
-   is shared by all candidates (one GEMM per row chunk), and every
-   candidate's activations and goodness are float32.
+2. Label sweep: every layer's goodness of every candidate label written
+   into the label slots (:func:`sweep_scores_batch`), and the label with
+   the largest summed goodness of the included layers
+   (:func:`predict_sweep_batch`). Layer 0 is shared by all candidates
+   (one GEMM per row chunk), and every candidate's activations and
+   goodness are float32.
 
 By default both routes read every layer except the first, whose units
 see the label slots directly and would leak.
@@ -190,10 +192,10 @@ def predict_head_features(head, F):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def sweep_scores_batch(net, X_raw, num_classes, slots, included_layers=None,
-                       layer_goodness=None):
-    """(n, num_classes) float64 matrix of summed goodness per candidate
-    label, scored in float32.
+def sweep_scores_batch(net, X_raw, num_classes, slots):
+    """(n, num_classes, depth) float64 array G: every layer's float32
+    goodness of every candidate label, layer 0 included.
+    :func:`predict_sweep_batch` scores G.
 
     ``slots`` is the dataset's :class:`~fflab.ffnet.LabelSlots`; the
     candidates are labels 0..num_classes-1 written into them. They
@@ -205,49 +207,32 @@ def sweep_scores_batch(net, X_raw, num_classes, slots, included_layers=None,
     num_classes`` rows (:func:`~fflab.numerics.row_chunks`) stacks its
     candidates, candidate c's rows after candidate c-1's, into one matrix
     of about ``CHUNK_ROWS`` rows, which :func:`_forward_stages` walks
-    once through the later layers, up to the last included layer,
-    keeping only the current activation and each layer's goodness. Each
-    activation's sum of squares is computed once: it is the layer's
-    goodness and normalizes the next layer's input.
+    once through every later layer, keeping only the current activation
+    and each layer's goodness. Each activation's sum of squares is
+    computed once: it is the layer's goodness and normalizes the next
+    layer's input.
 
     Every activation and goodness is float32 (``SWEEP_DTYPE``): the
     neutralized chunk, layer 0's shared product, slot columns and bias,
     and each later layer's W and b, cast for one chunk and one layer at
-    a time. The weights stay float64; the scores are float64 sums of the
-    float32 goodness, within a few float32 eps of a float64 forward. A
-    goodness that leaves the float32 range (weights near 1e19 and up)
-    raises :class:`DivergenceError` naming the first such layer; the
-    check is the guard, so numpy's overflow warnings are silenced.
-
-    ``layer_goodness``, an (n, num_classes, depth) float64 array, is
-    filled with every layer's goodness of every candidate, layer 0
-    included; every layer is then forwarded. The scores do not change.
+    a time. The weights stay float64; G holds the float32 goodness
+    exactly, within a few float32 eps of a float64 forward. A goodness
+    that leaves the float32 range (weights near 1e19 and up) raises
+    :class:`DivergenceError` naming the first such layer; the check is
+    the guard, so numpy's overflow warnings are silenced.
     """
     if not 1 <= num_classes <= slots.num_classes:
         raise UsageError(
             f"num_classes must be in 1..{slots.num_classes}, got {num_classes}"
         )
-    depth = len(net.layers)
-    if included_layers is None:
-        included_layers = default_included_layers(depth)
-    included = _checked_layers(included_layers, depth)
     X_raw = _checked_raw(net, X_raw, slots)
-    if layer_goodness is not None:
-        shape = (X_raw.shape[0], num_classes, depth)
-        if layer_goodness.shape != shape or layer_goodness.dtype != np.float64:
-            raise UsageError(
-                f"layer_goodness must be a float64 array of shape {shape}, got "
-                f"{layer_goodness.dtype} {layer_goodness.shape}"
-            )
-    last = depth if layer_goodness is not None else max(included) + 1
-    layers = net.layers[:last]
-    first = layers[0]
+    first = net.layers[0]
     # one contiguous row per candidate: a column of W has a stride of in_dim
     slot_cols = np.ascontiguousarray(
         first.W[:, slots.start : slots.start + num_classes].T, dtype=SWEEP_DTYPE
     )
     b0 = first.b.astype(SWEEP_DTYPE)
-    scores = np.zeros((X_raw.shape[0], num_classes))
+    G = np.empty((X_raw.shape[0], num_classes, len(net.layers)))
     for rows in row_chunks(X_raw.shape[0], num_classes):
         x0 = slots.neutral(X_raw[rows]).astype(SWEEP_DTYPE)
         # >= 1, so the eps floor of row_directions never applies
@@ -262,26 +247,25 @@ def sweep_scores_batch(net, X_raw, num_classes, slots, included_layers=None,
         A = first.act.fn(Z.reshape(-1, Z.shape[2]))
         del Z
         goods = [goodness(A)]
-        stages = _forward_stages(layers[1:], A, goods[0])
+        stages = _forward_stages(net.layers[1:], A, goods[0])
         del A  # the walker takes it over and frees it after layer 1's GEMM
         for A, g in stages:
             del A
             goods.append(g)
         for i, g in enumerate(goods):
             require_finite("goodness left the float32 range of the label sweep", g, layer=i)
-            g = g.reshape(num_classes, -1).T  # (rows, num_classes)
-            if i in included:
-                scores[rows] += g
-            if layer_goodness is not None:
-                layer_goodness[rows, :, i] = g
-    return scores
+            G[rows, :, i] = g.reshape(num_classes, -1).T  # (rows, num_classes)
+    return G
 
 
-def predict_sweep_batch(net, X_raw, num_classes, slots, included_layers=None,
-                        layer_goodness=None):
-    """Label-sweep predictions: the argmax of summed goodness, ties toward
-    the lower label. ``layer_goodness`` is as in :func:`sweep_scores_batch`."""
-    scores = sweep_scores_batch(
-        net, X_raw, num_classes, slots, included_layers, layer_goodness
-    )
+def predict_sweep_batch(included_layers, G):
+    """Label-sweep predictions from the per-layer goodness ``G`` of
+    :func:`sweep_scores_batch`: the argmax over candidates of the included
+    layers' goodness, summed in float64 from zero in layer order whatever
+    order ``included_layers`` lists them in; ties go to the lower label.
+    G comes second because the benchmark's phase-hook test
+    (``tests/test_bench_hooks.py``) reads a split's rows from there."""
+    scores = np.zeros(G.shape[:2])
+    for i in sorted(_checked_layers(included_layers, G.shape[2])):
+        scores += G[:, :, i]
     return np.argmax(scores, axis=1)

@@ -1,5 +1,6 @@
-"""Shared fixtures plus the acceptance-summary terminal hook."""
+"""Shared fixtures and artifact readers, plus the acceptance-summary terminal hook."""
 
+import csv
 import os
 
 import pytest
@@ -32,6 +33,36 @@ requires_imdb = pytest.mark.skipif(
     reason=f"aclImdb directory not found at {IMDB_DIR!r} "
     "(set FFLAB_IMDB_DIR to the extracted dataset root)",
 )
+
+
+def read_rows(path):
+    with open(path, newline="") as f:
+        return list(csv.reader(f))
+
+
+def drop_seconds(rows):
+    header, *body = rows
+    i = header.index("seconds")
+    return [header[:i] + header[i + 1 :]] + [r[:i] + r[i + 1 :] for r in body]
+
+
+def masked_artifacts(out, *dirs):
+    """Every artifact in ``out``: CSVs as rows without their ``seconds``
+    column, other files as bytes with ``out`` and each of ``dirs`` (say,
+    the data directory a config names) masked."""
+    masks = [(str(out).encode(), b"<out>")]
+    masks += [(str(d).encode(), f"<dir{i}>".encode()) for i, d in enumerate(dirs)]
+    arts = {}
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".csv":
+            rows = read_rows(path)
+            arts[path.name] = drop_seconds(rows) if "seconds" in rows[0] else rows
+        else:
+            data = path.read_bytes()
+            for text, mask in masks:
+                data = data.replace(text, mask)
+            arts[path.name] = data
+    return arts
 
 
 @pytest.fixture

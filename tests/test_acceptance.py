@@ -168,10 +168,10 @@ def test_c2_scale_invariance():
     rng = Rng(906)
     net = FFNetwork(6 + 4, [12, 12], "relu", 0.01, rng)
     X_raw = rng.uniform_array(40 * 4).reshape(40, 4)
-    scores = sweep_scores_batch(net, X_raw, 6, label_slots(6))
-    base = scores.argmax(axis=1)
+    G = sweep_scores_batch(net, X_raw, 6, label_slots(6))
+    base = predict_sweep_batch((1,), G)
     for lam in (1e-6, 0.5, 3.0, 1e9):
-        np.testing.assert_array_equal((lam * scores).argmax(axis=1), base)
+        np.testing.assert_array_equal(predict_sweep_batch((1,), lam * G), base)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +307,7 @@ def test_c5_bounded_activation_failure():
                 net, bundle.X_train, bundle.y_train, bundle.slots, [2.0 * 100] * 2, 128, rng
             )
         pred = predict_sweep_batch(
-            net, bundle.X_test, bundle.num_classes, bundle.slots
+            (1,), sweep_scores_batch(net, bundle.X_test, bundle.num_classes, bundle.slots)
         )
         accs[act] = float(np.mean(pred == bundle.y_test))
     assert accs["sigmoid"] <= chance + 0.15, accs

@@ -118,9 +118,7 @@ class TestHeatmap:
 def report_inputs(net, X, y, rng):
     """(G, y, wrong): the label sweep's per-layer goodness of every
     candidate, the true labels and one drawn wrong label per row."""
-    G = np.empty((len(y), 2, len(net.layers)))
-    sweep_scores_batch(net, X, 2, BLOB, layer_goodness=G)
-    return G, y, BLOB.wrong_labels(y, rng)
+    return sweep_scores_batch(net, X, 2, BLOB), y, BLOB.wrong_labels(y, rng)
 
 
 class RecordingSum:
@@ -245,8 +243,7 @@ class TestGoodnessReport:
             net = FFNetwork(6 + classes, [12, 10], "relu", 0.01, rng)
         slots = label_slots(classes)
         thetas = [0.5 * w for w in net.widths]
-        G = np.empty((len(y), classes, 2))
-        sweep_scores_batch(net, X, classes, slots, layer_goodness=G)
+        G = sweep_scores_batch(net, X, classes, slots)
         wrong = slots.wrong_labels(y, Rng(12))
         got = goodness_report(G, y, wrong, thetas, bins=8)
         want = loop_goodness_report(

@@ -1,6 +1,5 @@
 """End-to-end runs on the synthetic task, exercised through the CLI."""
 
-import csv
 import os
 import subprocess
 import sys
@@ -21,6 +20,7 @@ from fflab.experiment import build_bundle, run_experiment, run_sweep
 from fflab.ffnet import FFLayer, FFNetwork, LabelSlots
 from fflab.rng import Rng
 
+from conftest import drop_seconds, masked_artifacts, read_rows
 from oracles import hidden_widths
 
 FAST = {
@@ -57,30 +57,6 @@ class FailingEmpty:
         if self.fails():
             raise MemoryError
         return np.empty(*args, **kwargs)
-
-
-def read_rows(path):
-    with open(path, newline="") as f:
-        return list(csv.reader(f))
-
-
-def drop_seconds(rows):
-    header, *body = rows
-    i = header.index("seconds")
-    return [header[:i] + header[i + 1 :]] + [r[:i] + r[i + 1 :] for r in body]
-
-
-def masked_artifacts(out):
-    """Every artifact in ``out``: CSVs as rows without their ``seconds``
-    column, other files as bytes with the output path masked."""
-    arts = {}
-    for path in sorted(out.iterdir()):
-        if path.suffix == ".csv":
-            rows = read_rows(path)
-            arts[path.name] = drop_seconds(rows) if "seconds" in rows[0] else rows
-        else:
-            arts[path.name] = path.read_bytes().replace(str(out).encode(), b"<out>")
-    return arts
 
 
 class TestRunExperiment:
@@ -215,6 +191,62 @@ class TestRunExperiment:
         assert events.count("sweep") == 4
         assert events[-1] == "sweep"
         assert "forward" in events
+
+    @pytest.mark.parametrize("skip_first, included", [("true", (1,)), ("false", (0, 1))])
+    def test_each_epoch_trains_then_scores_train_then_test(
+        self, tmp_path, monkeypatch, skip_first, included
+    ):
+        """The phase contract the benchmark reads (``bench/child.py``'s
+        ``PhaseHooks``): each epoch is one ``train_epoch`` call, then
+        exactly two ``predict_sweep_batch`` calls, the train split's G and
+        then the test split's, whose end closes the epoch. Each G holds
+        every layer, whatever the run scores."""
+        calls = []
+        train, score = experiment.train_epoch, experiment.predict_sweep_batch
+
+        def hooked_train(*args, **kwargs):
+            calls.append(("train_epoch",))
+            return train(*args, **kwargs)
+
+        def hooked_score(layers, G):
+            calls.append(("predict_sweep_batch", layers, G.shape))
+            return score(layers, G)
+
+        monkeypatch.setattr(experiment, "train_epoch", hooked_train)
+        monkeypatch.setattr(experiment, "predict_sweep_batch", hooked_score)
+        run_experiment(parse_config(None, fast_overrides(
+            tmp_path / "run", **{"inference.skip_first_layer": skip_first})))
+        epoch = [
+            ("train_epoch",),
+            ("predict_sweep_batch", included, (300, 10, 2)),
+            ("predict_sweep_batch", included, (100, 10, 2)),
+        ]
+        assert calls == epoch * 2
+
+    def test_quick_start_layer_one_learns_the_label_backwards(self, tmp_path, monkeypatch):
+        """The README quick-start ends at sweep error 1.0: under the
+        threshold loss its layer 1, the one layer the sweep scores, ranks
+        the true label last on every test row, while layer 0 alone, which
+        sees the label slots directly, reads it off."""
+        seen = []
+        score = experiment.predict_sweep_batch
+
+        def kept(layers, G):
+            seen.append(G)
+            return score(layers, G)
+
+        monkeypatch.setattr(experiment, "predict_sweep_batch", kept)
+        cfg = parse_config(None, {
+            "seed": "7", "dataset": "synthetic", "epochs": "5", "arch": "64,64",
+            "threshold.k": "0.5", "output_dir": str(tmp_path / "run"),
+        })
+        result = run_experiment(cfg)
+        y_test = build_bundle(cfg).y_test
+        G = seen[-1]  # the last epoch's test split
+        err = {layers: float(np.mean(score(layers, G) != y_test))
+               for layers in [(0,), (1,), (0, 1)]}
+        assert err[(1,)] >= 0.9 and err[(0,)] <= 0.05, err
+        assert result.final_err["sweep"][1] == err[(1,)]
 
     def test_neutral_rows_are_chunk_sized(self, tmp_path, monkeypatch):
         """With the baseline off, the head route neutralizes one chunk at a

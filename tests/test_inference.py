@@ -140,33 +140,70 @@ class TestPredictHead:
         assert predict_head_batch(net, head, x, BLOB)[0] == 1
 
 
+def sweep_predictions(net, X, num_classes, slots, included=None):
+    """The label sweep's predictions, scoring ``included`` (by default
+    every layer but the first)."""
+    if included is None:
+        included = default_included_layers(len(net.layers))
+    return predict_sweep_batch(included, sweep_scores_batch(net, X, num_classes, slots))
+
+
+def layer_order_scores(G, included):
+    """The included layers' goodness summed from zero in layer order, one
+    layer at a time."""
+    scores = np.zeros(G.shape[:2])
+    for i in range(G.shape[2]):
+        if i in included:
+            scores += G[:, :, i]
+    return scores
+
+
 class TestPredictSweep:
     def test_single_class_degenerate(self, toy_task):
         X, _, net = toy_task
-        pred = predict_sweep_batch(net, X[:1], 1, BLOB)
+        pred = sweep_predictions(net, X[:1], 1, BLOB)
         assert pred[0] == 0
 
     def test_rescaling_scores_keeps_argmax(self, toy_task):
         X, y, net = toy_task
-        scores = sweep_scores_batch(net, X, 2, BLOB)
-        assert np.array_equal(
-            scores.argmax(axis=1), (123.456 * scores).argmax(axis=1)
-        )
+        G = sweep_scores_batch(net, X, 2, BLOB)
+        for included in [(0,), (1,), (0, 1)]:
+            assert np.array_equal(
+                predict_sweep_batch(included, G), predict_sweep_batch(included, 123.456 * G)
+            )
 
     def test_agrees_with_head_on_toy_task(self, toy_task):
         """Both routes solve the separable toy; they agree on >= 90% of points."""
         X, y, net = toy_task
         head = frozen_head(net, X, BLOB, y, 2, epochs=8, rng=Rng(42))
         head_pred = predict_head_batch(net, head, X, BLOB)
-        sweep_pred = predict_sweep_batch(net, X, 2, BLOB)
+        sweep_pred = sweep_predictions(net, X, 2, BLOB)
         agreement = float(np.mean(head_pred == sweep_pred))
         assert agreement >= 0.9
 
     def test_deterministic(self, toy_task):
         X, _, net = toy_task
-        a = predict_sweep_batch(net, X[:50], 2, BLOB)
-        b = predict_sweep_batch(net, X[:50], 2, BLOB)
+        a = sweep_predictions(net, X[:50], 2, BLOB)
+        b = sweep_predictions(net, X[:50], 2, BLOB)
         np.testing.assert_array_equal(a, b)
+
+    def test_layers_are_summed_in_layer_order(self):
+        """Whatever order the included layers are listed in, they are
+        summed from zero in layer order: on a row whose float64 sum rounds
+        differently in another order, (0, 1, 2), (2, 1, 0) and (1, 2, 0)
+        give the explicit loop's prediction, as do (2, 1) and (1, 2) on a
+        sweep's goodness."""
+        big = 2.0**53  # spacing 2: big + 1 rounds back to big
+        G = np.array([[[0.0, 0.0, big], [1.0, 1.0, big]]])
+        # layer order: 0 + 1 + 1 + big = big + 2 > big; listed order ties at big
+        assert layer_order_scores(G, (0, 1, 2)).argmax(axis=1)[0] == 1
+        for included in [(0, 1, 2), (2, 1, 0), (1, 2, 0)]:
+            assert predict_sweep_batch(included, G)[0] == 1, included
+        slots, X, net = _layout_case("overwrite@0 C=10", 37)
+        G = sweep_scores_batch(net, X, 10, slots)
+        want = layer_order_scores(G, (1, 2)).argmax(axis=1)
+        for included in [(2, 1), (1, 2)]:
+            np.testing.assert_array_equal(predict_sweep_batch(included, G), want)
 
     def test_default_included_layers(self):
         assert default_included_layers(4) == (1, 2, 3)
@@ -203,17 +240,19 @@ class TestSharedSweep:
         monkeypatch.setattr(numerics, "CHUNK_ROWS", 8)
         slots, X, net = _layout_case(layout, n)
         C = slots.num_classes
-        got = sweep_scores_batch(net, X, C, slots, included)
-        want = loop_sweep(net, X, C, slots, included or (1, 2))
-        np.testing.assert_allclose(got, want, rtol=SWEEP_RTOL, atol=0)
+        included = included or default_included_layers(3)
+        G = sweep_scores_batch(net, X, C, slots)
+        want = loop_sweep(net, X, C, slots, included)
+        np.testing.assert_allclose(layer_order_scores(G, included), want, rtol=SWEEP_RTOL, atol=0)
         clear = clear_rows(want)
-        np.testing.assert_array_equal(got.argmax(axis=1)[clear], want.argmax(axis=1)[clear])
+        np.testing.assert_array_equal(
+            predict_sweep_batch(included, G)[clear], want.argmax(axis=1)[clear]
+        )
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 37])
     def test_layer_goodness_equals_per_label_forwards(self, monkeypatch, layout, n):
-        """Every layer's goodness of every candidate, layer 0 included,
-        whatever the included layers."""
+        """Every layer's goodness of every candidate, layer 0 included."""
         monkeypatch.setattr(numerics, "CHUNK_ROWS", 8)
         slots, X, net = _layout_case(layout, n)
         C = slots.num_classes
@@ -221,37 +260,41 @@ class TestSharedSweep:
         for c in range(C):
             for i, (_, _, A) in enumerate(net.forward_batch(slots.embed(X, c))):
                 want[:, c, i] = np.sum(A * A, axis=1)
-        for included in (None, (0,), (1,)):
-            G = np.full((n, C, 3), np.nan)
-            sweep_scores_batch(net, X, C, slots, included, layer_goodness=G)
-            np.testing.assert_allclose(G, want, rtol=SWEEP_RTOL, atol=0)
+        G = sweep_scores_batch(net, X, C, slots)
+        assert G.dtype == np.float64
+        np.testing.assert_allclose(G, want, rtol=SWEEP_RTOL, atol=0)
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     @pytest.mark.parametrize("included", [None, (0, 1, 2), (1,), (0,)])
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 37])
     def test_layer_goodness_leaves_the_scores_alone(self, monkeypatch, layout, included, n):
+        """G holds float32 values, and the predictions are the argmax of
+        the included layers' goodness summed in float64 from zero, layer
+        by layer."""
         monkeypatch.setattr(numerics, "CHUNK_ROWS", 8)
         slots, X, net = _layout_case(layout, n)
         C = slots.num_classes
-        G = np.empty((n, C, 3))
+        included = included or default_included_layers(3)
+        G = sweep_scores_batch(net, X, C, slots)
+        np.testing.assert_array_equal(G, G.astype(np.float32))
         np.testing.assert_array_equal(
-            sweep_scores_batch(net, X, C, slots, included, layer_goodness=G),
-            sweep_scores_batch(net, X, C, slots, included),
-        )
-        np.testing.assert_array_equal(
-            predict_sweep_batch(net, X, C, slots, included, layer_goodness=G),
-            predict_sweep_batch(net, X, C, slots, included),
+            predict_sweep_batch(included, G), layer_order_scores(G, included).argmax(axis=1)
         )
 
-    @pytest.mark.parametrize(
-        "G", [np.empty((3, 4, 2)), np.empty((3, 3, 3)), np.empty((4, 4, 3)),
-              np.empty((3, 4, 3), dtype=np.float32)],
-        ids=["depth", "classes", "rows", "float32"],
-    )
-    def test_layer_goodness_of_another_shape_rejected(self, G):
-        slots, X, net = _layout_case("insert@0 C=4", 3)
-        with pytest.raises(UsageError, match="layer_goodness"):
-            sweep_scores_batch(net, X, 4, slots, layer_goodness=G)
+    @pytest.mark.parametrize("depth", [1, 2, 4])
+    def test_every_layer_is_returned_whatever_is_scored(self, depth):
+        """G holds every layer, the top one and the unscored first one
+        included, each to the per-label forward's tolerance; each scored
+        subset is read from that one G."""
+        slots, X, _ = _layout_case("insert@0 C=4", 9)
+        net = FFNetwork(slots.width(X.shape[1]), [12, 10, 8, 6][:depth], "relu", 0.01, Rng(71))
+        G = sweep_scores_batch(net, X, 4, slots)
+        assert G.shape == (9, 4, depth)
+        for i in range(depth):
+            want = loop_sweep(net, X, 4, slots, (i,))
+            np.testing.assert_allclose(G[:, :, i], want, rtol=SWEEP_RTOL, atol=0)
+        for included in [(0,), default_included_layers(depth), tuple(range(depth))]:
+            assert predict_sweep_batch(included, G).shape == (9,)
 
     @pytest.mark.parametrize("layer", [0, 1, 2])
     def test_goodness_beyond_float32_is_a_divergence(self, layer):
@@ -260,12 +303,14 @@ class TestSharedSweep:
         slots, X, net = _layout_case("insert@0 C=4", 9)
         net.layers[layer].W *= 1e20
         with pytest.raises(DivergenceError) as e:
-            sweep_scores_batch(net, X, 4, slots, layer_goodness=np.empty((9, 4, 3)))
+            sweep_scores_batch(net, X, 4, slots)
         assert e.value.layer == layer
 
     def test_zero_rows(self):
         slots, X, net = _layout_case("insert@0 C=4", 0)
-        assert sweep_scores_batch(net, X, 4, slots).shape == (0, 4)
+        G = sweep_scores_batch(net, X, 4, slots)
+        assert G.shape == (0, 4, 3)
+        assert predict_sweep_batch((1, 2), G).shape == (0,)
 
     @pytest.mark.parametrize("num_classes", [0, 5])
     def test_candidates_outside_the_slots_rejected(self, num_classes):
@@ -291,9 +336,11 @@ class TestIncludedLayersChecked:
             features_batch(net, X, slots, included)
 
     def test_sweep(self, included):
+        """The scorer checks the layers against the sweep's depth."""
         slots, X, net = _layout_case("insert@0 C=4", 3)
+        G = sweep_scores_batch(net, X, 4, slots)
         with pytest.raises(UsageError, match="included"):
-            sweep_scores_batch(net, X, 4, slots, included)
+            predict_sweep_batch(included, G)
 
 
 @pytest.mark.parametrize("included", [(0, 1, 2), (1,), (0,), (2, 0), (1, 2)])
@@ -366,21 +413,17 @@ class TestChunkPeak:
         assert peak <= F.nbytes + 2 * chunk + chunk // 8
 
     def test_sweep(self):
-        """Beside the scores and layer_goodness, 2 float32 matrices of a
-        stacked chunk (about CHUNK_ROWS rows, candidates after one
-        another): the two of a layer step (see test_features), in the
-        sweep's float32. A float64 sweep would hold 2 float64 ones."""
+        """Beside G, 2 float32 matrices of a stacked chunk (about
+        CHUNK_ROWS rows, candidates after one another): the two of a layer
+        step (see test_features), in the sweep's float32. A float64 sweep
+        would hold 2 float64 ones."""
         X, net, chunk = self._case()
-        G_bytes = X.shape[0] * 4 * 3 * 8
-        scores, peak = _traced_peak(
-            lambda: sweep_scores_batch(
-                net, X, 4, self.SLOTS, layer_goodness=np.empty((X.shape[0], 4, 3))
-            )
-        )
-        assert peak <= scores.nbytes + G_bytes + 2 * (chunk // 2) + chunk // 8
+        G, peak = _traced_peak(lambda: sweep_scores_batch(net, X, 4, self.SLOTS))
+        assert G.nbytes == X.shape[0] * 4 * 3 * 8
+        assert peak <= G.nbytes + 2 * (chunk // 2) + chunk // 8
 
     def test_sweep_wide_rows(self):
-        """Raw rows 4D wide: 2 raw-row chunk matrices beside the scores, a
+        """Raw rows 4D wide: 2 raw-row chunk matrices beside G, a
         neutralized chunk and its square for the norms. The last chunk's
         shared product is gone by then, and a layer step's 3 D-wide ones
         are smaller."""
@@ -388,8 +431,8 @@ class TestChunkPeak:
         X = Rng(97).uniform_array(n * wide).reshape(n, wide)
         net = FFNetwork(wide, [self.D] * 3, "relu", 0.01, Rng(98))
         chunk = numerics.CHUNK_ROWS * self.D * 8
-        scores, peak = _traced_peak(lambda: sweep_scores_batch(net, X, 4, self.SLOTS))
-        assert peak <= scores.nbytes + 2 * 4 * chunk + chunk // 8
+        G, peak = _traced_peak(lambda: sweep_scores_batch(net, X, 4, self.SLOTS))
+        assert peak <= G.nbytes + 2 * 4 * chunk + chunk // 8
 
 
 @pytest.mark.parametrize("shape", [(3, 7), (3, 5), (6,)])

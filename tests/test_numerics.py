@@ -341,7 +341,7 @@ class TestAdamThreads:
             "from fflab import numerics\n"
             "from fflab.analysis import export_heatmap, weight_stats\n"
             "from fflab.ffnet import FFNetwork, LabelSlots, train_epoch\n"
-            "from fflab.inference import features_batch, sweep_scores_batch\n"
+            "from fflab.inference import features_batch, predict_sweep_batch, sweep_scores_batch\n"
             "from fflab.rng import Rng\n"
             "path = next(ln.split(maxsplit=5)[5].strip() for ln in open('/proc/self/maps')\n"
             "            if 'libscipy_openblas64_' in ln)\n"
@@ -352,7 +352,7 @@ class TestAdamThreads:
             "net = FFNetwork(102, [256, 256], 'relu', 0.01, Rng(1))\n"
             "train_epoch(net, X, y, slots, [128.0, 128.0], 128, Rng(2))\n"
             "features_batch(net, X, slots, (1,))\n"
-            "sweep_scores_batch(net, X, 2, slots)\n"
+            "predict_sweep_batch((1,), sweep_scores_batch(net, X, 2, slots))\n"
             "weight_stats(net)\n"
             "export_heatmap(net.layers[0].W, os.devnull)\n"
             "print(numerics._SPLIT_WORKERS, numerics._pool is None, spin())\n"

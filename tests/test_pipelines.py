@@ -222,14 +222,14 @@ class TestImdbPipeline:
         assert bundle.X_train.shape[1] == 16
 
     def test_both_routes_emit_valid_sentiment_labels(self, run):
-        from fflab.inference import predict_sweep_batch
+        from fflab.inference import predict_sweep_batch, sweep_scores_batch
 
         cfg, result = run
         bundle = build_bundle(cfg)
         net, head = load_network(result.checkpoint)
         head_pred = predict_head_batch(net, head, bundle.X_test, bundle.slots)
         sweep_pred = predict_sweep_batch(
-            net, bundle.X_test, 2, bundle.slots, head.included_layers
+            head.included_layers, sweep_scores_batch(net, bundle.X_test, 2, bundle.slots)
         )
         assert set(np.unique(head_pred)) <= {0, 1}
         assert set(np.unique(sweep_pred)) <= {0, 1}
