@@ -88,7 +88,7 @@ def _bench_sgns_corpus(name, target_pairs, doc_len, window, vocab_size):
 
     win, wout = init_embeddings(len(vocab), 100, Rng(7))
     t0 = time.perf_counter()
-    _, done, _ = sgns_epoch(
+    _, done = sgns_epoch(
         tokens, offsets, win, wout, cdf, window, 5, 0.025, 2.5e-6, 0, per_epoch, 3
     )
     dt = time.perf_counter() - t0

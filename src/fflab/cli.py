@@ -130,8 +130,10 @@ def _cmd_eval(args):
             raise UsageError("checkpoint has no trained head section")
         pred = predict_head_batch(net, head, bundle.X_test, bundle.slots)
     else:
-        included = default_included_layers(len(net.layers))
-        if head is not None:
+        if head is None:
+            skip_first = cfg["inference.skip_first_layer"]
+            included = default_included_layers(len(net.layers), skip_first)
+        else:
             included = head.included_layers
         G = sweep_scores_batch(net, bundle.X_test, bundle.num_classes, bundle.slots)
         pred = predict_sweep_batch(included, G)
@@ -140,8 +142,15 @@ def _cmd_eval(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise UsageError (exit 1, one line); subparsers inherit it."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(prog="ff-lab")
+    parser = _Parser(prog="ff-lab")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="run one training experiment")
@@ -162,7 +171,6 @@ def main(argv=None):
     p_ev.add_argument("--mode", choices=["head", "sweep"], default="head")
     _add_common(p_ev)
 
-    args = parser.parse_args(argv)
     handlers = {
         "train": _cmd_train,
         "sweep": _cmd_sweep,
@@ -170,6 +178,7 @@ def main(argv=None):
         "eval": _cmd_eval,
     }
     try:
+        args = parser.parse_args(argv)
         return handlers[args.command](args)
     except (ConfigError, UsageError) as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -89,19 +89,17 @@ def goodness(A):
 
 
 def ff_loss(G, theta, signs):
-    """Layer-local loss, elementwise over G and ``signs``.
+    """Layer-local loss and its gradient dL/dG, elementwise over G and
+    ``signs``: returns (losses, dG).
 
-    softplus(theta - G) where the sign is +1 (positive data) and
-    softplus(G - theta) where it is -1 (negative data): strictly
+    The loss is softplus(theta - G) where the sign is +1 (positive data)
+    and softplus(G - theta) where it is -1 (negative data): strictly
     decreasing in G for positive, strictly increasing for negative;
-    log(2) at G == theta.
+    log(2) at G == theta. With u = signs * (theta - G), dL/dG is
+    -signs * sigmoid(u).
     """
-    return softplus(signs * (theta - G))
-
-
-def _dloss_dG(G, theta, signs):
-    # dL/dG = -s * sigmoid(s * (theta - G))
-    return -signs * stable_sigmoid(signs * (theta - G))
+    u = signs * (theta - G)
+    return softplus(u), -signs * stable_sigmoid(u)
 
 
 class FFLayer(DenseLayer):
@@ -124,8 +122,7 @@ class FFLayer(DenseLayer):
         layer input is ever formed.
         """
         G = goodness(A)
-        losses = ff_loss(G, theta, signs)
-        dG = _dloss_dG(G, theta, signs)
+        losses, dG = ff_loss(G, theta, signs)
         dZ = (dG[:, None] * 2.0 * A) * self.act.deriv(Z)
         n = Xhat.shape[0]
         dW = dZ.T @ Xhat

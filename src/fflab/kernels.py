@@ -10,8 +10,10 @@ block's pairs, draws all their negatives in bulk from the splitmix64
 stream and computes their masks and learning rates at once. It then
 scores each pair's distinct targets with one gather and one matvec into
 reused scratch; a pair whose targets repeat falls back to the per-draw
-loop. ``tests/oracles.py`` keeps the per-draw and per-sentence forms it
-must match.
+loop. It updates both tables in place and returns only the rng state
+and the pair count: no loss is summed, since training reads none.
+``tests/oracles.py`` keeps the per-draw and per-sentence forms it must
+match.
 
 ``benchmarks/bench_kernels.py`` times the kernel.
 """
@@ -44,7 +46,7 @@ def _review_blocks(offsets, window):
     so one review with more pairs is a block of its own. The pair counts
     are looked up ``_BLOCK_PAIRS`` reviews ahead at a time; a look-ahead
     that falls short (0- and 1-token reviews hold no pairs) is a block of
-    its own too. Yields (first, stop, pair count of each review).
+    its own too. Yields (first, stop).
     """
     n = offsets.shape[0] - 1
     first = 0
@@ -52,7 +54,7 @@ def _review_blocks(offsets, window):
         counts = pairs_per_sentence(offsets[first : first + _BLOCK_PAIRS + 1], window)
         held = np.cumsum(counts)
         stop = min(int(np.searchsorted(held, _BLOCK_PAIRS)) + 1, counts.shape[0])
-        yield first, first + stop, counts[:stop]
+        yield first, first + stop
         first += stop
 
 
@@ -89,8 +91,8 @@ def sgns_epoch(tokens, offsets, win, wout, cdf, window, neg_k,
                lr0, lr_min, pairs_done, total_pairs, state):
     """One pass over the encoded corpus; updates win/wout in place.
 
-    Returns (rng state, pairs processed so far, summed pair loss). A
-    negative ``neg_k`` raises :class:`UsageError`.
+    Returns (rng state, pairs processed so far). A negative ``neg_k``
+    raises :class:`UsageError`.
 
     Per block of reviews (see :func:`_review_blocks`), the pairs are
     listed, every negative is drawn and every pair's learning rate is
@@ -98,23 +100,21 @@ def sgns_epoch(tokens, offsets, win, wout, cdf, window, neg_k,
     negatives that differ from it. When they are distinct, one gather and
     one matvec score them all against the center's pre-pair row, as the
     sequential loop does; a pair whose targets repeat runs one target at
-    a time, so a second copy sees the first copy's update. The loss is
-    summed per review, in pair order.
+    a time, so a second copy sees the first copy's update.
     """
     if neg_k < 0:
         raise UsageError(f"neg_k must be >= 0, got {neg_k}")
     rng = Rng(state)
     width = 1 + neg_k
     dim = win.shape[1]
-    # loss of slot q is softplus(sign[q] * u): slot 0 is the context word
-    sign = np.ones(width)
-    sign[0] = -1.0
     # per kept-target count k: the target labels (1 for the context word,
     # 0 after it) and views of the reusable scratch
     labels = [np.eye(1, k).ravel() for k in range(width + 1)]
+    u_buf = np.empty(width)
     g_buf = np.empty(width)
     rows_buf = np.empty((width, dim))
     rank1_buf = np.empty((width, dim))
+    u_of = [u_buf[:k] for k in range(width + 1)]
     g_of = [g_buf[:k] for k in range(width + 1)]
     g_col = [g_buf[:k, None] for k in range(width + 1)]
     rows_of = [rows_buf[:k] for k in range(width + 1)]
@@ -125,8 +125,7 @@ def sgns_epoch(tokens, offsets, win, wout, cdf, window, neg_k,
     maximum, minimum, negative, divide, subtract = (
         np.maximum, np.minimum, np.negative, np.divide, np.subtract
     )
-    loss_sum = 0.0
-    for first, stop, counts in _review_blocks(offsets, window):
+    for first, stop in _review_blocks(offsets, window):
         pos_c, pos_o = _block_pairs(offsets, first, stop, window)
         n_pairs = pos_c.shape[0]
         if n_pairs == 0:
@@ -144,8 +143,6 @@ def sgns_epoch(tokens, offsets, win, wout, cdf, window, neg_k,
             lr0 * (1.0 - (pairs_done + np.arange(n_pairs)) / total_pairs), lr_min
         )
         pairs_done += n_pairs
-        # clipped dot products; an unused slot stays -inf and adds no loss
-        u_kept = np.full((n_pairs, width), -np.inf)
         per_pair = zip(
             tokens[pos_c].tolist(), lrs.tolist(), kept.all(axis=1).tolist(), repeats.tolist()
         )
@@ -158,7 +155,6 @@ def sgns_epoch(tokens, offsets, win, wout, cdf, window, neg_k,
                     wt = wout[t]
                     uc = max(min(float(wc @ wt), 40.0), -40.0)
                     g = ((1.0 if q == 0 else 0.0) - 1.0 / (1.0 + float(exp(-uc)))) * lr
-                    u_kept[p, q] = uc
                     grad_c += g * wt
                     wt += g * wc
             else:
@@ -166,7 +162,7 @@ def sgns_epoch(tokens, offsets, win, wout, cdf, window, neg_k,
                 # the ids are valid, so "clip" only spares the buffered
                 # copy that the default "raise" makes of an ``out`` array
                 rows = take(idx, 0, rows_of[k], "clip")
-                u = u_kept[p, :k]
+                u = u_of[k]
                 rows.dot(wc, u)
                 minimum(maximum(u, -40.0, out=u), 40.0, out=u)
                 # g = (label - 1 / (1 + exp(-u))) * lr, in place
@@ -179,8 +175,4 @@ def sgns_epoch(tokens, offsets, win, wout, cdf, window, neg_k,
                 rows += multiply(g_col[k], wc, out=rank1_of[k])
                 wout[idx] = rows
             wc += grad_c
-        loss = np.log1p(np.exp(sign * u_kept))
-        for end, n in zip(np.cumsum(counts).tolist(), counts.tolist()):
-            if n:
-                loss_sum += float(loss[end - n : end].sum())
-    return rng.state, pairs_done, loss_sum
+    return rng.state, pairs_done

@@ -55,7 +55,7 @@ def _image_bytes(data):
 
 def _label_bytes(data):
     """(n,) uint8 labels of a whole IDX label file, header, payload
-    length and every label checked."""
+    length and every label checked; the first bad label is located."""
     data = _maybe_gunzip(data)
     if len(data) < 8:
         raise FormatError("label file shorter than its 8-byte header", offset=len(data))
@@ -68,8 +68,9 @@ def _label_bytes(data):
             offset=8 + min(len(data) - 8, count),
         )
     labels = np.frombuffer(data, dtype=np.uint8, offset=8)
-    if labels.size and labels.max() > 9:
-        raise FormatError(f"label {labels.max()} out of range 0-9", offset=8)
+    bad = np.flatnonzero(labels > 9)
+    if bad.size:
+        raise FormatError(f"label {labels[bad[0]]} out of range 0-9", offset=8 + int(bad[0]))
     return labels
 
 

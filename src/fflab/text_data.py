@@ -160,7 +160,7 @@ def train_sgns(corpus, vocab, *, rng, dim=100, window=5, neg_k=5, epochs=5, lr=0
     state = rng.next_u64()  # decorrelated in-kernel draw stream
     done = 0
     for epoch in range(epochs):
-        state, done, _ = sgns_epoch(
+        state, done = sgns_epoch(
             tokens, offsets, win, wout, cdf, window, neg_k,
             lr, lr * 1e-4, done, total_pairs, state,
         )

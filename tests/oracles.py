@@ -297,10 +297,9 @@ def loop_sgns_epoch(tokens, offsets, win, wout, cdf, window, neg_k,
     Every target's dot product, sigmoid and rank-1 update runs on its
     own, in pair order, drawing each negative from the scalar splitmix64
     stream; a draw that hits the context word is skipped. Updates win
-    and wout in place; returns (rng state, pairs done, summed loss).
+    and wout in place; returns (rng state, pairs done).
     """
     d = win.shape[1]
-    loss_sum = 0.0
     n_sent = offsets.shape[0] - 1
     for s in range(n_sent):
         lo, hi = int(offsets[s]), int(offsets[s + 1])
@@ -322,7 +321,6 @@ def loop_sgns_epoch(tokens, offsets, win, wout, cdf, window, neg_k,
                 uc = max(min(u, 40.0), -40.0)
                 f = 1.0 / (1.0 + np.exp(-uc))
                 g = (1.0 - f) * lr
-                loss_sum += np.log1p(np.exp(-uc))
                 grad_c += g * wout[o]
                 wout[o] += g * win[c]
 
@@ -337,12 +335,11 @@ def loop_sgns_epoch(tokens, offsets, win, wout, cdf, window, neg_k,
                     uc = max(min(u, 40.0), -40.0)
                     f = 1.0 / (1.0 + np.exp(-uc))
                     g = (0.0 - f) * lr
-                    loss_sum += np.log1p(np.exp(uc))
                     grad_c += g * wout[t]
                     wout[t] += g * win[c]
 
                 win[c] += grad_c
-    return state, pairs_done, loss_sum
+    return state, pairs_done
 
 
 def _sentence_pairs(n, window):
@@ -361,16 +358,12 @@ def sentence_sgns_epoch(tokens, offsets, win, wout, cdf, window, neg_k,
     negatives, masks and rates prepared one sentence at a time.
 
     ``kernels.sgns_epoch`` must match it bit for bit: same tables, rng
-    state, pair count and loss.
+    state and pair count.
     """
     rng = Rng(state)
     width = 1 + neg_k
-    # loss of slot q is softplus(sign[q] * u): slot 0 is the context word
-    sign = np.ones(width)
-    sign[0] = -1.0
     # target labels for m kept targets: 1 for the context word, 0 after it
     labels = [np.eye(1, m).ravel() for m in range(width + 1)]
-    loss_sum = 0.0
     counts = pairs_per_sentence(offsets, window)
     for s in np.flatnonzero(counts):
         n_pairs = int(counts[s])
@@ -389,8 +382,6 @@ def sentence_sgns_epoch(tokens, offsets, win, wout, cdf, window, neg_k,
             lr0 * (1.0 - (pairs_done + np.arange(n_pairs)) / total_pairs), lr_min
         )
         pairs_done += n_pairs
-        # clipped dot products; an unused slot stays -inf and adds no loss
-        u_kept = np.full((n_pairs, width), -np.inf)
         per_pair = zip(
             sent[pos_c].tolist(), lrs.tolist(), kept.all(axis=1).tolist(), repeats.tolist()
         )
@@ -402,7 +393,6 @@ def sentence_sgns_epoch(tokens, offsets, win, wout, cdf, window, neg_k,
                 for q, t in enumerate(idx.tolist()):
                     uc = max(min(float(wc @ wout[t]), 40.0), -40.0)
                     g = ((1.0 if q == 0 else 0.0) - 1.0 / (1.0 + np.exp(-uc))) * lr
-                    u_kept[p, q] = uc
                     grad_c += g * wout[t]
                     wout[t] += g * wc
             else:
@@ -410,13 +400,11 @@ def sentence_sgns_epoch(tokens, offsets, win, wout, cdf, window, neg_k,
                 u = rows.dot(wc)
                 np.minimum(np.maximum(u, -40.0, out=u), 40.0, out=u)
                 g = (labels[idx.shape[0]] - 1.0 / (1.0 + np.exp(-u))) * lr
-                u_kept[p, : idx.shape[0]] = u
                 grad_c = g.dot(rows)
                 rows += g[:, None] * wc
                 wout[idx] = rows
             wc += grad_c
-        loss_sum += float(np.log1p(np.exp(sign * u_kept)).sum())
-    return rng.state, pairs_done, loss_sum
+    return rng.state, pairs_done
 
 
 def whole_u64_draws(state, n):

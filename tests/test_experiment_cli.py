@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fflab
-from fflab.checkpoint import load_network, network_bytes
+from fflab.checkpoint import load_network, network_bytes, save_network
 from fflab.cli import main
 from fflab import experiment, inference, numerics
 from fflab import rng as rng_mod
@@ -700,6 +700,29 @@ class TestCli:
         reported = float(printed.rsplit(" ", 1)[1])
         assert reported == pytest.approx(result.final_err["head"][1], abs=5e-5)
 
+    def test_headless_sweep_eval_reads_skip_first_layer(self, tmp_path, capsys):
+        """A checkpoint without a head is swept over the layers that
+        inference.skip_first_layer names: with false, every layer."""
+        overrides = fast_overrides(tmp_path / "run", **{"inference.skip_first_layer": "false"})
+        cfg = parse_config(None, overrides)
+        net, _ = load_network(run_experiment(cfg).checkpoint)
+        headless = str(tmp_path / "headless.ffn1")
+        save_network(headless, net)
+        bundle = build_bundle(cfg)
+        G = inference.sweep_scores_batch(net, bundle.X_test, bundle.num_classes, bundle.slots)
+        every, above = (
+            float(np.mean(inference.predict_sweep_batch(layers, G) != bundle.y_test))
+            for layers in ((0, 1), (1,))
+        )
+        assert every != above  # the run tells the two layer sets apart
+        args = []
+        for k, v in overrides.items():
+            args += ["--set", f"{k}={v}"]
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", headless, "--mode", "sweep"] + args) == 0
+        reported = float(capsys.readouterr().out.strip().rsplit(" ", 1)[1])
+        assert reported == pytest.approx(every, abs=5e-5)
+
 
 def test_config_echo_reproduces_the_run(tmp_path):
     """Rerunning from the echoed config reproduces metrics byte-for-byte."""
@@ -761,6 +784,14 @@ MALFORMED = {
         lambda t: ["train", "--seed", "1", "--arch", "4", "--epochs", "1",
                    "--output", str(t / "run"), "--batch-size", "33"],
         1, "config error: batch_size must be even"),
+    # usage errors exit 1 with one line, not argparse's exit 2 and usage text
+    "missing-required-flag": (
+        lambda t: ["eval", "--seed", "1"], 1, "config error: "),
+    "unknown-flag": (
+        lambda t: ["train", "--bogus"], 1, "config error: "),
+    "bad-choice": (
+        lambda t: ["eval", "--checkpoint", str(t / "x.ffn1"), "--mode", "bogus"],
+        1, "config error: "),
 }
 
 

@@ -31,6 +31,7 @@ from oracles import (
     loop_layer_forward,
     loop_layer_loss,
     loop_epoch,
+    loop_sigmoid,
     loop_paired_batches,
     rel_err,
     two_blob_toy,
@@ -132,30 +133,51 @@ class TestGoodness:
 class TestFFLoss:
     def test_midpoint_is_log2(self):
         for pol in (1.0, -1.0):
-            assert ff_loss(3.0, 3.0, pol) == pytest.approx(0.6931471805599453)
+            assert ff_loss(3.0, 3.0, pol)[0] == pytest.approx(0.6931471805599453)
 
     def test_asymptotics(self):
-        assert ff_loss(1e6, 3.0, 1.0) == pytest.approx(0.0, abs=1e-12)
-        big = ff_loss(1e6, 3.0, -1.0)
+        assert ff_loss(1e6, 3.0, 1.0)[0] == pytest.approx(0.0, abs=1e-12)
+        big = ff_loss(1e6, 3.0, -1.0)[0]
         assert big == pytest.approx(1e6 - 3.0)  # linear in G far above theta
 
     def test_direct_value(self):
-        assert ff_loss(5.0, 3.0, -1.0) == pytest.approx(
+        assert ff_loss(5.0, 3.0, -1.0)[0] == pytest.approx(
             2.1269280110429727
         )
 
     def test_monotonicity(self):
         gs = np.linspace(0.0, 20.0, 200)
-        pos = np.array([ff_loss(g, 10.0, 1.0) for g in gs])
-        neg = np.array([ff_loss(g, 10.0, -1.0) for g in gs])
+        pos = np.array([ff_loss(g, 10.0, 1.0)[0] for g in gs])
+        neg = np.array([ff_loss(g, 10.0, -1.0)[0] for g in gs])
         assert np.all(np.diff(pos) < 0)
         assert np.all(np.diff(neg) > 0)
 
     def test_elementwise_over_a_batch(self):
         G = np.array([0.5, 3.0, 9.0, 3.0])
         signs = np.array([1.0, -1.0, -1.0, 1.0])
-        expected = [ff_loss(g, 3.0, s) for g, s in zip(G, signs)]
-        np.testing.assert_array_equal(ff_loss(G, 3.0, signs), expected)
+        expected = [ff_loss(g, 3.0, s)[0] for g, s in zip(G, signs)]
+        np.testing.assert_array_equal(ff_loss(G, 3.0, signs)[0], expected)
+
+    # central differences of the loss at step 1e-5 must agree with dL/dG
+    # to 1e-7: the truncation error is ~h^2/6 and the rounding ~1e-16 *
+    # 45 / h, both far below it
+    FD_STEP, FD_TOL = 1e-5, 1e-7
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_gradient_is_the_sigmoid_and_the_loss_slope(self, sign):
+        """dL/dG equals -s * sigmoid(s * (theta - G)) element by element
+        and the central difference of the loss, for u = s * (theta - G)
+        on both sides of softplus's linearization at 30."""
+        theta = 3.0
+        u = np.array([-35.0, -5.0, -0.5, 0.0, 0.7, 4.0, 29.5, 30.5, 45.0])
+        G = theta - sign * u
+        signs = np.full(G.shape, sign)
+        losses, dG = ff_loss(G, theta, signs)
+        expected = [-sign * loop_sigmoid(sign * (theta - g)) for g in G]
+        np.testing.assert_array_equal(dG, expected)
+        h = self.FD_STEP
+        up, down = ff_loss(G + h, theta, signs)[0], ff_loss(G - h, theta, signs)[0]
+        np.testing.assert_allclose(dG, (up - down) / (2 * h), rtol=0, atol=self.FD_TOL)
 
     def test_softplus_overflow_safe(self):
         assert softplus(1000.0) == 1000.0

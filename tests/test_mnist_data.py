@@ -214,6 +214,7 @@ class TestLoadLimits:
         with pytest.raises(FormatError, match="out of range") as exc:
             load_mnist(str(tmp_path), train_limit=2)
         assert str(exc.value).startswith(f"{path}: ")
+        assert exc.value.offset == 8 + 17
 
 
 class TestTrainingStream:
