@@ -18,7 +18,7 @@ import numpy as np
 
 from .activations import stable_sigmoid
 from .errors import DimensionError, UsageError
-from .numerics import DenseLayer, _divide, adam_step, require_finite, row_directions
+from .numerics import DenseLayer, adam_step, require_finite, row_directions
 
 
 @dataclass(frozen=True)
@@ -116,19 +116,19 @@ class FFLayer(DenseLayer):
         return (Xhat, *self.affine(Xhat))
 
     def grads_batch(self, Xhat, Z, A, signs, theta):
-        """Mean closed-form gradients over a batch.
+        """Mean closed-form gradients over a batch of n rows.
 
-        Returns (dW, db, losses, G). No gradient with respect to the
-        layer input is ever formed.
+        Returns (dW, db, losses, G). The 1/n is taken on the batch-sized
+        dZ, as ``bp_train_epoch`` takes it on its delta: goodness's
+        factor 2 becomes 2/n. For a power-of-two n that gives the bits of
+        dividing dW and db by n. No gradient with respect to the layer
+        input is ever formed.
         """
         G = goodness(A)
         losses, dG = ff_loss(G, theta, signs)
-        dZ = (dG[:, None] * 2.0 * A) * self.act.deriv(Z)
         n = Xhat.shape[0]
-        dW = dZ.T @ Xhat
-        _divide(dW, n)
-        db = dZ.mean(axis=0)
-        return dW, db, losses, G
+        dZ = (dG[:, None] * (2.0 / n) * A) * self.act.deriv(Z)
+        return dZ.T @ Xhat, dZ.sum(axis=0), losses, G
 
     def apply_grads(self, dW, db):
         """One Adam step on W and b."""

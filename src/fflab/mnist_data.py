@@ -112,7 +112,8 @@ def load_mnist(directory, train_limit=0, test_limit=0):
 
     Every file is checked whole, but only the first ``train_limit`` and
     ``test_limit`` rows of each split are converted (all of them when the
-    limit is 0 or at least the split's size).
+    limit is 0 or at least the split's size). A split of zero images is
+    a :class:`DataError` that names its image file.
     """
     raw = []
     for key, check in (
@@ -130,6 +131,8 @@ def load_mnist(directory, train_limit=0, test_limit=0):
             located = FormatError(f"{path}: {e}")
             located.offset = e.offset
             raise located from None
+        if check is _image_bytes and not len(raw[-1]):
+            raise DataError(f"{path}: holds no images")
     x_tr, y_tr, x_te, y_te = raw
     if x_tr.shape[0] != y_tr.shape[0] or x_te.shape[0] != y_te.shape[0]:
         raise DataError(

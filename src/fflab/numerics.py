@@ -6,9 +6,9 @@ Batches are float64 matrices with one sample per row (the label sweep
 forwards float32 ones); parameters are float64 ndarrays of any shape.
 
 Every pass over a weight-sized array (Adam steps, bulk draws, the sweep's
-float32 copies, the gradient's 1/n, finite checks, weight statistics)
-is dealt across the BLAS threads' cores by one private helper,
-:func:`_split`, with the bits of the whole-array pass.
+float32 copies, finite checks, weight statistics) is dealt across the
+BLAS threads' cores by one private helper, :func:`_split`, with the bits
+of the whole-array pass.
 """
 
 import ctypes
@@ -197,15 +197,6 @@ def _cast(a, dtype):
     out = np.empty(a.shape, dtype)
     _split(_cast_rows, a, out)
     return out
-
-
-def _divide_rows(lo, hi, a, d):
-    a[lo:hi] /= d
-
-
-def _divide(a, d):
-    """``a /= d`` in place, by :func:`_split`."""
-    _split(_divide_rows, a, d)
 
 
 def _adam_rows(lo, hi, P, G, M, V, m_scale, v_scale, lr):

@@ -14,20 +14,26 @@ and OpenBLAS's thread count, so the table is keyed by those three. Under
 a key the table does not hold, the test skips and names the key.
 
 A change that keeps behaviour passes unchanged. A change that moves
-bytes on purpose regenerates the current key's entry with
+bytes on purpose regenerates the table with
 
     PYTHONPATH=src python tests/test_artifact_digests.py
 
-and names each moved file.
+which re-runs the five runs under ``OPENBLAS_NUM_THREADS=k`` for each
+thread count k the table holds for this numpy and BLAS build (the
+current count if it holds none), prints each run's moved files, and
+the change names them.
 """
 
+import contextlib
 import csv
 import ctypes
 import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -53,8 +59,8 @@ SYNTHETIC = {
     # README "Running experiments", first recipe
     "quick-start": {"seed": "7", "dataset": "synthetic", "epochs": "5", "arch": "64,64",
                     "threshold.k": "0.5"},
-    # 1990 train rows: the last batch embeds 12 rows, not a power of two, so
-    # the gradient's 1/n rounds unlike a reciprocal's multiply
+    # 1990 train rows: the last batch embeds 12 rows, so the gradient's 2/n is
+    # not a power of two and rounds
     "synthetic-500": {"seed": "7", "dataset": "synthetic", "synthetic.dim": "774",
                       "synthetic.train_per_class": "199", "arch": "500", "epochs": "1",
                       "threshold.k": "0.5"},
@@ -116,6 +122,11 @@ def run_digests(name, tmp):
     return digests
 
 
+def _moved(want, got):
+    """Files whose digest differs between two digest dicts of one run."""
+    return sorted(f for f in set(want) | set(got) if want.get(f) != got.get(f))
+
+
 @pytest.mark.parametrize("name", RUNS)
 def test_run_keeps_its_recorded_bytes(name, tmp_path):
     key = table_key()
@@ -123,22 +134,38 @@ def test_run_keeps_its_recorded_bytes(name, tmp_path):
     if key not in table:
         pytest.skip(f"no digests recorded for {key!r}; to record them: {REGENERATE}")
     want = table[key][name]
-    got = run_digests(name, tmp_path)
-    moved = sorted(f for f in set(want) | set(got) if want.get(f) != got.get(f))
+    moved = _moved(want, run_digests(name, tmp_path))
     assert not moved, f"{name}: these files changed bytes: {moved}"
 
 
-if __name__ == "__main__":
-    import contextlib
-    import tempfile
-
-    table = json.loads(TABLE.read_text()) if TABLE.exists() else {}
+def _entry():
+    """(table key, every run's digests) under this process's thread count."""
     with tempfile.TemporaryDirectory() as tmp:
-        entry = {}
+        runs = {}
         for name in RUNS:
             os.makedirs(os.path.join(tmp, name))
             with contextlib.redirect_stdout(io.StringIO()):  # run_experiment prints its report
-                entry[name] = run_digests(name, Path(tmp) / name)
-    table[table_key()] = entry
+                runs[name] = run_digests(name, Path(tmp) / name)
+    return table_key(), runs
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--entry"]:  # one thread count's entry, as JSON on stdout
+        print(json.dumps(_entry()))
+        sys.exit()
+    table = json.loads(TABLE.read_text()) if TABLE.exists() else {}
+    build, current = table_key().rsplit(" | ", 1)
+    counts = {key.rsplit(" | ", 1)[1] for key in table
+              if key.rsplit(" | ", 1)[0] == build} or {current}
+    for count in sorted(counts):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=count.split()[0])
+        done = subprocess.run([sys.executable, __file__, "--entry"], env=env,
+                              stdout=subprocess.PIPE, text=True, check=True)
+        key, runs = json.loads(done.stdout)
+        old = table.get(key, {})
+        table[key] = runs
+        print(f"{key}:")
+        for name, got in runs.items():
+            print(f"  {name}: {', '.join(_moved(old.get(name, {}), got)) or 'no file moved'}")
     TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
-    print(f"{TABLE}: {len(RUNS)} runs under {table_key()!r}")
+    print(f"{TABLE}: {len(RUNS)} runs under {len(counts)} key(s)")

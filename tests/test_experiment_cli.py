@@ -1,6 +1,7 @@
 """End-to-end runs on the synthetic task, exercised through the CLI."""
 
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -755,7 +756,24 @@ def _non_utf8_review_tree(tmp_path):
     return str(root)
 
 
-# case -> (argv built in tmp_path, exit code, stderr prefix)
+def _idx_dir_with_empty(tmp_path, split):
+    """IDX files of 8 blank images per split, but none in ``split``."""
+    root = tmp_path / "mnist"
+    for prefix in ("train", "t10k"):
+        n = 0 if prefix == split else 8
+        _write(root / f"{prefix}-images-idx3-ubyte",
+               struct.pack(">IIII", 0x803, n, 28, 28) + bytes(n * 784))
+        _write(root / f"{prefix}-labels-idx1-ubyte", struct.pack(">II", 0x801, n) + bytes(n))
+    return str(root)
+
+
+def _train_on_idx(tmp_path, split):
+    return ["train", "--dataset", "mnist", "--seed", "1", "--arch", "4", "--epochs", "1",
+            "--output", str(tmp_path / "run"),
+            "--set", f"data.mnist_dir={_idx_dir_with_empty(tmp_path, split)}"]
+
+
+# case -> (argv built in tmp_path, exit code, stderr prefix; {t} is tmp_path)
 MALFORMED = {
     "directory-as-config": (
         lambda t: ["train", "--config", str(t)], 1, "config error: no config file at "),
@@ -768,6 +786,12 @@ MALFORMED = {
         lambda t: ["train", "--dataset", "imdb", "--seed", "1", "--output", str(t / "run"),
                    "--set", f"data.imdb_dir={_non_utf8_review_tree(t)}"],
         2, "data error: review "),
+    "empty-train-split": (
+        lambda t: _train_on_idx(t, "train"), 2,
+        "data error: {t}/mnist/train-images-idx3-ubyte: holds no images"),
+    "empty-test-split": (
+        lambda t: _train_on_idx(t, "t10k"), 2,
+        "data error: {t}/mnist/t10k-images-idx3-ubyte: holds no images"),
     "removed-key": (
         lambda t: ["train", "--output", str(t / "run"), "--config", _write(
             t / "old.cfg", b"seed = 1\narch = 4\nepochs = 1\nthreshold.strategy = pyramidal\n")],
@@ -803,7 +827,7 @@ def test_malformed_input_exits_with_one_line(tmp_path, capsys, case):
     assert main(argv(tmp_path)) == code
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
-    assert err.startswith(prefix)
+    assert err.startswith(prefix.format(t=tmp_path))
 
 
 # Artifacts whose bytes may change with the BLAS thread count: a forward

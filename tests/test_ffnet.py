@@ -214,6 +214,20 @@ class TestLayerGrads:
         assert rel_err(dW, fd_W) < 1e-4
         assert rel_err(db, fd_b) < 1e-4
 
+    @pytest.mark.parametrize("n", [2, 32, 128])
+    def test_batch_mean_keeps_the_bits_of_dividing_by_a_power_of_two(self, n):
+        """The 1/n taken on dZ gives, bit for bit, dW and db of the
+        unscaled dZ divided by n, for the power-of-two batch sizes the
+        benchmark and the quick-start use; odd n is left to C1's oracle."""
+        rng = Rng(40 + n)
+        layer = make_layer(rng, 20, 16, "tanh")
+        Xhat, Z, A = layer.forward_batch(rng.uniform_array(n * 20).reshape(n, 20) * 2 - 1)
+        signs = np.repeat([1.0, -1.0], n // 2)
+        dW, db, _, G = layer.grads_batch(Xhat, Z, A, signs, 3.0)
+        dZ = (ff_loss(G, 3.0, signs)[1][:, None] * 2.0 * A) * layer.act.deriv(Z)
+        assert np.array_equal(dW, (dZ.T @ Xhat) / n)
+        assert np.array_equal(db, dZ.mean(axis=0))
+
     def test_saturated_positive_has_vanishing_grads(self):
         rng = Rng(5)
         layer = make_layer(rng, 4, 3)

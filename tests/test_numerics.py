@@ -219,15 +219,6 @@ class TestSplitPasses:
             assert np.array_equal(got.view(np.uint32), W.astype(np.float32).view(np.uint32))
             assert numerics._cast(W, np.float64) is W
 
-    def test_division_in_place_equals_the_whole_one(self, split_workers):
-        r = np.random.default_rng(13)
-        for workers in (1, 2, 3):
-            split_workers(workers)
-            dW = r.standard_normal((37, 11))
-            want = dW / 7
-            numerics._divide(dW, 7)
-            assert np.array_equal(dW, want)
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("row", [0, 20, 36])
     def test_finite_check_sees_every_share(self, split_workers, bad, row):
