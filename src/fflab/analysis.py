@@ -10,12 +10,13 @@ the same inputs is bit-identical. The passes over whole weight matrices
 import csv
 import os
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .bp_baseline import BPNetwork
 from .errors import UsageError
-from .numerics import _block_rows, _min_max, _split
+from .numerics import _block_rows, _min_max, _split, _work
 
 
 def write_csv(path, header, rows):
@@ -50,34 +51,48 @@ def weight_stats(net):
     """Per-layer {min, max, mean, var} of the weight matrices, in layer order
     (a baseline net's output layer last); population variance.
 
-    Each value has the bits of numpy's ``W.min()``, ``W.max()``,
-    ``W.mean()`` and ``W.var()``. The min/max and the squared deviations
-    from the mean go through :func:`~fflab.numerics._split`; each sum is
-    one whole-array reduction, whose order numpy picks by the array's
-    shape, so the squared deviations fill a C-contiguous temporary of W's
-    shape (one buffer, reused across layers).
+    Each has the bits of numpy's ``W.min()``, ``W.max()``, ``W.mean()`` and
+    ``W.var()``, with no buffer of W's size: leaf sums are added in numpy's
+    order (:func:`_pairwise`), the leaves dealt by ``numerics._split`` for
+    their min, max and sum, then for their squared deviations' sum.
     """
     stats = []
-    buf = np.empty(max(layer.W.size for layer in net.layers))
-    for W in (layer.W for layer in net.layers):
-        lo, hi = _min_max(W)
-        mean = W.mean()
-        sq = buf[: W.size].reshape(W.shape)
-        _split(_squared_deviation_rows, W, mean, sq)
-        stats.append(
-            {
-                "min": float(lo),
-                "max": float(hi),
-                "mean": float(mean),
-                "var": float(np.sum(sq) / W.size),
-            }
-        )
+    for W in (layer.W.reshape(-1) for layer in net.layers):
+        lo, hi, sums = zip(*chain(*_split(_leaf_share, W, _min_max_sum)))
+        mean = _pairwise(0, W.size, iter(sums)) / W.size
+        deviations = chain(*_split(_leaf_share, W, _squared_deviation_sum, mean))
+        stats.append({"min": float(np.min(lo)), "max": float(np.max(hi)), "mean": float(mean),
+                      "var": float(_pairwise(0, W.size, deviations) / W.size)})
     return stats
 
 
-def _squared_deviation_rows(lo, hi, W, mean, out):
-    x = np.subtract(W[lo:hi], mean, out=out[lo:hi])
-    np.multiply(x, x, out=x)
+# the most values a _pairwise leaf holds: half a split block, as in Adam's work array
+_LEAF = 1 << 15
+
+
+def _pairwise(lo, hi, sums=None):
+    """The leaves (lo, hi) of numpy's pairwise sum of values lo..hi, in order;
+    or, given an iterator over their sums, those added in the tree's order,
+    with one ``np.sum``'s bits: numpy (checked on 2.4) sums n > 128 float64
+    values as the sum of the first ``n//2 - n//2 % 8`` plus that of the rest."""
+    if hi - lo <= _LEAF:
+        return [(lo, hi)] if sums is None else next(sums)
+    mid = lo + (hi - lo) // 2 - (hi - lo) // 2 % 8
+    return _pairwise(lo, mid, sums) + _pairwise(mid, hi, sums)
+
+
+def _leaf_share(lo, hi, flat, fn, *args):
+    """``fn(leaf, *args)`` of each :func:`_pairwise` leaf of ``flat`` starting in lo..hi."""
+    return [fn(flat[a:b], *args) for a, b in _pairwise(0, flat.size) if lo <= a < hi]
+
+
+def _min_max_sum(x):
+    return x.min(), x.max(), np.sum(x)
+
+
+def _squared_deviation_sum(x, mean):
+    s = np.subtract(x, mean, out=_work(x.size))  # this thread's kept work array
+    return np.sum(np.multiply(s, s, out=s))
 
 
 def write_weight_stats_csv(path, stats):

@@ -1,4 +1,5 @@
-"""``ff-lab``: train / sweep / analyze / eval.
+"""``ff-lab``: train / sweep / analyze / eval (a checkpoint's test error
+by each inference route, scored as a run scores each epoch).
 
 Exit codes:
 
@@ -16,8 +17,6 @@ import os
 import sys
 import traceback
 
-import numpy as np
-
 from .analysis import write_weight_artifacts
 from .checkpoint import load_network
 from .config import SCHEMA, parse_config
@@ -31,12 +30,7 @@ from .errors import (
     UsageError,
 )
 from .ffnet import FFNetwork
-from .inference import (
-    default_included_layers,
-    predict_head_batch,
-    predict_sweep_batch,
-    sweep_scores_batch,
-)
+from .inference import default_included_layers, sweep_scores_batch
 
 
 # shortcut flag -> the config key it sets; --set reaches every key
@@ -118,27 +112,18 @@ def _cmd_analyze(args):
 
 
 def _cmd_eval(args):
-    from .experiment import build_bundle
+    from .experiment import build_bundle, score_split
 
     cfg = parse_config(args.config, _overrides(args))
     net, head = load_network(args.checkpoint)
     if not isinstance(net, FFNetwork):
         raise UsageError("eval expects an FFN1 checkpoint")
     bundle = build_bundle(cfg)
-    if args.mode == "head":
-        if head is None:
-            raise UsageError("checkpoint has no trained head section")
-        pred = predict_head_batch(net, head, bundle.X_test, bundle.slots)
-    else:
-        if head is None:
-            skip_first = cfg["inference.skip_first_layer"]
-            included = default_included_layers(len(net.layers), skip_first)
-        else:
-            included = head.included_layers
-        G = sweep_scores_batch(net, bundle.X_test, bundle.num_classes, bundle.slots)
-        pred = predict_sweep_batch(included, G)
-    err = float(np.mean(pred != bundle.y_test))
-    print(f"{args.mode} test error: {err:.4f}")
+    included = (head.included_layers if head is not None
+                else default_included_layers(len(net.layers), cfg["inference.skip_first_layer"]))
+    errs, _ = score_split(net, head, included, bundle, bundle.X_test, bundle.y_test)
+    for route, err in errs.items():
+        print(f"{route} test error: {err:.4f}")
     return 0
 
 
@@ -149,7 +134,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def main(argv=None):
+def _parser():
     parser = _Parser(prog="ff-lab")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -168,9 +153,11 @@ def main(argv=None):
 
     p_ev = sub.add_parser("eval", help="evaluate a checkpoint on the configured test set")
     p_ev.add_argument("--checkpoint", required=True)
-    p_ev.add_argument("--mode", choices=["head", "sweep"], default="head")
     _add_common(p_ev)
+    return parser
 
+
+def main(argv=None):
     handlers = {
         "train": _cmd_train,
         "sweep": _cmd_sweep,
@@ -178,7 +165,7 @@ def main(argv=None):
         "eval": _cmd_eval,
     }
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return handlers[args.command](args)
     except (ConfigError, UsageError) as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -9,9 +9,9 @@ derives the final and best errors from them for ``final_report.txt`` and
 ``sweep_summary.csv``. A trained network's checkpoint, weight statistics
 and heatmaps take the names of its kind (``analysis.artifact_names``).
 
-Every FF epoch evaluates both inference routes (``ROUTES``): the softmax
-head and the label sweep. The sweep runs once per split and returns
-every layer's goodness (``inference.sweep_scores_batch``), which
+Every FF epoch evaluates both inference routes (``ROUTES``) on each
+split (:func:`score_split`): the softmax head and the label sweep,
+whose per-layer goodness (``inference.sweep_scores_batch``)
 ``predict_sweep_batch`` scores; the last epoch's train-split goodness
 also feeds ``goodness_hist.csv``. ``eval_modes.csv``,
 ``final_report.txt`` and ``sweep_summary.csv`` give both routes;
@@ -200,6 +200,17 @@ class RunResult:
                 for m in self.final_err}
 
 
+def score_split(net, head, included, bundle, X_raw, y):
+    """(route -> error on rows ``X_raw`` of labels ``y``, their per-layer sweep goodness
+    G): the head's error if ``head`` is given, then the sweep's over ``included``."""
+    errs = {}
+    if head is not None:
+        errs["head"] = _error_rate(predict_head_batch(net, head, X_raw, bundle.slots), y)
+    G = sweep_scores_batch(net, X_raw, bundle.num_classes, bundle.slots)
+    errs["sweep"] = _error_rate(predict_sweep_batch(included, G), y)
+    return errs, G
+
+
 def _fmt(x):
     return repr(float(x))
 
@@ -252,27 +263,12 @@ def run_experiment(cfg, bundle=None):
                 rng=rng_head,
             )
             head_train_err = _error_rate(predict_head_features(head, F), bundle.y_train)
-            # not held through the test split's features, the sweeps, the
-            # finish phase and the baseline
-            del F
-            head_test_err = _error_rate(
-                predict_head_batch(net, head, bundle.X_test, slots), bundle.y_test
-            )
-            # the train split's per-layer goodness; the last epoch's feeds
-            # goodness_hist.csv, so the finish phase forwards nothing
-            G = sweep_scores_batch(net, bundle.X_train, bundle.num_classes, slots)
-            errs = {
-                "head": (head_train_err, head_test_err),
-                "sweep": (
-                    _error_rate(predict_sweep_batch(included, G), bundle.y_train),
-                    _error_rate(
-                        predict_sweep_batch(included, sweep_scores_batch(
-                            net, bundle.X_test, bundle.num_classes, slots
-                        )),
-                        bundle.y_test,
-                    ),
-                ),
-            }
+            del F  # not held through the test split, the finish phase and the baseline
+            # the last epoch's train-split G feeds goodness_hist.csv: no forward after training
+            train, G = score_split(net, None, included, bundle, bundle.X_train, bundle.y_train)
+            test, _ = score_split(net, head, included, bundle, bundle.X_test, bundle.y_test)
+            errs = {"head": (head_train_err, test["head"]),
+                    "sweep": (train["sweep"], test["sweep"])}
             epochs.append(Epoch(em, errs, time.perf_counter() - t0, theta))
     except DivergenceError as e:
         e.epoch = epoch

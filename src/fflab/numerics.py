@@ -113,7 +113,7 @@ _SPLIT_BLOCK = 1 << 16
 # Threads that share a pass of two or more blocks: OpenBLAS's thread count, at most 2 (measured)
 _SPLIT_WORKERS = None
 _pool = None  # _SPLIT_WORKERS - 1 threads from the first split pass on
-_adam_work = threading.local()  # each thread's two work arrays, kept across steps
+_thread_work = threading.local()  # each thread's work array, kept across passes
 os.register_at_fork(after_in_child=lambda: globals().update(_pool=None))
 
 
@@ -199,15 +199,19 @@ def _cast(a, dtype):
     return out
 
 
+def _work(n):
+    """The first n elements of this thread's kept float64 work array, grown to n if shorter."""
+    work = getattr(_thread_work, "array", None)
+    if work is None or work.size < n:
+        work = _thread_work.array = np.empty(n)
+    return work[:n]
+
+
 def _adam_rows(lo, hi, P, G, M, V, m_scale, v_scale, lr):
-    """Adam over rows lo..hi, half a block at a time, in this thread's work arrays."""
+    """Adam over rows lo..hi, half a block at a time, in this thread's work array."""
     rows = max(1, _block_rows(P) // 2)
     shape = (min(rows, hi - lo),) + P.shape[1:]
-    size = math.prod(shape)
-    work = getattr(_adam_work, "arrays", None)
-    if work is None or work.shape[1] < size:
-        work = _adam_work.arrays = np.empty((2, size))
-    scratch, step = (w[:size].reshape(shape) for w in work)
+    scratch, step = _work(2 * math.prod(shape)).reshape((2,) + shape)
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     for i in range(lo, hi, rows):
         j = min(i + rows, hi)

@@ -169,11 +169,8 @@ class Rng:
         n = len(seq)
         if n < 2:
             return seq
-        draws = self._u64_array(n - 1)
-        bases = np.arange(n, 1, -1, dtype=np.uint64)
-        js = draws % bases
-        for i in range(n - 1):
-            a = n - 1 - i
-            b = int(js[i])
+        # position a swaps with a draw mod a + 1, for a = n-1 down to 1
+        js = (self._u64_array(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+        for a, b in zip(range(n - 1, 0, -1), js):
             seq[a], seq[b] = seq[b], seq[a]
         return seq

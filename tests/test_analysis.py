@@ -1,5 +1,9 @@
 """Weight statistics, PGM heatmaps, goodness diagnostics."""
 
+import math
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,10 +15,9 @@ from fflab.analysis import (
     write_goodness_csv,
     write_weight_stats_csv,
 )
-from fflab import analysis, mnist_data, text_data
+from fflab import mnist_data, text_data
 from fflab.errors import UsageError
 from fflab.ffnet import FFNetwork, goodness, train_epoch
-from fflab.numerics import DenseLayer
 from fflab.inference import sweep_scores_batch
 from fflab.rng import Rng
 from fflab.synthetic import label_slots
@@ -121,21 +124,6 @@ def report_inputs(net, X, y, rng):
     return sweep_scores_batch(net, X, 2, BLOB), y, BLOB.wrong_labels(y, rng)
 
 
-class RecordingSum:
-    """numpy as ``analysis`` sees it, except that ``sum`` records the shape,
-    dtype and C-contiguity of each array it reduces."""
-
-    def __init__(self):
-        self.seen = []
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def sum(self, a, *args, **kwargs):
-        self.seen.append((a.shape, a.dtype, a.flags.c_contiguous))
-        return np.sum(a, *args, **kwargs)
-
-
 class TestSplitWeightPasses:
     """Statistics and heatmaps of full-recipe, desk and head-sized weights
     keep numpy's bits on 1, 2 and 3 workers (one split block is 64 Ki
@@ -146,25 +134,29 @@ class TestSplitWeightPasses:
     @staticmethod
     def weights(shape):
         """Drawn in [-0.04, 0.06), so the mean is away from zero."""
-        return Rng(7).uniform_array(shape[0] * shape[1], 0.05).reshape(shape) + 0.01
+        return Rng(7).uniform_array(math.prod(shape), 0.05).reshape(shape) + 0.01
 
-    @pytest.mark.parametrize("shape", SHAPES)
-    def test_weight_stats_keep_numpys_bits(self, monkeypatch, split_workers, shape):
-        """Each value equals numpy's whole-array result, and the variance's
-        sum reads a C-contiguous float64 array of W's shape: the bits of a
-        sum depend on its order (adding up the sums of 64 Ki-element row
-        blocks gives numpy's at (2000, 784), not at (2000, 2000)), so the
-        squared deviations are summed whole, laid out as numpy lays them."""
+    @pytest.mark.parametrize("shape", SHAPES + [(500, 500), (1001, 999), (2000,)])
+    def test_weight_stats_keep_numpys_bits(self, split_workers, shape):
+        """Each value equals numpy's whole-array result, whose sums depend
+        on their order (adding up the sums of 64 Ki-element row blocks gives
+        numpy's at (2000, 784), not at (2000, 2000)); a 1-D bias too. Once
+        each thread holds its work array, a call allocates less than a
+        quarter of W: no buffer of W's size holds the squared deviations."""
         W = self.weights(shape)
-        net = FFNetwork.from_layer_list([DenseLayer(shape[1], shape[0], "relu", 0.01, W=W)])
+        net = SimpleNamespace(layers=[SimpleNamespace(W=W)])
         want = [{"min": float(W.min()), "max": float(W.max()),
                  "mean": float(W.mean()), "var": float(W.var())}]
         for workers in (1, 2, 3):
             split_workers(workers)
-            sums = RecordingSum()
-            monkeypatch.setattr(analysis, "np", sums)
             assert weight_stats(net) == want, workers
-            assert sums.seen == [(shape, np.float64, True)]
+            tracemalloc.start()
+            try:
+                assert weight_stats(net) == want, workers
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < W.nbytes / 4, workers
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_heatmap_keeps_the_whole_array_bytes(self, tmp_path, split_workers, shape):

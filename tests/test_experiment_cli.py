@@ -1,6 +1,8 @@
 """End-to-end runs on the synthetic task, exercised through the CLI."""
 
 import os
+import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -12,7 +14,7 @@ import pytest
 
 import fflab
 from fflab.checkpoint import load_network, network_bytes, save_network
-from fflab.cli import main
+from fflab.cli import _parser, main
 from fflab import experiment, inference, numerics
 from fflab import rng as rng_mod
 from fflab.config import parse_config
@@ -453,7 +455,7 @@ class TestCli:
     ):
         """A work array that a pooled share of an Adam step cannot allocate
         reaches the command as the same one line, naming the training phase
-        and the share's function."""
+        and the function that allocates it."""
         monkeypatch.setattr(numerics, "_SPLIT_BLOCK", 16)
         split_workers(2)
         monkeypatch.setattr(numerics, "np", FailingEmpty(
@@ -463,7 +465,7 @@ class TestCli:
             args += ["--set", f"{k}={v}"]
         assert main(args) == 4
         assert capsys.readouterr().err.splitlines() == [
-            "out of memory in ffnet.train_epoch, at numerics._adam_rows"
+            "out of memory in ffnet.train_epoch, at numerics._work"
         ]
 
     def test_out_of_memory_in_a_draw_share_exit_four(
@@ -502,9 +504,8 @@ class TestCli:
         args = []
         for k, v in fast_overrides(tmp_path / "run", **{"synthetic.dim": 9}).items():
             args += ["--set", f"{k}={v}"]
-        for mode in ("head", "sweep"):
-            assert main(["eval", "--checkpoint", result.checkpoint, "--mode", mode] + args) == 2
-            assert "data error" in capsys.readouterr().err
+        assert main(["eval", "--checkpoint", result.checkpoint] + args) == 2
+        assert "data error" in capsys.readouterr().err
 
     def test_other_package_error_exit_one(self, tmp_path, monkeypatch, capsys):
         def fail(cfg):
@@ -678,16 +679,20 @@ class TestCli:
         assert not os.path.exists(out / "goodness_hist.csv")
 
     def test_eval_checkpoint_both_modes(self, tmp_path, capsys):
+        """One eval prints the head's line, then the sweep's, each the
+        run's last eval_modes.csv test error to 4 decimals."""
         cfg = parse_config(None, fast_overrides(tmp_path / "run"))
         result = run_experiment(cfg)
-        base_args = []
+        last = read_rows(os.path.join(result.out_dir, "eval_modes.csv"))[-1]
+        capsys.readouterr()
+        args = []
         for k, v in fast_overrides(tmp_path / "run").items():
-            base_args += ["--set", f"{k}={v}"]
-        assert main(["eval", "--checkpoint", result.checkpoint, "--mode", "head"] + base_args) == 0
-        head_out = capsys.readouterr().out
-        assert "head test error" in head_out
-        assert main(["eval", "--checkpoint", result.checkpoint, "--mode", "sweep"] + base_args) == 0
-        assert "sweep test error" in capsys.readouterr().out
+            args += ["--set", f"{k}={v}"]
+        assert main(["eval", "--checkpoint", result.checkpoint] + args) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"head test error: {float(last[2]):.4f}",
+            f"sweep test error: {float(last[4]):.4f}",
+        ]
 
     def test_eval_matches_run_final_error(self, tmp_path, capsys):
         cfg = parse_config(None, fast_overrides(tmp_path / "run"))
@@ -696,14 +701,17 @@ class TestCli:
         args = []
         for k, v in fast_overrides(tmp_path / "run").items():
             args += ["--set", f"{k}={v}"]
-        main(["eval", "--checkpoint", result.checkpoint, "--mode", "head"] + args)
-        printed = capsys.readouterr().out.strip()
-        reported = float(printed.rsplit(" ", 1)[1])
-        assert reported == pytest.approx(result.final_err["head"][1], abs=5e-5)
+        main(["eval", "--checkpoint", result.checkpoint] + args)
+        printed = capsys.readouterr().out.splitlines()
+        reported = {line.split(" ", 1)[0]: float(line.rsplit(" ", 1)[1]) for line in printed}
+        assert list(reported) == list(experiment.ROUTES)
+        for route, err in reported.items():
+            assert err == pytest.approx(result.final_err[route][1], abs=5e-5), route
 
     def test_headless_sweep_eval_reads_skip_first_layer(self, tmp_path, capsys):
-        """A checkpoint without a head is swept over the layers that
-        inference.skip_first_layer names: with false, every layer."""
+        """A checkpoint without a head prints only the sweep's line, swept
+        over the layers that inference.skip_first_layer names: with false,
+        every layer."""
         overrides = fast_overrides(tmp_path / "run", **{"inference.skip_first_layer": "false"})
         cfg = parse_config(None, overrides)
         net, _ = load_network(run_experiment(cfg).checkpoint)
@@ -720,9 +728,8 @@ class TestCli:
         for k, v in overrides.items():
             args += ["--set", f"{k}={v}"]
         capsys.readouterr()
-        assert main(["eval", "--checkpoint", headless, "--mode", "sweep"] + args) == 0
-        reported = float(capsys.readouterr().out.strip().rsplit(" ", 1)[1])
-        assert reported == pytest.approx(every, abs=5e-5)
+        assert main(["eval", "--checkpoint", headless] + args) == 0
+        assert capsys.readouterr().out.splitlines() == [f"sweep test error: {every:.4f}"]
 
 
 def test_config_echo_reproduces_the_run(tmp_path):
@@ -813,10 +820,22 @@ MALFORMED = {
         lambda t: ["eval", "--seed", "1"], 1, "config error: "),
     "unknown-flag": (
         lambda t: ["train", "--bogus"], 1, "config error: "),
-    "bad-choice": (
-        lambda t: ["eval", "--checkpoint", str(t / "x.ffn1"), "--mode", "bogus"],
-        1, "config error: "),
+    "removed-mode-flag": (
+        lambda t: ["eval", "--checkpoint", str(t / "x.ffn1"), "--mode", "head"],
+        1, "config error: ff-lab: unrecognized arguments: --mode head"),
 }
+
+
+def test_every_readme_command_parses():
+    """Every ``ff-lab`` command of the README's bash blocks parses, so a
+    flag the CLI no longer takes cannot stay in the docs."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    commands = [line for block in re.findall(r"```bash\n(.*?)```", readme, flags=re.S)
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("ff-lab ")]
+    assert commands
+    for command in commands:
+        _parser().parse_args(shlex.split(command)[1:])
 
 
 @pytest.mark.parametrize("case", list(MALFORMED))

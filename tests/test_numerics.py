@@ -263,8 +263,8 @@ class TestAdamThreads:
     @pytest.mark.parametrize("workers, shape", [(1, (16, 4096)), (2, (32, 4096))])
     def test_work_arrays_are_kept_across_calls(self, split_workers, workers, shape):
         """After a warm-up step, a step allocates less than one row block:
-        every thread keeps its two work arrays (a fresh pair per call
-        costs about 220 page faults). (16, 4096) is one block, run inline;
+        every thread keeps its work array (a fresh one per call costs
+        about 220 page faults). (16, 4096) is one block, run inline;
         (32, 4096) is two, one per thread."""
         split_workers(workers)
         r = np.random.default_rng(8)

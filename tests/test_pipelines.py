@@ -153,7 +153,7 @@ class TestMnistPipeline:
 
     def test_eval_cli_on_checkpoint(self, run, capsys):
         cfg, result = run
-        args = ["eval", "--checkpoint", result.checkpoint, "--mode", "head"]
+        args = ["eval", "--checkpoint", result.checkpoint]
         for k, v in cfg.items():
             if v is None or isinstance(v, list):
                 continue
@@ -161,7 +161,7 @@ class TestMnistPipeline:
         args += ["--arch", "64,64"]
         assert main(args) == 0
         out = capsys.readouterr().out
-        assert "head test error" in out
+        assert "head test error" in out and "sweep test error" in out
 
     def test_loading_is_deterministic(self, run):
         cfg, _ = run

@@ -72,6 +72,29 @@ def test_shuffle_preserves_multiset():
     assert shuffled != items  # astronomically unlikely to be identity
 
 
+def element_shuffle(rng, seq):
+    """The shuffle as it was first written: each draw and each index read
+    back from a numpy array, one element at a time."""
+    n = len(seq)
+    js = rng._u64_array(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)
+    for i in range(n - 1):
+        a = n - 1 - i
+        b = int(js[i])
+        seq[a], seq[b] = seq[b], seq[a]
+    return seq
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+@pytest.mark.parametrize("n", [2, 2400, 10000])
+def test_shuffle_matches_the_element_loop(n, as_array):
+    """The same permutation and end state on a list or a 1-D array."""
+    kind = np.arange if as_array else (lambda n: list(range(n)))
+    a, b = Rng(31), Rng(31)
+    got, want = a.shuffle(kind(n)), element_shuffle(b, kind(n))
+    assert type(got) is type(want) and list(got) == list(want)
+    assert a.state == b.state
+
+
 def test_shuffle_deterministic():
     a = Rng(4).shuffle(list(range(50)))
     b = Rng(4).shuffle(list(range(50)))
