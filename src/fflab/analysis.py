@@ -3,8 +3,8 @@ one CSV writer every artifact table goes through.
 
 Everything here is a pure function of a checkpoint (plus, for the
 goodness report, the label sweep's per-layer goodness): re-running on
-the same inputs is bit-identical. The passes over whole weight matrices
-(statistics, heatmaps) are dealt across threads with the same bits.
+the same inputs is bit-identical. Weight statistics and heatmaps are
+dealt across threads, with the same bits, in runs of the work arrays.
 """
 
 import csv
@@ -16,7 +16,7 @@ import numpy as np
 
 from .bp_baseline import BPNetwork
 from .errors import UsageError
-from .numerics import _block_rows, _min_max, _split, _work
+from .numerics import _SPLIT_BLOCK, _min_max, _runs, _split, _work
 
 
 def write_csv(path, header, rows):
@@ -66,8 +66,8 @@ def weight_stats(net):
     return stats
 
 
-# the most values a _pairwise leaf holds: half a split block, as in Adam's work array
-_LEAF = 1 << 15
+# the most values a _pairwise leaf holds: half a split block, a run's length
+_LEAF = _SPLIT_BLOCK // 2
 
 
 def _pairwise(lo, hi, sums=None):
@@ -104,7 +104,7 @@ def write_weight_stats_csv(path, stats):
 def export_heatmap(W, path):
     """Write W as a binary PGM (P5, maxval 255), min->0 and max->255:
     ``clip(rint((W - min) / (max - min) * 255.0), 0, 255)`` as bytes, made
-    by :func:`~fflab.numerics._split` a few rows at a time.
+    by :func:`~fflab.numerics._split` a run of rows at a time.
 
     A constant matrix maps to mid-gray 128.
     """
@@ -118,24 +118,20 @@ def export_heatmap(W, path):
     else:
         bytes_ = np.empty(W.shape, dtype=np.uint8)
         _split(_heatmap_rows, W, lo, hi - lo, bytes_)
-    header = f"P5\n{W.shape[1]} {W.shape[0]}\n255\n".encode("ascii")
     with open(path, "wb") as f:
-        f.write(header + bytes_.tobytes())
+        f.write(f"P5\n{W.shape[1]} {W.shape[0]}\n255\n".encode("ascii"))
+        f.write(bytes_)
 
 
 def _heatmap_rows(lo, hi, W, w_min, span, out):
-    """Rows lo..hi of the heatmap, half a block of rows at a time in one
-    scratch array."""
-    rows = max(1, _block_rows(W) // 2)
-    scratch = np.empty((min(rows, hi - lo),) + W.shape[1:])
-    for i in range(lo, hi, rows):
-        s = scratch[: min(rows, hi - i)]
-        np.subtract(W[i : i + len(s)], w_min, out=s)
+    """Rows lo..hi of the heatmap, a run (:func:`~fflab.numerics._runs`) at a time."""
+    for rows, s in _runs(lo, hi, W, 1):
+        np.subtract(W[rows], w_min, out=s)
         s /= span
         s *= 255.0
         np.rint(s, out=s)
         np.clip(s, 0, 255, out=s)
-        out[i : i + len(s)] = s
+        out[rows] = s
 
 
 def label_pixel_spike(W, slots):

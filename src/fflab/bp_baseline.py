@@ -40,15 +40,18 @@ class BPNetwork:
     def input_dim(self):
         return self.layers[0].in_dim
 
-    def forward_batch(self, X):
-        """Each layer's (Z, A); the last A is the logits."""
+    def _rows(self, X):
+        """X as a float64 matrix of rows as wide as the input layer."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
-            raise DimensionError(
-                f"baseline expects input of shape (n, {self.input_dim}), got {X.shape}"
-            )
+            raise DimensionError(f"baseline expects input of shape (n, {self.input_dim}), "
+                                 f"got {X.shape}")
+        return X
+
+    def forward_batch(self, X):
+        """Each layer's (Z, A); the last A is the logits."""
         stages = []
-        A = X
+        A = self._rows(X)
         for layer in self.layers:
             Z, A = layer.affine(A)
             stages.append((Z, A))
@@ -115,14 +118,24 @@ def bp_train_epoch(net, X, y, batch_size, rng, order=None):
     return BpEpochMetrics(mean_loss=loss_sum / n)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def bp_predict_batch(net, X):
-    """Predicted class per row, forwarded one row chunk at a time; ties
-    break toward the lower index."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise DimensionError(f"baseline expects a matrix of rows, got shape {X.shape}")
+    """Predicted class per row (:func:`_checked_argmax`, naming the output layer),
+    forwarded one row chunk at a time, keeping only the current activation."""
+    if np.ndim(X) != 2:
+        raise DimensionError(f"baseline expects a matrix of rows, got shape {np.shape(X)}")
+    X = net._rows(X)
     pred = np.empty(X.shape[0], dtype=np.int64)
     for rows in row_chunks(X.shape[0]):
-        logits = net.forward_batch(X[rows])[-1][1]
-        pred[rows] = np.argmax(logits, axis=1)
+        A = X[rows]
+        for layer in net.layers:
+            A = layer.affine(A)[1]  # the layer's Z goes once its activation exists
+        pred[rows] = _checked_argmax(A, len(net.layers) - 1)
     return pred
+
+
+def _checked_argmax(logits, layer):
+    """Each row's top class (ties to the lower index) once every logit is finite, else
+    DivergenceError naming ``layer``: the guard of callers that silence overflow warnings."""
+    require_finite("logits left the finite range", logits, layer=layer)
+    return np.argmax(logits, axis=1)

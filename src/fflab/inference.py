@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bp_baseline import BPNetwork, bp_train_epoch
+from .bp_baseline import BPNetwork, _checked_argmax, bp_train_epoch
 from .errors import DimensionError, DivergenceError, UsageError
 from .ffnet import goodness
 from .numerics import DenseLayer, _cast, require_finite, row_chunks, row_directions
@@ -174,21 +174,15 @@ def predict_head_batch(net, head, X_raw, slots):
 
 @np.errstate(over="ignore", invalid="ignore")
 def predict_head_features(head, F):
-    """Head predictions for rows of ``F`` from :func:`features_batch`.
-
-    A head whose weights are finite but so large that a logit overflows
-    raises :class:`DivergenceError` (``layer`` ``"head"``) instead of
-    ranking infinities; the finite check is the guard, so numpy's
-    overflow warnings are silenced.
-    """
+    """Head predictions for rows of ``F`` from :func:`features_batch`, ranked as
+    the baseline's are: logits that overflow raise DivergenceError (layer "head")."""
     if F.shape[1] != head.concat_width:
         raise DimensionError(
             f"head expects {head.concat_width} features, got {F.shape[1]}"
         )
     logits = F @ head.W.T
     logits += head.b
-    require_finite("logits left the finite range", logits, layer="head")
-    return np.argmax(logits, axis=1)
+    return _checked_argmax(logits, "head")
 
 
 @np.errstate(over="ignore", invalid="ignore")

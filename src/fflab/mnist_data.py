@@ -24,50 +24,40 @@ IMAGE_SIZE = 784
 LABEL_SLOTS = LabelSlots(NUM_CLASSES, start=0, overwrite=True)
 
 
-def _maybe_gunzip(data):
-    if data[:2] != b"\x1f\x8b":
-        return data
-    try:
-        return gzip.decompress(data)
-    except (OSError, EOFError, zlib.error) as e:
-        raise FormatError(f"corrupt gzip data: {e}") from None
+def _idx_payload(data, kind, magic, shape, unit):
+    """The flat uint8 payload of a whole IDX file (gunzipped if need be)
+    of ``kind`` items of ``shape``: the header's length, magic and item
+    shape, then the payload's length (counted in ``unit``) checked."""
+    if data[:2] == b"\x1f\x8b":
+        try:
+            data = gzip.decompress(data)
+        except (OSError, EOFError, zlib.error) as e:
+            raise FormatError(f"corrupt gzip data: {e}") from None
+    size = 8 + 4 * len(shape)
+    if len(data) < size:
+        raise FormatError(f"{kind} file shorter than its {size}-byte header", offset=len(data))
+    found, count, *dims = struct.unpack(f">{2 + len(shape)}I", data[:size])
+    if found != magic:
+        raise FormatError(f"bad {kind} magic 0x{found:08x}", offset=0)
+    if tuple(dims) != shape:
+        raise FormatError(f"expected {'x'.join(map(str, shape))} {kind}s, got "
+                          f"{'x'.join(map(str, dims))}", offset=8)
+    expected = count * int(np.prod(shape))
+    if len(data) - size != expected:
+        raise FormatError(f"payload holds {len(data) - size} {unit}, expected {expected}",
+                          offset=size + min(len(data) - size, expected))
+    return np.frombuffer(data, dtype=np.uint8, offset=size)
 
 
 def _image_bytes(data):
-    """(n, 784) uint8 pixels of a whole IDX image file, header and
-    payload length checked."""
-    data = _maybe_gunzip(data)
-    if len(data) < 16:
-        raise FormatError("image file shorter than its 16-byte header", offset=len(data))
-    magic, count, rows, cols = struct.unpack(">IIII", data[:16])
-    if magic != IMAGE_MAGIC:
-        raise FormatError(f"bad image magic 0x{magic:08x}", offset=0)
-    if rows != 28 or cols != 28:
-        raise FormatError(f"expected 28x28 images, got {rows}x{cols}", offset=8)
-    expected = count * rows * cols
-    if len(data) - 16 != expected:
-        raise FormatError(
-            f"payload holds {len(data) - 16} bytes, expected {expected}",
-            offset=16 + min(len(data) - 16, expected),
-        )
-    return np.frombuffer(data, dtype=np.uint8, offset=16).reshape(count, IMAGE_SIZE)
+    """(n, 784) uint8 pixels of a whole IDX image file, checked (:func:`_idx_payload`)."""
+    return _idx_payload(data, "image", IMAGE_MAGIC, (28, 28), "bytes").reshape(-1, IMAGE_SIZE)
 
 
 def _label_bytes(data):
-    """(n,) uint8 labels of a whole IDX label file, header, payload
-    length and every label checked; the first bad label is located."""
-    data = _maybe_gunzip(data)
-    if len(data) < 8:
-        raise FormatError("label file shorter than its 8-byte header", offset=len(data))
-    magic, count = struct.unpack(">II", data[:8])
-    if magic != LABEL_MAGIC:
-        raise FormatError(f"bad label magic 0x{magic:08x}", offset=0)
-    if len(data) - 8 != count:
-        raise FormatError(
-            f"payload holds {len(data) - 8} labels, expected {count}",
-            offset=8 + min(len(data) - 8, count),
-        )
-    labels = np.frombuffer(data, dtype=np.uint8, offset=8)
+    """(n,) uint8 labels of a whole IDX label file, checked as images are
+    and each label too; the first bad label is located."""
+    labels = _idx_payload(data, "label", LABEL_MAGIC, (), "labels")
     bad = np.flatnonzero(labels > 9)
     if bad.size:
         raise FormatError(f"label {labels[bad[0]]} out of range 0-9", offset=8 + int(bad[0]))

@@ -8,7 +8,7 @@ forwards float32 ones); parameters are float64 ndarrays of any shape.
 Every pass over a weight-sized array (Adam steps, bulk draws, the sweep's
 float32 copies, finite checks, weight statistics) is dealt across the
 BLAS threads' cores by one private helper, :func:`_split`, with the bits
-of the whole-array pass.
+of the whole-array pass; shares take their scratch from :func:`_runs`.
 """
 
 import ctypes
@@ -104,10 +104,10 @@ class AdamState:
 
 # A split block: about this many elements of an array, in whole rows. A pass
 # over an array of two or more blocks is dealt out across threads
-# (:func:`_split`). Adam works through its rows half a block (256 KiB an
-# array) at a time, as fast on 2 cores as whole blocks (train_epoch at
-# 784->2000x4: 2.56 s against 2.64 s, medians of 4 alternating runs,
-# spread 2.41-3.30 s).
+# (:func:`_split`). A share walks its rows half a block (256 KiB a float64
+# array) at a time (:func:`_runs`); Adam ran as fast that way on 2 cores as
+# in whole blocks (train_epoch at 784->2000x4: 2.56 s against 2.64 s, medians
+# of 4 alternating runs, spread 2.41-3.30 s).
 _SPLIT_BLOCK = 1 << 16
 
 # Threads that share a pass of two or more blocks: OpenBLAS's thread count, at most 2 (measured)
@@ -200,23 +200,30 @@ def _cast(a, dtype):
 
 
 def _work(n):
-    """The first n elements of this thread's kept float64 work array, grown to n if shorter."""
+    """The first n elements of this thread's kept float64 work array, grown if shorter
+    to n and at least a split block (two runs), since an outgrown array stays a heap hole."""
     work = getattr(_thread_work, "array", None)
     if work is None or work.size < n:
-        work = _thread_work.array = np.empty(n)
+        work = _thread_work.array = np.empty(max(n, _SPLIT_BLOCK))
     return work[:n]
 
 
-def _adam_rows(lo, hi, P, G, M, V, m_scale, v_scale, lr):
-    """Adam over rows lo..hi, half a block at a time, in this thread's work array."""
-    rows = max(1, _block_rows(P) // 2)
-    shape = (min(rows, hi - lo),) + P.shape[1:]
-    scratch, step = _work(2 * math.prod(shape)).reshape((2,) + shape)
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
+def _runs(lo, hi, a, k):
+    """Half-block runs of rows lo..hi of ``a``: each run's slice, then ``k`` scratch views."""
+    rows = max(1, _block_rows(a) // 2)
+    shape = (min(rows, hi - lo),) + a.shape[1:]
+    scratch = tuple(_work(k * math.prod(shape)).reshape((k,) + shape))
     for i in range(lo, hi, rows):
-        j = min(i + rows, hi)
-        p, g, m, v = P[i:j], G[i:j], M[i:j], V[i:j]
-        s, d = scratch[: j - i], step[: j - i]
+        if i + rows > hi:  # the share's last run is shorter
+            scratch = tuple(s[: hi - i] for s in scratch)
+        yield (slice(i, min(i + rows, hi)), *scratch)
+
+
+def _adam_rows(lo, hi, P, G, M, V, m_scale, v_scale, lr):
+    """Adam over rows lo..hi, a run (:func:`_runs`) at a time."""
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    for rows, s, d in _runs(lo, hi, P, 2):
+        p, g, m, v = P[rows], G[rows], M[rows], V[rows]
         np.multiply(g, 1.0 - b1, out=s)
         m *= b1
         m += s

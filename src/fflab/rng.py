@@ -6,16 +6,16 @@ on every machine. splitmix64 is counter-based — after n draws the state
 is ``seed + n*GOLDEN mod 2^64`` — so bulk draws vectorize exactly: the
 numpy uint64 path and the scalar python-int path produce the same bits.
 Any block of the stream can be computed on its own, so bulk draws are
-made ``_DRAW_BLOCK`` counters at a time, mixed in place in their own part
-of the output with one reusable scratch array. A bulk draw of two or more split
-blocks is dealt across threads by :func:`~fflab.numerics._split`, each
-share starting at its own counter: the same bits and end state on any
-number of threads.
+made a run of counters at a time (:func:`~fflab.numerics._runs`, half a
+split block), mixed in place in their own part of the output with the
+run's scratch. A bulk draw of two or more split blocks is dealt across
+threads by :func:`~fflab.numerics._split`, each share starting at its
+own counter: the same bits and end state on any number of threads.
 """
 
 import numpy as np
 
-from .numerics import _split
+from .numerics import _SPLIT_BLOCK, _runs, _split
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -31,12 +31,10 @@ _U64_31 = np.uint64(31)
 _U64_11 = np.uint64(11)
 _INV53 = 2.0 ** -53
 
-# Draws per block of a bulk draw: its part of the output, its uint64
-# scratch array and the counter steps (256 KiB each) stay in a 2 MiB
-# per-core L2.
-_DRAW_BLOCK = 1 << 15
-# GOLDEN * (1, 2, ...): draw i of a block sits at its base state + _STEPS[i]
-_STEPS = np.arange(1, _DRAW_BLOCK + 1, dtype=np.uint64) * _GOLDEN_U64
+# GOLDEN * (1, 2, ...): draw i of a run sits at its base state + _STEPS[i];
+# a run's part of the output, its scratch and these (256 KiB each) stay in
+# a 2 MiB per-core L2
+_STEPS = np.arange(1, _SPLIT_BLOCK // 2 + 1, dtype=np.uint64) * _GOLDEN_U64
 _STEPS.flags.writeable = False
 
 
@@ -69,18 +67,17 @@ def _mix_array(z, t):
 
 def _draw_rows(lo, hi, out, state, fill, *args):
     """Draws lo+1..hi of the stream at ``state`` into ``out[lo:hi]``, whose
-    items are 8 bytes, ``_DRAW_BLOCK`` at a time: each block's counters are
-    mixed in its own part of ``out``, seen as uint64 z, with one scratch
-    array t, and ``fill(part, z, t, *args)``, if given, turns z into
-    ``part``'s values by way of t."""
-    t = np.empty(min(hi - lo, _DRAW_BLOCK), dtype=np.uint64)
-    for off in range(lo, hi, _DRAW_BLOCK):
-        part = out[off : min(off + _DRAW_BLOCK, hi)]
-        z, s = part.view(np.uint64), t[: len(part)]
-        np.add(_STEPS[: len(z)], np.uint64((state + off * GOLDEN) & MASK64), out=z)
-        _mix_array(z, s)
+    items are 8 bytes, a run (:func:`~fflab.numerics._runs`) at a time:
+    each run's counters are mixed in its own part of ``out``, seen as
+    uint64 z, with the run's scratch t, and ``fill(part, z, t, *args)``,
+    if given, turns z into ``part``'s values by way of t."""
+    for rows, t in _runs(lo, hi, out, 1):
+        part = out[rows]
+        z, t = part.view(np.uint64), t.view(np.uint64)
+        np.add(_STEPS[: len(z)], np.uint64((state + rows.start * GOLDEN) & MASK64), out=z)
+        _mix_array(z, t)
         if fill is not None:
-            fill(part, z, s, *args)
+            fill(part, z, t, *args)
 
 
 def _uniform_fill(part, z, t, offset, scale):

@@ -15,7 +15,7 @@ from fflab.analysis import (
     write_goodness_csv,
     write_weight_stats_csv,
 )
-from fflab import mnist_data, text_data
+from fflab import mnist_data, numerics, text_data
 from fflab.errors import UsageError
 from fflab.ffnet import FFNetwork, goodness, train_epoch
 from fflab.inference import sweep_scores_batch
@@ -168,6 +168,22 @@ class TestSplitWeightPasses:
             path = tmp_path / f"w{workers}.pgm"
             export_heatmap(W, path)
             assert np.array_equal(read_pgm(path), want), workers
+
+    def test_warm_heatmap_allocates_its_output_and_one_run(self, tmp_path, split_workers):
+        """Each share's scratch is a run of its thread's kept work array, and
+        the bytes are written as they are: at most the output plus one run
+        (half a split block of float64), on 2 workers."""
+        W = self.weights((2000, 784))
+        split_workers(2)
+        export_heatmap(W, tmp_path / "cold.pgm")
+        tracemalloc.start()
+        try:
+            export_heatmap(W, tmp_path / "warm.pgm")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "warm.pgm").read_bytes() == (tmp_path / "cold.pgm").read_bytes()
+        assert peak <= W.size + 8 * numerics._SPLIT_BLOCK // 2
 
 
 class TestGoodnessReport:

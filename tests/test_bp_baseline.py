@@ -1,5 +1,7 @@
 """The hand-rolled backprop baseline: gradients, training, prediction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,33 @@ class TestPredict:
         net = BPNetwork(6, [9, 7], 3, "relu", 1e-3, Rng(511))
         logits = net.forward_batch(X)[-1][1]
         np.testing.assert_array_equal(bp_predict_batch(net, X), np.argmax(logits, axis=1))
+
+    def test_finite_weights_whose_logits_overflow_diverge(self):
+        """Checked as the head's logits are: no overflow warning and no
+        class 0 for every row, but a DivergenceError naming the output layer."""
+        net = BPNetwork(6, [9, 7], 3, "relu", 1e-3, Rng(512))
+        net.layers[-1].W *= 1e307
+        X, _ = small_task(5, seed=513)
+        with pytest.raises(DivergenceError, match="logits left the finite range") as info:
+            bp_predict_batch(net, X * 1e3)
+        assert info.value.layer == 2
+
+    def test_peak_memory_is_three_chunk_matrices(self):
+        """One row chunk's input, Z and activation of the widest layer at a
+        time, whatever the depth: at most the predictions plus three chunk
+        matrices (and 16 KiB of loop objects), not every layer's Z and A."""
+        n, width = numerics.CHUNK_ROWS * 2 + 5, 1000
+        net = BPNetwork(50, [width] * 3, 10, "relu", 1e-3, Rng(514))
+        X = Rng(515).uniform_array(n * 50).reshape(n, 50)
+        want = np.argmax(net.forward_batch(X)[-1][1], axis=1)
+        tracemalloc.start()
+        try:
+            got = bp_predict_batch(net, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(got, want)
+        assert peak <= got.nbytes + 3 * numerics.CHUNK_ROWS * width * 8 + (1 << 14)
 
     def test_softmax_shift_invariance(self):
         logits = np.array([[0.3, -0.2, 1.4]])

@@ -16,7 +16,6 @@ import fflab
 from fflab.checkpoint import load_network, network_bytes, save_network
 from fflab.cli import _parser, main
 from fflab import experiment, inference, numerics
-from fflab import rng as rng_mod
 from fflab.config import parse_config
 from fflab.errors import ConfigError, DivergenceError, FFLabError
 from fflab.experiment import build_bundle, run_experiment, run_sweep
@@ -383,6 +382,27 @@ class TestCli:
                        "weights left the finite range after an update"]
         assert not os.path.exists(tmp_path / "run" / "checkpoint.bpn1")
 
+    def test_baseline_logits_overflow_exit_three(self, tmp_path, capsys, monkeypatch):
+        """Finite baseline weights whose logits overflow (the output layer's
+        W set to 1e308 after its epoch) end in exit 3 naming the output
+        layer, as the head's do, not in class 0 for every row."""
+        bp_train_epoch = experiment.bp_train_epoch
+
+        def scaled(net, *args):
+            metrics = bp_train_epoch(net, *args)
+            net.layers[-1].W[...] = 1e308
+            return metrics
+
+        monkeypatch.setattr(experiment, "bp_train_epoch", scaled)
+        args = ["train"]
+        for k, v in fast_overrides(tmp_path / "run", **{"baseline.enabled": "true"}).items():
+            args += ["--set", f"{k}={v}"]
+        assert main(args) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "training diverged: epoch 0, layer baseline 2: logits left the finite range"
+        ]
+        assert not os.path.exists(tmp_path / "run" / "checkpoint.bpn1")
+
     WEIGHTS = "weights left the finite range after an update"
 
     @pytest.mark.parametrize("overrides, message", [
@@ -455,11 +475,22 @@ class TestCli:
     ):
         """A work array that a pooled share of an Adam step cannot allocate
         reaches the command as the same one line, naming the training phase
-        and the function that allocates it."""
+        and the function that allocates it. The pool thread's work array
+        is first made at set-up's draws, so allocations fail from the first
+        train_epoch on, where Adam's run scratch (two 16-wide rows) outgrows
+        that array (one split block, 16 values)."""
         monkeypatch.setattr(numerics, "_SPLIT_BLOCK", 16)
         split_workers(2)
+        training = []
+        train_epoch = experiment.train_epoch
+
+        def flagged(*args):
+            training.append(True)
+            return train_epoch(*args)
+
+        monkeypatch.setattr(experiment, "train_epoch", flagged)
         monkeypatch.setattr(numerics, "np", FailingEmpty(
-            lambda: threading.current_thread() is not threading.main_thread()))
+            lambda: training and threading.current_thread() is not threading.main_thread()))
         args = ["train"]
         for k, v in fast_overrides(tmp_path / "run").items():
             args += ["--set", f"{k}={v}"]
@@ -471,20 +502,20 @@ class TestCli:
     def test_out_of_memory_in_a_draw_share_exit_four(
         self, tmp_path, capsys, monkeypatch, split_workers
     ):
-        """A draw block that a pooled share of a bulk draw cannot allocate,
+        """A work array that a pooled share of a bulk draw cannot allocate,
         at the first draw that splits (the synthetic data, during set-up),
         reaches the command as the same one line, naming the set-up call
-        and the share's function."""
+        and the function that allocates it."""
         monkeypatch.setattr(numerics, "_SPLIT_BLOCK", 16)
         split_workers(2)
-        monkeypatch.setattr(rng_mod, "np", FailingEmpty(
+        monkeypatch.setattr(numerics, "np", FailingEmpty(
             lambda: threading.current_thread() is not threading.main_thread()))
         args = ["train"]
         for k, v in fast_overrides(tmp_path / "run").items():
             args += ["--set", f"{k}={v}"]
         assert main(args) == 4
         assert capsys.readouterr().err.splitlines() == [
-            "out of memory in synthetic.make_blobs, at rng._draw_rows"
+            "out of memory in synthetic.make_blobs, at numerics._work"
         ]
         assert not os.path.exists(tmp_path / "run" / "checkpoint.ffn1")
 

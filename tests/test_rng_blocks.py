@@ -20,9 +20,11 @@ SIZES = [0, 1, 7, 8, 9, 37]
 
 
 @pytest.fixture
-def small_blocks(monkeypatch):
-    """Blocks of 8 draws: SIZES sit on both sides of one and two block edges."""
-    monkeypatch.setattr(rng_mod, "_DRAW_BLOCK", 8)
+def small_blocks(monkeypatch, split_workers):
+    """Runs of 8 draws (split blocks of 16), on one thread until a test asks
+    for more: SIZES sit on both sides of one and two run edges."""
+    monkeypatch.setattr(numerics, "_SPLIT_BLOCK", 16)
+    split_workers(1)
 
 
 def _scalar(seed, n, draw):
@@ -78,7 +80,7 @@ class TestBlocksEqualScalarDraws:
         assert got == order
 
 
-# split blocks of 16 draws (two draw blocks of 8): below, at and just above
+# split blocks of 16 draws (two runs of 8): below, at and just above
 # one and two split blocks, and odd sizes that 2 and 3 workers share unevenly
 SPLIT_SIZES = [15, 16, 17, 31, 32, 33, 81]
 
@@ -88,10 +90,6 @@ class TestSplitDrawsEqualOneCoreDraws:
     """A bulk draw of two or more split blocks is dealt across threads, each
     share starting at its own counter: on 1, 2 and 3 workers the values
     (every bit, the sign of zero too) and the end state of the scalar draws."""
-
-    @pytest.fixture(autouse=True)
-    def small_split_blocks(self, monkeypatch):
-        monkeypatch.setattr(numerics, "_SPLIT_BLOCK", 16)
 
     @staticmethod
     def check(split_workers, draw, want, state):
@@ -156,8 +154,8 @@ class TestSplitDrawsEqualOneCoreDraws:
 
 
 def test_several_full_blocks_equal_one_whole_expression():
-    """Unpatched blocks: three of them, the last of 3 draws."""
-    n = 2 * rng_mod._DRAW_BLOCK + 3
+    """Unpatched runs of half a split block: three of them, the last of 3 draws."""
+    n = numerics._SPLIT_BLOCK + 3
     end = (36 + n * GOLDEN) & MASK64
     r = Rng(36)
     np.testing.assert_array_equal(r.uniform_array(n), whole_uniform_draws(36, n))
@@ -181,6 +179,26 @@ def test_uniform_array_peak_memory_is_about_its_output():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * 8 * n
+
+
+@pytest.mark.parametrize("draw", ["uniform_array", "randint_array", "_u64_array"])
+def test_warm_split_draw_allocates_only_its_output(split_workers, draw):
+    """A draw of four split blocks and a few draws more, on 2 workers: once
+    each thread holds its work array, the shares' scratch is runs of it,
+    so the draw allocates its output, at most one numpy ufunc buffer per
+    worker (the int64-to-float64 cast of a uniform draw) and 16 KiB of
+    Python objects (the share's future, frames and views)."""
+    split_workers(2)
+    n = 4 * numerics._SPLIT_BLOCK + 5
+    args = (n, 9) if draw == "randint_array" else (n,)
+    getattr(Rng(41), draw)(*args)
+    tracemalloc.start()
+    try:
+        out = getattr(Rng(41), draw)(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 2 * 8 * np.getbufsize() + (1 << 14)
 
 
 @pytest.mark.parametrize("layer_cls", [FFLayer, DenseLayer])
